@@ -8,17 +8,17 @@ codes of the resulting rational metrics.
 """
 
 from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact, constant,
-                    distance, eventually_periodic, exact_distance, from_rule,
-                    in_basic_nbhd, pair_points, query, slice_point)
+                    distance, eventually_periodic, exact_distance, in_basic_nbhd,
+                    pair_points, slice_point)
 from .coding import (SeqCode, append, decode, encode, index_of_rational, is_prefix,
                      lh, pair_code, proj, quad_code, rational_of_index)
 from .codes import (CompletionPoint, RationalMetricTable, SpaceCode,
                     completion_distance, constant_completion, decode_metric,
                     encode_metric, interleave, pipeline, render_code_file)
-from .luzin import (ImagePresentation, LuzinScheme, ZeroDimPresentation,
+from .luzin import (LuzinScheme, ZeroDimPresentation, ambient_presentation,
                     baire_closed_presentation, cantor_presentation,
                     discrete_presentation, image_presentation, rescale)
-from .remetrize import (ClosedRepresentation, SpacePresentation, SumSpace,
+from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
                         membership_in_a, new_presentation, open_ball_distance,
                         pullback_distance, sum_distance, witness_representation)

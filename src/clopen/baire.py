@@ -57,15 +57,6 @@ class BairePoint:
         return f"<{name} {shown},...>"
 
 
-def query(p: BairePoint, n: int) -> int:
-    """Value of the point at position n (memoized)."""
-    return p(n)
-
-
-def from_rule(rule: Callable[[int], int], label: str = "") -> BairePoint:
-    return BairePoint(rule, label=label)
-
-
 def eventually_periodic(pre: Sequence[int], period: Sequence[int], label: str = "") -> BairePoint:
     """The point pre[0], ..., pre[-1], period[0], period[1], ... (repeating)."""
     if not period:

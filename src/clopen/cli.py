@@ -20,9 +20,10 @@ from pathlib import Path
 from .baire import eventually_periodic
 from .codes import encode_metric, render_code_file, validate_metric_table
 from .dsl import ParseError
-from .instances import (UnknownCatalogName, build_instance, builtin_instance,
-                        parse_instance)
-from .luzin import LuzinScheme, cantor_presentation, discrete_presentation
+from .instances import (DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
+                        builtin_instance, merge_bounds, parse_instance)
+from .luzin import (LuzinScheme, baire_closed_presentation, cantor_presentation,
+                    discrete_presentation)
 from .remetrize import epsilon_code
 from .trees import TreeError
 from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
@@ -34,6 +35,13 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _bounds(args, bounds: dict[str, int]) -> dict[str, int]:
+    """The bounds with the explicit --depth, --budget and --witness-bound applied."""
+    overrides = {key: getattr(args, key) for key in ("depth", "budget", "witness_bound")
+                 if getattr(args, key, None) is not None}
+    return merge_bounds(bounds, overrides)
+
+
 def _load_instance(args) -> "InstanceFile":
     if args.instance is None:
         raise UnknownCatalogName("<missing --instance>")
@@ -42,12 +50,7 @@ def _load_instance(args) -> "InstanceFile":
         inst = parse_instance(path.read_text(encoding="utf-8"))
     else:
         inst = builtin_instance(args.instance)
-    # explicit flags override the instance's own bounds
-    for flag, key in (("depth", "depth"), ("budget", "budget"),
-                      ("witness_bound", "witness_bound")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            inst.bounds[key] = value
+    inst.bounds = _bounds(args, inst.bounds)
     return inst
 
 
@@ -106,16 +109,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    depth = args.depth if args.depth is not None else 4
-    bound = args.witness_bound if args.witness_bound is not None else 64
+    inst = _load_instance(args) if args.space == "baire-closed" else None
+    bounds = inst.bounds if inst is not None else _bounds(args, DEFAULT_BOUNDS)
+    depth, bound = bounds["depth"], bounds["witness_bound"]
     if args.space == "cantor":
         pres = cantor_presentation(witness_bound=bound)
     elif args.space.startswith("discrete:"):
-        pres = discrete_presentation(int(args.space.split(":", 1)[1]))
-    elif args.space == "baire-closed":
-        from .luzin import baire_closed_presentation
-        built = build_instance(_load_instance(args))
-        pres = baire_closed_presentation(built.ambient_fam, witness_bound=bound)
+        size = args.space.split(":", 1)[1]
+        if not size.isdecimal() or int(size) < 1:
+            raise ParseError(0, 0, f"discrete:<n> needs a positive integer n, not {size!r}")
+        pres = discrete_presentation(int(size))
+    elif inst is not None:
+        pres = baire_closed_presentation(build_instance(inst).ambient_fam, witness_bound=bound)
     else:
         raise UnknownCatalogName(args.space, kind="embedding space")
     scheme = LuzinScheme(pres, max_depth=max(depth, 4))
@@ -138,7 +143,7 @@ def cmd_witness(args) -> int:
         point = point_from_descriptor(json.loads(args.point))
     else:
         point = eventually_periodic(args.preperiod, args.period or [0])
-    depth = args.depth if args.depth is not None else 4
+    depth = _bounds(args, DEFAULT_BOUNDS)["depth"]
     beta = closure.witness_point(point)
     values = " ".join(str(beta(n)) for n in range(depth))
     lines = [
@@ -169,8 +174,7 @@ def cmd_remetrize(args) -> int:
     eps = epsilon_code(built.sum_space)
     bits = "".join(str(eps(t)) for t in range(args.epsilon_prefix))
     lines.append(f"epsilon {bits}")
-    if all(rep.kind == "identity" and rep.tree.hint is not None
-           for rep in (built.sum_space.part_a, built.sum_space.part_c)):
+    if built.sum_space.certifiable:
         certified = certified_ball_list(built.sum_space, per_side=3)
         result = check_extension_certificates(built.sum_space, certified)
         lines.append(f"certificates {len(certified)} {'ok' if result.passed else 'FAIL'}")

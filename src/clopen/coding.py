@@ -103,14 +103,6 @@ def quad_code(i: int, j: int, m: int, n: int) -> SeqCode:
     return 1 + pair(3, pair(i, pair(j, pair(m, n))))
 
 
-def split_pair_code(t: SeqCode) -> Tuple[int, int] | None:
-    """(i, n) if t codes a two-entry sequence, else None."""
-    u = decode(t)
-    if len(u) == 2:
-        return u[0], u[1]
-    return None
-
-
 def rational_of_index(s: int) -> Rational:
     """The rational with index s: (-1)^(s)_0 * (s)_1 / ((s)_2 + 1).
 

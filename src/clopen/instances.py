@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional
 
 from . import dsl
-from .baire import exact_distance
 from .dsl import ParseError
-from .remetrize import (SpacePresentation, SumSpace, identity_representation,
-                        new_presentation, witness_representation)
-from .trees import (DensePointFamily, PrunedTree, constant_tree,
+from .luzin import ZeroDimPresentation, ambient_presentation
+from .remetrize import (SumSpace, identity_representation, new_presentation,
+                        witness_representation)
+from .trees import (DensePointFamily, EmptyTreeViolation, PrunedTree, constant_tree,
                     cylinder_union_tree, full_baire_tree, full_cantor_tree,
                     validate_pruned)
 from .witness import MATRIX_CATALOG, Pi02Matrix
@@ -121,6 +120,18 @@ def _check_matrix_desc(desc: Any, path: str) -> None:
         raise _err(f"{path}: dsl matrices need a natural 'per_n_budget'")
 
 
+def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str, int]:
+    """The bounds with the overrides applied, each a known, positive integer bound."""
+    merged = dict(bounds)
+    for key, value in overrides.items():
+        if key not in DEFAULT_BOUNDS:
+            raise _err(f"unknown bound {key!r}")
+        if not isinstance(value, int) or value <= 0:
+            raise _err(f"bound {key!r} must be a positive integer")
+        merged[key] = value
+    return merged
+
+
 def parse_instance(text: str) -> InstanceFile:
     """Parse and validate an instance document."""
     try:
@@ -157,14 +168,7 @@ def parse_instance(text: str) -> InstanceFile:
         if set_desc.get("name") not in CATALOG:
             raise UnknownCatalogName(str(set_desc.get("name")))
 
-    bounds = dict(DEFAULT_BOUNDS)
-    for key, value in (doc.get("bounds") or {}).items():
-        if key not in DEFAULT_BOUNDS:
-            raise _err(f"unknown bound {key!r}")
-        if not isinstance(value, int) or value <= 0:
-            raise _err(f"bound {key!r} must be a positive integer")
-        bounds[key] = value
-
+    bounds = merge_bounds(DEFAULT_BOUNDS, doc.get("bounds") or {})
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, dict):
         raise _err("'expected' must be an object when present")
@@ -277,34 +281,17 @@ def build_matrix(desc: dict[str, Any]) -> Pi02Matrix:
                       label="dsl-matrix")
 
 
-def ambient_presentation(fam: DensePointFamily, name: str) -> SpacePresentation:
-    """The ambient space of an instance: its dense family with the rescaled
-    branch metric and exact point-to-dense distances."""
-    from .trees import dense_pn_distance
-
-    def dist(i: int, j: int) -> Fraction:
-        d = dense_pn_distance(fam, i, j)
-        return d / (1 + d)
-
-    def dist_point(x, i) -> Fraction:
-        d = exact_distance(x, fam.leftmost(i))
-        return d / (1 + d)
-
-    return SpacePresentation(name=name, point=fam.leftmost, dist=dist,
-                             dist_point=dist_point)
-
-
 @dataclass
 class BuiltInstance:
     """All runtime objects of one instance, ready for the pipelines."""
 
     file: InstanceFile
     ambient_fam: DensePointFamily
-    ambient: SpacePresentation
+    ambient: ZeroDimPresentation
     sum_space: Optional[SumSpace]
     degenerate: Optional[str] = None
 
-    def presentation(self) -> SpacePresentation:
+    def presentation(self) -> ZeroDimPresentation:
         """The re-metrized presentation; the ambient one on degenerate input."""
         if self.sum_space is None:
             return self.ambient
@@ -332,18 +319,20 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
     ambient_tree = _ambient_tree(inst.ambient)
     validate_pruned(ambient_tree, depth)
     ambient_fam = DensePointFamily(ambient_tree)
-    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
+    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]",
+                                   witness_bound=inst.bounds["witness_bound"])
 
     if inst.set_desc["kind"] == "tree-pair":
         tree_a = build_tree(inst.set_desc["a"], label=f"{inst.id}:a")
         tree_c = build_tree(inst.set_desc["complement"], label=f"{inst.id}:c")
-        if not tree_a.admits(()):
-            return BuiltInstance(inst, ambient_fam, ambient, None, degenerate="empty-set")
-        if not tree_c.admits(()):
-            return BuiltInstance(inst, ambient_fam, ambient, None,
-                                 degenerate="empty-complement")
-        validate_pruned(tree_a, depth)
-        validate_pruned(tree_c, depth)
+        empty = []
+        for side, tree in (("empty-set", tree_a), ("empty-complement", tree_c)):
+            try:
+                validate_pruned(tree, depth)
+            except EmptyTreeViolation:
+                empty.append(side)
+        if empty:
+            return BuiltInstance(inst, ambient_fam, ambient, None, degenerate=empty[0])
         part_a = identity_representation(tree_a)
         part_c = identity_representation(tree_c)
     else:

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Optional
 
-from .baire import BairePoint, eventually_periodic, exact_distance
-from .coding import decode, encode, rational_of_index
+from .baire import BairePoint, BelowThreshold, distance, eventually_periodic, exact_distance
+from .coding import decode, rational_of_index
 from .trees import DensePointFamily, PrunedTree, dense_pn_distance
 
 
@@ -40,14 +41,14 @@ class CellSearchExhausted(Exception):
         super().__init__(f"no child cell contains the point at depth {depth} (bound {bound})")
 
 
-class WitnessSearchExhausted(Exception):
+class CellWitnessExhausted(Exception):
     def __init__(self, cell: tuple[int, ...], bound: int):
         self.cell, self.bound = cell, bound
         super().__init__(f"no dense witness in cell {list(cell)} within bound {bound}")
 
 
 class SplitSearchExhausted(Exception):
-    def __init__(self, i: int, j: int, depth: int):
+    def __init__(self, i: Any, j: int, depth: int):
         self.i, self.j, self.depth = i, j, depth
         super().__init__(f"points {i}, {j} not separated by depth {depth}")
 
@@ -68,29 +69,26 @@ def rescale(dist: Callable[..., Fraction]) -> Callable[..., Fraction]:
 
 @dataclass(frozen=True)
 class ZeroDimPresentation:
-    """A zero-dimensional space given by dense points and exact comparisons.
+    """A presented space: dense points with exact distance comparisons.
 
     dense_point    -- index -> point handle (handles must be hashable)
-    dist           -- exact distance on dense indices, bounded by 1
-    dist_to_dense  -- exact distance from an instance point handle to r_i
-    witness_bound  -- SeqCode -> scan ceiling for dense witnesses in a cell
+    dist           -- exact distance on dense indices
+    dist_to_dense  -- exact distance from a point handle to r_i; None when
+                      the space decides distances between dense points only
+    witness_bound  -- scan ceiling for dense witnesses in a cell
     ultrametric    -- gate for the clopen-ball construction
     """
 
     name: str
     dense_point: Callable[[int], Any]
     dist: Callable[[int, int], Fraction]
-    dist_to_dense: Callable[[Any, int], Fraction]
-    witness_bound: Callable[[int], int]
+    dist_to_dense: Optional[Callable[[Any, int], Fraction]] = None
+    witness_bound: int = 64
     ultrametric: bool = True
 
     def ball_member(self, x: Any, i: int, radius: Fraction) -> bool:
         """Exactly decide d(x, r_i) < radius."""
         return self.dist_to_dense(x, i) < radius
-
-    def ball_member_coded(self, x: Any, i: int, s_rat: int) -> bool:
-        """The membership relation with the radius given by its rational index."""
-        return self.ball_member(x, i, rational_of_index(s_rat))
 
 
 class LuzinScheme:
@@ -147,7 +145,7 @@ class LuzinScheme:
         return self.cell_member_seq(x, decode(s))
 
     def child_scan_bound(self, cell: tuple[int, ...]) -> int:
-        return self.presentation.witness_bound(encode(cell))
+        return self.presentation.witness_bound
 
     def embed(self, x: Any) -> BairePoint:
         """The point reading off the unique cell index of x on each level."""
@@ -170,7 +168,7 @@ class LuzinScheme:
 
     def image_node_seq(self, cell: tuple[int, ...]) -> bool:
         """Nonemptiness of a cell, decided by the bounded dense-witness scan."""
-        bound = self.presentation.witness_bound(encode(cell))
+        bound = self.presentation.witness_bound
         return any(self.cell_member_seq(self.presentation.dense_point(i), cell)
                    for i in range(bound + 1))
 
@@ -179,19 +177,17 @@ class LuzinScheme:
 
     def image_witness(self, cell: tuple[int, ...]) -> int:
         """A dense index inside the cell; error when the scan bound is too small."""
-        bound = self.presentation.witness_bound(encode(cell))
+        bound = self.presentation.witness_bound
         for i in range(bound + 1):
             if self.cell_member_seq(self.presentation.dense_point(i), cell):
                 return i
-        raise WitnessSearchExhausted(cell, bound)
+        raise CellWitnessExhausted(cell, bound)
 
     def image_tree(self) -> PrunedTree:
         """The tree of the embedded image, pruned within the witness bounds."""
-        return PrunedTree(
-            self.image_node_seq,
-            lambda cell: self.presentation.witness_bound(encode(cell)),
-            label=f"image[{self.presentation.name}]",
-        )
+        bound = self.presentation.witness_bound
+        return PrunedTree(self.image_node_seq, lambda cell: bound,
+                          label=f"image[{self.presentation.name}]")
 
     def inverse_ball(self, a: BairePoint, i: int, s_rat: int, depth: int) -> bool:
         """Semi-decide d(point embedded at a, r_i) < q with the coded rational q.
@@ -206,59 +202,64 @@ class LuzinScheme:
             if margin <= 0:
                 continue
             cell = tuple(a(t) for t in range(n))
-            bound = pres.witness_bound(encode(cell))
-            for j in range(bound + 1):
+            for j in range(pres.witness_bound + 1):
                 if pres.dist(j, i) < margin and self.cell_member_seq(pres.dense_point(j), cell):
                     return True
         return False
 
 
-@dataclass
-class ImagePresentation:
-    """The embedded dense family with its exact first-disagreement distances."""
+def image_presentation(scheme: LuzinScheme,
+                       distinct: Callable[[int, int], bool]) -> ZeroDimPresentation:
+    """The embedded dense family with its exact first-disagreement distances.
 
-    scheme: LuzinScheme
-    distinct: Callable[[int, int], bool]
+    distinct decides equality of dense indices in the source presentation;
+    the split depth of two distinct points is found within the level their
+    source distance allows, and a point that does not split from r_i within
+    the scheme's depth has no decided distance to it.
+    """
+    source = scheme.presentation
+    points: dict[int, BairePoint] = {}
 
-    def __post_init__(self):
-        self._points: dict[int, BairePoint] = {}
-
-    def point(self, i: int) -> BairePoint:
-        pt = self._points.get(i)
+    def dense_point(i: int) -> BairePoint:
+        pt = points.get(i)
         if pt is None:
-            pt = self.scheme.embed(self.scheme.presentation.dense_point(i))
-            self._points[i] = pt
+            pt = points[i] = scheme.embed(source.dense_point(i))
         return pt
 
-    def split_length(self, i: int, j: int) -> int:
-        """Depth of the deepest common cell of the embedded points i and j."""
-        delta = self.scheme.presentation.dist(i, j)
+    def dist(i: int, j: int) -> Fraction:
+        """1/(k+1) for the depth k of the deepest common cell of i and j."""
+        if not distinct(i, j):
+            return Fraction(0)
+        delta = source.dist(i, j)
         if delta == 0:
             raise SplitSearchExhausted(i, j, 0)
         depth = 0
         while Fraction(1, 2 ** depth) > delta:
             depth += 1
-        yi, yj = self.point(i), self.point(j)
+        yi, yj = dense_point(i), dense_point(j)
         for k in range(depth + 1):
             if yi(k) != yj(k):
-                return k
+                return Fraction(1, k + 1)
         raise SplitSearchExhausted(i, j, depth)
 
-    def dist(self, i: int, j: int) -> Fraction:
-        if not self.distinct(i, j):
-            return Fraction(0)
-        return Fraction(1, self.split_length(i, j) + 1)
+    def dist_to_dense(y: BairePoint, i: int) -> Fraction:
+        res = distance(y, dense_point(i), scheme.max_depth)
+        if isinstance(res, BelowThreshold):
+            raise SplitSearchExhausted(y.label, i, scheme.max_depth)
+        return res.value
 
-
-def image_presentation(scheme: LuzinScheme,
-                       distinct: Callable[[int, int], bool]) -> ImagePresentation:
-    return ImagePresentation(scheme, distinct)
+    return ZeroDimPresentation(f"image[{source.name}]", dense_point, dist, dist_to_dense,
+                               witness_bound=source.witness_bound)
 
 
 # --- presentation catalog ----------------------------------------------------
 
-def _bit(i: int, k: int) -> int:
-    return (i >> k) & 1
+def _first_disagreement(i: int, j: int) -> Fraction:
+    """Distance of the dense points r_i, r_j whose entries are the bits of i, j."""
+    if i == j:
+        return Fraction(0)
+    k = (i ^ j) & -(i ^ j)
+    return Fraction(1, k.bit_length())
 
 
 def cantor_presentation(witness_bound: int = 64) -> ZeroDimPresentation:
@@ -273,48 +274,26 @@ def cantor_presentation(witness_bound: int = 64) -> ZeroDimPresentation:
     def dense_point(i: int) -> BairePoint:
         if i == 0:
             return eventually_periodic((), (0,), label="r0")
-        bits = tuple(_bit(i, k) for k in range(i.bit_length()))
+        bits = tuple((i >> k) & 1 for k in range(i.bit_length()))
         return eventually_periodic(bits, (0,), label=f"r{i}")
 
-    def dist(i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        k = (i ^ j) & -(i ^ j)
-        return Fraction(1, k.bit_length() + 1)
-
-    def dist_to_dense(x: BairePoint, i: int) -> Fraction:
-        d = exact_distance(x, dense_point(i))
-        return d / (1 + d)
-
     return ZeroDimPresentation(
-        name="cantor",
-        dense_point=dense_point,
-        dist=dist,
-        dist_to_dense=dist_to_dense,
-        witness_bound=lambda s: witness_bound,
-        ultrametric=True,
-    )
+        "cantor", dense_point, dist=rescale(_first_disagreement),
+        dist_to_dense=rescale(lambda x, i: exact_distance(x, dense_point(i))),
+        witness_bound=witness_bound)
 
 
 def discrete_presentation(n: int) -> ZeroDimPresentation:
-    """n isolated points with the two-valued metric (already bounded by 1)."""
+    """n isolated points with the rescaled two-valued metric."""
     if n < 1:
         raise ValueError("need at least one point")
 
-    def dense_point(i: int) -> int:
-        return i % n
-
-    def dist(i: int, j: int) -> Fraction:
-        return Fraction(0) if i % n == j % n else Fraction(1)
+    def dist_to_dense(x: int, i: int) -> Fraction:
+        return Fraction(0) if x == i % n else Fraction(1)
 
     return ZeroDimPresentation(
-        name=f"discrete-{n}",
-        dense_point=dense_point,
-        dist=dist,
-        dist_to_dense=lambda x, i: Fraction(0) if x == i % n else Fraction(1),
-        witness_bound=lambda s: n,
-        ultrametric=True,
-    )
+        f"discrete-{n}", lambda i: i % n, dist=rescale(lambda i, j: dist_to_dense(i % n, j)),
+        dist_to_dense=rescale(dist_to_dense), witness_bound=n)
 
 
 def baire_closed_presentation(fam: DensePointFamily,
@@ -325,16 +304,16 @@ def baire_closed_presentation(fam: DensePointFamily,
     exactly decidable comparisons of the family; the metric is the rescaled
     first-disagreement distance.
     """
+    dist = rescale(partial(dense_pn_distance, fam))
+    return ZeroDimPresentation(f"closed[{fam.tree.label}]", lambda i: i, dist,
+                               dist_to_dense=dist, witness_bound=witness_bound)
 
-    def dist(i: int, j: int) -> Fraction:
-        d = dense_pn_distance(fam, i, j)
-        return d / (1 + d)
 
+def ambient_presentation(fam: DensePointFamily, name: str,
+                         witness_bound: int = 64) -> ZeroDimPresentation:
+    """The metric of baire_closed_presentation with leftmost branches as point
+    handles: any eventually periodic point has an exact distance to them."""
     return ZeroDimPresentation(
-        name=f"closed[{fam.tree.label}]",
-        dense_point=lambda i: i,
-        dist=dist,
-        dist_to_dense=dist,
-        witness_bound=lambda s: witness_bound,
-        ultrametric=True,
-    )
+        name, fam.leftmost, dist=rescale(partial(dense_pn_distance, fam)),
+        dist_to_dense=rescale(lambda x, i: exact_distance(x, fam.leftmost(i))),
+        witness_bound=witness_bound)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .baire import BairePoint, pair_points
 from .coding import decode, pair_code
+from .luzin import ZeroDimPresentation
 from .trees import DensePointFamily, PrunedTree, dense_distance_lt, \
     dense_pn_distance
 
@@ -39,24 +40,6 @@ class CertificateFailure(Exception):
 
 class OnBoundary(Exception):
     """A point with norm exactly 1: the ball re-metrization formula is singular."""
-
-
-@dataclass(frozen=True)
-class SpacePresentation:
-    """A countable presentation: dense points with exact rational comparisons."""
-
-    name: str
-    point: Callable[[int], Any]
-    dist: Callable[[int, int], Fraction]
-    dist_point: Optional[Callable[[Any, int], Fraction]] = None
-
-    def lt(self, i: int, j: int, m: int, k: int) -> bool:
-        """Decide dist(point i, point j) < m/(k+1)."""
-        return self.dist(i, j) < Fraction(m, k + 1)
-
-    def le(self, i: int, j: int, m: int, k: int) -> bool:
-        """Decide dist(point i, point j) <= m/(k+1)."""
-        return self.dist(i, j) <= Fraction(m, k + 1)
 
 
 @dataclass
@@ -107,11 +90,18 @@ class SumSpace:
 
     part_a: ClosedRepresentation
     part_c: ClosedRepresentation
-    ambient: SpacePresentation
+    ambient: ZeroDimPresentation
     label: str = "sum"
 
     def side(self, tag: Side) -> ClosedRepresentation:
         return self.part_a if tag == 0 else self.part_c
+
+    @property
+    def certifiable(self) -> bool:
+        """Whether extension certificates apply: they need exact ambient
+        distances of branch points, i.e. identity sides with tail hints."""
+        return all(rep.kind == "identity" and rep.tree.hint is not None
+                   for rep in (self.part_a, self.part_c))
 
 
 def pullback_distance(rep: ClosedRepresentation, s: int, t: int) -> Fraction:
@@ -138,17 +128,18 @@ def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
     return 0, sp.part_a.fam.base_index
 
 
-def new_presentation(sp: SumSpace) -> SpacePresentation:
-    """The countable presentation of the summed space, decided exactly."""
+def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
+    """The countable presentation of the summed space, decided exactly on
+    dense indices; it has no point-to-dense distance."""
 
-    def point(t: int):
+    def dense_point(t: int):
         side, s = tag_of_index(sp, t)
         return sp.side(side).dense_image(s)
 
     def dist(t1: int, t2: int) -> Fraction:
         return sum_distance(sp, tag_of_index(sp, t1), tag_of_index(sp, t2))
 
-    return SpacePresentation(name=f"sum[{sp.label}]", point=point, dist=dist)
+    return ZeroDimPresentation(name=f"sum[{sp.label}]", dense_point=dense_point, dist=dist)
 
 
 def epsilon_code(sp: SumSpace) -> BairePoint:
@@ -196,10 +187,10 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     ball, at exact-rational precision.
     """
     rep = sp.side(side)
-    if sp.ambient.dist_point is None:
+    dist_to_dense = sp.ambient.dist_to_dense
+    if dist_to_dense is None:
         raise CertificateFailure("ambient presentation has no exact point distance")
-    x = rep.dense_image(s)
-    d0 = sp.ambient.dist_point(x, center)
+    d0 = dist_to_dense(rep.dense_image(s), center)
     if d0 >= radius:
         raise NotInterior(f"point {s} on side {side} is not strictly inside "
                           f"the ball ({d0} >= {radius})")
@@ -213,7 +204,7 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
             continue
         if not dense_distance_lt(rep.fam, t, s, 1, k_cert):
             continue
-        d = sp.ambient.dist_point(rep.dense_image(t), center)
+        d = dist_to_dense(rep.dense_image(t), center)
         if d >= radius:
             raise CertificateFailure(
                 f"sampled point {t} at new-distance < 1/{k_cert + 1} of {s} "

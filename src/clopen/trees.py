@@ -120,8 +120,6 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not tree.admits(()):
-        raise EmptyTreeViolation(())
     admissible = 0
     inspected = 0
     stack: list[tuple[int, ...]] = [()]
@@ -143,6 +141,10 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
                 stack.append(c)
         if adm and not has_child:
             raise PrunednessViolation(u)
+    # checked after the scan: a tree with an inadmissible root but an
+    # admissible node below it is not empty, it is not downward closed
+    if not admissible:
+        raise EmptyTreeViolation(())
     tree.depth_validated = max(tree.depth_validated, depth)
     return ValidationReport(depth=depth, admissible=admissible, inspected=inspected)
 
@@ -216,14 +218,6 @@ def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:
     and the longer stem lies on the shorter stem's leftmost branch.
     """
     return dense_pn_distance(fam, s, t) == 0
-
-
-def first_disagreement(fam: DensePointFamily, s: int, t: int) -> int:
-    """Least position where the (unequal) dense points s and t differ."""
-    d = dense_pn_distance(fam, s, t)
-    if d == 0:
-        raise ValueError(f"dense points {s} and {t} are equal")
-    return d.denominator - 1
 
 
 def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:

@@ -188,7 +188,7 @@ def certified_ball_list(sp: SumSpace, per_side: int = 6,
         for s in codes:
             x = rep.dense_image(s)
             for center in range(4):
-                d0 = sp.ambient.dist_point(x, center)
+                d0 = sp.ambient.dist_to_dense(x, center)
                 for radius in radii:
                     if d0 < radius:
                         out.append((side, s, center, radius))
@@ -457,10 +457,7 @@ def run_instance_suite(built: BuiltInstance, *, axiom_count: int = 60,
     results.append(check_sum_metric_axioms(sp, axiom_count, name="sum-metric"))
     results.append(check_clopen_sides(sp, clopen_count, name="clopen-sides"))
     results.append(check_epsilon_code(sp, 300, name="epsilon-code"))
-    # certificates need exact ambient point distances, i.e. tail hints on the
-    # branch points; sides without them are not in the certified catalog
-    if all(rep.kind == "identity" and rep.tree.hint is not None
-           for rep in (sp.part_a, sp.part_c)):
+    if sp.certifiable:
         certified = certified_ball_list(sp, per_side=4)
         results.append(check_extension_certificates(sp, certified, name="extension"))
     results.append(check_two_sided_continuity(sp, per_side=4, name="continuity"))

@@ -108,18 +108,6 @@ class WitnessClosure:
         return bound
 
 
-def witness_point(w: WitnessClosure, a: BairePoint) -> BairePoint:
-    return w.witness_point(a)
-
-
-def check_closure(w: WitnessClosure, a: BairePoint, b: BairePoint, depth: int) -> bool:
-    return w.check_closure(a, b, depth)
-
-
-def continuity_modulus(w: WitnessClosure, a: BairePoint, n_levels: int) -> int:
-    return w.continuity_modulus(a, n_levels)
-
-
 def pair_tree(matrix: Pi02Matrix, alphabet_bound: int, label: str = "") -> PrunedTree:
     """The tree of paired (point, witness) branches of the closure.
 

@@ -133,8 +133,7 @@ def test_criterion_5_topology_extension():
     certified_total = 0
     for name, built in built_catalog().items():
         sp = built.sum_space
-        if not all(rep.kind == "identity" and rep.tree.hint is not None
-                   for rep in (sp.part_a, sp.part_c)):
+        if not sp.certifiable:
             continue
         certified = certified_ball_list(sp, per_side=6)
         assert certified, f"{name}: empty certified list"

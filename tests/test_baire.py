@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import (BelowThreshold, Exact, constant, distance,
-                          eventually_periodic, exact_distance, from_rule,
-                          in_basic_nbhd, pair_points, query, slice_point)
+from clopen.baire import (BairePoint, BelowThreshold, Exact, constant, distance,
+                          eventually_periodic, exact_distance, in_basic_nbhd,
+                          pair_points, slice_point)
 from clopen.coding import encode, pair_code
 
 
@@ -16,9 +16,9 @@ def test_query_and_memo():
         calls.append(n)
         return n % 2
 
-    p = from_rule(rule)
-    assert query(p, 3) == 1
-    assert query(p, 3) == 1
+    p = BairePoint(rule)
+    assert p(3) == 1
+    assert p(3) == 1
     assert calls == [3]
 
 
@@ -79,7 +79,7 @@ def test_exact_distance_sees_through_representations():
 
 def test_exact_distance_needs_hints():
     with pytest.raises(ValueError):
-        exact_distance(from_rule(lambda n: 0), constant(0))
+        exact_distance(BairePoint(lambda n: 0), constant(0))
 
 
 def test_in_basic_nbhd():
@@ -118,6 +118,6 @@ def test_pair_points_and_slice():
 
 
 def test_slice_reads_pair_positions():
-    g = from_rule(lambda t: t + 1)
+    g = BairePoint(lambda t: t + 1)
     for n in range(6):
         assert slice_point(g, 3)(n) == g(pair_code(3, n))

@@ -25,7 +25,8 @@ import pytest
 
 from clopen.cli import main
 from clopen.instances import CATALOG, build_instance, builtin_instance
-from clopen.luzin import LuzinScheme, baire_closed_presentation, cantor_presentation
+from clopen.luzin import (LuzinScheme, baire_closed_presentation, cantor_presentation,
+                          discrete_presentation)
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
                            check_luzin_scheme)
 
@@ -95,6 +96,16 @@ def test_trio_cantor():
 def test_trio_baire_closed():
     fam = build_instance(builtin_instance("baire-split-0")).ambient_fam
     assert _trio(baire_closed_presentation(fam), 4, 16) == BENCH_GOLDEN["trio:baire-closed"]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_trio_discrete(n):
+    # the rescaled discrete metric keeps the root diameter below 1: the luzin
+    # line, which failed when distances were exactly 1, passes; the rest is unchanged
+    lines = _trio(discrete_presentation(n), 4, n).splitlines()
+    want = BENCH_GOLDEN[f"trio:discrete:{n}"].splitlines()
+    assert lines[0] == f"ok   luzin:discrete-{n}  {n} probes to depth 4"
+    assert lines[1:] == want[1:]
 
 
 if __name__ == "__main__":

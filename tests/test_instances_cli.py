@@ -247,3 +247,47 @@ def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
     assert main(["verify", "--instance", str(path)]) == 2
+
+
+def test_cli_verify_rejects_complement_with_dead_root(tmp_path):
+    # the complement admits (1) but not the root: not downward closed, not empty
+    doc = json.loads(MINIMAL)
+    doc["set"]["complement"] = {"rule": "dsl", "child_bound": 1, "node": "s(0) == 1"}
+    path = tmp_path / "dead-root.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--instance", str(path), "--format", "full-report",
+                 "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["failures"] == ["tree-valid"]
+    assert "DownwardClosureViolation" in report["checks"][0]["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--instance", "cantor-split-0", "--budget", "0"],
+    ["validate", "--instance", "cantor-split-0", "--depth", "0"],
+    ["remetrize", "--instance", "cantor-split-0", "--witness-bound", "-3"],
+    ["embed", "--space", "cantor", "--depth", "0"],
+    ["embed", "--space", "discrete:0"],
+    ["embed", "--space", "discrete:x"],
+])
+def test_cli_bad_bounds_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_embed_baire_closed_reads_instance_bounds(tmp_path):
+    doc = json.loads(MINIMAL)
+    doc["bounds"] = {"depth": 2, "witness_bound": 3}
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "embed.txt"
+    args = ["embed", "--space", "baire-closed", "--instance", str(path), "--count", "1",
+            "--out", str(out)]
+    assert main(args) == 0
+    assert out.read_text().splitlines()[1:] == ["depth 2", "embed 0 -> 0 0"]
+    # explicit flags still override the instance's bounds
+    assert main(args + ["--depth", "3"]) == 0
+    assert out.read_text().splitlines()[1:] == ["depth 3", "embed 0 -> 0 0 0"]
+    assert build_instance(parse_instance(json.dumps(doc))).ambient.witness_bound == 3

@@ -4,8 +4,8 @@ import pytest
 
 from clopen.baire import Exact, distance, eventually_periodic
 from clopen.coding import encode, index_of_rational
-from clopen.luzin import (CellSearchExhausted, LuzinScheme, SplitSearchExhausted,
-                          WitnessSearchExhausted, baire_closed_presentation,
+from clopen.luzin import (CellSearchExhausted, CellWitnessExhausted, LuzinScheme,
+                          SplitSearchExhausted, baire_closed_presentation,
                           cantor_presentation, discrete_presentation,
                           image_presentation, rescale)
 from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
@@ -39,11 +39,10 @@ def test_cantor_dense_family_is_injective_and_dense():
 def test_ball_member_consistent_with_dist():
     pres = cantor_presentation()
     for q in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 3)):
-        s_rat = index_of_rational(q)
         for j in range(10):
             for i in range(10):
                 want = pres.dist(j, i) < q
-                assert pres.ball_member_coded(pres.dense_point(j), i, s_rat) == want
+                assert pres.ball_member(pres.dense_point(j), i, q) == want
 
 
 def test_non_ultrametric_presentations_are_rejected():
@@ -102,7 +101,7 @@ def test_known_empty_cell():
     for i in range(24):
         assert not sch.cell_member(sch.presentation.dense_point(i), encode((16,)))
     assert not sch.image_node(encode((16,)))
-    with pytest.raises(WitnessSearchExhausted):
+    with pytest.raises(CellWitnessExhausted):
         sch.image_witness((16,))
 
 
@@ -179,7 +178,7 @@ def test_inverse_ball_nonpositive_radius():
 def test_inverse_ball_far_point_never_verifies():
     sch = LuzinScheme(discrete_presentation(3), max_depth=8)
     a = sch.embed(1)
-    assert sch.presentation.dist(1, 0) == 1
+    assert sch.presentation.dist(1, 0) == Fraction(1, 2)
     q_half = index_of_rational(Fraction(1, 2))
     for depth in (1, 3, 6, 8):
         assert not sch.inverse_ball(a, 0, q_half, depth=depth)
@@ -196,9 +195,23 @@ def test_image_presentation_distances():
         for j in range(12):
             if i == j:
                 continue
-            res = distance(img.point(i), img.point(j), 64)
+            res = distance(img.dense_point(i), img.dense_point(j), 64)
             assert isinstance(res, Exact)
             assert res.value == img.dist(i, j)
+
+
+def test_image_presentation_ball_members():
+    sch = small_scheme()
+    img = image_presentation(sch, lambda i, j: i != j)
+    for q in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
+        for i in range(8):
+            for j in range(8):
+                if i != j:
+                    want = img.dist(j, i) < q
+                    assert img.ball_member(img.dense_point(j), i, q) == want
+    # a point that never splits from r_i within the scheme depth has no decided distance
+    with pytest.raises(SplitSearchExhausted):
+        img.dist_to_dense(img.dense_point(3), 3)
 
 
 def test_image_presentation_detects_inconsistent_distinctness():

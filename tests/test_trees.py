@@ -7,7 +7,7 @@ from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           InsufficientDensePoints, PrunedTree, PrunednessViolation,
                           constant_tree, cylinder_union_tree, dense_distance_le,
                           dense_distance_lt, dense_equal, dense_pn_distance,
-                          enumerate_distinct, first_disagreement, full_baire_tree,
+                          enumerate_distinct, full_baire_tree,
                           full_cantor_tree, iter_admissible, validate_pruned)
 
 
@@ -52,6 +52,13 @@ def test_root_only_tree_is_not_pruned():
 def test_empty_tree_rejected():
     with pytest.raises(EmptyTreeViolation):
         validate_pruned(PrunedTree(lambda u: False, lambda u: 0), 2)
+
+
+def test_inadmissible_root_with_admissible_child_is_not_empty():
+    # the root is dead but (1) is admitted: a closure violation, not an empty tree
+    tree = PrunedTree(lambda u: len(u) > 0 and u[0] == 1, lambda u: 1)
+    with pytest.raises(DownwardClosureViolation):
+        validate_pruned(tree, 3)
 
 
 def test_downward_closure_violation():
@@ -119,7 +126,8 @@ def test_dense_equal_mixed_admissibility():
 def test_first_disagreement_matches_scan():
     fam = DensePointFamily(validated(full_cantor_tree()))
     s, t = encode((0, 1, 1)), encode((0, 1, 0, 1))
-    i = first_disagreement(fam, s, t)
+    # the distance 1/(i+1) names the least position i where the points differ
+    i = dense_pn_distance(fam, s, t).denominator - 1
     a, b = fam.leftmost(s), fam.leftmost(t)
     assert a(i) != b(i)
     assert all(a(j) == b(j) for j in range(i))
