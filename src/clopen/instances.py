@@ -122,6 +122,8 @@ def _check_matrix_desc(desc: Any, path: str) -> None:
 
 def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str, int]:
     """The bounds with the overrides applied, each a known, positive integer bound."""
+    if not isinstance(overrides, dict):
+        raise _err("'bounds' must be an object")
     merged = dict(bounds)
     for key, value in overrides.items():
         if key not in DEFAULT_BOUNDS:

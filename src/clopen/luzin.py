@@ -310,7 +310,7 @@ def baire_closed_presentation(fam: DensePointFamily,
 
 
 def ambient_presentation(fam: DensePointFamily, name: str,
-                         witness_bound: int = 64) -> ZeroDimPresentation:
+                         witness_bound: int) -> ZeroDimPresentation:
     """The metric of baire_closed_presentation with leftmost branches as point
     handles: any eventually periodic point has an exact distance to them."""
     return ZeroDimPresentation(

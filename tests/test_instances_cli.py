@@ -90,6 +90,9 @@ def test_bad_bounds_rejected():
     doc["bounds"] = {"mystery": 4}
     with pytest.raises(ParseError):
         parse_instance(json.dumps(doc))
+    doc["bounds"] = [4]
+    with pytest.raises(ParseError):
+        parse_instance(json.dumps(doc))
 
 
 def test_build_minimal_instance():
