@@ -1,7 +1,8 @@
-"""Points of Baire space as memoized query-able streams.
+"""Points of Baire space as query-able streams that keep their computed prefix.
 
-A point is a total rule position -> natural together with a write-once memo,
-so repeated queries are cheap and deterministic.  Equality of points is only
+A point is a total rule position -> natural together with the prefix of
+values computed so far, so a repeated query is one list index; points that
+grow by a choice rule are built by branch.  Equality of points is only
 semi-decidable; every comparison takes an explicit depth budget and reports
 BelowThreshold instead of guessing equality.  Points that are known to be
 eventually periodic carry a tail hint, which makes their pairwise distance
@@ -21,13 +22,16 @@ from .coding import decode, pair_code
 class BairePoint:
     """A lazily evaluated infinite sequence of naturals.
 
+    A query past the stored prefix is computed and not stored, so probing a
+    far position (a pair code near 10^9) fills nothing before it.
+
     tail_hint, when present, is a pair (preperiod_len, period_len) promising
     that the sequence is periodic with the given period length from the given
     position on.  The hint is metadata used by exact comparisons; the rule
     itself is always the source of truth.
     """
 
-    __slots__ = ("_rule", "_memo", "tail_hint", "label")
+    __slots__ = ("_rule", "_prefix", "tail_hint", "label")
 
     def __init__(
         self,
@@ -36,25 +40,47 @@ class BairePoint:
         label: str = "",
     ):
         self._rule = rule
-        self._memo: dict[int, int] = {}
+        self._prefix: list[int] = []
         self.tail_hint = tail_hint
         self.label = label
 
     def __call__(self, n: int) -> int:
-        memo = self._memo
-        v = memo.get(n)
-        if v is None:
-            v = self._rule(n)
-            memo[n] = v
+        prefix = self._prefix
+        if n < len(prefix):
+            return prefix[n]
+        v = self._rule(n)
+        if n == len(prefix):
+            prefix.append(v)
         return v
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self(i) for i in range(n))
+        for i in range(len(self._prefix), n):
+            self(i)
+        return tuple(self._prefix[:n])
 
     def __repr__(self) -> str:
         shown = ",".join(str(self(i)) for i in range(6))
         name = self.label or "point"
         return f"<{name} {shown},...>"
+
+
+def branch(step: Callable[[tuple[int, ...]], int], stem: Sequence[int] = (),
+           tail_hint: Optional[tuple[int, int]] = None, label: str = "") -> BairePoint:
+    """The point that follows stem, then takes step(prefix so far) at each position.
+
+    The rule grows the point's own prefix list and closes over that list,
+    not the point, so a dropped branch is freed by reference counting.
+    """
+    vals = list(stem)
+
+    def rule(n: int) -> int:
+        while len(vals) <= n:
+            vals.append(step(tuple(vals)))
+        return vals[n]
+
+    pt = BairePoint(rule, tail_hint=tail_hint, label=label)
+    pt._prefix = vals
+    return pt
 
 
 def eventually_periodic(pre: Sequence[int], period: Sequence[int], label: str = "") -> BairePoint:

@@ -6,8 +6,8 @@ metric codes, and run the verification suite.  Reports are deterministic
 given (instance, flags, seed): numeric output is exact-rational text, check
 lines are canonically ordered, and reruns are byte-identical.
 
-Exit codes: 0 success, 1 verification or validation failure, 2 usage or
-parse errors.
+Exit codes: 0 success, 1 verification or validation failure or an exhausted
+search, 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from .codes import encode_metric, render_code_file, validate_metric_table
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                         builtin_instance, merge_bounds, parse_instance)
-from .luzin import (LuzinScheme, baire_closed_presentation, cantor_presentation,
-                    discrete_presentation)
+from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
+                    cantor_presentation, discrete_presentation)
 from .remetrize import epsilon_code
-from .trees import TreeError
+from .trees import InsufficientDensePoints, TreeError
 from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
-                     interleaved_table, run_instance_suite)
-from .witness import MATRIX_CATALOG, WitnessClosure
+                     check_tree_valid, interleaved_table, run_instance_suite)
+from .witness import MATRIX_CATALOG, WitnessClosure, WitnessSearchExhausted
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -100,7 +100,6 @@ def cmd_validate(args) -> int:
     if built.sum_space is None:
         lines.append(f"degenerate {built.degenerate}")
     else:
-        from .verify import check_tree_valid
         results.append(check_tree_valid(built.sum_space.part_a.tree, depth,
                                         name="tree-valid:a"))
         results.append(check_tree_valid(built.sum_space.part_c.tree, depth,
@@ -194,12 +193,7 @@ def cmd_encode(args) -> int:
         return EXIT_OK
     table = interleaved_table(built)
     validate_metric_table(table)
-    code = encode_metric(table)
-    body = render_code_file(code, inst.id)
-    if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    _emit(args, render_code_file(encode_metric(table), inst.id).splitlines())
     return EXIT_OK
 
 
@@ -219,54 +213,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-scale re-metrization: trees, embeddings, witnesses, codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--instance", help="instance file path or catalog name")
-        p.add_argument("--depth", type=int, default=None,
-                       help="validation depth (default 4 or the instance's)")
-        p.add_argument("--budget", type=int, default=None,
-                       help="scan budget (default 256 or the instance's)")
-        p.add_argument("--witness-bound", dest="witness_bound", type=int, default=None,
-                       help="dense-witness scan ceiling (default 64 or the instance's)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write the report to a file instead of stdout")
-        p.add_argument("--format", choices=("table", "full-report"), default="table")
+    # the shared flags; each subcommand takes only those it reads
+    shared = {
+        "instance": dict(help="instance file path or catalog name"),
+        "depth": dict(type=int, default=None,
+                      help="validation depth (default 4 or the instance's)"),
+        "budget": dict(type=int, default=None,
+                       help="scan budget (default 256 or the instance's)"),
+        "witness-bound": dict(dest="witness_bound", type=int, default=None,
+                              help="dense-witness scan ceiling (default 64 or the instance's)"),
+        "seed": dict(type=int, default=0),
+        "out": dict(help="write the report to a file instead of stdout"),
+        "format": dict(choices=("table", "full-report"), default="table"),
+    }
 
-    p_validate = sub.add_parser("validate", help="validate an instance's trees")
-    common(p_validate)
-    p_validate.set_defaults(fn=cmd_validate)
+    def command(name, fn, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p_embed = sub.add_parser("embed", help="embed a zero-dimensional catalog space")
-    common(p_embed)
+    command("validate", cmd_validate, "validate an instance's trees",
+            "instance", "depth", "out", "format")
+
+    p_embed = command("embed", cmd_embed, "embed a zero-dimensional catalog space",
+                      "instance", "depth", "witness-bound", "out")
     p_embed.add_argument("--space", default="cantor",
                          help="cantor, discrete:<n>, or baire-closed "
                               "(over --instance's ambient tree)")
     p_embed.add_argument("--count", type=int, default=8,
                          help="how many dense points to embed")
-    p_embed.set_defaults(fn=cmd_embed)
 
-    p_witness = sub.add_parser("witness", help="run a least-witness map")
-    common(p_witness)
+    p_witness = command("witness", cmd_witness, "run a least-witness map", "depth", "out")
     p_witness.add_argument("--matrix", default="diagonal")
     p_witness.add_argument("--preperiod", type=int, nargs="*", default=[])
     p_witness.add_argument("--period", type=int, nargs="*", default=[0])
     p_witness.add_argument("--point", help="JSON point descriptor: "
                            '{"pre": [...], "period": [...]} or {"rule": "expr in n"}')
-    p_witness.set_defaults(fn=cmd_witness)
 
-    p_remetrize = sub.add_parser("remetrize", help="build the summed presentation")
-    common(p_remetrize)
+    p_remetrize = command("remetrize", cmd_remetrize, "build the summed presentation",
+                          "instance", "depth", "out")
     p_remetrize.add_argument("--epsilon-prefix", dest="epsilon_prefix",
                              type=int, default=64)
-    p_remetrize.set_defaults(fn=cmd_remetrize)
 
-    p_encode = sub.add_parser("encode", help="emit the instance's metric code file")
-    common(p_encode)
-    p_encode.set_defaults(fn=cmd_encode)
+    command("encode", cmd_encode, "emit the instance's metric code file",
+            "instance", "depth", "out")
 
-    p_verify = sub.add_parser("verify", help="run the instance verification suite")
-    common(p_verify)
+    p_verify = command("verify", cmd_verify, "run the instance verification suite",
+                       "instance", "depth", "budget", "seed", "out", "format")
     p_verify.add_argument("--axiom-count", dest="axiom_count", type=int, default=60)
-    p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 
@@ -283,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except TreeError as exc:
         print(f"validation failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except (CellSearchExhausted, WitnessSearchExhausted, InsufficientDensePoints) as exc:
+        print(f"search exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -11,7 +11,7 @@ to an equal value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from . import dsl
@@ -157,6 +157,7 @@ def parse_instance(text: str) -> InstanceFile:
     set_desc = doc.get("set")
     if not isinstance(set_desc, dict) or set_desc.get("kind") not in _SET_KINDS:
         raise _err("set descriptor must have kind tree-pair, pi02-pair or catalog")
+    base = DEFAULT_BOUNDS
     if set_desc["kind"] == "tree-pair":
         _check_tree_desc(set_desc.get("a"), "set.a")
         _check_tree_desc(set_desc.get("complement"), "set.complement")
@@ -169,8 +170,9 @@ def parse_instance(text: str) -> InstanceFile:
     else:
         if set_desc.get("name") not in CATALOG:
             raise UnknownCatalogName(str(set_desc.get("name")))
+        base = builtin_instance(set_desc["name"]).bounds  # the file overrides the entry's
 
-    bounds = merge_bounds(DEFAULT_BOUNDS, doc.get("bounds") or {})
+    bounds = merge_bounds(base, doc.get("bounds") or {})
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, dict):
         raise _err("'expected' must be an object when present")
@@ -316,7 +318,8 @@ def _ambient_tree(desc: dict[str, Any]) -> PrunedTree:
 def build_instance(inst: InstanceFile) -> BuiltInstance:
     """Construct and validate every runtime object the instance declares."""
     if inst.set_desc["kind"] == "catalog":
-        return build_instance(builtin_instance(inst.set_desc["name"]))
+        return build_instance(replace(builtin_instance(inst.set_desc["name"]),
+                                      bounds=inst.bounds))
     depth = inst.bounds["depth"]
     ambient_tree = _ambient_tree(inst.ambient)
     validate_pruned(ambient_tree, depth)

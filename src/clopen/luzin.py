@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Optional
 
-from .baire import BairePoint, BelowThreshold, distance, eventually_periodic, exact_distance
+from .baire import (BairePoint, BelowThreshold, branch, distance, eventually_periodic,
+                    exact_distance)
 from .coding import decode, rational_of_index
 from .trees import DensePointFamily, PrunedTree, dense_pn_distance
 
@@ -144,27 +145,17 @@ class LuzinScheme:
         """Code-level cell membership."""
         return self.cell_member_seq(x, decode(s))
 
-    def child_scan_bound(self, cell: tuple[int, ...]) -> int:
-        return self.presentation.witness_bound
-
     def embed(self, x: Any) -> BairePoint:
         """The point reading off the unique cell index of x on each level."""
-        scheme = self
-        vals: list[int] = []
+        bound = self.presentation.witness_bound
 
-        def rule(n: int) -> int:
-            while len(vals) <= n:
-                prefix = tuple(vals)
-                bound = scheme.child_scan_bound(prefix)
-                for i in range(bound + 1):
-                    if scheme.cell_member_seq(x, prefix + (i,)):
-                        vals.append(i)
-                        break
-                else:
-                    raise CellSearchExhausted(len(vals), bound)
-            return vals[n]
+        def least_cell(prefix: tuple[int, ...]) -> int:
+            for i in range(bound + 1):
+                if self.cell_member_seq(x, prefix + (i,)):
+                    return i
+            raise CellSearchExhausted(len(prefix), bound)
 
-        return BairePoint(rule, label=f"embed[{self.presentation.name}]")
+        return branch(least_cell, label=f"embed[{self.presentation.name}]")
 
     def image_node_seq(self, cell: tuple[int, ...]) -> bool:
         """Nonemptiness of a cell, decided by the bounded dense-witness scan."""

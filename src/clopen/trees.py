@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .baire import BairePoint
+from .baire import BairePoint, branch
 from .coding import decode, encode
 
 
@@ -149,28 +149,6 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
     return ValidationReport(depth=depth, admissible=admissible, inspected=inspected)
 
 
-class _LeftmostRule:
-    """Branch rule: a fixed admissible stem, then always the least admissible child."""
-
-    def __init__(self, tree: PrunedTree, stem: tuple[int, ...]):
-        self.tree = tree
-        self.vals = list(stem)
-
-    def __call__(self, n: int) -> int:
-        vals = self.vals
-        tree = self.tree
-        while len(vals) <= n:
-            prefix = tuple(vals)
-            bound = tree.child_bound(prefix)
-            for k in range(bound + 1):
-                if tree.admits(prefix + (k,)):
-                    vals.append(k)
-                    break
-            else:
-                raise ChildSearchExhausted(prefix, f"(bound {bound})")
-        return vals[n]
-
-
 class DensePointFamily:
     """The family of leftmost branches indexed by sequence codes."""
 
@@ -200,9 +178,17 @@ class DensePointFamily:
         if not self.tree.admits(u):
             pt = self.leftmost(self.base_index)
         else:
-            hint = self.tree.hint(u) if self.tree.hint is not None else None
-            pt = BairePoint(_LeftmostRule(self.tree, u), tail_hint=hint,
-                            label=f"{self.tree.label}[{s}]")
+            tree = self.tree
+
+            def least_child(prefix: tuple[int, ...]) -> int:
+                bound = tree.child_bound(prefix)
+                for k in range(bound + 1):
+                    if tree.admits(prefix + (k,)):
+                        return k
+                raise ChildSearchExhausted(prefix, f"(bound {bound})")
+
+            hint = tree.hint(u) if tree.hint is not None else None
+            pt = branch(least_child, stem=u, tail_hint=hint, label=f"{tree.label}[{s}]")
         self._points[s] = pt
         return pt
 

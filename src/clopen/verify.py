@@ -300,8 +300,7 @@ def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int,
         for x in probes:
             cell: tuple[int, ...] = ()
             for _ in range(depth):
-                bound = scheme.child_scan_bound(cell)
-                hits = [i for i in range(bound + 1)
+                hits = [i for i in range(pres.witness_bound + 1)
                         if scheme.cell_member_seq(x, cell + (i,))]
                 if len(hits) != 1:
                     raise AssertionError(f"{len(hits)} child cells of {list(cell)} hold a probe")

@@ -122,15 +122,9 @@ def pair_tree(matrix: Pi02Matrix, alphabet_bound: int, label: str = "") -> Prune
     witness entries are capped by the matrix budget.
     """
 
-    kind_cache: dict[int, tuple[int, int] | None] = {}
-
     def position_kind(t: int) -> tuple[int, int] | None:
-        if t in kind_cache:
-            return kind_cache[t]
         u = decode(t)
-        kind = (u[0], u[1]) if len(u) == 2 and u[0] in (0, 1) else None
-        kind_cache[t] = kind
-        return kind
+        return (u[0], u[1]) if len(u) == 2 and u[0] in (0, 1) else None
 
     def admits(stem: tuple[int, ...]) -> bool:
         avail = 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import (BairePoint, BelowThreshold, Exact, constant, distance,
+from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, constant, distance,
                           eventually_periodic, exact_distance, in_basic_nbhd,
                           pair_points, slice_point)
 from clopen.coding import encode, pair_code
@@ -17,9 +17,47 @@ def test_query_and_memo():
         return n % 2
 
     p = BairePoint(rule)
-    assert p(3) == 1
-    assert p(3) == 1
-    assert calls == [3]
+    assert p.prefix(4) == (0, 1, 0, 1)
+    # a stored prefix is never recomputed, by a query or by a slice
+    assert [p(3), p(0), p(3)] == [1, 0, 1]
+    assert p.prefix(4) == (0, 1, 0, 1)
+    assert p.prefix(2) == (0, 1)
+    assert calls == [0, 1, 2, 3]
+
+
+def test_far_query_runs_the_rule_once():
+    calls = []
+
+    def rule(n):
+        calls.append(n)
+        return n % 2
+
+    p = BairePoint(rule)
+    assert p(10 ** 9) == 0
+    assert calls == [10 ** 9]
+    # the far value was not stored, and filled nothing before it
+    assert p.prefix(3) == (0, 1, 0)
+    assert calls == [10 ** 9, 0, 1, 2]
+
+
+def test_pair_points_far_position():
+    g = pair_points(constant(0), eventually_periodic((), (1, 2)))
+    assert g(pair_code(1, 10 ** 6)) == 1
+    assert g(pair_code(0, 10 ** 6)) == 0
+
+
+def test_branch_follows_stem_then_steps():
+    seen = []
+
+    def step(prefix):
+        seen.append(prefix)
+        return len(prefix)
+
+    p = branch(step, stem=(7, 7), tail_hint=(2, 1), label="b")
+    assert p.prefix(5) == (7, 7, 2, 3, 4)
+    assert p(1) == 7 and p(4) == 4
+    assert seen == [(7, 7), (7, 7, 2), (7, 7, 2, 3)]
+    assert p.tail_hint == (2, 1) and p.label == "b"
 
 
 def test_constant_point():

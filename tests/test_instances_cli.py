@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from clopen.cli import main
+from clopen.cli import build_parser, main
 from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
@@ -52,6 +52,8 @@ def test_golden_instance_files_match_catalog():
         inst = parse_instance(path.read_text(encoding="utf-8"))
         assert inst == builtin_instance(inst.id)
         assert inst.canonical_text() == path.read_text(encoding="utf-8")
+        # each file is named after the catalog entry it holds
+        assert inst.canonical_text() == builtin_instance(path.stem).canonical_text()
 
 
 def test_json_error_positions():
@@ -270,7 +272,7 @@ def test_cli_verify_rejects_complement_with_dead_root(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify", "--instance", "cantor-split-0", "--budget", "0"],
     ["validate", "--instance", "cantor-split-0", "--depth", "0"],
-    ["remetrize", "--instance", "cantor-split-0", "--witness-bound", "-3"],
+    ["remetrize", "--instance", "cantor-split-0", "--depth", "-3"],
     ["embed", "--space", "cantor", "--depth", "0"],
     ["embed", "--space", "discrete:0"],
     ["embed", "--space", "discrete:x"],
@@ -294,3 +296,89 @@ def test_cli_embed_baire_closed_reads_instance_bounds(tmp_path):
     assert main(args + ["--depth", "3"]) == 0
     assert out.read_text().splitlines()[1:] == ["depth 3", "embed 0 -> 0 0 0"]
     assert build_instance(parse_instance(json.dumps(doc))).ambient.witness_bound == 3
+
+
+def _catalog_doc(name, **bounds):
+    doc = {"format": "instance/1", "id": f"file-{name}", "ambient": {"kind": "cantor"},
+           "set": {"kind": "catalog", "name": name}}
+    if bounds:
+        doc["bounds"] = bounds
+    return doc
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _dense_family_lines(argv, capsys):
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().out.splitlines() if "dense-family" in line]
+
+
+def test_catalog_file_keeps_its_bounds(tmp_path, capsys):
+    path = _write(tmp_path, _catalog_doc("cantor-split-0", depth=2))
+    # the check at depth 2; the catalog entry's depth 4 would check to depth 8
+    assert _dense_family_lines(["verify", "--instance", path], capsys) == [
+        "ok   dense-family:a  4 stems checked to depth 4",
+        "ok   dense-family:c  4 stems checked to depth 4"]
+
+
+def test_catalog_file_takes_cli_overrides(tmp_path, capsys):
+    path = _write(tmp_path, _catalog_doc("cantor-split-0", depth=2))
+    assert _dense_family_lines(["verify", "--instance", path, "--depth", "3"], capsys) == [
+        "ok   dense-family:a  8 stems checked to depth 6",
+        "ok   dense-family:c  8 stems checked to depth 6"]
+
+
+def test_boundless_catalog_file_takes_the_entry_bounds(tmp_path, capsys):
+    doc = _catalog_doc("witness-first-bit")
+    assert parse_instance(json.dumps(doc)).bounds == builtin_instance(
+        "witness-first-bit").bounds
+    assert main(["encode", "--instance", _write(tmp_path, doc)]) == 0
+    assert "\nK 2\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["embed", "--space", "baire-closed", "--instance", "cantor-split-0",
+      "--witness-bound", "2"], None),
+    (["embed", "--space", "cantor", "--witness-bound", "1"], None),
+    (["witness", "--matrix", "zero-tail", "--preperiod", "1", "--period", "1"], None),
+    (["encode"], dict(CATALOG["witness-first-bit"],
+                      bounds={"table_size": 8, "enumeration_cap": 2000})),
+    (["encode"], _catalog_doc("witness-first-bit", table_size=8)),
+], ids=["cell-baire-closed", "cell-cantor", "witness", "dense-points", "dense-points-catalog"])
+def test_cli_search_exhausted_exit_1(argv, doc, tmp_path, capsys):
+    if doc is not None:
+        argv = argv + ["--instance", _write(tmp_path, doc)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search exhausted: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+CLI_FLAGS = {
+    "validate": {"--instance", "--depth", "--out", "--format"},
+    "embed": {"--instance", "--depth", "--witness-bound", "--out"},
+    "witness": {"--depth", "--out"},
+    "remetrize": {"--instance", "--depth", "--out"},
+    "encode": {"--instance", "--depth", "--out"},
+    "verify": {"--instance", "--depth", "--budget", "--seed", "--out", "--format"},
+}
+
+
+def test_cli_subcommands_take_only_the_flags_they_read(capsys):
+    parser = build_parser()
+    shared = set().union(*CLI_FLAGS.values())
+    for command, kept in CLI_FLAGS.items():
+        for flag in sorted(shared):
+            argv = [command, flag, "table" if flag == "--format" else "1"]
+            if flag in kept:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+    assert main(["verify", "--instance", "cantor-split-0", "--witness-bound", "1"]) == 2

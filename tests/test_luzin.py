@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -125,7 +126,7 @@ def test_embed_reads_off_unique_cells():
     f = sch.embed(x)
     for n in range(4):
         prefix = f.prefix(n)
-        bound = sch.child_scan_bound(prefix)
+        bound = sch.presentation.witness_bound
         hits = [i for i in range(bound + 1) if sch.cell_member_seq(x, prefix + (i,))]
         assert hits == [f(n)]
 
@@ -145,6 +146,20 @@ def test_cell_search_exhausted_with_tiny_bound():
     x = eventually_periodic((1, 1, 1), (0,))  # its minimal depth-1 center is 7
     with pytest.raises(CellSearchExhausted):
         sch.embed(x)(0)
+
+
+def test_branches_and_embeddings_freed_by_reference_counting():
+    gc.collect()
+    tree = full_cantor_tree()
+    validate_pruned(tree, 4)
+    fam = DensePointFamily(tree)
+    for s in range(24):
+        fam.leftmost(s).prefix(10)
+    scheme = LuzinScheme(cantor_presentation(witness_bound=8), max_depth=6)
+    scheme.embed(scheme.presentation.dense_point(5)).prefix(3)
+    del tree, fam, scheme
+    # no reference cycle was built, so the collector finds nothing
+    assert gc.collect() == 0
 
 
 def test_max_depth_guard():

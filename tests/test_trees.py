@@ -98,6 +98,19 @@ def test_leftmost_memoizes():
     assert fam.leftmost(5) is fam.leftmost(5)
 
 
+def test_leftmost_searches_each_position_once():
+    searched = []
+    cantor = full_cantor_tree()
+    tree = validated(PrunedTree(cantor.admits, lambda u: searched.append(u) or 1))
+    searched.clear()
+    stem = (1, 0, 1)
+    point = DensePointFamily(tree).leftmost(encode(stem))
+    assert point.prefix(12) == stem + (0,) * 9
+    assert point.prefix(12) == stem + (0,) * 9
+    assert [point(n) for n in range(12)] == list(stem + (0,) * 9)
+    assert len(searched) == 12 - len(stem)
+
+
 def test_child_search_exhausted_beyond_contract():
     # caller asserts prunedness that does not actually hold
     tree = PrunedTree(lambda u: all(x == 5 for x in u), lambda u: 0)
