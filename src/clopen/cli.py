@@ -13,6 +13,7 @@ search, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -207,7 +208,10 @@ def cmd_verify(args) -> int:
     return _report(args, results, [f"instance {inst.id}", f"seed {args.seed}"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse objects form reference cycles,
+    so a parser per call would leave them to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="clopen",
         description="finite-scale re-metrization: trees, embeddings, witnesses, codes")
@@ -216,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the shared flags; each subcommand takes only those it reads
     shared = {
         "instance": dict(help="instance file path or catalog name"),
-        "depth": dict(type=int, default=None,
-                      help="validation depth (default 4 or the instance's)"),
         "budget": dict(type=int, default=None,
                        help="scan budget (default 256 or the instance's)"),
         "witness-bound": dict(dest="witness_bound", type=int, default=None,
@@ -227,25 +229,30 @@ def build_parser() -> argparse.ArgumentParser:
         "format": dict(choices=("table", "full-report"), default="table"),
     }
 
-    def command(name, fn, help_text, *flags):
+    def command(name, fn, help_text, depth_help, *flags):
+        """A subcommand with --depth (each reads it its own way) and the flags."""
         p = sub.add_parser(name, help=help_text)
+        p.add_argument("--depth", type=int, default=None, help=depth_help)
         for flag in flags:
             p.add_argument(f"--{flag}", **shared[flag])
         p.set_defaults(fn=fn)
         return p
 
-    command("validate", cmd_validate, "validate an instance's trees",
-            "instance", "depth", "out", "format")
+    tree_depth = "tree validation depth (default 4 or the instance's)"
+    command("validate", cmd_validate, "validate an instance's trees", tree_depth,
+            "instance", "out", "format")
 
     p_embed = command("embed", cmd_embed, "embed a zero-dimensional catalog space",
-                      "instance", "depth", "witness-bound", "out")
+                      "length of each printed embedding prefix (default 4, or the instance's "
+                      "with baire-closed)", "instance", "witness-bound", "out")
     p_embed.add_argument("--space", default="cantor",
                          help="cantor, discrete:<n>, or baire-closed "
                               "(over --instance's ambient tree)")
     p_embed.add_argument("--count", type=int, default=8,
                          help="how many dense points to embed")
 
-    p_witness = command("witness", cmd_witness, "run a least-witness map", "depth", "out")
+    p_witness = command("witness", cmd_witness, "run a least-witness map",
+                        "witness values printed and the modulus depth (default 4)", "out")
     p_witness.add_argument("--matrix", default="diagonal")
     p_witness.add_argument("--preperiod", type=int, nargs="*", default=[])
     p_witness.add_argument("--period", type=int, nargs="*", default=[0])
@@ -253,15 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
                            '{"pre": [...], "period": [...]} or {"rule": "expr in n"}')
 
     p_remetrize = command("remetrize", cmd_remetrize, "build the summed presentation",
-                          "instance", "depth", "out")
+                          tree_depth, "instance", "out")
     p_remetrize.add_argument("--epsilon-prefix", dest="epsilon_prefix",
                              type=int, default=64)
 
-    command("encode", cmd_encode, "emit the instance's metric code file",
-            "instance", "depth", "out")
+    command("encode", cmd_encode, "emit the instance's metric code file", tree_depth,
+            "instance", "out")
 
     p_verify = command("verify", cmd_verify, "run the instance verification suite",
-                       "instance", "depth", "budget", "seed", "out", "format")
+                       "tree validation and check depth (default 4 or the instance's)",
+                       "instance", "budget", "seed", "out", "format")
     p_verify.add_argument("--axiom-count", dest="axiom_count", type=int, default=60)
     return parser
 

@@ -86,22 +86,47 @@ def check_metric_axioms(dist: Callable[[int, int], Fraction], count: int,
     _check_triangle(num, den, count)
 
 
+TRIANGLE_BLOCK = 32
+
+
 def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> None:
     max_num = max(max(row) for row in num)
     max_den = max(max(row) for row in den)
-    # d(i,k) <= d(i,j) + d(j,k), cross-multiplied to integers
     if max_num <= 1 << 10 and max_den <= 1 << 15 and count >= 8:
-        import numpy as np
+        _triangle_numpy(num, den, count)
+    else:
+        _triangle_exact(num, den, count)
 
-        p = np.array(num, dtype=np.int64)
-        q = np.array(den, dtype=np.int64)
-        lhs = p[:, None, :] * q[:, :, None] * q[None, :, :]
-        rhs = (p[:, :, None] * q[None, :, :] + p[None, :, :] * q[:, :, None]) * q[:, None, :]
+
+def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int) -> None:
+    """The integer check below on int64 arrays, TRIANGLE_BLOCK values of i at a
+    time: memory is O(TRIANGLE_BLOCK * count^2), and blocks run in ascending i,
+    so the first violation is the one the exact loop finds."""
+    import numpy as np
+
+    p = np.array(num, dtype=np.int64)
+    q = np.array(den, dtype=np.int64)
+    # three block-sized buffers, written in place by every block
+    bufs = [np.empty((min(count, TRIANGLE_BLOCK), count, count), dtype=np.int64)
+            for _ in range(3)]
+    for lo in range(0, count, TRIANGLE_BLOCK):
+        pb, qb = p[lo:lo + TRIANGLE_BLOCK], q[lo:lo + TRIANGLE_BLOCK]
+        lhs, rhs, tmp = (buf[:len(pb)] for buf in bufs)
+        # lhs[i,j,k] = p[i,k] q[i,j] q[j,k], rhs[i,j,k] = (p[i,j] q[j,k] + p[j,k] q[i,j]) q[i,k]
+        np.multiply(pb[:, None, :], qb[:, :, None], out=lhs)
+        lhs *= q
+        np.multiply(pb[:, :, None], q, out=rhs)
+        np.multiply(p, qb[:, :, None], out=tmp)
+        rhs += tmp
+        rhs *= qb[:, None, :]
         bad = np.argwhere(lhs > rhs)
         if len(bad):
             i, j, k = (int(v) for v in bad[0])
-            raise MetricAxiomViolation("triangle", (i, k), f"via {j}")
-        return
+            raise MetricAxiomViolation("triangle", (lo + i, k), f"via {j}")
+
+
+def _triangle_exact(num: list[list[int]], den: list[list[int]], count: int) -> None:
+    # d(i,k) <= d(i,j) + d(j,k), cross-multiplied to integers
     for i in range(count):
         for j in range(count):
             for k in range(count):

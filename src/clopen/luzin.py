@@ -72,12 +72,18 @@ def rescale(dist: Callable[..., Fraction]) -> Callable[..., Fraction]:
 class ZeroDimPresentation:
     """A presented space: dense points with exact distance comparisons.
 
-    dense_point    -- index -> point handle (handles must be hashable)
+    dense_point    -- index -> point handle; handles must be hashable, and the
+                      same index must give the same handle on every call, so
+                      the scheme memos keyed by (handle, cell) are hit again
     dist           -- exact distance on dense indices
     dist_to_dense  -- exact distance from a point handle to r_i; None when
                       the space decides distances between dense points only
     witness_bound  -- scan ceiling for dense witnesses in a cell
     ultrametric    -- gate for the clopen-ball construction
+
+    The summed presentation of remetrize has no dist_to_dense, never reaches
+    LuzinScheme and is outside this contract: its dense_point may build a new
+    handle on each call.
     """
 
     name: str
@@ -102,6 +108,7 @@ class LuzinScheme:
         self.max_depth = max_depth
         self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
         self._cell: dict[tuple[Any, tuple[int, ...]], bool] = {}
+        self._members: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _radius(self, level: int) -> Fraction:
         return Fraction(1, 2 ** (level + 2) + 1)
@@ -157,22 +164,37 @@ class LuzinScheme:
 
         return branch(least_cell, label=f"embed[{self.presentation.name}]")
 
+    def members(self, cell: tuple[int, ...]) -> tuple[int, ...]:
+        """The dense indices i <= witness_bound whose points lie in A_cell, ascending.
+
+        A_cell lies inside A_parent, so the list filters the parent's list.
+        """
+        if len(cell) > self.max_depth:
+            raise ValueError(f"cell depth {len(cell)} exceeds max depth {self.max_depth}")
+        found = self._members.get(cell)
+        if found is None:
+            pres = self.presentation
+            if cell:
+                found = tuple(i for i in self.members(cell[:-1])
+                              if self.cell_member_seq(pres.dense_point(i), cell))
+            else:
+                found = tuple(range(pres.witness_bound + 1))
+            self._members[cell] = found
+        return found
+
     def image_node_seq(self, cell: tuple[int, ...]) -> bool:
-        """Nonemptiness of a cell, decided by the bounded dense-witness scan."""
-        bound = self.presentation.witness_bound
-        return any(self.cell_member_seq(self.presentation.dense_point(i), cell)
-                   for i in range(bound + 1))
+        """Nonemptiness of a cell, decided by its bounded dense-witness list."""
+        return bool(self.members(cell))
 
     def image_node(self, s: int) -> bool:
         return self.image_node_seq(decode(s))
 
     def image_witness(self, cell: tuple[int, ...]) -> int:
         """A dense index inside the cell; error when the scan bound is too small."""
-        bound = self.presentation.witness_bound
-        for i in range(bound + 1):
-            if self.cell_member_seq(self.presentation.dense_point(i), cell):
-                return i
-        raise CellWitnessExhausted(cell, bound)
+        found = self.members(cell)
+        if not found:
+            raise CellWitnessExhausted(cell, self.presentation.witness_bound)
+        return found[0]
 
     def image_tree(self) -> PrunedTree:
         """The tree of the embedded image, pruned within the witness bounds."""
@@ -262,11 +284,14 @@ def cantor_presentation(witness_bound: int = 64) -> ZeroDimPresentation:
     diameters are strictly below the level bounds, root included.
     """
 
+    points: dict[int, BairePoint] = {}
+
     def dense_point(i: int) -> BairePoint:
-        if i == 0:
-            return eventually_periodic((), (0,), label="r0")
-        bits = tuple((i >> k) & 1 for k in range(i.bit_length()))
-        return eventually_periodic(bits, (0,), label=f"r{i}")
+        pt = points.get(i)
+        if pt is None:
+            bits = tuple((i >> k) & 1 for k in range(i.bit_length()))
+            pt = points[i] = eventually_periodic(bits, (0,), label=f"r{i}")
+        return pt
 
     return ZeroDimPresentation(
         "cantor", dense_point, dist=rescale(_first_disagreement),

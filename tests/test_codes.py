@@ -9,6 +9,7 @@ from clopen.codes import (CauchyRateViolation, CompletionPoint, MalformedCode,
                           constant_completion, decode_metric, encode_metric,
                           interleave, parse_code_file, pipeline, render_code_file,
                           validate_metric_table)
+from clopen import codes
 from clopen.coding import quad_code
 from clopen.instances import build_instance, builtin_instance
 from clopen.remetrize import sum_distance
@@ -96,6 +97,30 @@ def test_metric_axiom_violations_are_caught():
     with pytest.raises(MetricAxiomViolation):
         check_metric_axioms(broken, 8)
     validate_metric_table(bad)  # |i - j| is a true metric
+
+
+def _triangle_outcome(check, dist, count):
+    num = [[dist(i, j).numerator for j in range(count)] for i in range(count)]
+    den = [[dist(i, j).denominator for j in range(count)] for i in range(count)]
+    try:
+        check(num, den, count)
+    except MetricAxiomViolation as exc:
+        return exc.kind, exc.where, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("count", [8, 33, 70])
+def test_blocked_triangle_check_matches_the_exact_loop(count):
+    base = lambda i, j: Fraction(0) if i == j else Fraction(1, ((i ^ j) & -(i ^ j)).bit_length() + 1)
+    # a stretched pair's first violation has i = its smaller index: the first
+    # block, and at count 70 the third, partial block (i = 67)
+    for pair in (None, (1, count - 1), (count - 3, count - 1)):
+        def dist(i, j, pair=pair):
+            return Fraction(2) if pair is not None and {i, j} == set(pair) else base(i, j)
+
+        want = _triangle_outcome(codes._triangle_exact, dist, count)
+        assert (want is None) == (pair is None)
+        assert _triangle_outcome(codes._triangle_numpy, dist, count) == want
 
 
 def test_completion_of_constant_sequences():

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -382,3 +383,22 @@ def test_cli_subcommands_take_only_the_flags_they_read(capsys):
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv)
     assert main(["verify", "--instance", "cantor-split-0", "--witness-bound", "1"]) == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("witness", "witness values printed and the modulus depth (default 4)"),
+    ("embed", "length of each printed embedding prefix (default 4, or the instance's "
+              "with baire-closed)"),
+])
+def test_cli_depth_help_names_what_the_subcommand_reads(command, text, capsys):
+    assert main([command, "--help"]) == 0
+    # argparse wraps to the terminal width, so compare with whitespace collapsed
+    assert f"--depth DEPTH {text}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_main_leaves_no_garbage_cycles(capsys):
+    argv = ["verify", "--instance", "cantor-split-0"]
+    main(argv)  # the warm-up call builds the one parser of the process
+    gc.collect()
+    main(argv)
+    assert gc.collect() == 0

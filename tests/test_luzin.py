@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from clopen.baire import Exact, distance, eventually_periodic
 from clopen.coding import encode, index_of_rational
 from clopen.luzin import (CellSearchExhausted, CellWitnessExhausted, LuzinScheme,
-                          SplitSearchExhausted, baire_closed_presentation,
-                          cantor_presentation, discrete_presentation,
-                          image_presentation, rescale)
+                          SplitSearchExhausted, ambient_presentation,
+                          baire_closed_presentation, cantor_presentation,
+                          discrete_presentation, image_presentation, rescale)
 from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
                            check_luzin_scheme)
@@ -47,8 +48,6 @@ def test_ball_member_consistent_with_dist():
 
 
 def test_non_ultrametric_presentations_are_rejected():
-    from dataclasses import replace
-
     pres = replace(cantor_presentation(), ultrametric=False)
     with pytest.raises(ValueError):
         LuzinScheme(pres)
@@ -245,3 +244,58 @@ def test_baire_closed_presentation_exactness():
     assert pres.dist(encode((0,)), encode((0, 0))) == 0
     sch = LuzinScheme(pres, max_depth=4)
     assert sch.image_node(0)
+
+
+def _baire_split_0_closed(witness_bound):
+    from clopen.instances import build_instance, builtin_instance
+
+    fam = build_instance(builtin_instance("baire-split-0")).ambient_fam
+    return baire_closed_presentation(fam, witness_bound=witness_bound)
+
+
+@pytest.mark.parametrize("make", [lambda: cantor_presentation(witness_bound=8),
+                                  lambda: discrete_presentation(4),
+                                  lambda: _baire_split_0_closed(8)],
+                         ids=["cantor", "discrete", "baire-closed"])
+def test_members_match_the_brute_force_scan(make):
+    sch, brute = LuzinScheme(make(), max_depth=3), LuzinScheme(make(), max_depth=3)
+    pres = brute.presentation
+    bound = pres.witness_bound
+    cells = [()]
+    for cell in cells:
+        want = tuple(i for i in range(bound + 1)
+                     if brute.cell_member_seq(pres.dense_point(i), cell))
+        assert sch.members(cell) == want
+        assert sch.image_node_seq(cell) == bool(want)
+        if len(cell) < 3:
+            cells.extend(cell + (k,) for k in range(bound + 1))
+    assert len(cells) == sum((bound + 1) ** n for n in range(4))
+    with pytest.raises(ValueError):
+        sch.members((0, 0, 0, 0))
+
+
+def test_dense_handles_are_stable():
+    tree = full_cantor_tree()
+    validate_pruned(tree, 4)
+    ambient = ambient_presentation(DensePointFamily(tree), "ambient", witness_bound=8)
+    cantor = cantor_presentation(witness_bound=8)
+    image = image_presentation(LuzinScheme(cantor, max_depth=4), lambda i, j: i != j)
+    for pres in (cantor, ambient, image):
+        for i in range(12):
+            assert pres.dense_point(i) is pres.dense_point(i)
+
+
+def test_cantor_trio_distance_calls_stay_per_dense_index():
+    pres = cantor_presentation(witness_bound=32)
+    calls = [0]
+
+    def counted(x, i, dist_to_dense=pres.dist_to_dense):
+        calls[0] += 1
+        return dist_to_dense(x, i)
+
+    sch = LuzinScheme(replace(pres, dist_to_dense=counted))
+    assert check_luzin_scheme(sch, 3, 30).passed
+    assert check_embedding_injective(sch, 30).passed
+    assert check_image_tree_pruned(sch, 3).passed
+    # about 3,700 with stable handles; fresh handles on every call made 75,197
+    assert calls[0] <= 4000
