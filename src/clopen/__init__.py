@@ -8,8 +8,8 @@ codes of the resulting rational metrics.
 """
 
 from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact, constant,
-                    distance, eventually_periodic, exact_distance, in_basic_nbhd,
-                    pair_points, slice_point)
+                    distance, eventually_periodic, exact_distance, first_disagreement,
+                    in_basic_nbhd, pair_points, slice_point)
 from .coding import (SeqCode, append, decode, encode, index_of_rational, is_prefix,
                      lh, pair_code, proj, quad_code, rational_of_index)
 from .codes import (CompletionPoint, RationalMetricTable, SpaceCode,
@@ -21,7 +21,7 @@ from .luzin import (LuzinScheme, ZeroDimPresentation, ambient_presentation,
 from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
                         membership_in_a, new_presentation, open_ball_distance,
-                        pullback_distance, sum_distance, witness_representation)
+                        sum_distance, witness_representation)
 from .trees import (DensePointFamily, PrunedTree, dense_distance_le,
                     dense_distance_lt, dense_equal, dense_pn_distance,
                     validate_pruned)

@@ -119,6 +119,15 @@ class BelowThreshold:
 DistanceResult = Union[Exact, BelowThreshold]
 
 
+def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Fraction:
+    """1/(k+1) for the least k < bound with a(k) != b(k); 0 when there is none,
+    which says only that the points agree below the bound."""
+    for k in range(bound):
+        if a(k) != b(k):
+            return Fraction(1, k + 1)
+    return Fraction(0)
+
+
 def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     """First-disagreement distance, scanned up to the budget.
 
@@ -127,10 +136,8 @@ def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    for k in range(budget):
-        if a(k) != b(k):
-            return Exact(Fraction(1, k + 1))
-    return BelowThreshold(Fraction(1, budget + 1))
+    d = first_disagreement(a, b, budget)
+    return Exact(d) if d else BelowThreshold(Fraction(1, budget + 1))
 
 
 def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
@@ -143,10 +150,7 @@ def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
     if a.tail_hint is None or b.tail_hint is None:
         raise ValueError("exact_distance needs tail hints on both points")
     bound = max(a.tail_hint[0], b.tail_hint[0]) + lcm(a.tail_hint[1], b.tail_hint[1])
-    for k in range(bound):
-        if a(k) != b(k):
-            return Fraction(1, k + 1)
-    return Fraction(0)
+    return first_disagreement(a, b, bound)
 
 
 def in_basic_nbhd(a: BairePoint, s: int) -> bool:

@@ -22,14 +22,15 @@ from .baire import eventually_periodic
 from .codes import encode_metric, render_code_file, validate_metric_table
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
-                        builtin_instance, merge_bounds, parse_instance)
+                        builtin_instance, merge_bounds, parse_instance,
+                        point_from_descriptor)
 from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
                     cantor_presentation, discrete_presentation)
 from .remetrize import epsilon_code
 from .trees import InsufficientDensePoints, TreeError
 from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
                      check_tree_valid, interleaved_table, run_instance_suite)
-from .witness import MATRIX_CATALOG, WitnessClosure, WitnessSearchExhausted
+from .witness import MATRIX_CATALOG, UseBoundViolation, WitnessClosure, WitnessSearchExhausted
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -82,10 +83,10 @@ def _report(args, results: list[CheckResult], header: list[str]) -> int:
 
 
 def _build_or_report(args, inst):
-    """Build an instance; on a tree contract violation emit a failing report."""
+    """Build an instance; on a tree or matrix contract violation emit a failing report."""
     try:
         return build_instance(inst), None
-    except TreeError as exc:
+    except (TreeError, UseBoundViolation) as exc:
         failure = CheckResult("tree-valid", False, f"{type(exc).__name__}: {exc}")
         return None, _report(args, [failure], [f"instance {inst.id}"])
 
@@ -139,8 +140,11 @@ def cmd_witness(args) -> int:
         raise UnknownCatalogName(args.matrix, kind="matrix")
     closure = WitnessClosure(factory())
     if args.point:
-        from .instances import point_from_descriptor
-        point = point_from_descriptor(json.loads(args.point))
+        try:
+            desc = json.loads(args.point)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, exc.colno, f"--point: {exc.msg}") from None
+        point = point_from_descriptor(desc)
     else:
         point = eventually_periodic(args.preperiod, args.period or [0])
     depth = _bounds(args, DEFAULT_BOUNDS)["depth"]
@@ -282,10 +286,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ParseError, UnknownCatalogName) as exc:
+    # OSError and UnicodeDecodeError: an unreadable --instance or unwritable --out path
+    except (ParseError, UnknownCatalogName, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TreeError as exc:
+    except (TreeError, UseBoundViolation) as exc:  # the instance breaks its own contract
         print(f"validation failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (CellSearchExhausted, WitnessSearchExhausted, InsufficientDensePoints) as exc:

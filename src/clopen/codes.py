@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .baire import BairePoint
-from .coding import quad_code
-from .trees import DensePointFamily, InsufficientDensePoints, enumerate_distinct
+from .coding import decode, quad_code
+from .trees import DensePointFamily, dense_pn_distance, enumerate_distinct
 
 
 class MalformedCode(Exception):
@@ -158,8 +158,6 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
     Position quad_code(i, j, m, n) is 1 exactly when d(i, j) = m/(n+1);
     positions not coding a quadruple are 0.
     """
-    from .coding import decode
-
     dist = table.dist
 
     def rule(t: int) -> int:
@@ -245,8 +243,6 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
     distinct; the cross distance is 2.  The table extends past its serialized
     prefix by continuing the same enumerations on demand.
     """
-    from .trees import dense_pn_distance
-
     sides = (fam_a, fam_c)
     codes: tuple[list[int], list[int]] = (
         enumerate_distinct(fam_a, (count + 1) // 2, cap=cap),
@@ -255,16 +251,8 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
 
     def side_code(parity: int, idx: int) -> int:
         known = codes[parity]
-        fam = sides[parity]
-        while len(known) <= idx:
-            start = known[-1] + 1 if known else 0
-            from .trees import dense_equal
-            for s in range(start, cap):
-                if fam.admissible(s) and not any(dense_equal(fam, s, t) for t in known):
-                    known.append(s)
-                    break
-            else:
-                raise InsufficientDensePoints(len(known), idx + 1, cap)
+        if len(known) <= idx:
+            known.extend(enumerate_distinct(sides[parity], idx + 1, cap=cap)[len(known):])
         return known[idx]
 
     def dist(u: int, v: int) -> Fraction:

@@ -16,7 +16,7 @@ Unbounded quantification is not expressible: the grammar requires the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Union
 
 KEYWORDS = {"all", "some", "and", "or", "not"}
@@ -335,6 +335,26 @@ def parse_arith(text: str) -> Expr:
     e = parse(text)
     if sort_of(e) != "nat":
         raise ParseError(1, 1, "expected a natural-number expression")
+    return e
+
+
+def check_names(e: Expr, variables: frozenset[str], sequences: frozenset[str]) -> Expr:
+    """e itself, once every variable it reads is among the variables and every
+    sequence it accesses among the sequences.  A quantifier binds its variable
+    in its body, where the name stops naming a sequence."""
+    if isinstance(e, Quant):
+        check_names(e.bound, variables, sequences)
+        check_names(e.body, variables | {e.var}, sequences - {e.var})
+        return e
+    if isinstance(e, (Var, Access)):
+        kind, names = ("variable", variables) if isinstance(e, Var) else ("sequence", sequences)
+        if e.name not in names:
+            raise ParseError(0, 0, f"unbound {kind} {e.name!r} (bound here: "
+                                   f"{', '.join(sorted(names)) or 'none'})")
+    # fields(), not vars(): a node's __dict__, once made, slows every evaluate
+    for child in (getattr(e, f.name) for f in fields(e)):
+        if not isinstance(child, (str, int)):  # names and numbers are leaves
+            check_names(child, variables, sequences)
     return e
 
 

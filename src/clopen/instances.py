@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, Container, Optional
 
 from . import dsl
+from .baire import BairePoint, eventually_periodic
+from .coding import decode
 from .dsl import ParseError
 from .luzin import ZeroDimPresentation, ambient_presentation
 from .remetrize import (SumSpace, identity_representation, new_presentation,
@@ -70,33 +72,57 @@ def _err(msg: str) -> ParseError:
     return ParseError(0, 0, msg)
 
 
+def _is_nat(x: Any) -> bool:
+    """A JSON natural number; JSON's true and false are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _is_name(x: Any, names: Container[str]) -> bool:
+    return isinstance(x, str) and x in names
+
+
+# what each expression field may read: its sort, its variables, its sequences
+_EXPR_FIELDS = {
+    "node": (dsl.parse_predicate, frozenset({"len"}), frozenset({"s"})),   # tree node
+    "r": (dsl.parse_predicate, frozenset({"n", "m"}), frozenset({"a"})),   # matrix
+    "use_bound": (dsl.parse_arith, frozenset({"n", "m"}), frozenset()),    # matrix
+    "rule": (dsl.parse_arith, frozenset({"n"}), frozenset()),              # point
+}
+
+
+def _expr(fld: str, text: Any, path: str) -> dsl.Expr:
+    """The parsed expression of a field, checked to read only the names it binds."""
+    if not isinstance(text, str):
+        raise _err(f"{path}: {fld!r} must be an expression string")
+    parse, variables, sequences = _EXPR_FIELDS[fld]
+    return dsl.check_names(parse(text), variables, sequences)
+
+
 def _check_tree_desc(desc: Any, path: str) -> None:
     if not isinstance(desc, dict) or "rule" not in desc:
         raise _err(f"{path}: a tree descriptor needs a 'rule' field")
     rule = desc["rule"]
-    if rule not in _TREE_RULES:
+    if not _is_name(rule, _TREE_RULES):
         raise UnknownCatalogName(str(rule), kind="tree rule")
-    if rule == "constant" and not isinstance(desc.get("value"), int):
-        raise _err(f"{path}: constant trees need an integer 'value'")
+    if rule == "constant" and not _is_nat(desc.get("value")):
+        raise _err(f"{path}: constant trees need a natural 'value'")
     if rule == "cylinders":
         prefixes = desc.get("prefixes")
         ok = (isinstance(prefixes, list) and prefixes
-              and all(isinstance(p, list) and all(isinstance(x, int) and x >= 0 for x in p)
-                      for p in prefixes))
+              and all(isinstance(p, list) and all(map(_is_nat, p)) for p in prefixes))
         if not ok:
             raise _err(f"{path}: cylinder trees need a nonempty list of natural prefixes")
-        floor = desc.get("child_bound", 0)
-        if not isinstance(floor, int) or floor < 0:
+        if not _is_nat(desc.get("child_bound", 0)):
             raise _err(f"{path}: 'child_bound' must be a natural number")
     if rule == "dsl":
-        if not isinstance(desc.get("node"), str):
-            raise _err(f"{path}: dsl trees need a 'node' predicate")
-        dsl.parse_predicate(desc["node"])
-        if not isinstance(desc.get("child_bound"), int) or desc["child_bound"] < 0:
+        _expr("node", desc.get("node"), path)
+        if not _is_nat(desc.get("child_bound")):
             raise _err(f"{path}: dsl trees need a natural 'child_bound'")
     if rule == "explicit":
-        if not isinstance(desc.get("nodes"), list) or not isinstance(desc.get("depth"), int):
-            raise _err(f"{path}: explicit trees need 'nodes' and 'depth'")
+        nodes = desc.get("nodes")
+        if not (isinstance(nodes, list) and all(map(_is_nat, nodes))
+                and _is_nat(desc.get("depth"))):
+            raise _err(f"{path}: explicit trees need natural 'nodes' codes and 'depth'")
         _check_tree_desc(desc.get("continuation"), f"{path}.continuation")
 
 
@@ -105,18 +131,14 @@ def _check_matrix_desc(desc: Any, path: str) -> None:
         raise _err(f"{path}: a matrix descriptor needs a 'rule' field")
     rule = desc["rule"]
     if rule == "catalog":
-        if desc.get("name") not in MATRIX_CATALOG:
+        if not _is_name(desc.get("name"), MATRIX_CATALOG):
             raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return
     if rule != "dsl":
         raise UnknownCatalogName(str(rule), kind="matrix rule")
     for fld in ("r", "use_bound"):
-        if not isinstance(desc.get(fld), str):
-            raise _err(f"{path}: dsl matrices need a {fld!r} expression")
-    dsl.parse_predicate(desc["r"])
-    dsl.parse_arith(desc["use_bound"])
-    budget = desc.get("per_n_budget")
-    if not isinstance(budget, int) or budget < 0:
+        _expr(fld, desc.get(fld), path)
+    if not _is_nat(desc.get("per_n_budget")):
         raise _err(f"{path}: dsl matrices need a natural 'per_n_budget'")
 
 
@@ -128,7 +150,7 @@ def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str,
     for key, value in overrides.items():
         if key not in DEFAULT_BOUNDS:
             raise _err(f"unknown bound {key!r}")
-        if not isinstance(value, int) or value <= 0:
+        if not _is_nat(value) or value == 0:
             raise _err(f"bound {key!r} must be a positive integer")
         merged[key] = value
     return merged
@@ -149,13 +171,14 @@ def parse_instance(text: str) -> InstanceFile:
         raise _err("instance needs a nonempty string 'id'")
 
     ambient = doc.get("ambient")
-    if not isinstance(ambient, dict) or ambient.get("kind") not in _AMBIENT_KINDS:
-        raise UnknownCatalogName(str((ambient or {}).get("kind")), kind="ambient space")
+    if not isinstance(ambient, dict) or not _is_name(ambient.get("kind"), _AMBIENT_KINDS):
+        kind = ambient.get("kind") if isinstance(ambient, dict) else ambient
+        raise UnknownCatalogName(str(kind), kind="ambient space")
     if ambient["kind"] == "tree":
         _check_tree_desc(ambient.get("tree"), "ambient.tree")
 
     set_desc = doc.get("set")
-    if not isinstance(set_desc, dict) or set_desc.get("kind") not in _SET_KINDS:
+    if not isinstance(set_desc, dict) or not _is_name(set_desc.get("kind"), _SET_KINDS):
         raise _err("set descriptor must have kind tree-pair, pi02-pair or catalog")
     base = DEFAULT_BOUNDS
     if set_desc["kind"] == "tree-pair":
@@ -164,11 +187,10 @@ def parse_instance(text: str) -> InstanceFile:
     elif set_desc["kind"] == "pi02-pair":
         _check_matrix_desc(set_desc.get("a"), "set.a")
         _check_matrix_desc(set_desc.get("complement"), "set.complement")
-        ab = set_desc.get("alphabet_bound", 1)
-        if not isinstance(ab, int) or ab < 0:
+        if not _is_nat(set_desc.get("alphabet_bound", 1)):
             raise _err("set.alphabet_bound must be a natural number")
     else:
-        if set_desc.get("name") not in CATALOG:
+        if not _is_name(set_desc.get("name"), CATALOG):
             raise UnknownCatalogName(str(set_desc.get("name")))
         base = builtin_instance(set_desc["name"]).bounds  # the file overrides the entry's
 
@@ -203,7 +225,7 @@ def build_tree(desc: dict[str, Any], label: str = "") -> PrunedTree:
 
 def dsl_tree(node_src: str, child_bound: int, label: str = "dsl") -> PrunedTree:
     """A tree whose node predicate is a parsed expression over (s, len)."""
-    expr = dsl.parse_predicate(node_src)
+    expr = _expr("node", node_src, label)
 
     def admits(u: tuple[int, ...]) -> bool:
         env = {"s": (lambda i: u[i] if 0 <= i < len(u) else 0), "len": len(u)}
@@ -220,8 +242,6 @@ def explicit_tree(nodes: list[int], depth: int, continuation: PrunedTree,
     the continuation tree admits the suffix, so each listed leaf grows a copy
     of the continuation under it.
     """
-    from .coding import decode
-
     listed = {decode(c) for c in nodes}
 
     def admits(u: tuple[int, ...]) -> bool:
@@ -247,14 +267,14 @@ def point_from_descriptor(desc: dict[str, Any]):
     Eventually periodic points travel as {"pre": [...], "period": [...]};
     rule-based points as {"rule": "<arithmetic expression in n>"}.
     """
-    from .baire import BairePoint, eventually_periodic
-
+    if not isinstance(desc, dict):
+        raise _err("a point descriptor must be a JSON object")
     if "rule" in desc:
-        expr = dsl.parse_arith(desc["rule"])
+        expr = _expr("rule", desc["rule"], "point")
         return BairePoint(lambda n: int(dsl.evaluate(expr, {"n": n})), label="dsl-point")
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
-          and all(isinstance(x, int) and x >= 0 for x in list(pre) + list(period)))
+          and all(map(_is_nat, pre + period)))
     if not ok:
         raise _err("a point descriptor needs 'rule' or 'pre'/'period' lists")
     return eventually_periodic(pre, period)
@@ -272,8 +292,7 @@ def point_descriptor(point) -> dict[str, Any]:
 def build_matrix(desc: dict[str, Any]) -> Pi02Matrix:
     if desc["rule"] == "catalog":
         return MATRIX_CATALOG[desc["name"]]()
-    r_expr = dsl.parse_predicate(desc["r"])
-    use_expr = dsl.parse_arith(desc["use_bound"])
+    r_expr, use_expr = (_expr(fld, desc[fld], "matrix") for fld in ("r", "use_bound"))
 
     def r(a, n: int, m: int) -> bool:
         return bool(dsl.evaluate(r_expr, {"a": a, "n": n, "m": m}))

@@ -30,9 +30,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Optional
 
-from .baire import (BairePoint, BelowThreshold, branch, distance, eventually_periodic,
-                    exact_distance)
-from .coding import decode, rational_of_index
+from .baire import BairePoint, branch, eventually_periodic, exact_distance, first_disagreement
+from .coding import rational_of_index
 from .trees import DensePointFamily, PrunedTree, dense_pn_distance
 
 
@@ -40,12 +39,6 @@ class CellSearchExhausted(Exception):
     def __init__(self, depth: int, bound: int):
         self.depth, self.bound = depth, bound
         super().__init__(f"no child cell contains the point at depth {depth} (bound {bound})")
-
-
-class CellWitnessExhausted(Exception):
-    def __init__(self, cell: tuple[int, ...], bound: int):
-        self.cell, self.bound = cell, bound
-        super().__init__(f"no dense witness in cell {list(cell)} within bound {bound}")
 
 
 class SplitSearchExhausted(Exception):
@@ -148,10 +141,6 @@ class LuzinScheme:
         memo[key] = v
         return v
 
-    def cell_member(self, x: Any, s: int) -> bool:
-        """Code-level cell membership."""
-        return self.cell_member_seq(x, decode(s))
-
     def embed(self, x: Any) -> BairePoint:
         """The point reading off the unique cell index of x on each level."""
         bound = self.presentation.witness_bound
@@ -182,42 +171,26 @@ class LuzinScheme:
             self._members[cell] = found
         return found
 
-    def image_node_seq(self, cell: tuple[int, ...]) -> bool:
-        """Nonemptiness of a cell, decided by its bounded dense-witness list."""
-        return bool(self.members(cell))
-
-    def image_node(self, s: int) -> bool:
-        return self.image_node_seq(decode(s))
-
-    def image_witness(self, cell: tuple[int, ...]) -> int:
-        """A dense index inside the cell; error when the scan bound is too small."""
-        found = self.members(cell)
-        if not found:
-            raise CellWitnessExhausted(cell, self.presentation.witness_bound)
-        return found[0]
-
     def image_tree(self) -> PrunedTree:
-        """The tree of the embedded image, pruned within the witness bounds."""
+        """The tree of the embedded image: a node is a cell with a dense member
+        within the witness bound."""
         bound = self.presentation.witness_bound
-        return PrunedTree(self.image_node_seq, lambda cell: bound,
+        return PrunedTree(lambda cell: bool(self.members(cell)), lambda cell: bound,
                           label=f"image[{self.presentation.name}]")
 
     def inverse_ball(self, a: BairePoint, i: int, s_rat: int, depth: int) -> bool:
         """Semi-decide d(point embedded at a, r_i) < q with the coded rational q.
 
-        True certifies the inequality through a cell of a's branch; False only
-        means nothing was found within the depth and witness budgets.
+        True certifies the inequality through a dense member of a cell of a's
+        branch; False only means nothing was found within the depth and
+        witness budgets.
         """
         q = rational_of_index(s_rat)
-        pres = self.presentation
+        dist = self.presentation.dist
         for n in range(depth + 1):
             margin = q - Fraction(1, 2 ** n)
-            if margin <= 0:
-                continue
-            cell = tuple(a(t) for t in range(n))
-            for j in range(pres.witness_bound + 1):
-                if pres.dist(j, i) < margin and self.cell_member_seq(pres.dense_point(j), cell):
-                    return True
+            if margin > 0 and any(dist(j, i) < margin for j in self.members(a.prefix(n))):
+                return True
         return False
 
 
@@ -249,17 +222,16 @@ def image_presentation(scheme: LuzinScheme,
         depth = 0
         while Fraction(1, 2 ** depth) > delta:
             depth += 1
-        yi, yj = dense_point(i), dense_point(j)
-        for k in range(depth + 1):
-            if yi(k) != yj(k):
-                return Fraction(1, k + 1)
-        raise SplitSearchExhausted(i, j, depth)
+        d = first_disagreement(dense_point(i), dense_point(j), depth + 1)
+        if not d:
+            raise SplitSearchExhausted(i, j, depth)
+        return d
 
     def dist_to_dense(y: BairePoint, i: int) -> Fraction:
-        res = distance(y, dense_point(i), scheme.max_depth)
-        if isinstance(res, BelowThreshold):
+        d = first_disagreement(y, dense_point(i), scheme.max_depth)
+        if not d:
             raise SplitSearchExhausted(y.label, i, scheme.max_depth)
-        return res.value
+        return d
 
     return ZeroDimPresentation(f"image[{source.name}]", dense_point, dist, dist_to_dense,
                                witness_bound=source.witness_bound)
@@ -267,7 +239,7 @@ def image_presentation(scheme: LuzinScheme,
 
 # --- presentation catalog ----------------------------------------------------
 
-def _first_disagreement(i: int, j: int) -> Fraction:
+def _bit_distance(i: int, j: int) -> Fraction:
     """Distance of the dense points r_i, r_j whose entries are the bits of i, j."""
     if i == j:
         return Fraction(0)
@@ -294,7 +266,7 @@ def cantor_presentation(witness_bound: int = 64) -> ZeroDimPresentation:
         return pt
 
     return ZeroDimPresentation(
-        "cantor", dense_point, dist=rescale(_first_disagreement),
+        "cantor", dense_point, dist=rescale(_bit_distance),
         dist_to_dense=rescale(lambda x, i: exact_distance(x, dense_point(i))),
         witness_bound=witness_bound)
 
@@ -328,8 +300,10 @@ def baire_closed_presentation(fam: DensePointFamily,
 def ambient_presentation(fam: DensePointFamily, name: str,
                          witness_bound: int) -> ZeroDimPresentation:
     """The metric of baire_closed_presentation with leftmost branches as point
-    handles: any eventually periodic point has an exact distance to them."""
+    handles: with the tree's periodicity hint, any eventually periodic point
+    has an exact distance to them; without one, there is no dist_to_dense."""
+    to_dense = rescale(lambda x, i: exact_distance(x, fam.leftmost(i)))
     return ZeroDimPresentation(
         name, fam.leftmost, dist=rescale(partial(dense_pn_distance, fam)),
-        dist_to_dense=rescale(lambda x, i: exact_distance(x, fam.leftmost(i))),
+        dist_to_dense=to_dense if fam.tree.hint is not None else None,
         witness_bound=witness_bound)

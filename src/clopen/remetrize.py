@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .baire import BairePoint, pair_points
+from .baire import BairePoint, pair_points, slice_point
 from .coding import decode, pair_code
 from .luzin import ZeroDimPresentation
-from .trees import DensePointFamily, PrunedTree, dense_distance_lt, \
-    dense_pn_distance
+from .trees import (DensePointFamily, PrunedTree, dense_distance_lt, dense_pn_distance,
+                    validate_pruned)
+from .witness import WitnessClosure, pair_tree
 
 Side = int  # 0 for the designated set, 1 for its complement
 
@@ -99,21 +100,19 @@ class SumSpace:
     @property
     def certifiable(self) -> bool:
         """Whether extension certificates apply: they need exact ambient
-        distances of branch points, i.e. identity sides with tail hints."""
-        return all(rep.kind == "identity" and rep.tree.hint is not None
-                   for rep in (self.part_a, self.part_c))
-
-
-def pullback_distance(rep: ClosedRepresentation, s: int, t: int) -> Fraction:
-    """Exact new-metric distance of the dense points with indices s and t."""
-    return dense_pn_distance(rep.fam, s, t)
+        distances of branch points, i.e. identity sides with tail hints and an
+        ambient presentation with a point-to-dense distance."""
+        return self.ambient.dist_to_dense is not None and all(
+            rep.kind == "identity" and rep.tree.hint is not None
+            for rep in (self.part_a, self.part_c))
 
 
 def sum_distance(sp: SumSpace, p: tuple[Side, int], q: tuple[Side, int]) -> Fraction:
-    """2 across the partition, the side pullback within a side."""
+    """2 across the partition; within a side, the first-disagreement distance
+    of the side's branches, pulled back to the dense indices."""
     if p[0] != q[0]:
         return Fraction(2)
-    return pullback_distance(sp.side(p[0]), p[1], q[1])
+    return dense_pn_distance(sp.side(p[0]).fam, p[1], q[1])
 
 
 def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
@@ -221,9 +220,6 @@ def witness_representation(matrix, alphabet_bound: int,
     inverse modulus combines that layout with the witness map's own
     continuity modulus at the branch.
     """
-    from .trees import validate_pruned
-    from .witness import WitnessClosure, pair_tree
-
     tree = pair_tree(matrix, alphabet_bound)
     validate_pruned(tree, validate_depth)
     fam = DensePointFamily(tree)
@@ -236,7 +232,6 @@ def witness_representation(matrix, alphabet_bound: int,
         return n
 
     def map_point(branch: BairePoint) -> BairePoint:
-        from .baire import slice_point
         return slice_point(branch, 0)
 
     def map_modulus(k: int) -> int:

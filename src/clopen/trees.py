@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .baire import BairePoint, branch
+from .baire import BairePoint, branch, first_disagreement
 from .coding import decode, encode
 
 
@@ -221,13 +221,7 @@ def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:
     cached = fam._pn_cache.get((s, t))
     if cached is not None:
         return cached
-    us, ut = decode(s), decode(t)
-    a, b = fam.leftmost(s), fam.leftmost(t)
-    d = Fraction(0)
-    for i in range(max(len(us), len(ut))):
-        if a(i) != b(i):
-            d = Fraction(1, i + 1)
-            break
+    d = first_disagreement(fam.leftmost(s), fam.leftmost(t), max(len(decode(s)), len(decode(t))))
     fam._pn_cache[(s, t)] = d
     return d
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .baire import BairePoint, BelowThreshold, Exact, distance
+from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
 from .codes import (check_metric_axioms, decode_metric, encode_metric, interleave,
                     validate_metric_table)
 from .coding import decode, encode
@@ -152,7 +152,6 @@ def check_clopen_sides(sp: SumSpace, count: int, name: str = "") -> CheckResult:
 
 def check_epsilon_code(sp: SumSpace, code_bound: int, name: str = "") -> CheckResult:
     """The combined parameter agrees with both node predicates."""
-    from .baire import slice_point
 
     def run():
         eps = epsilon_code(sp)
@@ -243,7 +242,7 @@ def side_sample_branches(rep, count: int, walk_depth: int = 14) -> list[BairePoi
 
 
 def _agree(p: BairePoint, q: BairePoint, length: int) -> bool:
-    return all(p(t) == q(t) for t in range(length))
+    return not first_disagreement(p, q, length)
 
 
 def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
@@ -310,10 +309,9 @@ def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int,
         for i in range(dense_count):
             for j in range(i + 1, dense_count):
                 d = pres.dist(i, j)
-                level = 0
-                while level < depth and embeds[i].prefix(level + 1) == embeds[j].prefix(level + 1):
-                    level += 1
+                split = first_disagreement(embeds[i], embeds[j], depth)
                 # the two points share a cell of depth `level`
+                level = split.denominator - 1 if split else depth
                 if not d < Fraction(1, 2 ** level):
                     raise AssertionError(f"cell diameter bound fails for ({i},{j})")
         return f"{dense_count} probes to depth {depth}"
@@ -335,7 +333,7 @@ def check_embedding_injective(scheme: LuzinScheme, dense_count: int,
                 depth = 0
                 while Fraction(1, 2 ** depth) > delta:
                     depth += 1
-                if embeds[i].prefix(depth + 1) == embeds[j].prefix(depth + 1):
+                if not first_disagreement(embeds[i], embeds[j], depth + 1):
                     raise AssertionError(f"images of {i} and {j} agree past the bound")
         return f"{dense_count} dense points pairwise separated"
 

@@ -145,8 +145,8 @@ def pair_tree(matrix: Pi02Matrix, alphabet_bound: int, label: str = "") -> Prune
                 witness_at[kind[1]] = v
 
         def prefix(i: int) -> int:
-            if i >= avail:
-                raise UseBoundViolation("stem too short")
+            if i >= avail:  # a decided R reads only below its use bound, so below avail
+                raise UseBoundViolation(f"{matrix.label}: R read position {i} past its use bound")
             return stem[pair_code(0, i)]
 
         def decided(n: int, m: int) -> bool:

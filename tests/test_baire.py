@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, constant, distance,
-                          eventually_periodic, exact_distance, in_basic_nbhd,
-                          pair_points, slice_point)
+                          eventually_periodic, exact_distance, first_disagreement,
+                          in_basic_nbhd, pair_points, slice_point)
 from clopen.coding import encode, pair_code
 
 
@@ -72,6 +72,21 @@ def test_distance_examples():
     c = eventually_periodic((1,), (0,))
     assert distance(a, c, 10) == Exact(Fraction(1))
     assert distance(a, constant(0), 4) == BelowThreshold(Fraction(1, 5))
+
+
+def test_first_disagreement_bounds():
+    zeros = constant(0)
+    calls = []
+    late = BairePoint(lambda n: calls.append(n) or (1 if n == 4 else 0))
+    # bound 0 reads nothing and finds no disagreement
+    assert first_disagreement(zeros, late, 0) == 0
+    assert calls == []
+    # a disagreement at position bound - 1 is found; one at bound is not
+    assert first_disagreement(zeros, late, 5) == Fraction(1, 5)
+    assert first_disagreement(zeros, BairePoint(lambda n: 1 if n == 5 else 0), 5) == 0
+    # agreeing points read 0 at every bound, and the scan stops at the bound
+    assert first_disagreement(zeros, constant(0), 7) == 0
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def test_distance_requires_budget():

@@ -1,6 +1,6 @@
 import pytest
 
-from clopen.dsl import (EvalError, ParseError, evaluate, parse, parse_arith,
+from clopen.dsl import (EvalError, ParseError, check_names, evaluate, parse, parse_arith,
                         parse_predicate, render, sort_of)
 
 
@@ -74,6 +74,23 @@ def test_sort_checking():
         parse_arith("1 < 2")
     with pytest.raises(ParseError):
         sort_of(parse("1 + (2 == 3)"))
+
+
+def test_check_names_binds_context_and_quantifier_names():
+    tree = (frozenset({"len"}), frozenset({"s"}))
+    e = parse("all i < len : s(i) <= 1")
+    assert check_names(e, *tree) is e
+    check_names(parse("some k < len : all j < k : s(j) <= s(k)"), *tree)
+    for text, name in (("x == 1", "x"), ("t(0) == 0", "t"), ("len(0) == 1", "len"),
+                       ("s(len) + i", "i"), ("all i < i : s(i) == 0", "i"),
+                       ("(all i < len : s(i) == 0) and i == 0", "i")):
+        with pytest.raises(ParseError, match=repr(name)):
+            check_names(parse(text), *tree)
+    # a quantifier variable named like a sequence hides the sequence in its body
+    with pytest.raises(ParseError, match="unbound sequence 's'"):
+        check_names(parse("all s < 2 : s(0) == 0"), *tree)
+    # every name that passes is bound when the expression is evaluated
+    assert evaluate(parse("all i < len : s(i) <= 1"), {"len": 2, "s": seq(1, 0)})
 
 
 def test_trailing_input_rejected():

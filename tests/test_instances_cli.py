@@ -244,6 +244,30 @@ def test_cli_witness_point_descriptor(tmp_path):
     assert "witness 3 1 1 1" in out.read_text()
 
 
+def test_hint_free_ambient_is_not_certifiable():
+    # a dsl ambient tree has no periodicity hint, so its branches have no
+    # exact distance to an instance point and no extension certificate applies
+    doc = json.loads(MINIMAL)
+    doc["ambient"] = {"kind": "tree", "tree": {"rule": "dsl", "child_bound": 1,
+                                               "node": "all i < len : s(i) <= 1"}}
+    sp = build_instance(parse_instance(json.dumps(doc))).sum_space
+    assert sp.ambient.dist_to_dense is None
+    assert not sp.certifiable
+    assert build_instance(parse_instance(MINIMAL)).sum_space.certifiable
+
+
+def test_cli_unreadable_paths_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for argv in (["validate", "--instance", str(tmp_path)],
+                 ["validate", "--instance", str(binary)],
+                 ["validate", "--instance", "cantor-split-0", "--out", str(tmp_path)],
+                 ["encode", "--instance", "cantor-split-0",
+                  "--out", str(tmp_path / "no-dir" / "code.txt")]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_usage_errors():
     assert main(["verify", "--instance", "no-such-instance"]) == 2
     assert main(["frobnicate"]) == 2

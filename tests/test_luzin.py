@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import Exact, distance, eventually_periodic
+from clopen.baire import Exact, constant, distance, eventually_periodic
 from clopen.coding import encode, index_of_rational
-from clopen.luzin import (CellSearchExhausted, CellWitnessExhausted, LuzinScheme,
+from clopen.luzin import (CellSearchExhausted, LuzinScheme,
                           SplitSearchExhausted, ambient_presentation,
                           baire_closed_presentation, cantor_presentation,
                           discrete_presentation, image_presentation, rescale)
@@ -74,13 +74,13 @@ def test_presentation_distances_are_rescaled_and_bounded():
 def test_root_cell_holds_everything():
     sch = small_scheme()
     for i in range(8):
-        assert sch.cell_member(sch.presentation.dense_point(i), 0)
+        assert sch.cell_member_seq(sch.presentation.dense_point(i), ())
 
 
 def test_depth_one_cells_partition_a_point():
     sch = small_scheme()
     zero = sch.presentation.dense_point(0)
-    hits = [k for k in range(24) if sch.cell_member(zero, encode((k,)))]
+    hits = [k for k in range(24) if sch.cell_member_seq(zero, (k,))]
     assert hits == [0]
 
 
@@ -99,17 +99,16 @@ def test_known_empty_cell():
     # the depth-one cell of center 16 is swallowed by the earlier center 0
     sch = small_scheme()
     for i in range(24):
-        assert not sch.cell_member(sch.presentation.dense_point(i), encode((16,)))
-    assert not sch.image_node(encode((16,)))
-    with pytest.raises(CellWitnessExhausted):
-        sch.image_witness((16,))
+        assert not sch.cell_member_seq(sch.presentation.dense_point(i), (16,))
+    assert not sch.image_tree().admits((16,))
+    assert sch.members((16,)) == ()
 
 
 def test_image_node_basics():
     sch = small_scheme()
-    assert sch.image_node(0)
-    assert sch.image_witness(()) == 0
-    assert sch.image_node(encode((0,)))
+    assert sch.image_tree().admits(())
+    assert sch.members(())[0] == 0
+    assert sch.image_tree().admits((0,))
 
 
 def test_embed_separates_points_differing_at_zero():
@@ -164,7 +163,7 @@ def test_branches_and_embeddings_freed_by_reference_counting():
 def test_max_depth_guard():
     sch = LuzinScheme(cantor_presentation(), max_depth=2)
     with pytest.raises(ValueError):
-        sch.cell_member(sch.presentation.dense_point(0), encode((0, 0, 0)))
+        sch.cell_member_seq(sch.presentation.dense_point(0), (0, 0, 0))
 
 
 def test_discrete_embedding_is_the_identity_stream():
@@ -196,6 +195,47 @@ def test_inverse_ball_far_point_never_verifies():
     q_half = index_of_rational(Fraction(1, 2))
     for depth in (1, 3, 6, 8):
         assert not sch.inverse_ball(a, 0, q_half, depth=depth)
+
+
+def _inverse_ball_by_full_scan(sch, a, i, q, depth):
+    """inverse_ball as a scan of every dense index up to the witness bound."""
+    pres = sch.presentation
+    for n in range(depth + 1):
+        margin = q - Fraction(1, 2 ** n)
+        if margin <= 0:
+            continue
+        cell = a.prefix(n)
+        for j in range(pres.witness_bound + 1):
+            if pres.dist(j, i) < margin and sch.cell_member_seq(pres.dense_point(j), cell):
+                return True
+    return False
+
+
+def test_inverse_ball_matches_the_full_scan():
+    sch, brute = small_scheme(), small_scheme()
+    seen = set()
+    for x in range(6):
+        a = sch.embed(sch.presentation.dense_point(x))
+        for i in (0, 1, 3, 5, 30):
+            for q in (Fraction(3, 4), Fraction(1, 5), Fraction(1, 40)):
+                s_rat = index_of_rational(q)
+                for depth in range(7):
+                    want = _inverse_ball_by_full_scan(brute, a, i, q, depth)
+                    assert sch.inverse_ball(a, i, s_rat, depth) == want
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def test_inverse_ball_depth_guard_without_a_near_index():
+    sch = small_scheme()  # max depth 6, witness bound 24
+    a = constant(0)
+    # r_1000 is at distance >= 1/7 from every r_j with j <= 24, and the margin
+    # q - 1/2^n is positive only at n = 7, where it is 1/1000
+    q = Fraction(1, 128) + Fraction(1, 1000)
+    assert not _inverse_ball_by_full_scan(small_scheme(), a, 1000, q, 6)
+    assert min(sch.presentation.dist(j, 1000) for j in range(25)) == Fraction(1, 7)
+    with pytest.raises(ValueError, match="max depth"):
+        sch.inverse_ball(a, 1000, index_of_rational(q), depth=7)
 
 
 def test_image_presentation_distances():
@@ -243,7 +283,7 @@ def test_baire_closed_presentation_exactness():
     assert pres.dist(encode((0,)), encode((1,))) == Fraction(1, 2)
     assert pres.dist(encode((0,)), encode((0, 0))) == 0
     sch = LuzinScheme(pres, max_depth=4)
-    assert sch.image_node(0)
+    assert sch.image_tree().admits(())
 
 
 def _baire_split_0_closed(witness_bound):
@@ -262,11 +302,12 @@ def test_members_match_the_brute_force_scan(make):
     pres = brute.presentation
     bound = pres.witness_bound
     cells = [()]
+    image = sch.image_tree()
     for cell in cells:
         want = tuple(i for i in range(bound + 1)
                      if brute.cell_member_seq(pres.dense_point(i), cell))
         assert sch.members(cell) == want
-        assert sch.image_node_seq(cell) == bool(want)
+        assert image.admits(cell) == bool(want)
         if len(cell) < 3:
             cells.extend(cell + (k,) for k in range(bound + 1))
     assert len(cells) == sum((bound + 1) ** n for n in range(4))

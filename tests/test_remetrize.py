@@ -8,8 +8,9 @@ from clopen.instances import build_instance, builtin_instance
 from clopen.remetrize import (NotInterior, OnBoundary, complement_restriction_distance,
                               distance_to_sphere, epsilon_code, extension_certificate,
                               membership_in_a, new_presentation, open_ball_distance,
-                              pullback_distance, side_of_branch, sum_distance,
+                              side_of_branch, sum_distance,
                               tag_of_index, witness_representation)
+from clopen.trees import dense_pn_distance
 from clopen.verify import (certified_ball_list, check_clopen_sides,
                            check_extension_certificates, check_sum_metric_axioms,
                            check_two_sided_continuity, side_sample_branches)
@@ -24,9 +25,9 @@ def test_pullback_distance_examples():
     sp = built("cantor-split-0").sum_space
     rep = sp.part_a
     s = encode((0, 0))
-    assert pullback_distance(rep, s, s) == 0
+    assert dense_pn_distance(rep.fam, s, s) == 0
     # stems (0,0) and (0,1) disagree first at position 1
-    assert pullback_distance(rep, encode((0, 0)), encode((0, 1))) == Fraction(1, 2)
+    assert dense_pn_distance(rep.fam, encode((0, 0)), encode((0, 1))) == Fraction(1, 2)
 
 
 def test_pullback_matches_budget_oracle():
@@ -34,7 +35,7 @@ def test_pullback_matches_budget_oracle():
     for rep in (sp.part_a, sp.part_c):
         for s in range(40):
             for t in range(40):
-                d = pullback_distance(rep, s, t)
+                d = dense_pn_distance(rep.fam, s, t)
                 res = distance(rep.fam.leftmost(s), rep.fam.leftmost(t), 128)
                 if isinstance(res, Exact):
                     assert res.value == d
@@ -47,7 +48,7 @@ def test_sum_distance_cases():
     assert sum_distance(sp, (0, 0), (1, 0)) == 2
     assert sum_distance(sp, (0, 5), (0, 5)) == 0
     d = sum_distance(sp, (1, encode((1, 0))), (1, encode((1, 1))))
-    assert d == pullback_distance(sp.part_c, encode((1, 0)), encode((1, 1)))
+    assert d == dense_pn_distance(sp.part_c.fam, encode((1, 0)), encode((1, 1)))
 
 
 def test_new_presentation_distances():
