@@ -121,8 +121,22 @@ DistanceResult = Union[Exact, BelowThreshold]
 
 def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Fraction:
     """1/(k+1) for the least k < bound with a(k) != b(k); 0 when there is none,
-    which says only that the points agree below the bound."""
-    for k in range(bound):
+    which says only that the points agree below the bound.
+
+    The values both points have stored are read first, as one list compare;
+    only past them does the scan query the points, one position at a time.
+    No rule is called at a position past the first disagreement or at the
+    bound or beyond: some rules (image embeddings past their depth) raise
+    there.
+    """
+    pa, pb = a._prefix, b._prefix
+    stored = min(len(pa), len(pb), bound)
+    if pa[:stored] != pb[:stored]:
+        k = 0
+        while pa[k] == pb[k]:
+            k += 1
+        return Fraction(1, k + 1)
+    for k in range(stored, bound):
         if a(k) != b(k):
             return Fraction(1, k + 1)
     return Fraction(0)

@@ -212,6 +212,25 @@ def cmd_verify(args) -> int:
     return _report(args, results, [f"instance {inst.id}", f"seed {args.seed}"])
 
 
+def _int_at_least(least: int, what: str):
+    """An argparse type: an integer >= least, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+    return parse
+
+
+# counts are positive, like the bounds in merge_bounds; point entries are naturals
+_POSITIVE = _int_at_least(1, "a positive integer")
+_NATURAL = _int_at_least(0, "a natural number")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: argparse objects form reference cycles,
@@ -252,21 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--space", default="cantor",
                          help="cantor, discrete:<n>, or baire-closed "
                               "(over --instance's ambient tree)")
-    p_embed.add_argument("--count", type=int, default=8,
+    p_embed.add_argument("--count", type=_POSITIVE, default=8,
                          help="how many dense points to embed")
 
     p_witness = command("witness", cmd_witness, "run a least-witness map",
                         "witness values printed and the modulus depth (default 4)", "out")
     p_witness.add_argument("--matrix", default="diagonal")
-    p_witness.add_argument("--preperiod", type=int, nargs="*", default=[])
-    p_witness.add_argument("--period", type=int, nargs="*", default=[0])
+    p_witness.add_argument("--preperiod", type=_NATURAL, nargs="*", default=[])
+    p_witness.add_argument("--period", type=_NATURAL, nargs="*", default=[0])
     p_witness.add_argument("--point", help="JSON point descriptor: "
                            '{"pre": [...], "period": [...]} or {"rule": "expr in n"}')
 
     p_remetrize = command("remetrize", cmd_remetrize, "build the summed presentation",
                           tree_depth, "instance", "out")
     p_remetrize.add_argument("--epsilon-prefix", dest="epsilon_prefix",
-                             type=int, default=64)
+                             type=_POSITIVE, default=64)
 
     command("encode", cmd_encode, "emit the instance's metric code file", tree_depth,
             "instance", "out")
@@ -274,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = command("verify", cmd_verify, "run the instance verification suite",
                        "tree validation and check depth (default 4 or the instance's)",
                        "instance", "budget", "seed", "out", "format")
-    p_verify.add_argument("--axiom-count", dest="axiom_count", type=int, default=60)
+    p_verify.add_argument("--axiom-count", dest="axiom_count", type=_POSITIVE, default=60)
     return parser
 
 

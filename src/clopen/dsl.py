@@ -16,6 +16,7 @@ Unbounded quantification is not expressible: the grammar requires the
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Union
 
@@ -259,58 +260,83 @@ def _need(e: Expr, want: str):
 
 
 Env = Mapping[str, Union[int, Callable[[int], int]]]
+Compiled = Callable[[Env], Union[bool, int]]
+
+# the strict binary operators; "and"/"or" short-circuit and are built apart
+_STRICT_OPS = {"+": operator.add, "*": operator.mul, "<": operator.lt, "<=": operator.le,
+               ">": operator.gt, ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def compile(e: Expr) -> Compiled:
+    """The expression as a function of an environment, built once.
+
+    Each node becomes a closure over its children's closures, so a call
+    dispatches on nothing.  Calling it is evaluating e: and/or short-circuit,
+    a quantifier stops at its first witness or counterexample, and a name
+    the environment does not bind raises EvalError when it is read.
+    """
+    if isinstance(e, Num):
+        value = e.value
+        return lambda env: value
+    if isinstance(e, Var):
+        name = e.name
+
+        def var(env: Env) -> int:
+            v = env.get(name)
+            if not isinstance(v, int):
+                raise EvalError(f"unbound variable {name!r}")
+            return v
+        return var
+    if isinstance(e, Access):
+        name, arg = e.name, compile(e.arg)
+
+        def access(env: Env) -> int:
+            f = env.get(name)
+            if not callable(f):
+                raise EvalError(f"unbound sequence {name!r}")
+            return f(arg(env))
+        return access
+    if isinstance(e, Not):
+        body = compile(e.body)
+        return lambda env: not body(env)
+    if isinstance(e, Quant):
+        var, bound, body = e.var, compile(e.bound), compile(e.body)
+        if e.kind == "some":
+            def some(env: Env) -> bool:  # True at the first witness
+                n = bound(env)
+                scope = dict(env)
+                for k in range(n):
+                    scope[var] = k
+                    if body(scope):
+                        return True
+                return False
+            return some
+
+        def all_(env: Env) -> bool:  # False at the first counterexample
+            n = bound(env)
+            scope = dict(env)
+            for k in range(n):
+                scope[var] = k
+                if not body(scope):
+                    return False
+            return True
+        return all_
+    if isinstance(e, BinOp):
+        left, right = compile(e.left), compile(e.right)
+        if e.op == "and":
+            return lambda env: bool(left(env)) and bool(right(env))
+        if e.op == "or":
+            return lambda env: bool(left(env)) or bool(right(env))
+        fn = _STRICT_OPS.get(e.op)
+        if fn is not None:
+            return lambda env: fn(left(env), right(env))
+    raise EvalError(f"unknown node {e!r}")
 
 
 def evaluate(e: Expr, env: Env):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        v = env.get(e.name)
-        if not isinstance(v, int):
-            raise EvalError(f"unbound variable {e.name!r}")
-        return v
-    if isinstance(e, Access):
-        f = env.get(e.name)
-        if not callable(f):
-            raise EvalError(f"unbound sequence {e.name!r}")
-        return f(evaluate(e.arg, env))
-    if isinstance(e, Not):
-        return not evaluate(e.body, env)
-    if isinstance(e, Quant):
-        bound = evaluate(e.bound, env)
-        scope = dict(env)
-        for k in range(bound):
-            scope[e.var] = k
-            v = evaluate(e.body, scope)
-            if e.kind == "some" and v:
-                return True
-            if e.kind == "all" and not v:
-                return False
-        return e.kind == "all"
-    if isinstance(e, BinOp):
-        le, re_ = evaluate(e.left, env), None
-        if e.op == "and":
-            return bool(le) and bool(evaluate(e.right, env))
-        if e.op == "or":
-            return bool(le) or bool(evaluate(e.right, env))
-        re_ = evaluate(e.right, env)
-        if e.op == "+":
-            return le + re_
-        if e.op == "*":
-            return le * re_
-        if e.op == "<":
-            return le < re_
-        if e.op == "<=":
-            return le <= re_
-        if e.op == ">":
-            return le > re_
-        if e.op == ">=":
-            return le >= re_
-        if e.op == "==":
-            return le == re_
-        if e.op == "!=":
-            return le != re_
-    raise EvalError(f"unknown node {e!r}")
+    """The value of e in env: compile(e)(env).  Hot paths compile once and
+    keep the closure."""
+    return compile(e)(env)
 
 
 def parse(text: str) -> Expr:
@@ -351,7 +377,7 @@ def check_names(e: Expr, variables: frozenset[str], sequences: frozenset[str]) -
         if e.name not in names:
             raise ParseError(0, 0, f"unbound {kind} {e.name!r} (bound here: "
                                    f"{', '.join(sorted(names)) or 'none'})")
-    # fields(), not vars(): a node's __dict__, once made, slows every evaluate
+    # fields(), not vars(): a node's __dict__, once made, slows every later read of its fields
     for child in (getattr(e, f.name) for f in fields(e)):
         if not isinstance(child, (str, int)):  # names and numbers are leaves
             check_names(child, variables, sequences)

@@ -225,11 +225,11 @@ def build_tree(desc: dict[str, Any], label: str = "") -> PrunedTree:
 
 def dsl_tree(node_src: str, child_bound: int, label: str = "dsl") -> PrunedTree:
     """A tree whose node predicate is a parsed expression over (s, len)."""
-    expr = _expr("node", node_src, label)
+    node = dsl.compile(_expr("node", node_src, label))
 
     def admits(u: tuple[int, ...]) -> bool:
         env = {"s": (lambda i: u[i] if 0 <= i < len(u) else 0), "len": len(u)}
-        return bool(dsl.evaluate(expr, env))
+        return bool(node(env))
 
     return PrunedTree(admits, lambda u: child_bound, label=label)
 
@@ -270,8 +270,8 @@ def point_from_descriptor(desc: dict[str, Any]):
     if not isinstance(desc, dict):
         raise _err("a point descriptor must be a JSON object")
     if "rule" in desc:
-        expr = _expr("rule", desc["rule"], "point")
-        return BairePoint(lambda n: int(dsl.evaluate(expr, {"n": n})), label="dsl-point")
+        rule = dsl.compile(_expr("rule", desc["rule"], "point"))
+        return BairePoint(lambda n: int(rule({"n": n})), label="dsl-point")
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
           and all(map(_is_nat, pre + period)))
@@ -292,13 +292,13 @@ def point_descriptor(point) -> dict[str, Any]:
 def build_matrix(desc: dict[str, Any]) -> Pi02Matrix:
     if desc["rule"] == "catalog":
         return MATRIX_CATALOG[desc["name"]]()
-    r_expr, use_expr = (_expr(fld, desc[fld], "matrix") for fld in ("r", "use_bound"))
+    r_fn, use_fn = (dsl.compile(_expr(fld, desc[fld], "matrix")) for fld in ("r", "use_bound"))
 
     def r(a, n: int, m: int) -> bool:
-        return bool(dsl.evaluate(r_expr, {"a": a, "n": n, "m": m}))
+        return bool(r_fn({"a": a, "n": n, "m": m}))
 
     def use_bound(n: int, m: int) -> int:
-        return int(dsl.evaluate(use_expr, {"n": n, "m": m}))
+        return int(use_fn({"n": n, "m": m}))
 
     return Pi02Matrix(r=r, use_bound=use_bound, per_n_budget=desc["per_n_budget"],
                       label="dsl-matrix")

@@ -82,7 +82,9 @@ def check_distance_oracle(fam: DensePointFamily, code_bound: int, budget: int,
                           name: str = "") -> CheckResult:
     """The exact comparison relations agree with the budgeted scan oracle."""
     label = name or f"distance-oracle:{fam.tree.label}"
-    probes = ((0, 0), (1, 0), (1, 1), (1, 5), (2, 3), (3, 1))
+    # (m, k, m/(k+1)): the thresholds are built once, not per index pair
+    probes = [(m, k, Fraction(m, k + 1))
+              for m, k in ((0, 0), (1, 0), (1, 1), (1, 5), (2, 3), (3, 1))]
 
     def run():
         for s in range(code_bound):
@@ -95,9 +97,9 @@ def check_distance_oracle(fam: DensePointFamily, code_bound: int, budget: int,
                 elif isinstance(res, BelowThreshold):
                     if not d < res.threshold:
                         raise AssertionError(f"({s},{t}): exact {d} not below threshold")
-                for m, k in probes:
-                    want_lt = d < Fraction(m, k + 1)
-                    want_le = d <= Fraction(m, k + 1)
+                for m, k, threshold in probes:
+                    want_lt = d < threshold
+                    want_le = d <= threshold
                     if dense_distance_lt(fam, s, t, m, k) != want_lt:
                         raise AssertionError(f"lt({s},{t},{m},{k}) != {want_lt}")
                     if dense_distance_le(fam, s, t, m, k) != want_le:

@@ -89,6 +89,73 @@ def test_first_disagreement_bounds():
     assert calls == [0, 1, 2, 3, 4]
 
 
+def _stored_point(stem, tail=0):
+    """A point with stem stored; past it, the rule gives tail and records
+    each position it computes."""
+    computed = []
+
+    def step(prefix):
+        computed.append(len(prefix))
+        return tail
+
+    return branch(step, stem=stem), computed
+
+
+def test_first_disagreement_compares_stored_values_without_rule_calls():
+    a, a_calls = _stored_point((0, 1, 2, 3, 4, 5))
+    # a disagreement inside both stored parts
+    c, c_calls = _stored_point((0, 1, 9, 3))
+    assert first_disagreement(a, c, 10) == Fraction(1, 3)
+    # a bound shorter than both stored parts hides a disagreement at k >= bound
+    d, d_calls = _stored_point((0, 1, 2, 7, 4))
+    assert first_disagreement(a, d, 3) == 0
+    assert first_disagreement(a, d, 4) == Fraction(1, 4)
+    assert first_disagreement(a, a, 6) == 0
+    assert a_calls == c_calls == d_calls == []
+
+
+def test_first_disagreement_scans_past_the_shorter_stored_part():
+    a, a_calls = _stored_point((0, 1, 2, 3, 4, 5))
+    b, b_calls = _stored_point((0, 1))
+    # b agrees with a on its stored part, then its tail 0 meets a(2) = 2
+    assert first_disagreement(a, b, 10) == Fraction(1, 3)
+    assert first_disagreement(b, a, 10) == Fraction(1, 3)
+    assert a_calls == [] and b_calls == [2]
+    # equal stems: the disagreement lies beyond both stored parts
+    x, x_calls = _stored_point((0, 0), tail=0)
+    y, y_calls = _stored_point((0, 0), tail=1)
+    assert first_disagreement(x, y, 10) == Fraction(1, 3)
+    assert x_calls == y_calls == [2]
+
+
+def test_first_disagreement_at_bound_minus_one_and_nowhere():
+    x, x_calls = _stored_point((0, 0, 0), tail=0)
+    y, y_calls = _stored_point((0, 0, 0), tail=1)
+    assert first_disagreement(x, y, 3) == 0
+    assert x_calls == y_calls == []
+    assert first_disagreement(x, y, 4) == Fraction(1, 4)
+    assert x_calls == y_calls == [3]
+    z, z_calls = _stored_point((0,), tail=0)
+    assert first_disagreement(x, z, 6) == 0
+    assert x_calls == [3, 4, 5] and z_calls == [1, 2, 3, 4, 5]
+
+
+def test_first_disagreement_never_calls_a_rule_past_the_disagreement():
+    def rule(n):  # like an image embedding past its depth
+        if n > 4:
+            raise IndexError(n)
+        return 0
+
+    other = eventually_periodic((0, 0, 1), (0,))
+    assert first_disagreement(BairePoint(rule), other, 100) == Fraction(1, 3)
+    assert first_disagreement(other, BairePoint(rule), 100) == Fraction(1, 3)
+    stored = BairePoint(rule)
+    assert stored.prefix(4) == (0, 0, 0, 0)
+    assert first_disagreement(stored, other, 100) == Fraction(1, 3)
+    with pytest.raises(IndexError):
+        first_disagreement(BairePoint(rule), constant(0), 100)
+
+
 def test_distance_requires_budget():
     with pytest.raises(ValueError):
         distance(constant(0), constant(0), 0)

@@ -1,7 +1,7 @@
 import pytest
 
-from clopen.dsl import (EvalError, ParseError, check_names, evaluate, parse, parse_arith,
-                        parse_predicate, render, sort_of)
+from clopen.dsl import (EvalError, ParseError, check_names, compile, evaluate, parse,
+                        parse_arith, parse_predicate, render, sort_of)
 
 
 def seq(*values):
@@ -103,6 +103,60 @@ def test_unbound_names_fail_at_evaluation():
         evaluate(parse("x + 1"), {})
     with pytest.raises(EvalError):
         evaluate(parse("f(1)"), {})
+
+
+def _short_seq(values, reads):
+    """A sequence that records each read and raises when read past index 2."""
+    def f(i):
+        reads.append(i)
+        if i > 2:
+            raise IndexError(i)
+        return values[i]
+    return f
+
+
+def test_connectives_short_circuit():
+    reads = []
+    env = {"f": _short_seq((0, 1, 0), reads), "len": 1}
+    assert evaluate(parse("len < 2 or f(9) == 0"), env) is True
+    assert evaluate(parse("1 == 2 and f(9) == 0"), env) is False
+    assert evaluate(parse("not (1 == 1 and (len == 2 and f(9) == 0))"), env) is True
+    assert reads == []
+
+
+def test_quantifiers_stop_at_the_first_hit_or_miss():
+    reads = []
+    env = {"f": _short_seq((0, 1, 0), reads)}
+    assert evaluate(parse("some i < 9 : f(i) == 1"), env) is True
+    assert reads == [0, 1]
+    reads.clear()
+    assert evaluate(parse("all i < 9 : f(i) == 0"), env) is False
+    assert reads == [0, 1]
+    reads.clear()
+    assert evaluate(parse("all i < 3 : some j < 9 : f(i) + j == 1"), env) is True
+    assert max(reads) == 2
+
+
+def test_unbound_names_fail_when_read_not_when_compiled():
+    unbound = compile(parse("len < 2 or x == 1"))
+    assert unbound({"len": 1}) is True
+    with pytest.raises(EvalError, match="'x'"):
+        unbound({"len": 2})
+    with pytest.raises(EvalError, match="'t'"):
+        compile(parse("t(0) == 0"))({"t": 3})
+
+
+def test_compiled_expression_is_reused_and_keeps_result_types():
+    e = parse("all k < len : s(k) <= 1")
+    admits = compile(e)
+    for values in ((), (0, 1), (1, 2), (2,)):
+        env = {"s": seq(*values), "len": len(values)}
+        assert admits(env) is evaluate(e, env) is all(v <= 1 for v in values)
+    assert compile(parse("2 + n * 3"))({"n": 4}) == 14
+    assert type(compile(parse("2 + n * 3"))({"n": 4})) is int
+    for text in ("1 < 2", "not 1 < 2", "1 < 2 and 2 < 3", "1 < 2 or 2 < 3",
+                 "some i < 2 : i == 1", "all i < 0 : i == 1"):
+        assert type(compile(parse(text))({})) is bool
 
 
 def test_render_round_trip():

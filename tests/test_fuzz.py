@@ -242,6 +242,11 @@ FIXED_CASES = [
     (["witness", "--point", '{"rule": "m + 1"}'], None, 2),
     (["witness", "--point", "notjson"], None, 2),
     (["witness", "--point", "[1,2]"], None, 2),
+    (["verify", "--instance", "cantor-split-0", "--axiom-count", "0"], None, 2),
+    (["embed", "--space", "cantor", "--count", "-1"], None, 2),
+    (["remetrize", "--instance", "cantor-split-0", "--epsilon-prefix", "-1"], None, 2),
+    (["witness", "--matrix", "zero-tail", "--period", "-1"], None, 2),
+    (["witness", "--matrix", "zero-tail", "--preperiod", "0", "-2"], None, 2),
 ]
 
 
