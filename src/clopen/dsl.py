@@ -17,7 +17,7 @@ Unbounded quantification is not expressible: the grammar requires the
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 KEYWORDS = {"all", "some", "and", "or", "not"}
@@ -74,7 +74,6 @@ Expr = Union[Num, Var, Access, BinOp, Not, Quant]
 
 _ARITH_OPS = {"+", "*"}
 _CMP_OPS = {"<", "<=", ">", ">=", "==", "!="}
-_BOOL_OPS = {"and", "or"}
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,6 @@ class _Parser:
         if t.text != text:
             raise ParseError(t.line, t.col, f"expected {text!r}, found {t.text!r}")
         return t
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(t.line, t.col, msg)
 
     def parse_expr(self) -> Expr:
         left = self.parse_and()
@@ -225,36 +220,39 @@ class _Parser:
         raise ParseError(t.line, t.col, f"unexpected token {t.text!r}")
 
 
-def sort_of(e: Expr) -> str:
-    """Static sort of an expression: 'nat' or 'bool'.  Raises on mixes."""
-    if isinstance(e, (Num, Var, Access)):
+def sort_of(e: Expr, variables: frozenset[str], sequences: frozenset[str]) -> str:
+    """The static sort of e, 'nat' or 'bool', in one walk that also checks its
+    names: every variable it reads must be among the variables and every
+    sequence it accesses among the sequences.  A quantifier binds its variable
+    in its body, where the name stops naming a sequence.  Raises ParseError on
+    a sort mix or an unbound name."""
+    if isinstance(e, Num):
+        return "nat"
+    if isinstance(e, (Var, Access)):
+        kind, names = ("variable", variables) if isinstance(e, Var) else ("sequence", sequences)
+        if e.name not in names:
+            raise ParseError(0, 0, f"unbound {kind} {e.name!r} (bound here: "
+                                   f"{', '.join(sorted(names)) or 'none'})")
         if isinstance(e, Access):
-            _need(e.arg, "nat")
+            _need(e.arg, "nat", variables, sequences)
         return "nat"
     if isinstance(e, Not):
-        _need(e.body, "bool")
+        _need(e.body, "bool", variables, sequences)
         return "bool"
     if isinstance(e, Quant):
-        _need(e.bound, "nat")
-        _need(e.body, "bool")
+        _need(e.bound, "nat", variables, sequences)
+        _need(e.body, "bool", variables | {e.var}, sequences - {e.var})
         return "bool"
     if isinstance(e, BinOp):
-        if e.op in _ARITH_OPS:
-            _need(e.left, "nat")
-            _need(e.right, "nat")
-            return "nat"
-        if e.op in _CMP_OPS:
-            _need(e.left, "nat")
-            _need(e.right, "nat")
-            return "bool"
-        _need(e.left, "bool")
-        _need(e.right, "bool")
-        return "bool"
+        operands = "bool" if e.op in ("and", "or") else "nat"
+        _need(e.left, operands, variables, sequences)
+        _need(e.right, operands, variables, sequences)
+        return "nat" if e.op in _ARITH_OPS else "bool"
     raise EvalError(f"unknown node {e!r}")
 
 
-def _need(e: Expr, want: str):
-    got = sort_of(e)
+def _need(e: Expr, want: str, variables: frozenset[str], sequences: frozenset[str]):
+    got = sort_of(e, variables, sequences)
     if got != want:
         raise ParseError(0, 0, f"expected a {want} expression, found a {got} one")
 
@@ -348,54 +346,12 @@ def parse(text: str) -> Expr:
     return e
 
 
-def parse_predicate(text: str) -> Expr:
-    """Parse an expression that must be boolean-sorted."""
+def parse_field(text: str, sort: str, variables: frozenset[str],
+                sequences: frozenset[str]) -> Expr:
+    """Parse an expression of the given sort ('bool' or 'nat') that reads only
+    the given variables and sequences."""
     e = parse(text)
-    if sort_of(e) != "bool":
-        raise ParseError(1, 1, "expected a boolean expression")
+    if sort_of(e, variables, sequences) != sort:
+        raise ParseError(1, 1, "expected a boolean expression" if sort == "bool"
+                         else "expected a natural-number expression")
     return e
-
-
-def parse_arith(text: str) -> Expr:
-    """Parse an expression that must be natural-sorted."""
-    e = parse(text)
-    if sort_of(e) != "nat":
-        raise ParseError(1, 1, "expected a natural-number expression")
-    return e
-
-
-def check_names(e: Expr, variables: frozenset[str], sequences: frozenset[str]) -> Expr:
-    """e itself, once every variable it reads is among the variables and every
-    sequence it accesses among the sequences.  A quantifier binds its variable
-    in its body, where the name stops naming a sequence."""
-    if isinstance(e, Quant):
-        check_names(e.bound, variables, sequences)
-        check_names(e.body, variables | {e.var}, sequences - {e.var})
-        return e
-    if isinstance(e, (Var, Access)):
-        kind, names = ("variable", variables) if isinstance(e, Var) else ("sequence", sequences)
-        if e.name not in names:
-            raise ParseError(0, 0, f"unbound {kind} {e.name!r} (bound here: "
-                                   f"{', '.join(sorted(names)) or 'none'})")
-    # fields(), not vars(): a node's __dict__, once made, slows every later read of its fields
-    for child in (getattr(e, f.name) for f in fields(e)):
-        if not isinstance(child, (str, int)):  # names and numbers are leaves
-            check_names(child, variables, sequences)
-    return e
-
-
-def render(e: Expr) -> str:
-    """Canonical text of an expression (parses back to an equal tree)."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Access):
-        return f"{e.name}({render(e.arg)})"
-    if isinstance(e, Not):
-        return f"not ({render(e.body)})"
-    if isinstance(e, Quant):
-        return f"{e.kind} {e.var} < {render(e.bound)} : ({render(e.body)})"
-    if isinstance(e, BinOp):
-        return f"({render(e.left)} {e.op} {render(e.right)})"
-    raise EvalError(f"unknown node {e!r}")

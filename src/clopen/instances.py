@@ -16,7 +16,7 @@ from typing import Any, Container, Optional
 
 from . import dsl
 from .baire import BairePoint, eventually_periodic
-from .coding import decode
+from .coding import decode, lh
 from .dsl import ParseError
 from .luzin import ZeroDimPresentation, ambient_presentation
 from .remetrize import (SumSpace, identity_representation, new_presentation,
@@ -63,9 +63,7 @@ class InstanceFile:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_TREE_RULES = {"full", "cantor", "constant", "cylinders", "dsl", "explicit", "empty"}
 _SET_KINDS = {"tree-pair", "pi02-pair", "catalog"}
-_AMBIENT_KINDS = {"cantor", "baire", "tree"}
 
 
 def _err(msg: str) -> ParseError:
@@ -81,65 +79,30 @@ def _is_name(x: Any, names: Container[str]) -> bool:
     return isinstance(x, str) and x in names
 
 
+def _nat(desc: dict[str, Any], fld: str, path: str, need: str, default: Any = None) -> int:
+    """The field, a natural number (the default when it is absent); else a
+    ParseError at the path saying what the descriptor needs."""
+    value = desc.get(fld, default)
+    if not _is_nat(value):
+        raise _err(f"{path}: {need}")
+    return value
+
+
 # what each expression field may read: its sort, its variables, its sequences
 _EXPR_FIELDS = {
-    "node": (dsl.parse_predicate, frozenset({"len"}), frozenset({"s"})),   # tree node
-    "r": (dsl.parse_predicate, frozenset({"n", "m"}), frozenset({"a"})),   # matrix
-    "use_bound": (dsl.parse_arith, frozenset({"n", "m"}), frozenset()),    # matrix
-    "rule": (dsl.parse_arith, frozenset({"n"}), frozenset()),              # point
+    "node": ("bool", frozenset({"len"}), frozenset({"s"})),   # tree node
+    "r": ("bool", frozenset({"n", "m"}), frozenset({"a"})),   # matrix
+    "use_bound": ("nat", frozenset({"n", "m"}), frozenset()),  # matrix
+    "rule": ("nat", frozenset({"n"}), frozenset()),            # point
 }
 
 
-def _expr(fld: str, text: Any, path: str) -> dsl.Expr:
-    """The parsed expression of a field, checked to read only the names it binds."""
+def _expr(fld: str, text: Any, path: str) -> dsl.Compiled:
+    """The compiled expression of a field, of the field's sort and reading only
+    the names the field binds."""
     if not isinstance(text, str):
         raise _err(f"{path}: {fld!r} must be an expression string")
-    parse, variables, sequences = _EXPR_FIELDS[fld]
-    return dsl.check_names(parse(text), variables, sequences)
-
-
-def _check_tree_desc(desc: Any, path: str) -> None:
-    if not isinstance(desc, dict) or "rule" not in desc:
-        raise _err(f"{path}: a tree descriptor needs a 'rule' field")
-    rule = desc["rule"]
-    if not _is_name(rule, _TREE_RULES):
-        raise UnknownCatalogName(str(rule), kind="tree rule")
-    if rule == "constant" and not _is_nat(desc.get("value")):
-        raise _err(f"{path}: constant trees need a natural 'value'")
-    if rule == "cylinders":
-        prefixes = desc.get("prefixes")
-        ok = (isinstance(prefixes, list) and prefixes
-              and all(isinstance(p, list) and all(map(_is_nat, p)) for p in prefixes))
-        if not ok:
-            raise _err(f"{path}: cylinder trees need a nonempty list of natural prefixes")
-        if not _is_nat(desc.get("child_bound", 0)):
-            raise _err(f"{path}: 'child_bound' must be a natural number")
-    if rule == "dsl":
-        _expr("node", desc.get("node"), path)
-        if not _is_nat(desc.get("child_bound")):
-            raise _err(f"{path}: dsl trees need a natural 'child_bound'")
-    if rule == "explicit":
-        nodes = desc.get("nodes")
-        if not (isinstance(nodes, list) and all(map(_is_nat, nodes))
-                and _is_nat(desc.get("depth"))):
-            raise _err(f"{path}: explicit trees need natural 'nodes' codes and 'depth'")
-        _check_tree_desc(desc.get("continuation"), f"{path}.continuation")
-
-
-def _check_matrix_desc(desc: Any, path: str) -> None:
-    if not isinstance(desc, dict) or "rule" not in desc:
-        raise _err(f"{path}: a matrix descriptor needs a 'rule' field")
-    rule = desc["rule"]
-    if rule == "catalog":
-        if not _is_name(desc.get("name"), MATRIX_CATALOG):
-            raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
-        return
-    if rule != "dsl":
-        raise UnknownCatalogName(str(rule), kind="matrix rule")
-    for fld in ("r", "use_bound"):
-        _expr(fld, desc.get(fld), path)
-    if not _is_nat(desc.get("per_n_budget")):
-        raise _err(f"{path}: dsl matrices need a natural 'per_n_budget'")
+    return dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
 
 
 def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str, int]:
@@ -157,7 +120,8 @@ def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str,
 
 
 def parse_instance(text: str) -> InstanceFile:
-    """Parse and validate an instance document."""
+    """Parse and validate an instance document; its descriptors are checked
+    by building them."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,22 +135,18 @@ def parse_instance(text: str) -> InstanceFile:
         raise _err("instance needs a nonempty string 'id'")
 
     ambient = doc.get("ambient")
-    if not isinstance(ambient, dict) or not _is_name(ambient.get("kind"), _AMBIENT_KINDS):
-        kind = ambient.get("kind") if isinstance(ambient, dict) else ambient
-        raise UnknownCatalogName(str(kind), kind="ambient space")
-    if ambient["kind"] == "tree":
-        _check_tree_desc(ambient.get("tree"), "ambient.tree")
+    _ambient_tree(ambient)
 
     set_desc = doc.get("set")
     if not isinstance(set_desc, dict) or not _is_name(set_desc.get("kind"), _SET_KINDS):
         raise _err("set descriptor must have kind tree-pair, pi02-pair or catalog")
     base = DEFAULT_BOUNDS
     if set_desc["kind"] == "tree-pair":
-        _check_tree_desc(set_desc.get("a"), "set.a")
-        _check_tree_desc(set_desc.get("complement"), "set.complement")
+        build_tree(set_desc.get("a"), "set.a")
+        build_tree(set_desc.get("complement"), "set.complement")
     elif set_desc["kind"] == "pi02-pair":
-        _check_matrix_desc(set_desc.get("a"), "set.a")
-        _check_matrix_desc(set_desc.get("complement"), "set.complement")
+        build_matrix(set_desc.get("a"), "set.a")
+        build_matrix(set_desc.get("complement"), "set.complement")
         if not _is_nat(set_desc.get("alphabet_bound", 1)):
             raise _err("set.alphabet_bound must be a natural number")
     else:
@@ -202,30 +162,52 @@ def parse_instance(text: str) -> InstanceFile:
                         bounds=bounds, expected=expected)
 
 
-def build_tree(desc: dict[str, Any], label: str = "") -> PrunedTree:
+def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:
+    """The tree a descriptor names, each field checked where it is read.
+
+    A malformed field is a ParseError naming path, the descriptor's place in
+    the instance document; an unknown rule is an UnknownCatalogName.
+    """
+    if not isinstance(desc, dict) or "rule" not in desc:
+        raise _err(f"{path}: a tree descriptor needs a 'rule' field")
     rule = desc["rule"]
     if rule == "full":
         return full_baire_tree()
     if rule == "cantor":
         return full_cantor_tree()
-    if rule == "constant":
-        return constant_tree(desc["value"])
-    if rule == "cylinders":
-        return cylinder_union_tree(desc["prefixes"], label=label or "cylinders",
-                                   child_floor=desc.get("child_bound", 0))
     if rule == "empty":
         return PrunedTree(lambda u: False, lambda u: 0, label=label or "empty")
+    if rule == "constant":
+        return constant_tree(_nat(desc, "value", path, "constant trees need a natural 'value'"))
+    if rule == "cylinders":
+        prefixes = desc.get("prefixes")
+        if not (isinstance(prefixes, list) and prefixes
+                and all(isinstance(p, list) and all(map(_is_nat, p)) for p in prefixes)):
+            raise _err(f"{path}: cylinder trees need a nonempty list of natural prefixes")
+        floor = _nat(desc, "child_bound", path, "'child_bound' must be a natural number", 0)
+        return cylinder_union_tree(prefixes, label=label or "cylinders", child_floor=floor)
     if rule == "dsl":
-        return dsl_tree(desc["node"], desc["child_bound"], label=label or "dsl")
+        node = _expr("node", desc.get("node"), path)
+        bound = _nat(desc, "child_bound", path, "dsl trees need a natural 'child_bound'")
+        return dsl_tree(node, bound, label=label or "dsl")
     if rule == "explicit":
-        return explicit_tree(desc["nodes"], desc["depth"],
-                             build_tree(desc["continuation"]), label=label or "explicit")
+        nodes, depth = desc.get("nodes"), desc.get("depth")
+        if not (isinstance(nodes, list) and all(map(_is_nat, nodes)) and _is_nat(depth)):
+            raise _err(f"{path}: explicit trees need natural 'nodes' codes and 'depth'")
+        # decoding loops once per entry, so lengths are read (one unpair) first: a
+        # node longer than depth is never read, and a downward-closed list holds a
+        # node of length L together with its L proper prefixes
+        for c in nodes:
+            if lh(c) > min(depth, len(nodes) - 1):
+                raise _err(f"{path}: node code {c} has length {lh(c)}, more than 'depth' "
+                           f"or than {len(nodes)} listed codes can close downward")
+        continuation = build_tree(desc.get("continuation"), f"{path}.continuation")
+        return explicit_tree(nodes, depth, continuation, label=label or "explicit")
     raise UnknownCatalogName(str(rule), kind="tree rule")
 
 
-def dsl_tree(node_src: str, child_bound: int, label: str = "dsl") -> PrunedTree:
-    """A tree whose node predicate is a parsed expression over (s, len)."""
-    node = dsl.compile(_expr("node", node_src, label))
+def dsl_tree(node: dsl.Compiled, child_bound: int, label: str = "dsl") -> PrunedTree:
+    """A tree whose node predicate is a compiled expression over (s, len)."""
 
     def admits(u: tuple[int, ...]) -> bool:
         env = {"s": (lambda i: u[i] if 0 <= i < len(u) else 0), "len": len(u)}
@@ -270,7 +252,7 @@ def point_from_descriptor(desc: dict[str, Any]):
     if not isinstance(desc, dict):
         raise _err("a point descriptor must be a JSON object")
     if "rule" in desc:
-        rule = dsl.compile(_expr("rule", desc["rule"], "point"))
+        rule = _expr("rule", desc["rule"], "point")
         return BairePoint(lambda n: int(rule({"n": n})), label="dsl-point")
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
@@ -280,19 +262,20 @@ def point_from_descriptor(desc: dict[str, Any]):
     return eventually_periodic(pre, period)
 
 
-def point_descriptor(point) -> dict[str, Any]:
-    """The wire form of an eventually periodic point."""
-    if point.tail_hint is None:
-        raise ValueError("only points with a periodicity promise serialize")
-    pre_len, per_len = point.tail_hint
-    return {"pre": list(point.prefix(pre_len)),
-            "period": [point(pre_len + i) for i in range(per_len)]}
-
-
-def build_matrix(desc: dict[str, Any]) -> Pi02Matrix:
-    if desc["rule"] == "catalog":
+def build_matrix(desc: Any, path: str) -> Pi02Matrix:
+    """The matrix a descriptor names, each field checked where it is read
+    (errors as in build_tree)."""
+    if not isinstance(desc, dict) or "rule" not in desc:
+        raise _err(f"{path}: a matrix descriptor needs a 'rule' field")
+    rule = desc["rule"]
+    if rule == "catalog":
+        if not _is_name(desc.get("name"), MATRIX_CATALOG):
+            raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return MATRIX_CATALOG[desc["name"]]()
-    r_fn, use_fn = (dsl.compile(_expr(fld, desc[fld], "matrix")) for fld in ("r", "use_bound"))
+    if rule != "dsl":
+        raise UnknownCatalogName(str(rule), kind="matrix rule")
+    r_fn, use_fn = (_expr(fld, desc.get(fld), path) for fld in ("r", "use_bound"))
+    budget = _nat(desc, "per_n_budget", path, "dsl matrices need a natural 'per_n_budget'")
 
     def r(a, n: int, m: int) -> bool:
         return bool(r_fn({"a": a, "n": n, "m": m}))
@@ -300,8 +283,7 @@ def build_matrix(desc: dict[str, Any]) -> Pi02Matrix:
     def use_bound(n: int, m: int) -> int:
         return int(use_fn({"n": n, "m": m}))
 
-    return Pi02Matrix(r=r, use_bound=use_bound, per_n_budget=desc["per_n_budget"],
-                      label="dsl-matrix")
+    return Pi02Matrix(r=r, use_bound=use_bound, per_n_budget=budget, label="dsl-matrix")
 
 
 @dataclass
@@ -326,12 +308,18 @@ class BuiltInstance:
         return self.sum_space.part_a.fam, self.sum_space.part_c.fam
 
 
-def _ambient_tree(desc: dict[str, Any]) -> PrunedTree:
-    if desc["kind"] == "cantor":
+def _ambient_tree(desc: Any) -> PrunedTree:
+    """The tree of the ambient space; an unknown kind is an UnknownCatalogName."""
+    if not isinstance(desc, dict):
+        raise UnknownCatalogName(str(desc), kind="ambient space")
+    kind = desc.get("kind")
+    if kind == "cantor":
         return full_cantor_tree()
-    if desc["kind"] == "baire":
+    if kind == "baire":
         return full_baire_tree()
-    return build_tree(desc["tree"], label="ambient")
+    if kind == "tree":
+        return build_tree(desc.get("tree"), "ambient.tree", label="ambient")
+    raise UnknownCatalogName(str(kind), kind="ambient space")
 
 
 def build_instance(inst: InstanceFile) -> BuiltInstance:
@@ -347,8 +335,8 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
                                    witness_bound=inst.bounds["witness_bound"])
 
     if inst.set_desc["kind"] == "tree-pair":
-        tree_a = build_tree(inst.set_desc["a"], label=f"{inst.id}:a")
-        tree_c = build_tree(inst.set_desc["complement"], label=f"{inst.id}:c")
+        tree_a = build_tree(inst.set_desc["a"], "set.a", label=f"{inst.id}:a")
+        tree_c = build_tree(inst.set_desc["complement"], "set.complement", label=f"{inst.id}:c")
         empty = []
         for side, tree in (("empty-set", tree_a), ("empty-complement", tree_c)):
             try:
@@ -361,8 +349,9 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
         part_c = identity_representation(tree_c)
     else:
         bound = inst.set_desc.get("alphabet_bound", 1)
-        part_a = witness_representation(build_matrix(inst.set_desc["a"]), bound)
-        part_c = witness_representation(build_matrix(inst.set_desc["complement"]), bound)
+        part_a = witness_representation(build_matrix(inst.set_desc["a"], "set.a"), bound)
+        part_c = witness_representation(build_matrix(inst.set_desc["complement"],
+                                                     "set.complement"), bound)
     sum_space = SumSpace(part_a=part_a, part_c=part_c, ambient=ambient, label=inst.id)
     return BuiltInstance(inst, ambient_fam, ambient, sum_space)
 

@@ -61,8 +61,7 @@ class ClosedRepresentation:
     map_point: Callable[[BairePoint], Any]
     map_modulus: Callable[[int], int]
     inverse_modulus: Callable[[BairePoint, int], int]
-    kind: str = "identity"
-    closure: Any = None  # the WitnessClosure behind a witness-kind side
+    closure: Any = None  # the WitnessClosure behind a witness side; None on an identity side
 
     def dense_image(self, s: int) -> Any:
         return self.map_point(self.fam.leftmost(s))
@@ -81,7 +80,6 @@ def identity_representation(tree: PrunedTree) -> ClosedRepresentation:
         map_point=lambda branch: branch,
         map_modulus=lambda k: k + 1,
         inverse_modulus=lambda branch, k: k + 1,
-        kind="identity",
     )
 
 
@@ -103,7 +101,7 @@ class SumSpace:
         distances of branch points, i.e. identity sides with tail hints and an
         ambient presentation with a point-to-dense distance."""
         return self.ambient.dist_to_dense is not None and all(
-            rep.kind == "identity" and rep.tree.hint is not None
+            rep.closure is None and rep.tree.hint is not None
             for rep in (self.part_a, self.part_c))
 
 
@@ -159,19 +157,6 @@ def membership_in_a(sp: SumSpace, p: tuple[Side, int],
     return sum_distance(sp, base, p) < radius
 
 
-def side_of_branch(sp: SumSpace, branch: BairePoint, depth: int) -> Side:
-    """Recover the side tag of a branch by growing prefixes until the trees split."""
-    for n in range(depth + 1):
-        u = branch.prefix(n)
-        in_a = sp.part_a.tree.admits(u)
-        in_c = sp.part_c.tree.admits(u)
-        if in_a != in_c:
-            return 0 if in_a else 1
-        if not in_a and not in_c:
-            raise ValueError("branch leaves both trees")
-    raise ValueError(f"trees do not separate the branch within depth {depth}")
-
-
 def extension_certificate(sp: SumSpace, side: Side, s: int,
                           center: int, radius: Fraction,
                           sample_cap: int = 150) -> int:
@@ -211,8 +196,7 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     return k_cert
 
 
-def witness_representation(matrix, alphabet_bound: int,
-                           validate_depth: int = 10) -> ClosedRepresentation:
+def witness_representation(matrix, alphabet_bound: int) -> ClosedRepresentation:
     """A side carried by the paired (point, least-witness) branches of a matrix.
 
     The map projects a pair branch to its point component; its modulus comes
@@ -221,7 +205,7 @@ def witness_representation(matrix, alphabet_bound: int,
     continuity modulus at the branch.
     """
     tree = pair_tree(matrix, alphabet_bound)
-    validate_pruned(tree, validate_depth)
+    validate_pruned(tree, 10)
     fam = DensePointFamily(tree)
     closure = WitnessClosure(matrix)
 
@@ -252,7 +236,6 @@ def witness_representation(matrix, alphabet_bound: int,
         map_point=map_point,
         map_modulus=map_modulus,
         inverse_modulus=inverse_modulus,
-        kind="witness",
         closure=closure,
     )
 
@@ -277,9 +260,3 @@ def open_ball_distance(x: Fraction, y: Fraction) -> Fraction:
     return abs(x - y) + abs(Fraction(1, distance_to_sphere(x))
                             - Fraction(1, distance_to_sphere(y)))
 
-
-def complement_restriction_distance(x: Fraction, y: Fraction) -> Fraction:
-    """The ambient metric restricted to the closed complement of the ball."""
-    if abs(x) < 1 or abs(y) < 1:
-        raise ValueError("both points must lie outside the open unit ball")
-    return abs(x - y)

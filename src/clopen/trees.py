@@ -152,16 +152,16 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
 class DensePointFamily:
     """The family of leftmost branches indexed by sequence codes."""
 
-    def __init__(self, tree: PrunedTree, scan_cap: int = 4096):
+    def __init__(self, tree: PrunedTree):
         if tree.depth_validated < 1:
             raise ValueError("validate the tree before building a dense family")
         self.tree = tree
-        self.base_index = self._least_admissible(scan_cap)
+        self.base_index = self._least_admissible()
         self._points: dict[int, BairePoint] = {}
         self._pn_cache: dict[tuple[int, int], Fraction] = {}
 
-    def _least_admissible(self, cap: int) -> int:
-        for s in range(cap):
+    def _least_admissible(self) -> int:
+        for s in range(4096):  # the dense scan cap
             if self.tree.admits(decode(s)):
                 return s
         raise EmptyTreeViolation(())

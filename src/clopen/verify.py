@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
 from .codes import (check_metric_axioms, decode_metric, encode_metric, interleave,
@@ -172,9 +172,7 @@ def check_epsilon_code(sp: SumSpace, code_bound: int, name: str = "") -> CheckRe
     return _result(name or f"epsilon:{sp.label}", run)
 
 
-def certified_ball_list(sp: SumSpace, per_side: int = 6,
-                        radii: Iterable[Fraction] = (Fraction(1, 2), Fraction(1, 4)),
-                        cap: int = 20_000) -> list[tuple[int, int, int, Fraction]]:
+def certified_ball_list(sp: SumSpace, per_side: int = 6) -> list[tuple[int, int, int, Fraction]]:
     """(side, dense code, ambient center, radius) pairs with strict interiors.
 
     The list is the instance's certified extension catalog: for each listed
@@ -185,12 +183,12 @@ def certified_ball_list(sp: SumSpace, per_side: int = 6,
     out = []
     for side in (0, 1):
         rep = sp.side(side)
-        codes = enumerate_distinct(rep.fam, per_side, cap=cap)
+        codes = enumerate_distinct(rep.fam, per_side, cap=20_000)
         for s in codes:
             x = rep.dense_image(s)
             for center in range(4):
                 d0 = sp.ambient.dist_to_dense(x, center)
-                for radius in radii:
+                for radius in (Fraction(1, 2), Fraction(1, 4)):
                     if d0 < radius:
                         out.append((side, s, center, radius))
     return out
@@ -206,8 +204,10 @@ def check_extension_certificates(sp: SumSpace, certified: list, sample_cap: int 
     return _result(name or f"extension:{sp.label}", run)
 
 
-def check_degenerate(built: BuiltInstance, sample: int = 40, name: str = "") -> CheckResult:
-    """Degenerate instances re-present the ambient space unchanged."""
+def check_degenerate(built: BuiltInstance, name: str = "") -> CheckResult:
+    """Degenerate instances re-present the ambient space unchanged, on the
+    first 40 dense indices."""
+    sample = 40
 
     def run():
         if built.sum_space is not None:
@@ -225,15 +225,15 @@ def check_degenerate(built: BuiltInstance, sample: int = 40, name: str = "") -> 
 
 # --- continuity moduli -----------------------------------------------------------
 
-def side_sample_branches(rep, count: int, walk_depth: int = 14) -> list[BairePoint]:
-    """Distinct branch points of a side, collected by walking the tree.
+def side_sample_branches(rep, count: int) -> list[BairePoint]:
+    """Distinct branch points of a side, collected by walking the tree to depth 14.
 
     Tree walking reaches variation that a numeric code scan cannot afford:
     stems whose nonzero entries sit late have astronomically large codes
     under the canonical coding, but as stems they are a few steps away.
     """
     samples: list[tuple[int, BairePoint]] = []
-    for u in iter_admissible(rep.tree, walk_depth):
+    for u in iter_admissible(rep.tree, 14):
         s = encode(u)
         if any(dense_equal(rep.fam, s, t) for t, _ in samples):
             continue
@@ -248,7 +248,6 @@ def _agree(p: BairePoint, q: BairePoint, length: int) -> bool:
 
 
 def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
-                               precisions: Iterable[int] = (0, 1, 2, 3),
                                name: str = "") -> CheckResult:
     """Sampled soundness of both declared moduli on every side.
 
@@ -268,7 +267,7 @@ def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
             rep = sp.side(side)
             branches = side_sample_branches(rep, per_side)
             images = [rep.map_point(b) for b in branches]
-            for k in precisions:
+            for k in range(4):  # the precisions 1/(k+1) down to 1/4
                 fwd = rep.map_modulus(k)
                 for x_br, x_im in zip(branches, images):
                     inv = rep.inverse_modulus(x_br, k)

@@ -17,7 +17,7 @@ from clopen.codes import (catalog_table, decode_metric, encode_metric, pipeline,
                           render_code_file, validate_metric_table)
 from clopen.coding import decode, encode
 from clopen.instances import (INTERLEAVE_CATALOG, CATALOG, build_instance,
-                              builtin_instance, dsl_tree)
+                              build_tree, builtin_instance)
 from clopen.luzin import LuzinScheme, cantor_presentation
 from clopen.remetrize import OnBoundary, open_ball_distance
 from clopen.trees import (DensePointFamily, constant_tree, cylinder_union_tree,
@@ -65,8 +65,9 @@ def tree_catalog():
         full_cantor_tree(),
         cylinder_union_tree([[0, 0], [1]], child_floor=1, label="cylinders"),
         constant_tree(3),
-        dsl_tree("(all i < len : s(i) <= 1) and (len < 2 or s(0) == s(1))",
-                 child_bound=1, label="dsl"),
+        build_tree({"rule": "dsl", "child_bound": 1,
+                    "node": "(all i < len : s(i) <= 1) and (len < 2 or s(0) == s(1))"},
+                   "tree", label="dsl"),
     ]
 
 

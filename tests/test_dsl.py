@@ -1,7 +1,6 @@
 import pytest
 
-from clopen.dsl import (EvalError, ParseError, check_names, compile, evaluate, parse,
-                        parse_arith, parse_predicate, render, sort_of)
+from clopen.dsl import EvalError, ParseError, compile, evaluate, parse, parse_field, sort_of
 
 
 def seq(*values):
@@ -66,29 +65,30 @@ def test_unknown_character():
 
 
 def test_sort_checking():
-    assert sort_of(parse("1 + 2")) == "nat"
-    assert sort_of(parse("1 < 2")) == "bool"
+    none = frozenset()
+    assert sort_of(parse("1 + 2"), none, none) == "nat"
+    assert sort_of(parse("1 < 2"), none, none) == "bool"
+    with pytest.raises(ParseError, match="expected a boolean expression"):
+        parse_field("1 + 2", "bool", none, none)
+    with pytest.raises(ParseError, match="expected a natural-number expression"):
+        parse_field("1 < 2", "nat", none, none)
     with pytest.raises(ParseError):
-        parse_predicate("1 + 2")
-    with pytest.raises(ParseError):
-        parse_arith("1 < 2")
-    with pytest.raises(ParseError):
-        sort_of(parse("1 + (2 == 3)"))
+        sort_of(parse("1 + (2 == 3)"), none, none)
 
 
 def test_check_names_binds_context_and_quantifier_names():
     tree = (frozenset({"len"}), frozenset({"s"}))
-    e = parse("all i < len : s(i) <= 1")
-    assert check_names(e, *tree) is e
-    check_names(parse("some k < len : all j < k : s(j) <= s(k)"), *tree)
+    assert sort_of(parse("all i < len : s(i) <= 1"), *tree) == "bool"
+    assert sort_of(parse("some k < len : all j < k : s(j) <= s(k)"), *tree) == "bool"
+    assert sort_of(parse("s(len) + 1"), *tree) == "nat"
     for text, name in (("x == 1", "x"), ("t(0) == 0", "t"), ("len(0) == 1", "len"),
                        ("s(len) + i", "i"), ("all i < i : s(i) == 0", "i"),
                        ("(all i < len : s(i) == 0) and i == 0", "i")):
         with pytest.raises(ParseError, match=repr(name)):
-            check_names(parse(text), *tree)
+            sort_of(parse(text), *tree)
     # a quantifier variable named like a sequence hides the sequence in its body
     with pytest.raises(ParseError, match="unbound sequence 's'"):
-        check_names(parse("all s < 2 : s(0) == 0"), *tree)
+        sort_of(parse("all s < 2 : s(0) == 0"), *tree)
     # every name that passes is bound when the expression is evaluated
     assert evaluate(parse("all i < len : s(i) <= 1"), {"len": 2, "s": seq(1, 0)})
 
@@ -157,14 +157,3 @@ def test_compiled_expression_is_reused_and_keeps_result_types():
     for text in ("1 < 2", "not 1 < 2", "1 < 2 and 2 < 3", "1 < 2 or 2 < 3",
                  "some i < 2 : i == 1", "all i < 0 : i == 1"):
         assert type(compile(parse(text))({})) is bool
-
-
-def test_render_round_trip():
-    sources = [
-        "1 + 2 * x",
-        "all k < len : s(k) <= 1",
-        "not (a(0) == 1) or some j < n + 1 : a(j) == 0",
-    ]
-    for src in sources:
-        e = parse(src)
-        assert parse(render(e)) == e

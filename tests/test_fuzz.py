@@ -16,6 +16,7 @@ import random
 import pytest
 
 from clopen.cli import main
+from clopen.coding import pair
 from clopen.instances import CATALOG
 from clopen.witness import MATRIX_CATALOG
 
@@ -194,8 +195,9 @@ def test_flag_values_stay_inside_the_exit_contract(tmp_path):
 _DSL_X = {"rule": "dsl", "node": "x == 1", "child_bound": 1}
 
 
-def _explicit(nodes):
-    return {"rule": "explicit", "nodes": nodes, "depth": 1, "continuation": {"rule": "cantor"}}
+def _explicit(nodes, depth=1):
+    return {"rule": "explicit", "nodes": nodes, "depth": depth,
+            "continuation": {"rule": "cantor"}}
 
 
 _FIXED_DOCS = {
@@ -207,6 +209,11 @@ _FIXED_DOCS = {
                                     "complement": _dsl_matrix("m == 0")}),
     "explicit-string-node": _doc("u", _tree_pair(_explicit(["a"]), {"rule": "cantor"})),
     "explicit-negative-node": _doc("u", _tree_pair(_explicit([-3]), {"rule": "cantor"})),
+    # a length tag of about 5.2e18, and a node of length 1e12 under depth 1e12: each
+    # is rejected before it is decoded, which would loop once per entry
+    "explicit-huge-tag": _doc("u", _tree_pair(_explicit([0, 2**128]), _CYLINDERS_1)),
+    "explicit-long-node": _doc("u", _tree_pair(
+        _explicit([0, 1 + pair(10**12 - 1, 0)], depth=10**12), _CYLINDERS_1)),
     "boolean-depth": _doc("u", _tree_pair(_CYLINDERS_0, _CYLINDERS_1), bounds={"depth": True}),
     "boolean-child-bound": _doc("u", _tree_pair(dict(_CYLINDERS_0, child_bound=True),
                                                 _CYLINDERS_1)),
@@ -230,6 +237,8 @@ FIXED_CASES = [
     (["validate"], "use-bound-unbound", 2),
     (["validate"], "explicit-string-node", 2),
     (["validate"], "explicit-negative-node", 2),
+    (["validate"], "explicit-huge-tag", 2),
+    (["validate"], "explicit-long-node", 2),
     (["validate"], "boolean-depth", 2),
     (["validate"], "boolean-child-bound", 2),
     (["validate"], "boolean-value", 2),

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from clopen.cli import build_parser, main
+from clopen.coding import pair
 from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
@@ -68,6 +69,87 @@ def test_unbounded_quantifier_in_tree_dsl():
     doc["set"]["a"] = {"rule": "dsl", "node": "all k : s(k) == 0", "child_bound": 1}
     with pytest.raises(ParseError):
         parse_instance(json.dumps(doc))
+
+
+def _with(doc, where, desc):
+    """MINIMAL, or doc, with desc at where: 'set.a', 'set.complement', 'ambient'."""
+    doc = json.loads(doc or MINIMAL)
+    if where == "ambient":
+        doc["ambient"] = desc
+    else:
+        doc["set"][where.split(".")[1]] = desc
+    return json.dumps(doc)
+
+
+_PI02 = json.dumps(dict(json.loads(MINIMAL), set={
+    "kind": "pi02-pair", "alphabet_bound": 1,
+    "a": {"rule": "catalog", "name": "first-value-0"},
+    "complement": {"rule": "catalog", "name": "first-value-1"}}))
+_R = {"rule": "dsl", "r": "a(0) == 0", "use_bound": "1", "per_n_budget": 2}
+_EXPLICIT = {"rule": "explicit", "nodes": [0, 1], "depth": 1, "continuation": {"rule": "cantor"}}
+
+# one malformed descriptor per tree rule, matrix rule and ambient kind: the
+# document, where the descriptor sits, and the text of the error parse_instance
+# raises (a ParseError's message; an expression's own errors name no path)
+ONE_READER_CASES = [
+    (None, "set.a", {"child_bound": 1}, "set.a: a tree descriptor needs a 'rule' field"),
+    (None, "set.a", {"rule": "mystery"}, "unknown tree rule name 'mystery'"),
+    (None, "set.a", {"rule": "constant", "value": True},
+     "set.a: constant trees need a natural 'value'"),
+    (None, "set.a", {"rule": "cylinders", "prefixes": []},
+     "set.a: cylinder trees need a nonempty list of natural prefixes"),
+    (None, "set.complement", {"rule": "cylinders", "prefixes": [[1]], "child_bound": -1},
+     "set.complement: 'child_bound' must be a natural number"),
+    (None, "set.a", {"rule": "dsl", "node": 5, "child_bound": 1},
+     "set.a: 'node' must be an expression string"),
+    (None, "set.a", {"rule": "dsl", "node": "s(0)", "child_bound": 1},
+     "expected a boolean expression"),
+    (None, "set.a", {"rule": "dsl", "node": "t(0) == 0", "child_bound": 1},
+     "unbound sequence 't' (bound here: s)"),
+    (None, "set.complement", {"rule": "dsl", "node": "len < 2"},
+     "set.complement: dsl trees need a natural 'child_bound'"),
+    (None, "set.a", dict(_EXPLICIT, depth=-1),
+     "set.a: explicit trees need natural 'nodes' codes and 'depth'"),
+    (None, "set.a", dict(_EXPLICIT, continuation=None),
+     "set.a.continuation: a tree descriptor needs a 'rule' field"),
+    (None, "set.a", dict(_EXPLICIT, continuation={"rule": "constant"}),
+     "set.a.continuation: constant trees need a natural 'value'"),
+    (None, "ambient", {"kind": "tree", "tree": {"rule": "cylinders", "prefixes": [["0"]]}},
+     "ambient.tree: cylinder trees need a nonempty list of natural prefixes"),
+    (None, "ambient", {"kind": "tree"}, "ambient.tree: a tree descriptor needs a 'rule' field"),
+    (None, "ambient", {"kind": "hilbert-cube"}, "unknown ambient space name 'hilbert-cube'"),
+    (None, "ambient", "cantor", "unknown ambient space name 'cantor'"),
+    (_PI02, "set.a", {"name": "first-value-0"},
+     "set.a: a matrix descriptor needs a 'rule' field"),
+    (_PI02, "set.a", {"rule": "catalog", "name": "nope"}, "unknown matrix name 'nope'"),
+    (_PI02, "set.complement", {"rule": "table"}, "unknown matrix rule name 'table'"),
+    (_PI02, "set.a", dict(_R, r="n + 1"), "expected a boolean expression"),
+    (_PI02, "set.complement", dict(_R, r="b(0) == 0"), "unbound sequence 'b' (bound here: a)"),
+    (_PI02, "set.a", dict(_R, r=None), "set.a: 'r' must be an expression string"),
+    (_PI02, "set.a", dict(_R, use_bound="1 < 2"), "expected a natural-number expression"),
+    (_PI02, "set.complement", dict(_R, use_bound="k"),
+     "unbound variable 'k' (bound here: m, n)"),
+    (_PI02, "set.complement", dict(_R, per_n_budget=-1),
+     "set.complement: dsl matrices need a natural 'per_n_budget'"),
+]
+
+
+@pytest.mark.parametrize("doc,where,desc,text", ONE_READER_CASES)
+def test_each_descriptor_field_is_checked_by_its_reader(doc, where, desc, text):
+    with pytest.raises((ParseError, UnknownCatalogName)) as exc:
+        parse_instance(_with(doc, where, desc))
+    assert getattr(exc.value, "message", str(exc.value)) == text
+
+
+def test_explicit_node_codes_past_depth_or_list_are_rejected():
+    # a length tag of about 5.2e18, and a node of length 1e12 under depth 1e12:
+    # decoding loops once per entry, so each is rejected before it is decoded
+    for nodes, depth in (([0, 2**128], 1), ([0, 1 + pair(10**12 - 1, 0)], 10**12)):
+        with pytest.raises(ParseError, match="set.a: node code"):
+            parse_instance(_with(None, "set.a", dict(_EXPLICIT, nodes=nodes, depth=depth)))
+    # an empty list still names the empty tree, and a node as long as depth is read
+    assert parse_instance(_with(None, "set.a", dict(_EXPLICIT, nodes=[])))
+    assert parse_instance(_with(None, "set.a", _EXPLICIT))
 
 
 def test_unknown_names():
@@ -187,7 +269,7 @@ def test_explicit_tree_descriptor():
     listed = [encode(u) for u in ((), (0,), (2,), (0, 0), (0, 1), (2, 2))]
     desc = {"rule": "explicit", "nodes": listed, "depth": 2,
             "continuation": {"rule": "cantor"}}
-    tree = build_tree(desc)
+    tree = build_tree(desc, "tree")
     validate_pruned(tree, 4)
     assert tree.admits((2, 2))
     assert not tree.admits((1,))
@@ -197,19 +279,6 @@ def test_explicit_tree_descriptor():
     assert not tree.admits((0, 1, 2))
     # the child search still sees the listed node outside the binary alphabet
     assert tree.child_bound(()) == 2
-
-
-def test_point_descriptor_round_trip():
-    from clopen.instances import point_descriptor, point_from_descriptor
-
-    desc = {"pre": [2, 0], "period": [1, 1, 0]}
-    point = point_from_descriptor(desc)
-    assert point.prefix(8) == (2, 0, 1, 1, 0, 1, 1, 0)
-    assert point_descriptor(point) == desc
-    ruled = point_from_descriptor({"rule": "n * n + 1"})
-    assert ruled.prefix(4) == (1, 2, 5, 10)
-    with pytest.raises(ParseError):
-        point_from_descriptor({"pre": [0]})
 
 
 def test_dsl_matrix_instance_builds():
@@ -223,7 +292,7 @@ def test_dsl_matrix_instance_builds():
     }
     doc["bounds"] = {"table_size": 2, "enumeration_cap": 2000}
     built = build_instance(parse_instance(json.dumps(doc)))
-    assert built.sum_space.part_a.kind == "witness"
+    assert built.sum_space.part_a.closure is not None
     alpha = built.sum_space.part_a.map_point(built.sum_space.part_a.fam.leftmost(0))
     assert alpha(0) == 0
 
@@ -237,6 +306,13 @@ def test_cli_embed_baire_closed(tmp_path):
 
 
 def test_cli_witness_point_descriptor(tmp_path):
+    from clopen.instances import point_from_descriptor
+
+    assert point_from_descriptor({"pre": [2, 0], "period": [1, 1, 0]}).prefix(8) \
+        == (2, 0, 1, 1, 0, 1, 1, 0)
+    assert point_from_descriptor({"rule": "n * n + 1"}).prefix(4) == (1, 2, 5, 10)
+    with pytest.raises(ParseError):
+        point_from_descriptor({"pre": [0]})
     out = tmp_path / "w.txt"
     code = main(["witness", "--matrix", "diagonal",
                  "--point", '{"pre": [3], "period": [1]}', "--out", str(out)])

@@ -5,11 +5,10 @@ import pytest
 from clopen.baire import Exact, distance, slice_point
 from clopen.coding import encode, pair_code
 from clopen.instances import build_instance, builtin_instance
-from clopen.remetrize import (NotInterior, OnBoundary, complement_restriction_distance,
-                              distance_to_sphere, epsilon_code, extension_certificate,
-                              membership_in_a, new_presentation, open_ball_distance,
-                              side_of_branch, sum_distance,
-                              tag_of_index, witness_representation)
+from clopen.remetrize import (NotInterior, OnBoundary, distance_to_sphere, epsilon_code,
+                              extension_certificate, membership_in_a, new_presentation,
+                              open_ball_distance, sum_distance, tag_of_index,
+                              witness_representation)
 from clopen.trees import dense_pn_distance
 from clopen.verify import (certified_ball_list, check_clopen_sides,
                            check_extension_certificates, check_sum_metric_axioms,
@@ -95,14 +94,6 @@ def test_membership_ball_test():
     assert check_clopen_sides(sp, 150).passed
 
 
-def test_side_of_branch():
-    sp = built("cantor-split-00").sum_space
-    a_branch = sp.part_a.fam.leftmost(0)
-    c_branch = sp.part_c.fam.leftmost(encode((0, 1)))
-    assert side_of_branch(sp, a_branch, 8) == 0
-    assert side_of_branch(sp, c_branch, 8) == 1
-
-
 def test_extension_certificate_whole_space():
     sp = built("cantor-split-0").sum_space
     k = extension_certificate(sp, 0, 0, center=0, radius=Fraction(2))
@@ -141,7 +132,7 @@ def test_two_sided_continuity_identity_and_witness():
 
 def test_witness_representation_moduli():
     rep = witness_representation(first_value_matrix(0), alphabet_bound=1)
-    assert rep.kind == "witness"
+    assert rep.closure is not None
     assert rep.map_modulus(0) == 0
     # to pin the mapped point to precision 1/(k+1) the branch prefix must
     # cover the pair position of the point's k-1st entry
@@ -208,9 +199,3 @@ def test_on_boundary_raised_never_wrong_number():
             open_ball_distance(Fraction(0), bad)
         with pytest.raises(OnBoundary):
             distance_to_sphere(bad)
-
-
-def test_complement_restriction():
-    assert complement_restriction_distance(Fraction(3, 2), Fraction(-1)) == Fraction(5, 2)
-    with pytest.raises(ValueError):
-        complement_restriction_distance(Fraction(1, 2), Fraction(2))
