@@ -22,7 +22,7 @@ from .baire import eventually_periodic
 from .codes import encode_metric, render_code_file, validate_metric_table
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
-                        builtin_instance, merge_bounds, parse_instance,
+                        builtin_instance, load_json, merge_bounds, parse_instance,
                         point_from_descriptor)
 from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
                     cantor_presentation, discrete_presentation)
@@ -140,11 +140,7 @@ def cmd_witness(args) -> int:
         raise UnknownCatalogName(args.matrix, kind="matrix")
     closure = WitnessClosure(factory())
     if args.point:
-        try:
-            desc = json.loads(args.point)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.colno, f"--point: {exc.msg}") from None
-        point = point_from_descriptor(desc)
+        point = point_from_descriptor(load_json(args.point, "--point: "))
     else:
         point = eventually_periodic(args.preperiod, args.period or [0])
     depth = _bounds(args, DEFAULT_BOUNDS)["depth"]
@@ -207,8 +203,7 @@ def cmd_verify(args) -> int:
     built, failed = _build_or_report(args, inst)
     if built is None:
         return failed
-    results = run_instance_suite(built, axiom_count=args.axiom_count,
-                                 clopen_count=args.axiom_count, seed=args.seed)
+    results = run_instance_suite(built, axiom_count=args.axiom_count, seed=args.seed)
     return _report(args, results, [f"instance {inst.id}", f"seed {args.seed}"])
 
 

@@ -148,9 +148,6 @@ class SpaceCode:
     point: BairePoint
     table: RationalMetricTable
 
-    def bit(self, i: int, j: int, m: int, n: int) -> int:
-        return self.point(quad_code(i, j, m, n))
-
 
 def encode_metric(table: RationalMetricTable) -> SpaceCode:
     """The lazily evaluated code point of a metric table.

@@ -100,9 +100,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # what int() reads; a superscript digit is no numeral
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Token("num", text[i:j], line, col))
             col += j - i
@@ -203,7 +203,11 @@ class _Parser:
     def parse_atom(self) -> Expr:
         t = self.next()
         if t.kind == "num":
-            return Num(int(t.text))
+            try:
+                return Num(int(t.text))
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise ParseError(t.line, t.col,
+                                 f"numeral of {len(t.text)} digits is too long") from None
         if t.kind == "ident":
             if t.text in KEYWORDS:
                 raise ParseError(t.line, t.col, f"misplaced keyword {t.text!r}")

@@ -119,13 +119,21 @@ def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str,
     return merged
 
 
+def load_json(text: str, where: str = "") -> Any:
+    """The JSON value of text.  Malformed JSON, an integer past the int digit
+    limit and nesting past the recursion limit are a ParseError saying where."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.colno, where + exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(0, 0, f"{where}{exc}") from None
+
+
 def parse_instance(text: str) -> InstanceFile:
     """Parse and validate an instance document; its descriptors are checked
     by building them."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise _err("instance document must be a JSON object")
     if doc.get("format") != "instance/1":

@@ -30,13 +30,11 @@ Side = int  # 0 for the designated set, 1 for its complement
 
 
 class NotInterior(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A dense point does not lie strictly inside the ball it is certified for."""
 
 
 class CertificateFailure(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A sampled point of the new-metric ball lands outside the ambient ball."""
 
 
 class OnBoundary(Exception):
@@ -117,12 +115,13 @@ def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
     """Decode a dense index of the sum presentation into (side, family code).
 
     Indices coding a pair (i, s) with i in {0, 1} name the s-th dense point
-    of side i; every other index falls back to the base point of the set side.
+    of side i; every other index falls back to the root's branch (code 0) of
+    the set side.
     """
     u = decode(t)
     if len(u) == 2 and u[0] in (0, 1):
         return u[0], u[1]
-    return 0, sp.part_a.fam.base_index
+    return 0, 0
 
 
 def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
@@ -146,15 +145,13 @@ def epsilon_code(sp: SumSpace) -> BairePoint:
     return pair_points(char_a, char_c)
 
 
-def membership_in_a(sp: SumSpace, p: tuple[Side, int],
-                    radius: Fraction = Fraction(3, 2)) -> bool:
-    """Decide side membership by one ball query against a base point of the set.
+def membership_in_a(sp: SumSpace, p: tuple[Side, int]) -> bool:
+    """Decide side membership by one ball query against the set's root branch.
 
     Distances within a side stay at most 1 and the cross distance is 2, so
     the radius-3/2 ball around any set-side point contains exactly the set.
     """
-    base = (0, sp.part_a.fam.base_index)
-    return sum_distance(sp, base, p) < radius
+    return sum_distance(sp, (0, 0), p) < Fraction(3, 2)
 
 
 def extension_certificate(sp: SumSpace, side: Side, s: int,

@@ -7,18 +7,21 @@ every membership test through a code would make deep branches uncomputable.
 The code-level view required by the wire formats is provided on top.
 
 The dense point family attaches to each code s the branch that starts with
-the coded sequence and then always takes the least admissible child.  For an
-inadmissible s the branch of the least admissible code (the root, for a
-nonempty tree) is used instead.  Equality and the distance comparison
-relations on this family are decided exactly: equality reduces to a finite
-prefix check, and unequal branches provably disagree within the longer of
-the two coded prefixes.
+the coded sequence and then always takes the least admissible child; an
+inadmissible s names the root's branch (code 0).  The stems of a point are
+its shortest stem and that stem's extensions along it, and codes grow under
+extension, so a code is the least code of its point exactly when it is
+admissible and its stem is empty or does not end in the least child of the
+rest.  Equality and the distance comparison relations on this family are
+decided exactly: equality reduces to a finite prefix check, and unequal
+branches provably disagree within the longer of the two coded prefixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .baire import BairePoint, branch, first_disagreement
@@ -106,6 +109,14 @@ class PrunedTree:
         """Code-level node predicate (the 0/1 parameter of the closed set)."""
         return self.admits(decode(s))
 
+    def least_child(self, prefix: tuple[int, ...]) -> int:
+        """The least admissible child entry below prefix, within its child bound."""
+        bound = self.child_bound(prefix)
+        for k in range(bound + 1):
+            if self.admits(prefix + (k,)):
+                return k
+        raise ChildSearchExhausted(prefix, f"(bound {bound})")
+
     def __repr__(self) -> str:
         return f"<PrunedTree {self.label} validated={self.depth_validated}>"
 
@@ -155,19 +166,20 @@ class DensePointFamily:
     def __init__(self, tree: PrunedTree):
         if tree.depth_validated < 1:
             raise ValueError("validate the tree before building a dense family")
+        if not tree.admits(()):
+            raise EmptyTreeViolation(())
         self.tree = tree
-        self.base_index = self._least_admissible()
         self._points: dict[int, BairePoint] = {}
         self._pn_cache: dict[tuple[int, int], Fraction] = {}
 
-    def _least_admissible(self) -> int:
-        for s in range(4096):  # the dense scan cap
-            if self.tree.admits(decode(s)):
-                return s
-        raise EmptyTreeViolation(())
-
     def admissible(self, s: int) -> bool:
         return self.tree.admits(decode(s))
+
+    def is_least_code(self, s: int) -> bool:
+        """Whether s is the least code of its point: admissible, with a stem
+        that is empty or does not end in the least child of the rest."""
+        u = decode(s)
+        return self.tree.admits(u) and (not u or u[-1] != self.tree.least_child(u[:-1]))
 
     def leftmost(self, s: int) -> BairePoint:
         """The dense point with index s (memoized per index)."""
@@ -176,30 +188,22 @@ class DensePointFamily:
             return pt
         u = decode(s)
         if not self.tree.admits(u):
-            pt = self.leftmost(self.base_index)
+            pt = self.leftmost(0)
         else:
             tree = self.tree
-
-            def least_child(prefix: tuple[int, ...]) -> int:
-                bound = tree.child_bound(prefix)
-                for k in range(bound + 1):
-                    if tree.admits(prefix + (k,)):
-                        return k
-                raise ChildSearchExhausted(prefix, f"(bound {bound})")
-
             hint = tree.hint(u) if tree.hint is not None else None
-            pt = branch(least_child, stem=u, tail_hint=hint, label=f"{tree.label}[{s}]")
+            pt = branch(tree.least_child, stem=u, tail_hint=hint, label=f"{tree.label}[{s}]")
         self._points[s] = pt
         return pt
 
     def _reduce(self, s: int) -> int:
-        return s if self.admissible(s) else self.base_index
+        return s if self.admissible(s) else 0
 
 
 def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:
     """Exact equality of the dense points with indices s and t.
 
-    Inadmissible indices reduce to the base index; for admissible ones the
+    Inadmissible indices reduce to the root's index 0; for admissible ones the
     branches are equal exactly when one coded stem is a prefix of the other
     and the longer stem lies on the shorter stem's leftmost branch.
     """
@@ -247,19 +251,11 @@ def dense_distance_le(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> 
 
 
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int = 100_000) -> list[int]:
-    """First `count` admissible codes, in code order, naming distinct points."""
-    found: list[int] = []
-    for s in range(cap):
-        if len(found) == count:
-            return found
-        if not fam.admissible(s):
-            continue
-        if any(dense_equal(fam, s, t) for t in found):
-            continue
-        found.append(s)
-    if len(found) == count:
-        return found
-    raise InsufficientDensePoints(len(found), count, cap)
+    """The first `count` least codes below cap, in code order: distinct points."""
+    found = list(islice(filter(fam.is_least_code, range(cap)), count))
+    if len(found) < count:
+        raise InsufficientDensePoints(len(found), count, cap)
+    return found
 
 
 def iter_admissible(tree: PrunedTree, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
@@ -194,12 +195,16 @@ def certified_ball_list(sp: SumSpace, per_side: int = 6) -> list[tuple[int, int,
     return out
 
 
-def check_extension_certificates(sp: SumSpace, certified: list, sample_cap: int = 150,
-                                 name: str = "") -> CheckResult:
+def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None,
+                                 sample_cap: int = 150, name: str = "") -> CheckResult:
+    """Every listed ball passes its certificate.  Without a list the check builds
+    the catalog itself (four points a side): a side short of points fails here."""
+
     def run():
-        for side, s, center, radius in certified:
+        balls = certified if certified is not None else certified_ball_list(sp, per_side=4)
+        for side, s, center, radius in balls:
             extension_certificate(sp, side, s, center, radius, sample_cap=sample_cap)
-        return f"{len(certified)} certified balls"
+        return f"{len(balls)} certified balls"
 
     return _result(name or f"extension:{sp.label}", run)
 
@@ -231,16 +236,10 @@ def side_sample_branches(rep, count: int) -> list[BairePoint]:
     Tree walking reaches variation that a numeric code scan cannot afford:
     stems whose nonzero entries sit late have astronomically large codes
     under the canonical coding, but as stems they are a few steps away.
+    The walk meets a point's least code first, before its longer stems.
     """
-    samples: list[tuple[int, BairePoint]] = []
-    for u in iter_admissible(rep.tree, 14):
-        s = encode(u)
-        if any(dense_equal(rep.fam, s, t) for t, _ in samples):
-            continue
-        samples.append((s, rep.fam.leftmost(s)))
-        if len(samples) == count:
-            break
-    return [pt for _, pt in samples]
+    codes = (encode(u) for u in iter_admissible(rep.tree, 14))
+    return [rep.fam.leftmost(s) for s in islice(filter(rep.fam.is_least_code, codes), count)]
 
 
 def _agree(p: BairePoint, q: BairePoint, length: int) -> bool:
@@ -436,7 +435,7 @@ def check_code_matches_sum(built: BuiltInstance, matched: int = 12,
 
 
 def run_instance_suite(built: BuiltInstance, *, axiom_count: int = 60,
-                       clopen_count: int = 60, seed: int = 0) -> list[CheckResult]:
+                       seed: int = 0) -> list[CheckResult]:
     """Every applicable check for one built instance, deterministically ordered."""
     results: list[CheckResult] = []
     bounds = built.file.bounds
@@ -453,11 +452,10 @@ def run_instance_suite(built: BuiltInstance, *, axiom_count: int = 60,
         results.append(check_distance_oracle(rep.fam, 40, bounds["budget"],
                                              name=f"distance-oracle:{side_name}"))
     results.append(check_sum_metric_axioms(sp, axiom_count, name="sum-metric"))
-    results.append(check_clopen_sides(sp, clopen_count, name="clopen-sides"))
+    results.append(check_clopen_sides(sp, axiom_count, name="clopen-sides"))
     results.append(check_epsilon_code(sp, 300, name="epsilon-code"))
     if sp.certifiable:
-        certified = certified_ball_list(sp, per_side=4)
-        results.append(check_extension_certificates(sp, certified, name="extension"))
+        results.append(check_extension_certificates(sp, name="extension"))
     results.append(check_two_sided_continuity(sp, per_side=4, name="continuity"))
     results.append(check_interleaved_table(built, name="interleave"))
     results.append(check_code_matches_sum(built, matched=min(8, bounds["table_size"]),

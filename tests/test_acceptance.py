@@ -15,7 +15,7 @@ import pytest
 from clopen.baire import Exact, distance, eventually_periodic
 from clopen.codes import (catalog_table, decode_metric, encode_metric, pipeline,
                           render_code_file, validate_metric_table)
-from clopen.coding import decode, encode
+from clopen.coding import decode, encode, quad_code
 from clopen.instances import (INTERLEAVE_CATALOG, CATALOG, build_instance,
                               build_tree, builtin_instance)
 from clopen.luzin import LuzinScheme, cantor_presentation
@@ -210,7 +210,7 @@ def test_criterion_8_codes():
             for j in range(table.K):
                 assert decode_metric(code, i, j, window=window) == table.dist(i, j)
                 for m, n in all_value_representations(table.dist(i, j), 40):
-                    assert code.bit(i, j, m, n) == 1
+                    assert code.point(quad_code(i, j, m, n)) == 1
                     bits_checked += 1
 
     jobs = [(name, *built.families(), 24) for name, built in instances.items()]

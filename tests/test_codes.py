@@ -33,7 +33,7 @@ def test_discrete_code_bits_follow_the_formula():
             for m in range(8):
                 for n in range(8):
                     want = (i != j and m == n + 1) or (i == j and m == 0)
-                    assert code.bit(i, j, m, n) == (1 if want else 0)
+                    assert code.point(quad_code(i, j, m, n)) == (1 if want else 0)
 
 
 def test_zero_distance_is_witnessed_everywhere():
@@ -53,7 +53,7 @@ def test_representation_completeness():
     for i in range(6):
         for j in range(6):
             for m, n in representations(table.dist(i, j), 40):
-                assert code.bit(i, j, m, n) == 1
+                assert code.point(quad_code(i, j, m, n)) == 1
 
 
 def test_decode_scan_order_and_round_trip():

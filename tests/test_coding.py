@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 from clopen.coding import (append, decode, encode, index_of_rational, is_prefix, lh,
@@ -70,6 +71,19 @@ def test_append_exhaustive_small():
                 assert lh(t) == n + 1
                 assert proj(t, n) == k
                 assert is_prefix(s, t)
+
+
+def test_codes_grow_under_extension():
+    # the least-code rule for dense points rests on this: a point's shortest
+    # stem has a smaller code than every longer stem of it
+    for n in range(4):
+        for u in itertools.product(range(5), repeat=n):
+            for x in range(6):
+                assert encode(u + (x,)) > encode(u)
+    rng = random.Random(2024)
+    for _ in range(300):
+        u = tuple(rng.randrange(rng.choice((2, 5, 1000))) for _ in range(rng.randrange(12)))
+        assert encode(u + (rng.randrange(50),)) > encode(u)
 
 
 def test_is_prefix():

@@ -117,8 +117,9 @@ def _check_contract(argv):
 
 
 def _write(tmp_path, doc, name="instance.json"):
+    """Write a document, or a text kept as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -229,7 +230,20 @@ _FIXED_DOCS = {
                                 "complement": _dsl_matrix("m == 0")}),
     "hint-free-ambient": _doc("u", _tree_pair(_CYLINDERS_0, _CYLINDERS_1), ambient=_DSL_AMBIENT,
                               bounds=dict(SMALL_BOUNDS, depth=4)),
+    # integers past the interpreter's 4,300-digit conversion limit, as JSON text
+    # (json.dumps refuses them too) and as a dsl numeral; JSON nested past the
+    # recursion limit; a superscript digit, which str.isdigit takes and int refuses
+    "huge-depth": json.dumps(_doc("u", _tree_pair(_CYLINDERS_0, _CYLINDERS_1),
+                                  bounds={"depth": 1})).replace('"depth": 1',
+                                                                '"depth": ' + "9" * 5001),
+    "huge-numeral": _doc("u", _tree_pair({"rule": "dsl", "child_bound": 1,
+                                          "node": "len < " + "9" * 5000}, _CYLINDERS_1)),
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "superscript-numeral": _doc("u", _tree_pair({"rule": "dsl", "child_bound": 1,
+                                                 "node": "len < \u00b2"}, _CYLINDERS_1)),
 }
+
+_HUGE_POINT = '{"pre": [1' + "0" * 5000 + '], "period": [0]}'
 
 FIXED_CASES = [
     *[(cmd, "dsl-tree-unbound", 2) for cmd in (["validate"], ["verify"], ["encode"])],
@@ -256,11 +270,16 @@ FIXED_CASES = [
     (["remetrize", "--instance", "cantor-split-0", "--epsilon-prefix", "-1"], None, 2),
     (["witness", "--matrix", "zero-tail", "--period", "-1"], None, 2),
     (["witness", "--matrix", "zero-tail", "--preperiod", "0", "-2"], None, 2),
+    (["validate"], "huge-depth", 2),
+    (["validate"], "huge-numeral", 2),
+    (["validate"], "deep-nesting", 2),
+    (["validate"], "superscript-numeral", 2),
+    (["witness", "--matrix", "diagonal", "--point", _HUGE_POINT], None, 2),
 ]
 
 
 @pytest.mark.parametrize("argv,doc,want", FIXED_CASES,
-                         ids=[f"{argv[0]}-{doc or argv[-1]}" for argv, doc, _ in FIXED_CASES])
+                         ids=[f"{argv[0]}-{doc or argv[-1][:32]}" for argv, doc, _ in FIXED_CASES])
 def test_fixed_inputs_stay_inside_the_exit_contract(tmp_path, argv, doc, want):
     if doc is not None:
         argv = argv + ["--instance", _write(tmp_path, _FIXED_DOCS[doc])]

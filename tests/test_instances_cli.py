@@ -461,6 +461,27 @@ def test_cli_search_exhausted_exit_1(argv, doc, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_verify_reports_a_side_short_of_points(tmp_path, capsys):
+    # the set is the one point 1, 1, 1, ...: the extension catalog wants four
+    # points of it, and the report still lists every check
+    doc = json.loads(MINIMAL)
+    doc["set"]["a"] = {"rule": "constant", "value": 1}
+    doc["set"]["complement"]["prefixes"] = [[0]]
+    doc["bounds"] = {"depth": 2, "table_size": 4, "enumeration_cap": 2000}
+    path = _write(tmp_path, doc)
+    assert main(["verify", "--instance", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL extension  InsufficientDensePoints: found 1 distinct dense points " \
+        "of 4 wanted (codes < 20000)" in out
+    assert "ok   continuity  68 modulus samples" in out
+    assert out[-1] == 'failures ["code-vs-sum", "extension", "interleave"]'
+    # remetrize needs the catalog for its certificates line: it stops as before
+    assert main(["remetrize", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search exhausted: InsufficientDensePoints: ")
+
+
 CLI_FLAGS = {
     "validate": {"--instance", "--depth", "--out", "--format"},
     "embed": {"--instance", "--depth", "--witness-bound", "--out"},

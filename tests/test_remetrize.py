@@ -63,9 +63,9 @@ def test_new_presentation_distances():
 def test_non_pair_indices_fall_back_to_base_point():
     sp = built("cantor-split-0").sum_space
     side, code = tag_of_index(sp, 0)
-    assert side == 0 and code == sp.part_a.fam.base_index
+    assert side == 0 and code == 0
     pres = new_presentation(sp)
-    assert pres.dist(0, pair_code(0, sp.part_a.fam.base_index)) == 0
+    assert pres.dist(0, pair_code(0, 0)) == 0
 
 
 def test_sum_metric_axioms():

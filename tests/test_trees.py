@@ -1,7 +1,11 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from clopen.baire import Exact, distance
 from clopen.coding import encode
+from clopen.instances import CATALOG, build_instance, build_tree, builtin_instance
 from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           DownwardClosureViolation, EmptyTreeViolation,
                           InsufficientDensePoints, PrunedTree, PrunednessViolation,
@@ -9,6 +13,7 @@ from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           dense_distance_lt, dense_equal, dense_pn_distance,
                           enumerate_distinct, full_baire_tree,
                           full_cantor_tree, iter_admissible, validate_pruned)
+from clopen.verify import side_sample_branches
 
 
 def brute_force_leftmost(tree, stem, depth):
@@ -54,6 +59,17 @@ def test_empty_tree_rejected():
         validate_pruned(PrunedTree(lambda u: False, lambda u: 0), 2)
 
 
+def test_dense_family_of_a_rootless_tree_is_empty_without_recursing():
+    # a caller's depth_validated claim on a tree that rejects its root: one
+    # predicate call decides it, and no leftmost(0) recurses into itself
+    asked = []
+    tree = PrunedTree(lambda u: asked.append(u) or False, lambda u: 0)
+    tree.depth_validated = 1
+    with pytest.raises(EmptyTreeViolation):
+        DensePointFamily(tree)
+    assert asked == [()]
+
+
 def test_inadmissible_root_with_admissible_child_is_not_empty():
     # the root is dead but (1) is admitted: a closure violation, not an empty tree
     tree = PrunedTree(lambda u: len(u) > 0 and u[0] == 1, lambda u: 1)
@@ -89,7 +105,7 @@ def test_leftmost_constant_tree_matches_oracle():
 def test_leftmost_inadmissible_reduces_to_base():
     tree = validated(constant_tree(3))
     fam = DensePointFamily(tree)
-    assert fam.base_index == 0
+    assert fam.admissible(0)
     assert fam.leftmost(encode((1,))) is fam.leftmost(0)
 
 
@@ -210,3 +226,69 @@ def test_dense_metric_axioms_exhaustive():
     fam = DensePointFamily(validated(full_cantor_tree()))
     check_metric_axioms(lambda i, j: dense_pn_distance(fam, i, j), 200,
                         equal=lambda i, j: dense_equal(fam, i, j))
+
+
+# --- the least-code rule against the pairwise comparisons it replaced ----------
+
+def _pairwise_enumerate(fam, count, cap):
+    """The first admissible codes not dense_equal to any code kept before."""
+    found = []
+    for s in range(cap):
+        if len(found) == count:
+            break
+        if fam.admissible(s) and not any(dense_equal(fam, s, t) for t in found):
+            found.append(s)
+    return found
+
+
+def _pairwise_samples(tree, count):
+    """Stems a depth-14 walk keeps when it compares each stem with every stem
+    kept before.  Two stems name one point when their leftmost branches agree
+    to the longer stem's length; the branches come from the scan oracle, as a
+    labelled point of a 14-entry stem can carry a code too long to print."""
+    kept = []
+    for u in iter_admissible(tree, 14):
+        if not any(brute_force_leftmost(tree, u, max(len(u), len(v)))
+                   == brute_force_leftmost(tree, v, max(len(u), len(v))) for v in kept):
+            kept.append(u)
+            if len(kept) == count:
+                break
+    return kept
+
+
+def _random_cylinders(rng):
+    alphabet = rng.randint(2, 5)
+    prefixes = [[rng.randrange(alphabet) for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 4))]
+    return cylinder_union_tree(prefixes, child_floor=alphabet - 1)
+
+
+def _identity_rule_trees():
+    rng = random.Random(8080)
+    trees = [(f"cylinders-{i}", _random_cylinders(rng)) for i in range(12)]
+    trees.append(("dsl", build_tree({"rule": "dsl", "child_bound": 2,
+                                     "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"},
+                                    "tree", label="dsl")))
+    trees.append(("constant-2", constant_tree(2)))
+    for name, doc in CATALOG.items():
+        if doc["set"]["kind"] == "pi02-pair":
+            sp = build_instance(builtin_instance(name)).sum_space
+            trees += [(f"{name}:a", sp.part_a.tree), (f"{name}:c", sp.part_c.tree)]
+    return trees
+
+
+@pytest.mark.parametrize("label,tree", [pytest.param(label, tree, id=label)
+                                        for label, tree in _identity_rule_trees()])
+def test_least_codes_match_the_pairwise_comparisons(label, tree):
+    fam = DensePointFamily(validated(tree))
+    cap = 400 if label.startswith("witness") else 3000
+    want = _pairwise_enumerate(fam, 40, cap)
+    if len(want) == 40:
+        assert enumerate_distinct(fam, 40, cap=cap) == want
+    else:
+        with pytest.raises(InsufficientDensePoints) as exc:
+            enumerate_distinct(fam, 40, cap=cap)
+        assert exc.value.found == len(want)
+    assert [s for s in range(cap) if fam.is_least_code(s)][:len(want)] == want
+    samples = side_sample_branches(SimpleNamespace(tree=tree, fam=fam), 6)
+    assert samples == [fam.leftmost(encode(u)) for u in _pairwise_samples(tree, 6)]

@@ -1,19 +1,38 @@
+import json
+
 import pytest
 
-from clopen.instances import CATALOG, build_instance, builtin_instance
-from clopen.verify import run_instance_suite
+from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
+from clopen.verify import check_two_sided_continuity, run_instance_suite
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_instance_suites_pass(name):
     built = build_instance(builtin_instance(name))
-    results = run_instance_suite(built, axiom_count=40, clopen_count=40)
+    results = run_instance_suite(built, axiom_count=40)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, failed
 
 
 def test_suite_order_is_canonical():
     built = build_instance(builtin_instance("cantor-split-0"))
-    results = run_instance_suite(built, axiom_count=20, clopen_count=20)
+    results = run_instance_suite(built, axiom_count=20)
     names = [r.name for r in results]
     assert names == sorted(names)
+
+
+def test_one_point_side_passes_continuity():
+    # every stem of the only branch 2, 2, 2, ... names one point: the sample
+    # keeps the empty stem alone, and never a labelled point of a 14-entry
+    # stem, whose code has more digits than an int prints
+    doc = {"format": "instance/1", "id": "one-point",
+           "ambient": {"kind": "tree", "tree": {"rule": "cylinders",
+                                                "prefixes": [[0], [1], [2]]}},
+           "set": {"kind": "tree-pair",
+                   "a": {"rule": "dsl", "child_bound": 2, "node": "all i < len : s(i) == 2"},
+                   "complement": {"rule": "cylinders", "prefixes": [[0], [1]],
+                                  "child_bound": 2}},
+           "bounds": {"depth": 2}}
+    sp = build_instance(parse_instance(json.dumps(doc))).sum_space
+    result = check_two_sided_continuity(sp, name="continuity")
+    assert result.line() == "ok   continuity  68 modulus samples"
