@@ -13,10 +13,13 @@ to every finite sequence of dense indices a cell:
 
 Cells on one level are pairwise disjoint, refine their parents, and have
 diameter below 2^-level, so reading off the unique cell indices of a point
-embeds the space into Baire space.  Cell emptiness is decided by scanning
-dense witnesses up to an instance-supplied bound; that bound is the honest
-computable stand-in for an existential the source construction leaves at
-limit level two.
+embeds the space into Baire space.  A point's cell index below A_s is its
+least ball index, the least k with the point in B_(s,k), so the scheme keeps
+one path of least indices per point.  Indices are searched up to a
+witness bound, the honest computable stand-in for an existential the source
+construction leaves at limit level two: a point with no ball index within the
+bound has no cell on that level, and a cell with an entry above the bound
+holds no point.
 
 Ball memberships at fixed radii are clopen only for ultrametric distances,
 which is why the catalog keeps to two-symbol sequence spaces, closed subsets
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import ceil
 from typing import Any, Callable, Optional
 
 from .baire import BairePoint, branch, eventually_periodic, exact_distance, first_disagreement
@@ -67,7 +71,7 @@ class ZeroDimPresentation:
 
     dense_point    -- index -> point handle; handles must be hashable, and the
                       same index must give the same handle on every call, so
-                      the scheme memos keyed by (handle, cell) are hit again
+                      the scheme's memos keyed by handle are hit again
     dist           -- exact distance on dense indices
     dist_to_dense  -- exact distance from a point handle to r_i; None when
                       the space decides distances between dense points only
@@ -92,7 +96,12 @@ class ZeroDimPresentation:
 
 
 class LuzinScheme:
-    """The refining clopen cell family over a presentation."""
+    """The refining clopen cell family over a presentation.
+
+    Each point handle has one path, its cell index on each level: the least
+    i <= witness_bound with the point in B_(path + (i,)).  Cell membership,
+    member lists and the embedding all read it.
+    """
 
     def __init__(self, presentation: ZeroDimPresentation, max_depth: int = 8):
         if not presentation.ultrametric:
@@ -100,7 +109,7 @@ class LuzinScheme:
         self.presentation = presentation
         self.max_depth = max_depth
         self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
-        self._cell: dict[tuple[Any, tuple[int, ...]], bool] = {}
+        self._paths: dict[Any, list[Optional[int]]] = {}
         self._members: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _radius(self, level: int) -> Fraction:
@@ -123,49 +132,48 @@ class LuzinScheme:
         memo[key] = v
         return v
 
+    def _check_depth(self, depth: int) -> None:
+        if depth > self.max_depth:
+            raise ValueError(f"cell depth {depth} exceeds max depth {self.max_depth}")
+
+    def _index(self, x: Any, level: int) -> Optional[int]:
+        """x's cell index on a level; None from the first level without one."""
+        path = self._paths.setdefault(x, [])
+        while len(path) <= level and (not path or path[-1] is not None):
+            path.append(next((i for i in range(self.presentation.witness_bound + 1)
+                              if self.ball_stage(x, (*path, i))), None))
+        return path[level] if level < len(path) else None
+
     def cell_member_seq(self, x: Any, cell: tuple[int, ...]) -> bool:
-        """Membership in the disjointified cell A_cell."""
-        if len(cell) > self.max_depth:
-            raise ValueError(f"cell depth {len(cell)} exceeds max depth {self.max_depth}")
-        if not cell:
-            return True
-        key = (x, cell)
-        memo = self._cell
-        v = memo.get(key)
-        if v is not None:
-            return v
-        parent, k = cell[:-1], cell[-1]
-        v = (self.cell_member_seq(x, parent)
-             and self.ball_stage(x, cell)
-             and all(not self.ball_stage(x, parent + (i,)) for i in range(k)))
-        memo[key] = v
-        return v
+        """Membership in the disjointified cell A_cell: x's path starts with cell."""
+        self._check_depth(len(cell))
+        return all(self._index(x, n) == k for n, k in enumerate(cell))
 
     def embed(self, x: Any) -> BairePoint:
-        """The point reading off the unique cell index of x on each level."""
-        bound = self.presentation.witness_bound
+        """The point reading off x's path, its cell index on each level."""
 
-        def least_cell(prefix: tuple[int, ...]) -> int:
-            for i in range(bound + 1):
-                if self.cell_member_seq(x, prefix + (i,)):
-                    return i
-            raise CellSearchExhausted(len(prefix), bound)
+        def index(prefix: tuple[int, ...]) -> int:
+            self._check_depth(len(prefix) + 1)
+            i = self._index(x, len(prefix))
+            if i is None:
+                raise CellSearchExhausted(len(prefix), self.presentation.witness_bound)
+            return i
 
-        return branch(least_cell, label=f"embed[{self.presentation.name}]")
+        return branch(index, label=f"embed[{self.presentation.name}]")
 
     def members(self, cell: tuple[int, ...]) -> tuple[int, ...]:
         """The dense indices i <= witness_bound whose points lie in A_cell, ascending.
 
         A_cell lies inside A_parent, so the list filters the parent's list.
         """
-        if len(cell) > self.max_depth:
-            raise ValueError(f"cell depth {len(cell)} exceeds max depth {self.max_depth}")
+        self._check_depth(len(cell))
         found = self._members.get(cell)
         if found is None:
             pres = self.presentation
             if cell:
+                level, k = len(cell) - 1, cell[-1]
                 found = tuple(i for i in self.members(cell[:-1])
-                              if self.cell_member_seq(pres.dense_point(i), cell))
+                              if self._index(pres.dense_point(i), level) == k)
             else:
                 found = tuple(range(pres.witness_bound + 1))
             self._members[cell] = found
@@ -194,6 +202,12 @@ class LuzinScheme:
         return False
 
 
+def split_level(delta: Fraction) -> int:
+    """The least depth n with 1/2^n <= delta, for delta > 0: cells of depth n
+    have diameter below 1/2^n, so no such cell holds two points delta apart."""
+    return (ceil(1 / delta) - 1).bit_length()
+
+
 def image_presentation(scheme: LuzinScheme,
                        distinct: Callable[[int, int], bool]) -> ZeroDimPresentation:
     """The embedded dense family with its exact first-disagreement distances.
@@ -219,9 +233,7 @@ def image_presentation(scheme: LuzinScheme,
         delta = source.dist(i, j)
         if delta == 0:
             raise SplitSearchExhausted(i, j, 0)
-        depth = 0
-        while Fraction(1, 2 ** depth) > delta:
-            depth += 1
+        depth = split_level(delta)
         d = first_disagreement(dense_point(i), dense_point(j), depth + 1)
         if not d:
             raise SplitSearchExhausted(i, j, depth)

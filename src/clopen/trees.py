@@ -19,6 +19,7 @@ branches provably disagree within the longer of the two coded prefixes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -171,6 +172,9 @@ class DensePointFamily:
         self.tree = tree
         self._points: dict[int, BairePoint] = {}
         self._pn_cache: dict[tuple[int, int], Fraction] = {}
+        # enumerate_distinct's scan so far: the least codes below _scanned
+        self._least_codes: list[int] = []
+        self._scanned = 0
 
     def admissible(self, s: int) -> bool:
         return self.tree.admits(decode(s))
@@ -192,7 +196,7 @@ class DensePointFamily:
         else:
             tree = self.tree
             hint = tree.hint(u) if tree.hint is not None else None
-            pt = branch(tree.least_child, stem=u, tail_hint=hint, label=f"{tree.label}[{s}]")
+            pt = branch(tree.least_child, stem=u, tail_hint=hint, label=tree.label)
         self._points[s] = pt
         return pt
 
@@ -251,11 +255,22 @@ def dense_distance_le(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> 
 
 
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int = 100_000) -> list[int]:
-    """The first `count` least codes below cap, in code order: distinct points."""
-    found = list(islice(filter(fam.is_least_code, range(cap)), count))
-    if len(found) < count:
-        raise InsufficientDensePoints(len(found), count, cap)
-    return found
+    """The first `count` least codes below cap, in code order: distinct points.
+
+    The family keeps the least codes its scan has found, so a later call
+    extends that scan and never repeats it.
+    """
+    found = fam._least_codes
+    if len(found) < count and fam._scanned < cap:
+        # collected apart first, so a search that raises leaves the scan as it was
+        more = list(islice(filter(fam.is_least_code, range(fam._scanned, cap)),
+                           count - len(found)))
+        found += more
+        fam._scanned = more[-1] + 1 if len(found) == count else cap
+    below = bisect_left(found, cap)
+    if below < count:
+        raise InsufficientDensePoints(below, count, cap)
+    return found[:count]
 
 
 def iter_admissible(tree: PrunedTree, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from .codes import (check_metric_axioms, decode_metric, encode_metric, interleav
                     validate_metric_table)
 from .coding import decode, encode
 from .instances import BuiltInstance
-from .luzin import LuzinScheme
+from .luzin import LuzinScheme, split_level
 from .remetrize import (SumSpace, extension_certificate, membership_in_a,
                         epsilon_code, new_presentation, sum_distance, tag_of_index)
 from .trees import (DensePointFamily, PrunedTree, dense_distance_le,
@@ -330,10 +330,7 @@ def check_embedding_injective(scheme: LuzinScheme, dense_count: int,
                 delta = pres.dist(i, j)
                 if delta == 0:
                     continue
-                depth = 0
-                while Fraction(1, 2 ** depth) > delta:
-                    depth += 1
-                if not first_disagreement(embeds[i], embeds[j], depth + 1):
+                if not first_disagreement(embeds[i], embeds[j], split_level(delta) + 1):
                     raise AssertionError(f"images of {i} and {j} agree past the bound")
         return f"{dense_count} dense points pairwise separated"
 

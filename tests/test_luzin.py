@@ -9,7 +9,8 @@ from clopen.coding import encode, index_of_rational
 from clopen.luzin import (CellSearchExhausted, LuzinScheme,
                           SplitSearchExhausted, ambient_presentation,
                           baire_closed_presentation, cantor_presentation,
-                          discrete_presentation, image_presentation, rescale)
+                          discrete_presentation, image_presentation, rescale,
+                          split_level)
 from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
                            check_luzin_scheme)
@@ -142,8 +143,35 @@ def test_luzin_properties_and_pruned_image():
 def test_cell_search_exhausted_with_tiny_bound():
     sch = LuzinScheme(cantor_presentation(witness_bound=2), max_depth=6)
     x = eventually_periodic((1, 1, 1), (0,))  # its minimal depth-1 center is 7
-    with pytest.raises(CellSearchExhausted):
+    with pytest.raises(CellSearchExhausted) as exc:
         sch.embed(x)(0)
+    assert (exc.value.depth, exc.value.bound) == (0, 2)
+    assert str(exc.value) == "no child cell contains the point at depth 0 (bound 2)"
+
+
+def test_cell_search_exhausted_at_the_first_level_without_a_cell():
+    sch = LuzinScheme(cantor_presentation(witness_bound=15), max_depth=6)
+    # the depth-1 center 15 shares x's first four bits; the first index
+    # sharing its first eight is 31, past the bound
+    f = sch.embed(eventually_periodic((1,) * 5, (0,)))
+    assert f(0) == 15
+    for n in (1, 2, 5):
+        with pytest.raises(CellSearchExhausted) as exc:
+            f(n)
+        assert (exc.value.depth, exc.value.bound) == (1, 15)
+        assert str(exc.value) == "no child cell contains the point at depth 1 (bound 15)"
+
+
+def test_a_cell_past_the_witness_bound_holds_no_point():
+    # x's least depth-1 ball index is 7, past the bound 2: x lies in the ball
+    # stage B_(7,), yet neither the cell (7,) nor any other depth-1 cell holds it
+    sch = LuzinScheme(cantor_presentation(witness_bound=2), max_depth=6)
+    x = eventually_periodic((1, 1, 1), (0,))
+    assert sch.ball_stage(x, (7,))
+    assert not any(sch.ball_stage(x, (i,)) for i in range(7))
+    assert not any(sch.cell_member_seq(x, (i,)) for i in range(12))
+    assert sch.members((7,)) == ()
+    assert not sch.image_tree().admits((7,))
 
 
 def test_branches_and_embeddings_freed_by_reference_counting():
@@ -164,6 +192,10 @@ def test_max_depth_guard():
     sch = LuzinScheme(cantor_presentation(), max_depth=2)
     with pytest.raises(ValueError):
         sch.cell_member_seq(sch.presentation.dense_point(0), (0, 0, 0))
+    f = sch.embed(sch.presentation.dense_point(5))
+    assert f.prefix(2) == (5, 5)
+    with pytest.raises(ValueError, match="cell depth 3 exceeds max depth 2"):
+        f(2)
 
 
 def test_discrete_embedding_is_the_identity_stream():
@@ -293,6 +325,17 @@ def _baire_split_0_closed(witness_bound):
     return baire_closed_presentation(fam, witness_bound=witness_bound)
 
 
+def _in_cell_by_disjointification(sch, x, cell):
+    """x in A_cell by its definition: (B_cell minus the earlier B_(parent,i))
+    intersected with A_parent."""
+    if not cell:
+        return True
+    parent, k = cell[:-1], cell[-1]
+    return (_in_cell_by_disjointification(sch, x, parent)
+            and sch.ball_stage(x, cell)
+            and not any(sch.ball_stage(x, parent + (i,)) for i in range(k)))
+
+
 @pytest.mark.parametrize("make", [lambda: cantor_presentation(witness_bound=8),
                                   lambda: discrete_presentation(4),
                                   lambda: _baire_split_0_closed(8)],
@@ -305,8 +348,10 @@ def test_members_match_the_brute_force_scan(make):
     image = sch.image_tree()
     for cell in cells:
         want = tuple(i for i in range(bound + 1)
-                     if brute.cell_member_seq(pres.dense_point(i), cell))
+                     if _in_cell_by_disjointification(brute, pres.dense_point(i), cell))
         assert sch.members(cell) == want
+        assert all(sch.cell_member_seq(pres.dense_point(i), cell) == (i in want)
+                   for i in range(bound + 1))
         assert image.admits(cell) == bool(want)
         if len(cell) < 3:
             cells.extend(cell + (k,) for k in range(bound + 1))
@@ -338,5 +383,16 @@ def test_cantor_trio_distance_calls_stay_per_dense_index():
     assert check_luzin_scheme(sch, 3, 30).passed
     assert check_embedding_injective(sch, 30).passed
     assert check_image_tree_pruned(sch, 3).passed
-    # about 3,700 with stable handles; fresh handles on every call made 75,197
-    assert calls[0] <= 4000
+    # 1,395 with one cell path per handle; 3,264 with a memo per (handle, cell),
+    # and fresh handles on every call made 75,197
+    assert calls[0] <= 1500
+
+
+def test_split_level_matches_the_halving_loop():
+    for q in range(1, 300):
+        for p in range(1, 3 * q):
+            delta = Fraction(p, q)
+            depth = 0
+            while Fraction(1, 2 ** depth) > delta:
+                depth += 1
+            assert split_level(delta) == depth

@@ -215,6 +215,53 @@ def test_enumerate_distinct_insufficient():
         enumerate_distinct(fam, 2, cap=500)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_enumerate_distinct_resumes_the_numeric_scan(seed):
+    rng = random.Random(seed)
+    fam = DensePointFamily(validated(_random_cylinders(rng)))
+    least = [s for s in range(3000) if fam.is_least_code(s)]
+    asked, outcomes = [], set()
+    for _ in range(16):
+        count, cap = rng.randint(0, 40), rng.choice((30, 300, 3000))
+        want = [s for s in least if s < cap][:count]
+        asked.append((count, cap))
+        outcomes.add(len(want) == count)
+        if len(want) == count:
+            assert enumerate_distinct(fam, count, cap=cap) == want
+        else:
+            with pytest.raises(InsufficientDensePoints) as exc:
+                enumerate_distinct(fam, count, cap=cap)
+            assert str(exc.value) == str(InsufficientDensePoints(len(want), count, cap))
+    assert outcomes == {True, False}
+    calls = []
+    fam.is_least_code = lambda s: calls.append(s) or DensePointFamily.is_least_code(fam, s)
+    for count, cap in asked:
+        try:
+            enumerate_distinct(fam, count, cap=cap)
+        except InsufficientDensePoints:
+            pass
+    assert calls == []
+
+
+def test_enumerate_distinct_keeps_its_scan_when_a_search_raises():
+    # past the validated depth, the node (0, 0) has no child within its bound
+    # 0, so the least-code test of its admissible child (0, 0, 1) raises
+    tree = validated(PrunedTree(lambda u: len(u) < 3 or u[2] != 0,
+                                lambda u: 0 if len(u) == 2 else 2), depth=2)
+    fam = DensePointFamily(tree)
+    bad = encode((0, 0, 1))
+    want = [s for s in range(bad) if fam.is_least_code(s)]
+    with pytest.raises(ChildSearchExhausted):
+        fam.is_least_code(bad)
+    for _ in range(2):
+        with pytest.raises(ChildSearchExhausted):
+            enumerate_distinct(fam, len(want) + 1, cap=bad + 1)
+    with pytest.raises(InsufficientDensePoints) as exc:
+        enumerate_distinct(fam, len(want) + 1, cap=bad)
+    assert (exc.value.found, exc.value.wanted) == (len(want), len(want) + 1)
+    assert enumerate_distinct(fam, len(want), cap=bad) == want
+
+
 def test_tree_error_carries_code():
     err = PrunednessViolation((1, 2))
     assert err.code == encode((1, 2))

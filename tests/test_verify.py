@@ -36,3 +36,17 @@ def test_one_point_side_passes_continuity():
     sp = build_instance(parse_instance(json.dumps(doc))).sum_space
     result = check_two_sided_continuity(sp, name="continuity")
     assert result.line() == "ok   continuity  68 modulus samples"
+
+
+def test_huge_least_stem_passes_continuity():
+    # the point 2, 2, ... of side a has the 14-entry least stem (2,) * 14,
+    # whose code has more digits than an int prints; the sample keeps it
+    doc = {"format": "instance/1", "id": "huge-stem", "ambient": {"kind": "baire"},
+           "set": {"kind": "tree-pair",
+                   "a": {"rule": "cylinders", "prefixes": [[2] * 13 + [1], [2] * 14]},
+                   "complement": {"rule": "cylinders", "prefixes": [[0], [1]],
+                                  "child_bound": 1}},
+           "bounds": {"depth": 2}}
+    sp = build_instance(parse_instance(json.dumps(doc))).sum_space
+    result = check_two_sided_continuity(sp, per_side=4, name="continuity")
+    assert result.line() == "ok   continuity  80 modulus samples"
