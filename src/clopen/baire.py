@@ -3,10 +3,11 @@
 A point is a total rule position -> natural together with the prefix of
 values computed so far, so a repeated query is one list index; points that
 grow by a choice rule are built by branch.  Equality of points is only
-semi-decidable; every comparison takes an explicit depth budget and reports
-BelowThreshold instead of guessing equality.  Points that are known to be
-eventually periodic carry a tail hint, which makes their pairwise distance
-exactly computable.
+semi-decidable; every comparison takes an explicit depth budget, scanned by
+first_disagreement for a position k (None within the budget), and distance
+reports Exact(1/(k+1)) or BelowThreshold instead of guessing equality.
+Points that are known to be eventually periodic carry a tail hint, which
+makes their pairwise distance exactly computable.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ class BelowThreshold:
 DistanceResult = Union[Exact, BelowThreshold]
 
 
-def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Fraction:
-    """1/(k+1) for the least k < bound with a(k) != b(k); 0 when there is none,
-    which says only that the points agree below the bound.
+def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Optional[int]:
+    """The least k < bound with a(k) != b(k), or None when the points agree
+    below the bound; k may be 0, so callers test the result against None.
 
     The values both points have stored are read first, as one list compare;
     only past them does the scan query the points, one position at a time.
@@ -135,11 +136,11 @@ def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Fraction:
         k = 0
         while pa[k] == pb[k]:
             k += 1
-        return Fraction(1, k + 1)
+        return k
     for k in range(stored, bound):
         if a(k) != b(k):
-            return Fraction(1, k + 1)
-    return Fraction(0)
+            return k
+    return None
 
 
 def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
@@ -150,8 +151,8 @@ def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    d = first_disagreement(a, b, budget)
-    return Exact(d) if d else BelowThreshold(Fraction(1, budget + 1))
+    k = first_disagreement(a, b, budget)
+    return BelowThreshold(Fraction(1, budget + 1)) if k is None else Exact(Fraction(1, k + 1))
 
 
 def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
@@ -164,7 +165,8 @@ def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
     if a.tail_hint is None or b.tail_hint is None:
         raise ValueError("exact_distance needs tail hints on both points")
     bound = max(a.tail_hint[0], b.tail_hint[0]) + lcm(a.tail_hint[1], b.tail_hint[1])
-    return first_disagreement(a, b, bound)
+    k = first_disagreement(a, b, bound)
+    return Fraction(0) if k is None else Fraction(1, k + 1)
 
 
 def in_basic_nbhd(a: BairePoint, s: int) -> bool:

@@ -102,9 +102,9 @@ def cmd_validate(args) -> int:
     if built.sum_space is None:
         lines.append(f"degenerate {built.degenerate}")
     else:
-        results.append(check_tree_valid(built.sum_space.part_a.tree, depth,
+        results.append(check_tree_valid(built.sum_space.part_a.fam.tree, depth,
                                         name="tree-valid:a"))
-        results.append(check_tree_valid(built.sum_space.part_c.tree, depth,
+        results.append(check_tree_valid(built.sum_space.part_c.fam.tree, depth,
                                         name="tree-valid:c"))
     return _report(args, results, lines)
 

@@ -90,8 +90,8 @@ TRIANGLE_BLOCK = 32
 
 
 def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> None:
-    max_num = max(max(row) for row in num)
-    max_den = max(max(row) for row in den)
+    max_num = max((max(row) for row in num), default=0)
+    max_den = max((max(row) for row in den), default=0)
     if max_num <= 1 << 10 and max_den <= 1 << 15 and count >= 8:
         _triangle_numpy(num, den, count)
     else:
@@ -302,21 +302,31 @@ def render_code_file(code: SpaceCode, instance_id: str) -> str:
 
 
 def parse_code_file(text: str) -> tuple[str, int, dict[tuple[int, int], Fraction], str]:
-    """Parse a rendered code file back into (instance id, K, table, tail rule)."""
+    """Parse a rendered code file back into (instance id, K, table, tail rule).
+    A line out of render_code_file's layout is a MalformedCode naming it."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
-        raise MalformedCode("missing or unknown format line")
-    instance_id = lines[1].removeprefix("instance ").strip()
-    k = int(lines[2].removeprefix("K ").strip())
+        raise MalformedCode("line 1: missing or unknown format line")
+    values = []  # lines 2 and 3 and the last, counted from 1
+    for n, key in ((2, "instance "), (3, "K "), (max(len(lines), 4), "tail ")):
+        if n > len(lines) or not lines[n - 1].startswith(key):
+            raise MalformedCode(f"line {n}: expected '{key}...'")
+        values.append(lines[n - 1][len(key):].strip())
+    instance_id, k_text, tail = values
+    try:
+        k = int(k_text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise MalformedCode("line 3: K must be a natural number")
     entries: dict[tuple[int, int], Fraction] = {}
-    tail = ""
-    for line in lines[3:]:
-        if line.startswith("tail "):
-            tail = line.removeprefix("tail ").strip()
-            continue
-        i_s, j_s, frac = line.split()
-        p_s, q_s = frac.split("/")
-        entries[(int(i_s), int(j_s))] = Fraction(int(p_s), int(q_s))
+    for n, line in enumerate(lines[3:-1], start=4):
+        try:
+            i_s, j_s, frac = line.split()
+            p_s, q_s = frac.split("/")
+            entries[(int(i_s), int(j_s))] = Fraction(int(p_s), int(q_s))
+        except (ValueError, ZeroDivisionError):
+            raise MalformedCode(f"line {n}: expected an entry 'i j p/q'") from None
     return instance_id, k, entries, tail
 
 

@@ -160,7 +160,10 @@ def parse_instance(text: str) -> InstanceFile:
     else:
         if not _is_name(set_desc.get("name"), CATALOG):
             raise UnknownCatalogName(str(set_desc.get("name")))
-        base = builtin_instance(set_desc["name"]).bounds  # the file overrides the entry's
+        entry = builtin_instance(set_desc["name"])
+        if ambient != entry.ambient:
+            raise _err(f"ambient: catalog entry {entry.id!r} needs its ambient {entry.ambient}")
+        base = entry.bounds  # the file overrides the entry's
 
     bounds = merge_bounds(base, doc.get("bounds") or {})
     expected = doc.get("expected")

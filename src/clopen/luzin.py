@@ -234,16 +234,16 @@ def image_presentation(scheme: LuzinScheme,
         if delta == 0:
             raise SplitSearchExhausted(i, j, 0)
         depth = split_level(delta)
-        d = first_disagreement(dense_point(i), dense_point(j), depth + 1)
-        if not d:
+        k = first_disagreement(dense_point(i), dense_point(j), depth + 1)
+        if k is None:
             raise SplitSearchExhausted(i, j, depth)
-        return d
+        return Fraction(1, k + 1)
 
     def dist_to_dense(y: BairePoint, i: int) -> Fraction:
-        d = first_disagreement(y, dense_point(i), scheme.max_depth)
-        if not d:
+        k = first_disagreement(y, dense_point(i), scheme.max_depth)
+        if k is None:
             raise SplitSearchExhausted(y.label, i, scheme.max_depth)
-        return d
+        return Fraction(1, k + 1)
 
     return ZeroDimPresentation(f"image[{source.name}]", dense_point, dist, dist_to_dense,
                                witness_bound=source.witness_bound)

@@ -54,7 +54,6 @@ class ClosedRepresentation:
                        injective maps are continuous but not uniformly so
     """
 
-    tree: PrunedTree
     fam: DensePointFamily
     map_point: Callable[[BairePoint], Any]
     map_modulus: Callable[[int], int]
@@ -73,7 +72,6 @@ def identity_representation(tree: PrunedTree) -> ClosedRepresentation:
     """
     fam = DensePointFamily(tree)
     return ClosedRepresentation(
-        tree=tree,
         fam=fam,
         map_point=lambda branch: branch,
         map_modulus=lambda k: k + 1,
@@ -99,7 +97,7 @@ class SumSpace:
         distances of branch points, i.e. identity sides with tail hints and an
         ambient presentation with a point-to-dense distance."""
         return self.ambient.dist_to_dense is not None and all(
-            rep.closure is None and rep.tree.hint is not None
+            rep.closure is None and rep.fam.tree.hint is not None
             for rep in (self.part_a, self.part_c))
 
 
@@ -140,8 +138,8 @@ def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
 
 def epsilon_code(sp: SumSpace) -> BairePoint:
     """The combined 0/1 parameter pairing the two node predicates."""
-    char_a = BairePoint(lambda s: 1 if sp.part_a.tree.node(s) else 0, label="nodes-a")
-    char_c = BairePoint(lambda s: 1 if sp.part_c.tree.node(s) else 0, label="nodes-c")
+    char_a = BairePoint(lambda s: 1 if sp.part_a.fam.tree.node(s) else 0, label="nodes-a")
+    char_c = BairePoint(lambda s: 1 if sp.part_c.fam.tree.node(s) else 0, label="nodes-c")
     return pair_points(char_a, char_c)
 
 
@@ -181,7 +179,7 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     prefix_len = rep.map_modulus(max(k_target, 0))
     k_cert = max(prefix_len - 1, 0)
     for t in range(sample_cap):
-        if not rep.fam.admissible(t):
+        if not rep.fam.tree.node(t):
             continue
         if not dense_distance_lt(rep.fam, t, s, 1, k_cert):
             continue
@@ -228,7 +226,6 @@ def witness_representation(matrix, alphabet_bound: int) -> ClosedRepresentation:
         return max(point_prefix, stability)
 
     return ClosedRepresentation(
-        tree=tree,
         fam=fam,
         map_point=map_point,
         map_modulus=map_modulus,

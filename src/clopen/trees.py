@@ -12,9 +12,11 @@ inadmissible s names the root's branch (code 0).  The stems of a point are
 its shortest stem and that stem's extensions along it, and codes grow under
 extension, so a code is the least code of its point exactly when it is
 admissible and its stem is empty or does not end in the least child of the
-rest.  Equality and the distance comparison relations on this family are
-decided exactly: equality reduces to a finite prefix check, and unequal
-branches provably disagree within the longer of the two coded prefixes.
+rest.  A family keeps one memo, code -> (branch, stem length); an
+inadmissible code shares code 0's entry.  Equality and the distance relations
+are decided exactly from the first position where two branches differ, and
+unequal branches provably disagree within the longer of the two stems; only
+dense_pn_distance turns that position k into the distance 1/(k+1).
 """
 
 from __future__ import annotations
@@ -170,14 +172,10 @@ class DensePointFamily:
         if not tree.admits(()):
             raise EmptyTreeViolation(())
         self.tree = tree
-        self._points: dict[int, BairePoint] = {}
-        self._pn_cache: dict[tuple[int, int], Fraction] = {}
+        self._points: dict[int, tuple[BairePoint, int]] = {}
         # enumerate_distinct's scan so far: the least codes below _scanned
         self._least_codes: list[int] = []
         self._scanned = 0
-
-    def admissible(self, s: int) -> bool:
-        return self.tree.admits(decode(s))
 
     def is_least_code(self, s: int) -> bool:
         """Whether s is the least code of its point: admissible, with a stem
@@ -185,73 +183,61 @@ class DensePointFamily:
         u = decode(s)
         return self.tree.admits(u) and (not u or u[-1] != self.tree.least_child(u[:-1]))
 
-    def leftmost(self, s: int) -> BairePoint:
-        """The dense point with index s (memoized per index)."""
-        pt = self._points.get(s)
-        if pt is not None:
-            return pt
-        u = decode(s)
-        if not self.tree.admits(u):
-            pt = self.leftmost(0)
-        else:
-            tree = self.tree
-            hint = tree.hint(u) if tree.hint is not None else None
-            pt = branch(tree.least_child, stem=u, tail_hint=hint, label=tree.label)
-        self._points[s] = pt
-        return pt
+    def _entry(self, s: int) -> tuple[BairePoint, int]:
+        """The dense point with index s and the length of the stem it names."""
+        e = self._points.get(s)
+        if e is None:
+            u, tree = decode(s), self.tree
+            if not tree.admits(u):
+                e = self._entry(0)
+            else:
+                hint = tree.hint(u) if tree.hint is not None else None
+                e = (branch(tree.least_child, stem=u, tail_hint=hint, label=tree.label), len(u))
+            self._points[s] = e
+        return e
 
-    def _reduce(self, s: int) -> int:
-        return s if self.admissible(s) else 0
+    def leftmost(self, s: int) -> BairePoint:
+        """The dense point with index s."""
+        return self._entry(s)[0]
+
+
+def _split(fam: DensePointFamily, s: int, t: int) -> Optional[int]:
+    """The first position where the dense points s and t differ, or None
+    when they are equal: the scan up to the longer stem is total."""
+    a, m = fam._entry(s)
+    b, n = fam._entry(t)
+    return None if a is b else first_disagreement(a, b, max(m, n))
 
 
 def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:
     """Exact equality of the dense points with indices s and t.
 
-    Inadmissible indices reduce to the root's index 0; for admissible ones the
-    branches are equal exactly when one coded stem is a prefix of the other
-    and the longer stem lies on the shorter stem's leftmost branch.
+    Inadmissible indices name the root's branch (code 0); for admissible ones
+    the branches are equal exactly when one coded stem is a prefix of the
+    other and the longer stem lies on the shorter stem's leftmost branch.
     """
-    return dense_pn_distance(fam, s, t) == 0
+    return _split(fam, s, t) is None
 
 
 def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:
-    """Exact first-disagreement distance of two dense points (memoized).
-
-    Equality reduces to a finite prefix check, and unequal branches provably
-    disagree within the longer of the two coded stems, so the scan below is
-    total.
-    """
-    s, t = fam._reduce(s), fam._reduce(t)
-    if s == t:
-        return Fraction(0)
-    if t < s:
-        s, t = t, s
-    cached = fam._pn_cache.get((s, t))
-    if cached is not None:
-        return cached
-    d = first_disagreement(fam.leftmost(s), fam.leftmost(t), max(len(decode(s)), len(decode(t))))
-    fam._pn_cache[(s, t)] = d
-    return d
+    """Exact first-disagreement distance of two dense points: 1/(k+1) for the
+    first position k where they differ, 0 when they are equal."""
+    k = _split(fam, s, t)
+    return Fraction(0) if k is None else Fraction(1, k + 1)
 
 
 def dense_distance_lt(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> bool:
     """Decide distance(point s, point t) < m/(k+1) exactly."""
     if m == 0:
         return False
-    d = dense_pn_distance(fam, s, t)
-    if d == 0:
-        return True
-    i = d.denominator - 1
-    return k + 1 < (i + 1) * m
+    i = _split(fam, s, t)
+    return i is None or k + 1 < (i + 1) * m
 
 
 def dense_distance_le(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> bool:
     """Decide distance(point s, point t) <= m/(k+1) exactly."""
-    d = dense_pn_distance(fam, s, t)
-    if d == 0:
-        return True
-    i = d.denominator - 1
-    return k + 1 <= (i + 1) * m
+    i = _split(fam, s, t)
+    return i is None or k + 1 <= (i + 1) * m
 
 
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int = 100_000) -> list[int]:

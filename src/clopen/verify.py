@@ -161,9 +161,9 @@ def check_epsilon_code(sp: SumSpace, code_bound: int, name: str = "") -> CheckRe
         part0 = slice_point(eps, 0)
         part1 = slice_point(eps, 1)
         for s in range(code_bound):
-            if part0(s) != (1 if sp.part_a.tree.node(s) else 0):
+            if part0(s) != (1 if sp.part_a.fam.tree.node(s) else 0):
                 raise AssertionError(f"set-side parameter wrong at {s}")
-            if part1(s) != (1 if sp.part_c.tree.node(s) else 0):
+            if part1(s) != (1 if sp.part_c.fam.tree.node(s) else 0):
                 raise AssertionError(f"complement-side parameter wrong at {s}")
             u = decode(s)
             if not (len(u) == 2 and u[0] in (0, 1)) and eps(s) != 0:
@@ -238,12 +238,12 @@ def side_sample_branches(rep, count: int) -> list[BairePoint]:
     under the canonical coding, but as stems they are a few steps away.
     The walk meets a point's least code first, before its longer stems.
     """
-    codes = (encode(u) for u in iter_admissible(rep.tree, 14))
+    codes = (encode(u) for u in iter_admissible(rep.fam.tree, 14))
     return [rep.fam.leftmost(s) for s in islice(filter(rep.fam.is_least_code, codes), count)]
 
 
 def _agree(p: BairePoint, q: BairePoint, length: int) -> bool:
-    return not first_disagreement(p, q, length)
+    return first_disagreement(p, q, length) is None
 
 
 def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
@@ -310,8 +310,7 @@ def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int,
             for j in range(i + 1, dense_count):
                 d = pres.dist(i, j)
                 split = first_disagreement(embeds[i], embeds[j], depth)
-                # the two points share a cell of depth `level`
-                level = split.denominator - 1 if split else depth
+                level = depth if split is None else split  # the depth of their common cell
                 if not d < Fraction(1, 2 ** level):
                     raise AssertionError(f"cell diameter bound fails for ({i},{j})")
         return f"{dense_count} probes to depth {depth}"
@@ -330,7 +329,7 @@ def check_embedding_injective(scheme: LuzinScheme, dense_count: int,
                 delta = pres.dist(i, j)
                 if delta == 0:
                     continue
-                if not first_disagreement(embeds[i], embeds[j], split_level(delta) + 1):
+                if first_disagreement(embeds[i], embeds[j], split_level(delta) + 1) is None:
                     raise AssertionError(f"images of {i} and {j} agree past the bound")
         return f"{dense_count} dense points pairwise separated"
 
@@ -441,7 +440,7 @@ def run_instance_suite(built: BuiltInstance, *, axiom_count: int = 60,
         return sorted(results, key=lambda r: r.name)
     sp = built.sum_space
     for side_name, rep in (("a", sp.part_a), ("c", sp.part_c)):
-        results.append(check_tree_valid(rep.tree, bounds["depth"],
+        results.append(check_tree_valid(rep.fam.tree, bounds["depth"],
                                         name=f"tree-valid:{side_name}"))
         results.append(check_dense_family(rep.fam, min(bounds["depth"], 3),
                                           2 * bounds["depth"],

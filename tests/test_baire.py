@@ -79,13 +79,13 @@ def test_first_disagreement_bounds():
     calls = []
     late = BairePoint(lambda n: calls.append(n) or (1 if n == 4 else 0))
     # bound 0 reads nothing and finds no disagreement
-    assert first_disagreement(zeros, late, 0) == 0
+    assert first_disagreement(zeros, late, 0) is None
     assert calls == []
     # a disagreement at position bound - 1 is found; one at bound is not
-    assert first_disagreement(zeros, late, 5) == Fraction(1, 5)
-    assert first_disagreement(zeros, BairePoint(lambda n: 1 if n == 5 else 0), 5) == 0
+    assert first_disagreement(zeros, late, 5) == 4
+    assert first_disagreement(zeros, BairePoint(lambda n: 1 if n == 5 else 0), 5) is None
     # agreeing points read 0 at every bound, and the scan stops at the bound
-    assert first_disagreement(zeros, constant(0), 7) == 0
+    assert first_disagreement(zeros, constant(0), 7) is None
     assert calls == [0, 1, 2, 3, 4]
 
 
@@ -105,12 +105,12 @@ def test_first_disagreement_compares_stored_values_without_rule_calls():
     a, a_calls = _stored_point((0, 1, 2, 3, 4, 5))
     # a disagreement inside both stored parts
     c, c_calls = _stored_point((0, 1, 9, 3))
-    assert first_disagreement(a, c, 10) == Fraction(1, 3)
+    assert first_disagreement(a, c, 10) == 2
     # a bound shorter than both stored parts hides a disagreement at k >= bound
     d, d_calls = _stored_point((0, 1, 2, 7, 4))
-    assert first_disagreement(a, d, 3) == 0
-    assert first_disagreement(a, d, 4) == Fraction(1, 4)
-    assert first_disagreement(a, a, 6) == 0
+    assert first_disagreement(a, d, 3) is None
+    assert first_disagreement(a, d, 4) == 3
+    assert first_disagreement(a, a, 6) is None
     assert a_calls == c_calls == d_calls == []
 
 
@@ -118,25 +118,25 @@ def test_first_disagreement_scans_past_the_shorter_stored_part():
     a, a_calls = _stored_point((0, 1, 2, 3, 4, 5))
     b, b_calls = _stored_point((0, 1))
     # b agrees with a on its stored part, then its tail 0 meets a(2) = 2
-    assert first_disagreement(a, b, 10) == Fraction(1, 3)
-    assert first_disagreement(b, a, 10) == Fraction(1, 3)
+    assert first_disagreement(a, b, 10) == 2
+    assert first_disagreement(b, a, 10) == 2
     assert a_calls == [] and b_calls == [2]
     # equal stems: the disagreement lies beyond both stored parts
     x, x_calls = _stored_point((0, 0), tail=0)
     y, y_calls = _stored_point((0, 0), tail=1)
-    assert first_disagreement(x, y, 10) == Fraction(1, 3)
+    assert first_disagreement(x, y, 10) == 2
     assert x_calls == y_calls == [2]
 
 
 def test_first_disagreement_at_bound_minus_one_and_nowhere():
     x, x_calls = _stored_point((0, 0, 0), tail=0)
     y, y_calls = _stored_point((0, 0, 0), tail=1)
-    assert first_disagreement(x, y, 3) == 0
+    assert first_disagreement(x, y, 3) is None
     assert x_calls == y_calls == []
-    assert first_disagreement(x, y, 4) == Fraction(1, 4)
+    assert first_disagreement(x, y, 4) == 3
     assert x_calls == y_calls == [3]
     z, z_calls = _stored_point((0,), tail=0)
-    assert first_disagreement(x, z, 6) == 0
+    assert first_disagreement(x, z, 6) is None
     assert x_calls == [3, 4, 5] and z_calls == [1, 2, 3, 4, 5]
 
 
@@ -147,11 +147,11 @@ def test_first_disagreement_never_calls_a_rule_past_the_disagreement():
         return 0
 
     other = eventually_periodic((0, 0, 1), (0,))
-    assert first_disagreement(BairePoint(rule), other, 100) == Fraction(1, 3)
-    assert first_disagreement(other, BairePoint(rule), 100) == Fraction(1, 3)
+    assert first_disagreement(BairePoint(rule), other, 100) == 2
+    assert first_disagreement(other, BairePoint(rule), 100) == 2
     stored = BairePoint(rule)
     assert stored.prefix(4) == (0, 0, 0, 0)
-    assert first_disagreement(stored, other, 100) == Fraction(1, 3)
+    assert first_disagreement(stored, other, 100) == 2
     with pytest.raises(IndexError):
         first_disagreement(BairePoint(rule), constant(0), 100)
 

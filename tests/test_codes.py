@@ -218,3 +218,39 @@ def test_interleaved_code_matches_sum_space():
             tag_u = (u % 2, (codes_a if u % 2 == 0 else codes_c)[u // 2])
             tag_v = (v % 2, (codes_a if v % 2 == 0 else codes_c)[v // 2])
             assert table.dist(u, v) == sum_distance(built.sum_space, tag_u, tag_v)
+
+
+_HEADER = "format space-code/1\ninstance x\nK 2\n"
+
+
+MALFORMED_CODE_FILES = {
+    "no-instance-line": ("format space-code/1\n", 2),
+    "K-not-a-number": ("format space-code/1\ninstance x\nK two\ntail t\n", 3),
+    "K-negative": ("format space-code/1\ninstance x\nK -1\ntail t\n", 3),
+    "entry-without-slash": (_HEADER + "0 0 1\ntail t\n", 4),
+    "zero-denominator": (_HEADER + "0 0 0/1\n0 0 1/0\ntail t\n", 5),
+    "no-instance-prefix": ("format space-code/1\nx\nK 2\ntail t\n", 2),
+    "no-tail-line": (_HEADER + "0 0 0/1\n", 4),
+    "header-only": (_HEADER, 4),
+    "tail-not-last": (_HEADER + "tail t\n0 0 0/1\n", 5),
+}
+
+
+@pytest.mark.parametrize("text,line", MALFORMED_CODE_FILES.values(), ids=MALFORMED_CODE_FILES)
+def test_malformed_code_files_name_their_line(text, line):
+    with pytest.raises(MalformedCode, match=f"^line {line}: "):
+        parse_code_file(text)
+
+
+def test_rendered_catalog_file_parses_to_its_table():
+    built = build_instance(builtin_instance("cantor-split-0"))
+    table = interleave(*built.families(), 8, label="cantor-split-0")
+    text = render_code_file(encode_metric(table), "cantor-split-0")
+    inst_id, k, entries, tail = parse_code_file(text)
+    assert (inst_id, k, tail) == ("cantor-split-0", 8, "interleave:cantor-split-0")
+    assert entries == {(i, j): value for i, j, value in table.rows()}
+
+
+def test_an_empty_metric_table_passes_the_axiom_check():
+    check_metric_axioms(lambda i, j: Fraction(0), 0)
+    validate_metric_table(catalog_table("discrete", 0))

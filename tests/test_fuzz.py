@@ -241,6 +241,9 @@ _FIXED_DOCS = {
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
     "superscript-numeral": _doc("u", _tree_pair({"rule": "dsl", "child_bound": 1,
                                                  "node": "len < \u00b2"}, _CYLINDERS_1)),
+    # a catalog entry over a tree ambient, named by a file with the cantor ambient
+    "catalog-other-ambient": {"format": "instance/1", "id": "mine", "ambient": {"kind": "cantor"},
+                              "set": {"kind": "catalog", "name": "baire-split-0"}},
 }
 
 _HUGE_POINT = '{"pre": [1' + "0" * 5000 + '], "period": [0]}'
@@ -274,6 +277,7 @@ FIXED_CASES = [
     (["validate"], "huge-numeral", 2),
     (["validate"], "deep-nesting", 2),
     (["validate"], "superscript-numeral", 2),
+    (["remetrize"], "catalog-other-ambient", 2),
     (["witness", "--matrix", "diagonal", "--point", _HUGE_POINT], None, 2),
 ]
 

@@ -194,6 +194,10 @@ def test_catalog_indirection():
     doc["set"] = {"kind": "catalog", "name": "cantor-split-0"}
     built = build_instance(parse_instance(json.dumps(doc)))
     assert built.file.id == "cantor-split-0"
+    # the entry runs over its own ambient, so the file must name that one
+    doc["set"]["name"] = "baire-split-0"
+    with pytest.raises(ParseError, match="catalog entry 'baire-split-0' needs its ambient"):
+        parse_instance(json.dumps(doc))
 
 
 # --- command line -------------------------------------------------------------

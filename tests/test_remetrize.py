@@ -78,13 +78,13 @@ def test_epsilon_code_values():
     eps = epsilon_code(sp)
     assert eps(pair_code(0, 0)) == 1  # the root of the set-side tree
     dead = encode((1, 1))  # the stem (1, 1) is not a node of the set side
-    assert sp.part_a.tree.node(dead) is False
+    assert sp.part_a.fam.tree.node(dead) is False
     assert eps(pair_code(0, dead)) == 0
     part0 = slice_point(eps, 0)
     part1 = slice_point(eps, 1)
     for s in range(300):
-        assert part0(s) == (1 if sp.part_a.tree.node(s) else 0)
-        assert part1(s) == (1 if sp.part_c.tree.node(s) else 0)
+        assert part0(s) == (1 if sp.part_a.fam.tree.node(s) else 0)
+        assert part1(s) == (1 if sp.part_c.fam.tree.node(s) else 0)
 
 
 def test_membership_ball_test():

@@ -105,7 +105,7 @@ def test_leftmost_constant_tree_matches_oracle():
 def test_leftmost_inadmissible_reduces_to_base():
     tree = validated(constant_tree(3))
     fam = DensePointFamily(tree)
-    assert fam.admissible(0)
+    assert fam.tree.node(0)
     assert fam.leftmost(encode((1,))) is fam.leftmost(0)
 
 
@@ -283,7 +283,7 @@ def _pairwise_enumerate(fam, count, cap):
     for s in range(cap):
         if len(found) == count:
             break
-        if fam.admissible(s) and not any(dense_equal(fam, s, t) for t in found):
+        if fam.tree.node(s) and not any(dense_equal(fam, s, t) for t in found):
             found.append(s)
     return found
 
@@ -320,7 +320,7 @@ def _identity_rule_trees():
     for name, doc in CATALOG.items():
         if doc["set"]["kind"] == "pi02-pair":
             sp = build_instance(builtin_instance(name)).sum_space
-            trees += [(f"{name}:a", sp.part_a.tree), (f"{name}:c", sp.part_c.tree)]
+            trees += [(f"{name}:a", sp.part_a.fam.tree), (f"{name}:c", sp.part_c.fam.tree)]
     return trees
 
 

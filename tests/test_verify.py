@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from clopen.baire import BairePoint, first_disagreement
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
-from clopen.verify import check_two_sided_continuity, run_instance_suite
+from clopen.luzin import cantor_presentation
+from clopen.remetrize import ClosedRepresentation, SumSpace
+from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
+from clopen.verify import check_two_sided_continuity, run_instance_suite, side_sample_branches
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -50,3 +54,24 @@ def test_huge_least_stem_passes_continuity():
     sp = build_instance(parse_instance(json.dumps(doc))).sum_space
     result = check_two_sided_continuity(sp, per_side=4, name="continuity")
     assert result.line() == "ok   continuity  80 modulus samples"
+
+
+def test_continuity_reads_a_split_at_position_0_as_a_disagreement():
+    # the map shifts each branch right by one, so branches that split at
+    # position 0 have images that split at position 1; the moduli are sound
+    # for that shift, and a reader that took the split at 0 for agreement
+    # would call them unsound
+    def shifted(branch):
+        return BairePoint(lambda n: 0 if n == 0 else branch(n - 1))
+
+    tree = full_cantor_tree()
+    validate_pruned(tree, 2)
+    shift = ClosedRepresentation(fam=DensePointFamily(tree), map_point=shifted,
+                                 map_modulus=lambda k: max(k - 1, 0),
+                                 inverse_modulus=lambda branch, k: k + 2)
+    sp = SumSpace(part_a=shift, part_c=shift, ambient=cantor_presentation())
+    branches = side_sample_branches(shift, 4)
+    assert first_disagreement(branches[0], branches[1], 4) == 0
+    assert first_disagreement(shifted(branches[0]), shifted(branches[1]), 4) == 1
+    result = check_two_sided_continuity(sp, name="continuity")
+    assert result.line() == "ok   continuity  128 modulus samples"
