@@ -7,14 +7,14 @@ makes a designated set clopen while extending the topology, and bit-exact
 codes of the resulting rational metrics.
 """
 
-from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact, constant,
-                    distance, eventually_periodic, exact_distance, first_disagreement,
-                    in_basic_nbhd, pair_points, slice_point)
-from .coding import (SeqCode, append, decode, encode, index_of_rational, is_prefix,
-                     lh, pair_code, proj, quad_code, rational_of_index)
+from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact, distance,
+                    eventually_periodic, exact_distance, first_disagreement,
+                    pair_points, slice_point)
+from .coding import (SeqCode, decode, encode, index_of_rational, lh, pair_code,
+                     quad_code, rational_of_index)
 from .codes import (CompletionPoint, RationalMetricTable, SpaceCode,
-                    completion_distance, constant_completion, decode_metric,
-                    encode_metric, interleave, pipeline, render_code_file)
+                    completion_distance, decode_metric, encode_metric, interleave,
+                    pipeline, render_code_file)
 from .luzin import (LuzinScheme, ZeroDimPresentation, ambient_presentation,
                     baire_closed_presentation, cantor_presentation,
                     discrete_presentation, image_presentation, rescale)

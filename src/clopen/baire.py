@@ -99,10 +99,6 @@ def eventually_periodic(pre: Sequence[int], period: Sequence[int], label: str = 
     return BairePoint(rule, tail_hint=(np, q), label=label)
 
 
-def constant(v: int, label: str = "") -> BairePoint:
-    return eventually_periodic((), (v,), label=label or f"const{v}")
-
-
 @dataclass(frozen=True)
 class Exact:
     """A decided distance: the least disagreement was found."""
@@ -167,12 +163,6 @@ def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
     bound = max(a.tail_hint[0], b.tail_hint[0]) + lcm(a.tail_hint[1], b.tail_hint[1])
     k = first_disagreement(a, b, bound)
     return Fraction(0) if k is None else Fraction(1, k + 1)
-
-
-def in_basic_nbhd(a: BairePoint, s: int) -> bool:
-    """Whether a lies in the basic neighborhood of the coded finite sequence."""
-    u = decode(s)
-    return all(a(i) == u[i] for i in range(len(u)))
 
 
 def pair_points(a: BairePoint, b: BairePoint) -> BairePoint:

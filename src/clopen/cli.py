@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .baire import eventually_periodic
-from .codes import encode_metric, render_code_file, validate_metric_table
+from .codes import render_code_file
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                         builtin_instance, load_json, merge_bounds, parse_instance,
@@ -29,7 +29,7 @@ from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
 from .remetrize import epsilon_code
 from .trees import InsufficientDensePoints, TreeError
 from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
-                     check_tree_valid, interleaved_table, run_instance_suite)
+                     check_tree_valid, instance_code, run_instance_suite)
 from .witness import MATRIX_CATALOG, UseBoundViolation, WitnessClosure, WitnessSearchExhausted
 
 EXIT_OK = 0
@@ -192,9 +192,7 @@ def cmd_encode(args) -> int:
     if built.sum_space is None:
         _emit(args, [f"instance {inst.id}", f"degenerate {built.degenerate}"])
         return EXIT_OK
-    table = interleaved_table(built)
-    validate_metric_table(table)
-    _emit(args, render_code_file(encode_metric(table), inst.id).splitlines())
+    _emit(args, render_code_file(instance_code(built), inst.id).splitlines())
     return EXIT_OK
 
 

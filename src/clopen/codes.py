@@ -202,10 +202,6 @@ class CompletionPoint:
     label: str = "completion-point"
 
 
-def constant_completion(i: int) -> CompletionPoint:
-    return CompletionPoint(index=lambda r: i, label=f"const-{i}")
-
-
 def certify_cauchy(table: RationalMetricTable, p: CompletionPoint, depth: int) -> None:
     """Check the pairwise rate d(k_r, k_m) <= 2^-r for r < m <= depth.
 
@@ -265,15 +261,18 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
 @dataclass
 class PipelineResult:
     codes: dict[str, SpaceCode] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
+    errors: dict[str, Exception] = field(default_factory=dict)
 
 
 def pipeline(jobs: Iterable[tuple[str, DensePointFamily, DensePointFamily, int]],
              cap: int = 100_000) -> PipelineResult:
-    """Interleave and encode each (id, set family, complement family, K) job.
+    """Interleave, validate and encode each (id, set family, complement family, K) job.
 
-    Per-job failures are collected, not raised, so one bad instance cannot
-    poison a batch; identical inputs always produce bit-identical codes.
+    The one path from dense families to a metric code: `clopen encode` and
+    the `interleave` check of `verify` run it on a batch of one.  Per-job
+    failures are collected, not raised, so one bad instance cannot poison a
+    batch; each is kept as the raised exception.  Identical inputs always
+    produce bit-identical codes.
     """
     result = PipelineResult()
     for job_id, fam_a, fam_c, count in jobs:
@@ -282,7 +281,7 @@ def pipeline(jobs: Iterable[tuple[str, DensePointFamily, DensePointFamily, int]]
             validate_metric_table(table)
             result.codes[job_id] = encode_metric(table)
         except Exception as exc:  # noqa: BLE001 - aggregated by contract
-            result.errors[job_id] = f"{type(exc).__name__}: {exc}"
+            result.errors[job_id] = exc
     return result
 
 
@@ -303,7 +302,10 @@ def render_code_file(code: SpaceCode, instance_id: str) -> str:
 
 def parse_code_file(text: str) -> tuple[str, int, dict[tuple[int, int], Fraction], str]:
     """Parse a rendered code file back into (instance id, K, table, tail rule).
-    A line out of render_code_file's layout is a MalformedCode naming it."""
+
+    The entry lines are exactly the pairs i <= j < K in rows() order, each
+    once, with d(i, j) >= 0 and 0 exactly when i == j.  A line out of
+    render_code_file's layout, or out of this, is a MalformedCode naming it."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise MalformedCode("line 1: missing or unknown format line")
@@ -319,14 +321,25 @@ def parse_code_file(text: str) -> tuple[str, int, dict[tuple[int, int], Fraction
         k = -1
     if k < 0:
         raise MalformedCode("line 3: K must be a natural number")
+    pairs = ((i, j) for i in range(k) for j in range(i, k))  # lazy: K may be huge
     entries: dict[tuple[int, int], Fraction] = {}
     for n, line in enumerate(lines[3:-1], start=4):
         try:
             i_s, j_s, frac = line.split()
             p_s, q_s = frac.split("/")
-            entries[(int(i_s), int(j_s))] = Fraction(int(p_s), int(q_s))
+            pair, value = (int(i_s), int(j_s)), Fraction(int(p_s), int(q_s))
         except (ValueError, ZeroDivisionError):
             raise MalformedCode(f"line {n}: expected an entry 'i j p/q'") from None
+        want = next(pairs, None)
+        if pair != want:
+            raise MalformedCode(f"line {n}: expected " + (
+                "the tail line" if want is None else f"the entry of pair {want}"))
+        if value.numerator < 0 or (value.numerator == 0) != (pair[0] == pair[1]):
+            raise MalformedCode(f"line {n}: d{pair} = {value} is not a metric value")
+        entries[pair] = value
+    want = next(pairs, None)
+    if want is not None:
+        raise MalformedCode(f"line {len(lines)}: expected the entry of pair {want}")
     return instance_id, k, entries, tail
 
 

@@ -76,23 +76,6 @@ def lh(s: SeqCode) -> int:
     return unpair(s - 1)[0] + 1
 
 
-def proj(s: SeqCode, i: int) -> int:
-    """The i-th entry of the coded sequence, 0 for i past its length."""
-    u = decode(s)
-    return u[i] if i < len(u) else 0
-
-
-def append(s: SeqCode, k: int) -> SeqCode:
-    """Code of the coded sequence extended by one entry k."""
-    return encode(decode(s) + (k,))
-
-
-def is_prefix(s: SeqCode, t: SeqCode) -> bool:
-    """Whether the sequence coded by s is an initial segment of t's."""
-    u, v = decode(s), decode(t)
-    return len(u) <= len(v) and v[: len(u)] == u
-
-
 def pair_code(i: int, n: int) -> SeqCode:
     """Code of the two-entry sequence (i, n)."""
     return 1 + pair(1, pair(i, n))

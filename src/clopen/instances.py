@@ -48,7 +48,6 @@ class InstanceFile:
     ambient: dict[str, Any]
     set_desc: dict[str, Any]
     bounds: dict[str, int]
-    expected: Optional[dict[str, Any]] = None
 
     def canonical_text(self) -> str:
         doc: dict[str, Any] = {
@@ -58,8 +57,6 @@ class InstanceFile:
             "set": self.set_desc,
             "bounds": self.bounds,
         }
-        if self.expected is not None:
-            doc["expected"] = self.expected
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -166,11 +163,7 @@ def parse_instance(text: str) -> InstanceFile:
         base = entry.bounds  # the file overrides the entry's
 
     bounds = merge_bounds(base, doc.get("bounds") or {})
-    expected = doc.get("expected")
-    if expected is not None and not isinstance(expected, dict):
-        raise _err("'expected' must be an object when present")
-    return InstanceFile(id=inst_id, ambient=ambient, set_desc=set_desc,
-                        bounds=bounds, expected=expected)
+    return InstanceFile(id=inst_id, ambient=ambient, set_desc=set_desc, bounds=bounds)
 
 
 def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:

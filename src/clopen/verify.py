@@ -14,8 +14,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
-from .codes import (check_metric_axioms, decode_metric, encode_metric, interleave,
-                    validate_metric_table)
+from .codes import SpaceCode, check_metric_axioms, decode_metric, interleave, pipeline
 from .coding import decode, encode
 from .instances import BuiltInstance
 from .luzin import LuzinScheme, split_level
@@ -384,19 +383,26 @@ def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
 
 # --- instance suite ---------------------------------------------------------------
 
-def interleaved_table(built: BuiltInstance, count: Optional[int] = None):
-    fam_a, fam_c = built.families()
-    k = count if count is not None else built.file.bounds["table_size"]
-    return interleave(fam_a, fam_c, k, cap=built.file.bounds["enumeration_cap"],
+def interleaved_table(built: BuiltInstance, count: int):
+    return interleave(*built.families(), count, cap=built.file.bounds["enumeration_cap"],
                       label=built.file.id)
 
 
-def check_interleaved_table(built: BuiltInstance, count: Optional[int] = None,
-                            name: str = "") -> CheckResult:
+def instance_code(built: BuiltInstance) -> SpaceCode:
+    """The instance's metric code at its table_size: `pipeline` on a batch of
+    one, re-raising the job's exception if it failed."""
+    bounds = built.file.bounds
+    result = pipeline([(built.file.id, *built.families(), bounds["table_size"])],
+                      cap=bounds["enumeration_cap"])
+    if built.file.id in result.errors:
+        raise result.errors[built.file.id]
+    return result.codes[built.file.id]
+
+
+def check_interleaved_table(built: BuiltInstance, name: str = "") -> CheckResult:
     def run():
-        table = interleaved_table(built, count)
-        validate_metric_table(table)
-        code = encode_metric(table)
+        code = instance_code(built)
+        table = code.table
         probe = min(table.K, 6)
         for i in range(probe):
             for j in range(probe):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, constant, distance,
+from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, distance,
                           eventually_periodic, exact_distance, first_disagreement,
-                          in_basic_nbhd, pair_points, slice_point)
+                          pair_points, slice_point)
 from clopen.coding import encode, pair_code
 
 
@@ -41,7 +41,7 @@ def test_far_query_runs_the_rule_once():
 
 
 def test_pair_points_far_position():
-    g = pair_points(constant(0), eventually_periodic((), (1, 2)))
+    g = pair_points(eventually_periodic((), (0,)), eventually_periodic((), (1, 2)))
     assert g(pair_code(1, 10 ** 6)) == 1
     assert g(pair_code(0, 10 ** 6)) == 0
 
@@ -61,21 +61,22 @@ def test_branch_follows_stem_then_steps():
 
 
 def test_constant_point():
-    z = constant(0)
+    z = eventually_periodic((), (0,))
     assert z(17) == 0
+    assert z.tail_hint == (0, 1)
 
 
 def test_distance_examples():
-    a = constant(0)
+    a = eventually_periodic((), (0,))
     b = eventually_periodic((0, 1), (0,))
     assert distance(a, b, 10) == Exact(Fraction(1, 2))
     c = eventually_periodic((1,), (0,))
     assert distance(a, c, 10) == Exact(Fraction(1))
-    assert distance(a, constant(0), 4) == BelowThreshold(Fraction(1, 5))
+    assert distance(a, eventually_periodic((), (0,)), 4) == BelowThreshold(Fraction(1, 5))
 
 
 def test_first_disagreement_bounds():
-    zeros = constant(0)
+    zeros = eventually_periodic((), (0,))
     calls = []
     late = BairePoint(lambda n: calls.append(n) or (1 if n == 4 else 0))
     # bound 0 reads nothing and finds no disagreement
@@ -85,7 +86,7 @@ def test_first_disagreement_bounds():
     assert first_disagreement(zeros, late, 5) == 4
     assert first_disagreement(zeros, BairePoint(lambda n: 1 if n == 5 else 0), 5) is None
     # agreeing points read 0 at every bound, and the scan stops at the bound
-    assert first_disagreement(zeros, constant(0), 7) is None
+    assert first_disagreement(zeros, eventually_periodic((), (0,)), 7) is None
     assert calls == [0, 1, 2, 3, 4]
 
 
@@ -153,12 +154,12 @@ def test_first_disagreement_never_calls_a_rule_past_the_disagreement():
     assert stored.prefix(4) == (0, 0, 0, 0)
     assert first_disagreement(stored, other, 100) == 2
     with pytest.raises(IndexError):
-        first_disagreement(BairePoint(rule), constant(0), 100)
+        first_disagreement(BairePoint(rule), eventually_periodic((), (0,)), 100)
 
 
 def test_distance_requires_budget():
     with pytest.raises(ValueError):
-        distance(constant(0), constant(0), 0)
+        distance(eventually_periodic((), (0,)), eventually_periodic((), (0,)), 0)
 
 
 def test_distance_never_decides_equality():
@@ -199,29 +200,7 @@ def test_exact_distance_sees_through_representations():
 
 def test_exact_distance_needs_hints():
     with pytest.raises(ValueError):
-        exact_distance(BairePoint(lambda n: 0), constant(0))
-
-
-def test_in_basic_nbhd():
-    z = constant(0)
-    assert in_basic_nbhd(z, 0)
-    assert in_basic_nbhd(z, encode((0, 0, 0)))
-    assert not in_basic_nbhd(z, encode((1,)))
-
-
-def test_in_basic_nbhd_monotone_under_prefix():
-    from clopen.coding import is_prefix
-
-    rng = random.Random(3)
-    points = [_random_point(rng) for _ in range(6)]
-    codes = list(range(80))
-    for a in points:
-        for s in codes:
-            if not in_basic_nbhd(a, s):
-                continue
-            for t in codes:
-                if is_prefix(t, s):
-                    assert in_basic_nbhd(a, t)
+        exact_distance(BairePoint(lambda n: 0), eventually_periodic((), (0,)))
 
 
 def test_pair_points_and_slice():

@@ -5,15 +5,14 @@ import pytest
 from clopen.baire import BairePoint
 from clopen.codes import (CauchyRateViolation, CompletionPoint, MalformedCode,
                           MetricAxiomViolation, RationalMetricTable, catalog_table,
-                          check_metric_axioms, completion_distance,
-                          constant_completion, decode_metric, encode_metric,
-                          interleave, parse_code_file, pipeline, render_code_file,
-                          validate_metric_table)
+                          check_metric_axioms, completion_distance, decode_metric,
+                          encode_metric, interleave, parse_code_file, pipeline,
+                          render_code_file, validate_metric_table)
 from clopen import codes
 from clopen.coding import quad_code
 from clopen.instances import build_instance, builtin_instance
 from clopen.remetrize import sum_distance
-from clopen.trees import dense_pn_distance
+from clopen.trees import InsufficientDensePoints, dense_pn_distance
 
 
 def representations(value, limit):
@@ -125,10 +124,11 @@ def test_blocked_triangle_check_matches_the_exact_loop(count):
 
 def test_completion_of_constant_sequences():
     table = catalog_table("discrete", k=6)
-    lo, hi = completion_distance(table, constant_completion(0), constant_completion(1), 4)
+    at_0, at_1, at_2 = (CompletionPoint(index=lambda r, i=i: i) for i in range(3))
+    lo, hi = completion_distance(table, at_0, at_1, 4)
     assert lo <= 1 <= hi
     assert hi - lo <= Fraction(1, 2 ** 4)
-    lo, hi = completion_distance(table, constant_completion(2), constant_completion(2), 6)
+    lo, hi = completion_distance(table, at_2, at_2, 6)
     assert lo <= 0 <= hi
 
 
@@ -136,7 +136,7 @@ def test_completion_of_converging_sequence():
     table = catalog_table("harmonic", k=64)
     # k_r = 2^r - 1 heads toward the limit point of the harmonic enumeration
     point = CompletionPoint(index=lambda r: 2 ** min(r, 5) - 1)
-    lo, hi = completion_distance(table, point, constant_completion(0), 2)
+    lo, hi = completion_distance(table, point, CompletionPoint(index=lambda r: 0), 2)
     true_gap = table.dist(31, 0)
     assert lo <= true_gap <= hi
 
@@ -145,7 +145,7 @@ def test_cauchy_rate_violation():
     table = catalog_table("discrete", k=4)
     hopping = CompletionPoint(index=lambda r: r % 2)
     with pytest.raises(CauchyRateViolation):
-        completion_distance(table, hopping, constant_completion(0), 3)
+        completion_distance(table, hopping, CompletionPoint(index=lambda r: 0), 3)
 
 
 def _families(name="cantor-split-0"):
@@ -182,8 +182,8 @@ def test_pipeline_determinism_and_error_aggregation():
     ]
     result = pipeline(jobs, cap=2000)
     assert set(result.codes) == {"good"}
-    assert "starved" in result.errors
-    assert "InsufficientDensePoints" in result.errors["starved"]
+    assert set(result.errors) == {"starved"}
+    assert isinstance(result.errors["starved"], InsufficientDensePoints)
     text1 = render_code_file(result.codes["good"], "good")
     text2 = render_code_file(pipeline(jobs, cap=2000).codes["good"], "good")
     assert text1 == text2
@@ -233,6 +233,16 @@ MALFORMED_CODE_FILES = {
     "no-tail-line": (_HEADER + "0 0 0/1\n", 4),
     "header-only": (_HEADER, 4),
     "tail-not-last": (_HEADER + "tail t\n0 0 0/1\n", 5),
+    # entries past K, a duplicate, a negative distance and d(0, 0) = 1
+    "entries-past-K": ("format space-code/1\ninstance x\nK 1\n5 7 -1/2\n5 7 1/3\n"
+                       "0 0 1/1\ntail t\n", 4),
+    "missing-entry": (_HEADER + "0 0 0/1\ntail t\n", 5),
+    "duplicate-entry": (_HEADER + "0 0 0/1\n0 0 0/1\n0 1 1/2\n1 1 0/1\ntail t\n", 5),
+    "rows-out-of-order": (_HEADER + "0 0 0/1\n1 1 0/1\n0 1 1/2\ntail t\n", 5),
+    "extra-entry": (_HEADER + "0 0 0/1\n0 1 1/2\n1 1 0/1\n1 2 1/2\ntail t\n", 7),
+    "negative-distance": (_HEADER + "0 0 0/1\n0 1 -1/2\n1 1 0/1\ntail t\n", 5),
+    "nonzero-self-distance": (_HEADER + "0 0 0/1\n0 1 1/2\n1 1 1/1\ntail t\n", 6),
+    "zero-between-distinct": (_HEADER + "0 0 0/1\n0 1 0/1\n1 1 0/1\ntail t\n", 5),
 }
 
 

@@ -2,9 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from clopen.coding import (append, decode, encode, index_of_rational, is_prefix, lh,
-                           pair, pair_code, proj, quad_code, rational_of_index,
-                           unpair)
+from clopen.coding import (decode, encode, index_of_rational, lh, pair, pair_code,
+                           quad_code, rational_of_index, unpair)
 
 
 def test_empty_sequence_codes_to_zero():
@@ -42,35 +41,12 @@ def test_pair_unpair_inverse():
         assert pair(a, b) == z
 
 
-def test_lh_and_proj():
+def test_lh():
     assert lh(0) == 0
-    s = encode((7, 4))
-    assert lh(s) == 2
-    assert proj(s, 0) == 7
-    assert proj(s, 1) == 4
-    # entries past the length read as zero
-    assert proj(encode((7,)), 5) == 0
-    assert proj(0, 0) == 0
-
-
-def test_append_extends():
-    for u in ((), (3,), (1, 2), (0, 0, 4)):
-        s = encode(u)
-        t = append(s, 9)
-        assert lh(t) == lh(s) + 1
-        assert proj(t, lh(s)) == 9
-        assert decode(t)[: len(u)] == u
-
-
-def test_append_exhaustive_small():
-    for n in range(4):
+    assert lh(encode((7, 4))) == 2
+    for n in range(5):
         for u in itertools.product(range(5), repeat=n):
-            s = encode(u)
-            for k in range(5):
-                t = append(s, k)
-                assert lh(t) == n + 1
-                assert proj(t, n) == k
-                assert is_prefix(s, t)
+            assert lh(encode(u)) == n
 
 
 def test_codes_grow_under_extension():
@@ -84,28 +60,6 @@ def test_codes_grow_under_extension():
     for _ in range(300):
         u = tuple(rng.randrange(rng.choice((2, 5, 1000))) for _ in range(rng.randrange(12)))
         assert encode(u + (rng.randrange(50),)) > encode(u)
-
-
-def test_is_prefix():
-    a = encode((1, 2))
-    b = encode((1, 2, 3))
-    assert is_prefix(a, b)
-    assert not is_prefix(b, a)
-    assert is_prefix(0, a)
-    assert is_prefix(a, a)
-
-
-def test_is_prefix_partial_order():
-    codes = [encode(u) for n in range(4) for u in itertools.product(range(3), repeat=n)]
-    for s in codes:
-        assert is_prefix(s, s)
-    for s in codes:
-        for t in codes:
-            if is_prefix(s, t) and is_prefix(t, s):
-                assert s == t
-            for r in codes:
-                if is_prefix(s, t) and is_prefix(t, r):
-                    assert is_prefix(s, r)
 
 
 def test_rational_of_index_examples():

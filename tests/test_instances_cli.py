@@ -478,7 +478,15 @@ def test_cli_verify_reports_a_side_short_of_points(tmp_path, capsys):
     assert "FAIL extension  InsufficientDensePoints: found 1 distinct dense points " \
         "of 4 wanted (codes < 20000)" in out
     assert "ok   continuity  68 modulus samples" in out
+    assert "FAIL interleave  InsufficientDensePoints: found 1 distinct dense points " \
+        "of 2 wanted (codes < 2000)" in out
     assert out[-1] == 'failures ["code-vs-sum", "extension", "interleave"]'
+    # encode re-raises the same stored exception to main's handler
+    assert main(["encode", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "search exhausted: InsufficientDensePoints: found 1 distinct " \
+        "dense points of 2 wanted (codes < 2000)\n"
     # remetrize needs the catalog for its certificates line: it stops as before
     assert main(["remetrize", "--instance", path]) == 1
     captured = capsys.readouterr()

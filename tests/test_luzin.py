@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import Exact, constant, distance, eventually_periodic
+from clopen.baire import Exact, distance, eventually_periodic
 from clopen.coding import encode, index_of_rational
 from clopen.luzin import (CellSearchExhausted, LuzinScheme,
                           SplitSearchExhausted, ambient_presentation,
@@ -260,7 +260,7 @@ def test_inverse_ball_matches_the_full_scan():
 
 def test_inverse_ball_depth_guard_without_a_near_index():
     sch = small_scheme()  # max depth 6, witness bound 24
-    a = constant(0)
+    a = eventually_periodic((), (0,))
     # r_1000 is at distance >= 1/7 from every r_j with j <= 24, and the margin
     # q - 1/2^n is positive only at n = 7, where it is 1/1000
     q = Fraction(1, 128) + Fraction(1, 1000)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clopen.baire import BairePoint, constant, eventually_periodic, slice_point
+from clopen.baire import BairePoint, eventually_periodic, slice_point
 from clopen.trees import DensePointFamily, validate_pruned
 from clopen.witness import (Pi02Matrix, UseBoundViolation, WitnessClosure,
                             WitnessSearchExhausted, diagonal_matrix,
@@ -36,7 +36,7 @@ def test_zero_tail_witness_matches_oracle():
 
 def test_witness_search_exhausted():
     w = WitnessClosure(zero_tail_matrix(budget=100))
-    ones = constant(1)
+    ones = eventually_periodic((), (1,))
     with pytest.raises(WitnessSearchExhausted) as exc:
         w.witness_point(ones)(0)
     assert exc.value.n == 0
@@ -90,7 +90,7 @@ def test_use_bound_is_enforced():
     cheater = Pi02Matrix(r=lambda a, n, m: a(n + 5) == 0,
                          use_bound=lambda n, m: 1, per_n_budget=4)
     with pytest.raises(UseBoundViolation):
-        cheater.check(constant(0), 0, 0)
+        cheater.check(eventually_periodic((), (0,)), 0, 0)
 
 
 def test_pair_tree_is_pruned_and_carries_the_closure():
