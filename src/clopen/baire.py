@@ -32,18 +32,12 @@ class BairePoint:
     itself is always the source of truth.
     """
 
-    __slots__ = ("_rule", "_prefix", "tail_hint", "label")
+    __slots__ = ("_rule", "_prefix", "tail_hint")
 
-    def __init__(
-        self,
-        rule: Callable[[int], int],
-        tail_hint: Optional[tuple[int, int]] = None,
-        label: str = "",
-    ):
+    def __init__(self, rule: Callable[[int], int], tail_hint: Optional[tuple[int, int]] = None):
         self._rule = rule
         self._prefix: list[int] = []
         self.tail_hint = tail_hint
-        self.label = label
 
     def __call__(self, n: int) -> int:
         prefix = self._prefix
@@ -61,12 +55,11 @@ class BairePoint:
 
     def __repr__(self) -> str:
         shown = ",".join(str(self(i)) for i in range(6))
-        name = self.label or "point"
-        return f"<{name} {shown},...>"
+        return f"<point {shown},...>"
 
 
 def branch(step: Callable[[tuple[int, ...]], int], stem: Sequence[int] = (),
-           tail_hint: Optional[tuple[int, int]] = None, label: str = "") -> BairePoint:
+           tail_hint: Optional[tuple[int, int]] = None) -> BairePoint:
     """The point that follows stem, then takes step(prefix so far) at each position.
 
     The rule grows the point's own prefix list and closes over that list,
@@ -79,12 +72,12 @@ def branch(step: Callable[[tuple[int, ...]], int], stem: Sequence[int] = (),
             vals.append(step(tuple(vals)))
         return vals[n]
 
-    pt = BairePoint(rule, tail_hint=tail_hint, label=label)
+    pt = BairePoint(rule, tail_hint=tail_hint)
     pt._prefix = vals
     return pt
 
 
-def eventually_periodic(pre: Sequence[int], period: Sequence[int], label: str = "") -> BairePoint:
+def eventually_periodic(pre: Sequence[int], period: Sequence[int]) -> BairePoint:
     """The point pre[0], ..., pre[-1], period[0], period[1], ... (repeating)."""
     if not period:
         raise ValueError("period must be nonempty")
@@ -96,7 +89,7 @@ def eventually_periodic(pre: Sequence[int], period: Sequence[int], label: str = 
     def rule(n: int) -> int:
         return pre_t[n] if n < np else per_t[(n - np) % q]
 
-    return BairePoint(rule, tail_hint=(np, q), label=label)
+    return BairePoint(rule, tail_hint=(np, q))
 
 
 @dataclass(frozen=True)
@@ -143,12 +136,14 @@ def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     """First-disagreement distance, scanned up to the budget.
 
     Exact(1/(k+1)) for the least k < budget with a(k) != b(k); otherwise
-    BelowThreshold(1/(budget+1)).  Equality is never decided.
+    BelowThreshold(1/budget): a first disagreement at k >= budget, if any,
+    puts the distance at 1/(k+1) <= 1/(budget+1) < 1/budget.  Equality is
+    never decided.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = first_disagreement(a, b, budget)
-    return BelowThreshold(Fraction(1, budget + 1)) if k is None else Exact(Fraction(1, k + 1))
+    return BelowThreshold(Fraction(1, budget)) if k is None else Exact(Fraction(1, k + 1))
 
 
 def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
@@ -178,9 +173,9 @@ def pair_points(a: BairePoint, b: BairePoint) -> BairePoint:
             return a(u[1]) if u[0] == 0 else b(u[1])
         return 0
 
-    return BairePoint(rule, label="pair")
+    return BairePoint(rule)
 
 
 def slice_point(g: BairePoint, i: int) -> BairePoint:
     """The i-th component of g under the pairing convention."""
-    return BairePoint(lambda n: g(pair_code(i, n)), label=f"slice{i}")
+    return BairePoint(lambda n: g(pair_code(i, n)))

@@ -136,9 +136,8 @@ def _triangle_exact(num: list[list[int]], den: list[list[int]], count: int) -> N
                     raise MetricAxiomViolation("triangle", (i, k), f"via {j}")
 
 
-def validate_metric_table(table: RationalMetricTable,
-                          equal: Optional[Callable[[int, int], bool]] = None) -> None:
-    check_metric_axioms(table.dist, table.K, equal=equal)
+def validate_metric_table(table: RationalMetricTable) -> None:
+    check_metric_axioms(table.dist, table.K)
 
 
 @dataclass
@@ -164,34 +163,22 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
         i, j, m, n = u
         return 1 if dist(i, j) == Fraction(m, n + 1) else 0
 
-    return SpaceCode(point=BairePoint(rule, label=f"code[{table.label}]"), table=table)
+    return SpaceCode(point=BairePoint(rule), table=table)
 
 
-def decode_metric(code: SpaceCode | BairePoint, i: int, j: int,
-                  window: int = 64, strict: bool = False) -> Fraction:
+def decode_metric(code: SpaceCode | BairePoint, i: int, j: int, window: int = 64) -> Fraction:
     """Read d(i, j) back off a code point.
 
-    Scans the quadruple positions for (i, j) in increasing (m, n) order until
-    a set bit appears.  In strict mode the whole window is swept and any
-    second, inconsistent witness raises MalformedCode; no witness within the
-    window is malformed either way.
+    Scans the quadruple positions for (i, j) in increasing (m, n) order and
+    returns the value of the first set bit; no set bit within the window is
+    a MalformedCode.
     """
     point = code.point if isinstance(code, SpaceCode) else code
-    found: Optional[Fraction] = None
     for m in range(window + 1):
         for n in range(window + 1):
             if point(quad_code(i, j, m, n)):
-                value = Fraction(m, n + 1)
-                if found is None:
-                    found = value
-                    if not strict:
-                        return found
-                elif value != found:
-                    raise MalformedCode(
-                        f"pair ({i},{j}) witnesses both {found} and {value}")
-    if found is None:
-        raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
-    return found
+                return Fraction(m, n + 1)
+    raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
 
 
 @dataclass
@@ -199,7 +186,6 @@ class CompletionPoint:
     """A point of the completion: indices converging at the standard rate."""
 
     index: Callable[[int], int]
-    label: str = "completion-point"
 
 
 def certify_cauchy(table: RationalMetricTable, p: CompletionPoint, depth: int) -> None:

@@ -61,6 +61,7 @@ class InstanceFile:
 
 
 _SET_KINDS = {"tree-pair", "pi02-pair", "catalog"}
+_TOP_KEYS = {"format", "id", "ambient", "set", "bounds"}
 
 
 def _err(msg: str) -> ParseError:
@@ -133,6 +134,9 @@ def parse_instance(text: str) -> InstanceFile:
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise _err("instance document must be a JSON object")
+    unknown = sorted(set(doc) - _TOP_KEYS)
+    if unknown:
+        raise _err(f"unknown key {unknown[0]!r}")
     if doc.get("format") != "instance/1":
         raise _err(f"unknown format {doc.get('format')!r}")
     inst_id = doc.get("id")
@@ -162,7 +166,7 @@ def parse_instance(text: str) -> InstanceFile:
             raise _err(f"ambient: catalog entry {entry.id!r} needs its ambient {entry.ambient}")
         base = entry.bounds  # the file overrides the entry's
 
-    bounds = merge_bounds(base, doc.get("bounds") or {})
+    bounds = merge_bounds(base, doc.get("bounds", {}))
     return InstanceFile(id=inst_id, ambient=ambient, set_desc=set_desc, bounds=bounds)
 
 
@@ -257,7 +261,7 @@ def point_from_descriptor(desc: dict[str, Any]):
         raise _err("a point descriptor must be a JSON object")
     if "rule" in desc:
         rule = _expr("rule", desc["rule"], "point")
-        return BairePoint(lambda n: int(rule({"n": n})), label="dsl-point")
+        return BairePoint(lambda n: int(rule({"n": n})))
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
           and all(map(_is_nat, pre + period)))

@@ -46,9 +46,9 @@ class CellSearchExhausted(Exception):
 
 
 class SplitSearchExhausted(Exception):
-    def __init__(self, i: Any, j: int, depth: int):
-        self.i, self.j, self.depth = i, j, depth
-        super().__init__(f"points {i}, {j} not separated by depth {depth}")
+    def __init__(self, i: int, depth: int):
+        self.i, self.depth = i, depth
+        super().__init__(f"a point is not separated from dense point {i} by depth {depth}")
 
 
 def rescale(dist: Callable[..., Fraction]) -> Callable[..., Fraction]:
@@ -76,7 +76,6 @@ class ZeroDimPresentation:
     dist_to_dense  -- exact distance from a point handle to r_i; None when
                       the space decides distances between dense points only
     witness_bound  -- scan ceiling for dense witnesses in a cell
-    ultrametric    -- gate for the clopen-ball construction
 
     The summed presentation of remetrize has no dist_to_dense, never reaches
     LuzinScheme and is outside this contract: its dense_point may build a new
@@ -88,7 +87,6 @@ class ZeroDimPresentation:
     dist: Callable[[int, int], Fraction]
     dist_to_dense: Optional[Callable[[Any, int], Fraction]] = None
     witness_bound: int = 64
-    ultrametric: bool = True
 
     def ball_member(self, x: Any, i: int, radius: Fraction) -> bool:
         """Exactly decide d(x, r_i) < radius."""
@@ -104,8 +102,6 @@ class LuzinScheme:
     """
 
     def __init__(self, presentation: ZeroDimPresentation, max_depth: int = 8):
-        if not presentation.ultrametric:
-            raise ValueError("the cell construction needs an ultrametric presentation")
         self.presentation = presentation
         self.max_depth = max_depth
         self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
@@ -159,7 +155,7 @@ class LuzinScheme:
                 raise CellSearchExhausted(len(prefix), self.presentation.witness_bound)
             return i
 
-        return branch(index, label=f"embed[{self.presentation.name}]")
+        return branch(index)
 
     def members(self, cell: tuple[int, ...]) -> tuple[int, ...]:
         """The dense indices i <= witness_bound whose points lie in A_cell, ascending.
@@ -232,17 +228,17 @@ def image_presentation(scheme: LuzinScheme,
             return Fraction(0)
         delta = source.dist(i, j)
         if delta == 0:
-            raise SplitSearchExhausted(i, j, 0)
+            raise SplitSearchExhausted(j, 0)
         depth = split_level(delta)
         k = first_disagreement(dense_point(i), dense_point(j), depth + 1)
         if k is None:
-            raise SplitSearchExhausted(i, j, depth)
+            raise SplitSearchExhausted(j, depth)
         return Fraction(1, k + 1)
 
     def dist_to_dense(y: BairePoint, i: int) -> Fraction:
         k = first_disagreement(y, dense_point(i), scheme.max_depth)
         if k is None:
-            raise SplitSearchExhausted(y.label, i, scheme.max_depth)
+            raise SplitSearchExhausted(i, scheme.max_depth)
         return Fraction(1, k + 1)
 
     return ZeroDimPresentation(f"image[{source.name}]", dense_point, dist, dist_to_dense,
@@ -274,7 +270,7 @@ def cantor_presentation(witness_bound: int = 64) -> ZeroDimPresentation:
         pt = points.get(i)
         if pt is None:
             bits = tuple((i >> k) & 1 for k in range(i.bit_length()))
-            pt = points[i] = eventually_periodic(bits, (0,), label=f"r{i}")
+            pt = points[i] = eventually_periodic(bits, (0,))
         return pt
 
     return ZeroDimPresentation(

@@ -138,8 +138,8 @@ def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
 
 def epsilon_code(sp: SumSpace) -> BairePoint:
     """The combined 0/1 parameter pairing the two node predicates."""
-    char_a = BairePoint(lambda s: 1 if sp.part_a.fam.tree.node(s) else 0, label="nodes-a")
-    char_c = BairePoint(lambda s: 1 if sp.part_c.fam.tree.node(s) else 0, label="nodes-c")
+    char_a = BairePoint(lambda s: 1 if sp.part_a.fam.tree.node(s) else 0)
+    char_c = BairePoint(lambda s: 1 if sp.part_c.fam.tree.node(s) else 0)
     return pair_points(char_a, char_c)
 
 
@@ -152,9 +152,11 @@ def membership_in_a(sp: SumSpace, p: tuple[Side, int]) -> bool:
     return sum_distance(sp, (0, 0), p) < Fraction(3, 2)
 
 
+SAMPLE_CAP = 150
+
+
 def extension_certificate(sp: SumSpace, side: Side, s: int,
-                          center: int, radius: Fraction,
-                          sample_cap: int = 150) -> int:
+                          center: int, radius: Fraction) -> int:
     """Certify that an ambient ball strictly containing a dense point is a
     new-metric neighborhood of it.
 
@@ -162,7 +164,7 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     point lies inside the ambient ball, derived from the representation's
     declared map modulus at the strict margin.  The certificate is then
     checked by sampling: every dense point of the side with code below
-    sample_cap that the new ball contains must verifiably lie in the ambient
+    SAMPLE_CAP that the new ball contains must verifiably lie in the ambient
     ball, at exact-rational precision.
     """
     rep = sp.side(side)
@@ -178,7 +180,7 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     k_target = -(-margin.denominator // margin.numerator) - 1
     prefix_len = rep.map_modulus(max(k_target, 0))
     k_cert = max(prefix_len - 1, 0)
-    for t in range(sample_cap):
+    for t in range(SAMPLE_CAP):
         if not rep.fam.tree.node(t):
             continue
         if not dense_distance_lt(rep.fam, t, s, 1, k_cert):

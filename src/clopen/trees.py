@@ -192,7 +192,7 @@ class DensePointFamily:
                 e = self._entry(0)
             else:
                 hint = tree.hint(u) if tree.hint is not None else None
-                e = (branch(tree.least_child, stem=u, tail_hint=hint, label=tree.label), len(u))
+                e = (branch(tree.least_child, stem=u, tail_hint=hint), len(u))
             self._points[s] = e
         return e
 

@@ -109,17 +109,15 @@ def check_distance_oracle(fam: DensePointFamily, code_bound: int, budget: int,
     return _result(label, run)
 
 
-def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int,
-                              name: str = "") -> CheckResult:
+def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int) -> CheckResult:
     """Metric axioms for the branch distance on dense indices, exhaustively."""
-    label = name or f"dense-metric:{fam.tree.label}"
 
     def run():
         check_metric_axioms(lambda i, j: dense_pn_distance(fam, i, j), code_bound,
                             equal=lambda i, j: dense_equal(fam, i, j))
         return f"triples below {code_bound}"
 
-    return _result(label, run)
+    return _result(f"dense-metric:{fam.tree.label}", run)
 
 
 # --- summed-space checks --------------------------------------------------------
@@ -195,20 +193,20 @@ def certified_ball_list(sp: SumSpace, per_side: int = 6) -> list[tuple[int, int,
 
 
 def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None,
-                                 sample_cap: int = 150, name: str = "") -> CheckResult:
+                                 name: str = "") -> CheckResult:
     """Every listed ball passes its certificate.  Without a list the check builds
     the catalog itself (four points a side): a side short of points fails here."""
 
     def run():
         balls = certified if certified is not None else certified_ball_list(sp, per_side=4)
         for side, s, center, radius in balls:
-            extension_certificate(sp, side, s, center, radius, sample_cap=sample_cap)
+            extension_certificate(sp, side, s, center, radius)
         return f"{len(balls)} certified balls"
 
     return _result(name or f"extension:{sp.label}", run)
 
 
-def check_degenerate(built: BuiltInstance, name: str = "") -> CheckResult:
+def check_degenerate(built: BuiltInstance) -> CheckResult:
     """Degenerate instances re-present the ambient space unchanged, on the
     first 40 dense indices."""
     sample = 40
@@ -224,7 +222,7 @@ def check_degenerate(built: BuiltInstance, name: str = "") -> CheckResult:
                     raise AssertionError(f"presentation differs from ambient at ({i},{j})")
         return f"{built.degenerate}; {sample}x{sample} distances identical"
 
-    return _result(name or f"degenerate:{built.file.id}", run)
+    return _result(f"degenerate:{built.file.id}", run)
 
 
 # --- continuity moduli -----------------------------------------------------------
@@ -284,8 +282,7 @@ def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
 
 # --- scheme and witness checks ----------------------------------------------------
 
-def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int,
-                       name: str = "") -> CheckResult:
+def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int) -> CheckResult:
     """Root, refinement, disjointness and shrinking diameters on dense probes."""
     pres = scheme.presentation
 
@@ -314,11 +311,10 @@ def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int,
                     raise AssertionError(f"cell diameter bound fails for ({i},{j})")
         return f"{dense_count} probes to depth {depth}"
 
-    return _result(name or f"luzin:{pres.name}", run)
+    return _result(f"luzin:{pres.name}", run)
 
 
-def check_embedding_injective(scheme: LuzinScheme, dense_count: int,
-                              name: str = "") -> CheckResult:
+def check_embedding_injective(scheme: LuzinScheme, dense_count: int) -> CheckResult:
     pres = scheme.presentation
 
     def run():
@@ -332,10 +328,10 @@ def check_embedding_injective(scheme: LuzinScheme, dense_count: int,
                     raise AssertionError(f"images of {i} and {j} agree past the bound")
         return f"{dense_count} dense points pairwise separated"
 
-    return _result(name or f"embed-injective:{pres.name}", run)
+    return _result(f"embed-injective:{pres.name}", run)
 
 
-def check_image_tree_pruned(scheme: LuzinScheme, depth: int, name: str = "") -> CheckResult:
+def check_image_tree_pruned(scheme: LuzinScheme, depth: int) -> CheckResult:
     tree = scheme.image_tree()
 
     def run():
@@ -346,7 +342,7 @@ def check_image_tree_pruned(scheme: LuzinScheme, depth: int, name: str = "") -> 
             count += 1
         return f"{count} admissible nodes extend"
 
-    return _result(name or f"image-pruned:{scheme.presentation.name}", run)
+    return _result(f"image-pruned:{scheme.presentation.name}", run)
 
 
 def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],

@@ -75,7 +75,7 @@ class WitnessClosure:
                     return m
             raise WitnessSearchExhausted(n, matrix.per_n_budget)
 
-        return BairePoint(rule, label=f"witness[{matrix.label}]")
+        return BairePoint(rule)
 
     def check_closure(self, a: BairePoint, b: BairePoint, depth: int) -> bool:
         """Verify the least-witness condition for all levels below depth.
@@ -108,7 +108,7 @@ class WitnessClosure:
         return bound
 
 
-def pair_tree(matrix: Pi02Matrix, alphabet_bound: int, label: str = "") -> PrunedTree:
+def pair_tree(matrix: Pi02Matrix, alphabet_bound: int) -> PrunedTree:
     """The tree of paired (point, witness) branches of the closure.
 
     Branches are pair points: position pair_code(0, i) holds a(i), position
@@ -172,37 +172,37 @@ def pair_tree(matrix: Pi02Matrix, alphabet_bound: int, label: str = "") -> Prune
             return 0
         return alphabet_bound if kind[0] == 0 else matrix.per_n_budget
 
-    return PrunedTree(admits, child_bound, label=label or f"pairs[{matrix.label}]")
+    return PrunedTree(admits, child_bound, label=f"pairs[{matrix.label}]")
 
 
 # --- matrix catalog ---------------------------------------------------------
 
-def diagonal_matrix(budget: int = 16) -> Pi02Matrix:
+def diagonal_matrix() -> Pi02Matrix:
     """R(a, n, m) <-> m = a(n); the witness point is the point itself."""
     return Pi02Matrix(
         r=lambda a, n, m: a(n) == m,
         use_bound=lambda n, m: n + 1,
-        per_n_budget=budget,
+        per_n_budget=16,
         label="diagonal",
     )
 
 
-def zero_tail_matrix(budget: int = 128) -> Pi02Matrix:
+def zero_tail_matrix() -> Pi02Matrix:
     """R(a, n, m) <-> a(n + m) = 0; total exactly on points with 0s cofinally."""
     return Pi02Matrix(
         r=lambda a, n, m: a(n + m) == 0,
         use_bound=lambda n, m: n + m + 1,
-        per_n_budget=budget,
+        per_n_budget=128,
         label="zero-tail",
     )
 
 
-def parity_matrix(budget: int = 16) -> Pi02Matrix:
+def parity_matrix() -> Pi02Matrix:
     """R(a, n, m) <-> m and a(n) have the same parity; witness is a(n) mod 2."""
     return Pi02Matrix(
         r=lambda a, n, m: m % 2 == a(n) % 2,
         use_bound=lambda n, m: n + 1,
-        per_n_budget=budget,
+        per_n_budget=16,
         label="parity",
     )
 

@@ -138,7 +138,7 @@ def test_criterion_5_topology_extension():
             continue
         certified = certified_ball_list(sp, per_side=6)
         assert certified, f"{name}: empty certified list"
-        result = check_extension_certificates(sp, certified, sample_cap=150)
+        result = check_extension_certificates(sp, certified)
         assert result.passed, f"{name}: {result.detail}"
         certified_total += len(certified)
     assert certified_total > 0

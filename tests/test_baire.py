@@ -53,11 +53,11 @@ def test_branch_follows_stem_then_steps():
         seen.append(prefix)
         return len(prefix)
 
-    p = branch(step, stem=(7, 7), tail_hint=(2, 1), label="b")
+    p = branch(step, stem=(7, 7), tail_hint=(2, 1))
     assert p.prefix(5) == (7, 7, 2, 3, 4)
     assert p(1) == 7 and p(4) == 4
     assert seen == [(7, 7), (7, 7, 2), (7, 7, 2, 3)]
-    assert p.tail_hint == (2, 1) and p.label == "b"
+    assert p.tail_hint == (2, 1)
 
 
 def test_constant_point():
@@ -72,7 +72,16 @@ def test_distance_examples():
     assert distance(a, b, 10) == Exact(Fraction(1, 2))
     c = eventually_periodic((1,), (0,))
     assert distance(a, c, 10) == Exact(Fraction(1))
-    assert distance(a, eventually_periodic((), (0,)), 4) == BelowThreshold(Fraction(1, 5))
+    assert distance(a, eventually_periodic((), (0,)), 4) == BelowThreshold(Fraction(1, 4))
+
+
+def test_below_threshold_holds_when_the_disagreement_is_at_the_budget():
+    a = eventually_periodic((), (0,))
+    b = eventually_periodic((0, 0, 0, 0, 1), (0,))  # first disagreement at position 4
+    assert exact_distance(a, b) == Fraction(1, 5)
+    for budget in range(1, 5):
+        res = distance(a, b, budget)
+        assert isinstance(res, BelowThreshold) and Fraction(1, 5) < res.threshold
 
 
 def test_first_disagreement_bounds():

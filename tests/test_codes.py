@@ -65,19 +65,7 @@ def test_decode_scan_order_and_round_trip():
             assert decode_metric(code, i, j) == table.dist(i, j)
 
 
-def test_decode_strict_consistency():
-    table = catalog_table("harmonic", k=5)
-    code = encode_metric(table)
-    for i in range(5):
-        for j in range(5):
-            assert decode_metric(code, i, j, window=48, strict=True) == table.dist(i, j)
-
-
 def test_malformed_codes():
-    witnesses = {quad_code(0, 1, 1, 0), quad_code(0, 1, 1, 1)}  # claims 1 and 1/2
-    point = BairePoint(lambda t: 1 if t in witnesses else 0)
-    with pytest.raises(MalformedCode):
-        decode_metric(point, 0, 1, window=8, strict=True)
     empty = BairePoint(lambda t: 0)
     with pytest.raises(MalformedCode):
         decode_metric(empty, 0, 0, window=8)

@@ -175,9 +175,26 @@ def test_bad_bounds_rejected():
     doc["bounds"] = {"mystery": 4}
     with pytest.raises(ParseError):
         parse_instance(json.dumps(doc))
-    doc["bounds"] = [4]
-    with pytest.raises(ParseError):
-        parse_instance(json.dumps(doc))
+    for value in ([4], [], 0, "", False, None):
+        doc["bounds"] = value
+        with pytest.raises(ParseError, match="'bounds' must be an object"):
+            parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda doc: doc.update(bound=doc.pop("bounds")), "unknown key 'bound'",
+                 id="bound"),
+    pytest.param(lambda doc: doc.update(bounds=[]), "'bounds' must be an object",
+                 id="bounds-list"),
+])
+def test_cli_misspelt_or_empty_bounds_exit_2(tmp_path, capsys, change, message):
+    doc = json.loads(MINIMAL)
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["encode", "--instance", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_build_minimal_instance():
@@ -230,6 +247,14 @@ def test_cli_verify_reports_deterministically(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["failures"] == []
+
+
+def test_cli_verify_passes_at_budget_1(tmp_path):
+    # no disagreement before position 1 bounds the distance by 1, not 1/2
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--instance", "cantor-split-0", "--budget", "1",
+                 "--out", str(out)]) == 0
+    assert "FAIL" not in out.read_text()
 
 
 def test_cli_verify_fails_on_corrupt_tree(tmp_path):

@@ -48,12 +48,6 @@ def test_ball_member_consistent_with_dist():
                 assert pres.ball_member(pres.dense_point(j), i, q) == want
 
 
-def test_non_ultrametric_presentations_are_rejected():
-    pres = replace(cantor_presentation(), ultrametric=False)
-    with pytest.raises(ValueError):
-        LuzinScheme(pres)
-
-
 def test_presentation_metric_axioms():
     from clopen.codes import check_metric_axioms
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_zero_tail_witness_matches_oracle():
 
 
 def test_witness_search_exhausted():
-    w = WitnessClosure(zero_tail_matrix(budget=100))
+    w = WitnessClosure(replace(zero_tail_matrix(), per_n_budget=100))
     ones = eventually_periodic((), (1,))
     with pytest.raises(WitnessSearchExhausted) as exc:
         w.witness_point(ones)(0)
@@ -116,7 +117,7 @@ def test_pair_tree_rejects_wrong_first_value_early():
 
 
 def test_pair_tree_diagonal_forces_witness_entries():
-    tree = pair_tree(diagonal_matrix(budget=4), alphabet_bound=1)
+    tree = pair_tree(replace(diagonal_matrix(), per_n_budget=4), alphabet_bound=1)
     validate_pruned(tree, 10)
     fam = DensePointFamily(tree)
     branch = fam.leftmost(0)
