@@ -98,14 +98,11 @@ def cmd_validate(args) -> int:
         return failed
     depth = inst.bounds["depth"]
     lines = [f"instance {inst.id}", f"depth {depth}"]
-    results: list[CheckResult] = []
-    if built.sum_space is None:
-        lines.append(f"degenerate {built.degenerate}")
-    else:
-        results.append(check_tree_valid(built.sum_space.part_a.fam.tree, depth,
-                                        name="tree-valid:a"))
-        results.append(check_tree_valid(built.sum_space.part_c.fam.tree, depth,
-                                        name="tree-valid:c"))
+    sp = built.sum_space
+    if sp is None:
+        return _report(args, [], lines + [f"degenerate {built.degenerate}"])
+    results = [check_tree_valid(rep.fam.tree, depth, name=f"tree-valid:{side}")
+               for side, rep in (("a", sp.part_a), ("c", sp.part_c))]
     return _report(args, results, lines)
 
 
@@ -233,13 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-scale re-metrization: trees, embeddings, witnesses, codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    depth = DEFAULT_BOUNDS["depth"]
     # the shared flags; each subcommand takes only those it reads
     shared = {
         "instance": dict(help="instance file path or catalog name"),
         "budget": dict(type=int, default=None,
-                       help="scan budget (default 256 or the instance's)"),
+                       help=f"scan budget (default {DEFAULT_BOUNDS['budget']} or the instance's)"),
         "witness-bound": dict(dest="witness_bound", type=int, default=None,
-                              help="dense-witness scan ceiling (default 64 or the instance's)"),
+                              help="dense-witness scan ceiling (default "
+                                   f"{DEFAULT_BOUNDS['witness_bound']} or the instance's)"),
         "seed": dict(type=int, default=0),
         "out": dict(help="write the report to a file instead of stdout"),
         "format": dict(choices=("table", "full-report"), default="table"),
@@ -254,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    tree_depth = "tree validation depth (default 4 or the instance's)"
+    tree_depth = f"tree validation depth (default {depth} or the instance's)"
     command("validate", cmd_validate, "validate an instance's trees", tree_depth,
             "instance", "out", "format")
 
     p_embed = command("embed", cmd_embed, "embed a zero-dimensional catalog space",
-                      "length of each printed embedding prefix (default 4, or the instance's "
-                      "with baire-closed)", "instance", "witness-bound", "out")
+                      f"length of each printed embedding prefix (default {depth}, or the "
+                      "instance's with baire-closed)", "instance", "witness-bound", "out")
     p_embed.add_argument("--space", default="cantor",
                          help="cantor, discrete:<n>, or baire-closed "
                               "(over --instance's ambient tree)")
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many dense points to embed")
 
     p_witness = command("witness", cmd_witness, "run a least-witness map",
-                        "witness values printed and the modulus depth (default 4)", "out")
+                        f"witness values printed and the modulus depth (default {depth})", "out")
     p_witness.add_argument("--matrix", default="diagonal")
     p_witness.add_argument("--preperiod", type=_NATURAL, nargs="*", default=[])
     p_witness.add_argument("--period", type=_NATURAL, nargs="*", default=[0])
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             "instance", "out")
 
     p_verify = command("verify", cmd_verify, "run the instance verification suite",
-                       "tree validation and check depth (default 4 or the instance's)",
+                       f"tree validation and check depth (default {depth} or the instance's)",
                        "instance", "budget", "seed", "out", "format")
     p_verify.add_argument("--axiom-count", dest="axiom_count", type=_POSITIVE, default=60)
     return parser

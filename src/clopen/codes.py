@@ -52,7 +52,7 @@ class RationalMetricTable:
     dist: Callable[[int, int], Fraction]
     K: int
     tail_rule: str
-    label: str = "table"
+    label: str
 
     def rows(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, self.dist(i, j)) for i in range(self.K) for j in range(i, self.K)]
@@ -166,12 +166,12 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
     return SpaceCode(point=BairePoint(rule), table=table)
 
 
-def decode_metric(code: SpaceCode | BairePoint, i: int, j: int, window: int = 64) -> Fraction:
+def decode_metric(code: SpaceCode | BairePoint, i: int, j: int, window: int) -> Fraction:
     """Read d(i, j) back off a code point.
 
-    Scans the quadruple positions for (i, j) in increasing (m, n) order and
-    returns the value of the first set bit; no set bit within the window is
-    a MalformedCode.
+    Scans the quadruple positions for (i, j) in increasing (m, n) order, m and
+    n up to the caller's window, and returns the value of the first set bit;
+    no set bit within the window is a MalformedCode.
     """
     point = code.point if isinstance(code, SpaceCode) else code
     for m in range(window + 1):
@@ -214,13 +214,14 @@ def completion_distance(table: RationalMetricTable, p: CompletionPoint,
 
 
 def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
-               cap: int = 100_000, label: str = "interleaved") -> RationalMetricTable:
+               cap: int, label: str) -> RationalMetricTable:
     """The summed space's metric on the interleaved distinct dense points.
 
     Even indices enumerate the set side, odd indices the complement side,
     both in increasing code order with duplicates removed, so all terms are
     distinct; the cross distance is 2.  The table extends past its serialized
-    prefix by continuing the same enumerations on demand.
+    prefix by continuing the same enumerations on demand.  Every scan stops
+    at cap, the instance's enumeration_cap; the tail rule is interleave:label.
     """
     sides = (fam_a, fam_c)
     codes: tuple[list[int], list[int]] = (
@@ -251,14 +252,14 @@ class PipelineResult:
 
 
 def pipeline(jobs: Iterable[tuple[str, DensePointFamily, DensePointFamily, int]],
-             cap: int = 100_000) -> PipelineResult:
+             cap: int) -> PipelineResult:
     """Interleave, validate and encode each (id, set family, complement family, K) job.
 
     The one path from dense families to a metric code: `clopen encode` and
-    the `interleave` check of `verify` run it on a batch of one.  Per-job
-    failures are collected, not raised, so one bad instance cannot poison a
-    batch; each is kept as the raised exception.  Identical inputs always
-    produce bit-identical codes.
+    the `interleave` check of `verify` run it on a batch of one, capped at
+    the instance's enumeration_cap.  Per-job failures are collected, not
+    raised, so one bad instance cannot poison a batch; each is kept as the
+    raised exception.  Identical inputs always produce bit-identical codes.
     """
     result = PipelineResult()
     for job_id, fam_a, fam_c, count in jobs:
@@ -329,7 +330,7 @@ def parse_code_file(text: str) -> tuple[str, int, dict[tuple[int, int], Fraction
     return instance_id, k, entries, tail
 
 
-def catalog_table(name: str, k: int = 8) -> RationalMetricTable:
+def catalog_table(name: str, k: int) -> RationalMetricTable:
     """Small built-in tables used by tests and the malformed-code paths."""
     if name == "discrete":
         return RationalMetricTable(

@@ -60,12 +60,26 @@ class InstanceFile:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_SET_KINDS = {"tree-pair", "pi02-pair", "catalog"}
-_TOP_KEYS = {"format", "id", "ambient", "set", "bounds"}
+# the keys each descriptor reads besides its kind or rule; it accepts no other
+_TOP_KEYS = ("format", "id", "ambient", "set", "bounds")
+_SET_KINDS = {"tree-pair": ("a", "complement"), "catalog": ("name",),
+              "pi02-pair": ("a", "complement", "alphabet_bound")}
+_AMBIENT_KINDS = {"cantor": (), "baire": (), "tree": ("tree",)}
+_TREE_RULES = {"full": (), "cantor": (), "empty": (), "constant": ("value",),
+               "cylinders": ("prefixes", "child_bound"), "dsl": ("node", "child_bound"),
+               "explicit": ("nodes", "depth", "continuation")}
+_MATRIX_RULES = {"catalog": ("name",), "dsl": ("r", "use_bound", "per_n_budget")}
 
 
 def _err(msg: str) -> ParseError:
     return ParseError(0, 0, msg)
+
+
+def _only(desc: dict[str, Any], keys: tuple[str, ...], where: str) -> None:
+    """A ParseError saying where, for the first key of desc not among keys."""
+    unknown = sorted(set(desc) - set(keys))
+    if unknown:
+        raise _err(f"{where}unknown key {unknown[0]!r}")
 
 
 def _is_nat(x: Any) -> bool:
@@ -134,9 +148,7 @@ def parse_instance(text: str) -> InstanceFile:
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise _err("instance document must be a JSON object")
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise _err(f"unknown key {unknown[0]!r}")
+    _only(doc, _TOP_KEYS, "")
     if doc.get("format") != "instance/1":
         raise _err(f"unknown format {doc.get('format')!r}")
     inst_id = doc.get("id")
@@ -149,6 +161,7 @@ def parse_instance(text: str) -> InstanceFile:
     set_desc = doc.get("set")
     if not isinstance(set_desc, dict) or not _is_name(set_desc.get("kind"), _SET_KINDS):
         raise _err("set descriptor must have kind tree-pair, pi02-pair or catalog")
+    _only(set_desc, ("kind", *_SET_KINDS[set_desc["kind"]]), "set: ")
     base = DEFAULT_BOUNDS
     if set_desc["kind"] == "tree-pair":
         build_tree(set_desc.get("a"), "set.a")
@@ -179,6 +192,9 @@ def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:
     if not isinstance(desc, dict) or "rule" not in desc:
         raise _err(f"{path}: a tree descriptor needs a 'rule' field")
     rule = desc["rule"]
+    if not _is_name(rule, _TREE_RULES):
+        raise UnknownCatalogName(str(rule), kind="tree rule")
+    _only(desc, ("rule", *_TREE_RULES[rule]), f"{path}: ")
     if rule == "full":
         return full_baire_tree()
     if rule == "cantor":
@@ -198,23 +214,22 @@ def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:
         node = _expr("node", desc.get("node"), path)
         bound = _nat(desc, "child_bound", path, "dsl trees need a natural 'child_bound'")
         return dsl_tree(node, bound, label=label or "dsl")
-    if rule == "explicit":
-        nodes, depth = desc.get("nodes"), desc.get("depth")
-        if not (isinstance(nodes, list) and all(map(_is_nat, nodes)) and _is_nat(depth)):
-            raise _err(f"{path}: explicit trees need natural 'nodes' codes and 'depth'")
-        # decoding loops once per entry, so lengths are read (one unpair) first: a
-        # node longer than depth is never read, and a downward-closed list holds a
-        # node of length L together with its L proper prefixes
-        for c in nodes:
-            if lh(c) > min(depth, len(nodes) - 1):
-                raise _err(f"{path}: node code {c} has length {lh(c)}, more than 'depth' "
-                           f"or than {len(nodes)} listed codes can close downward")
-        continuation = build_tree(desc.get("continuation"), f"{path}.continuation")
-        return explicit_tree(nodes, depth, continuation, label=label or "explicit")
-    raise UnknownCatalogName(str(rule), kind="tree rule")
+    # the explicit rule
+    nodes, depth = desc.get("nodes"), desc.get("depth")
+    if not (isinstance(nodes, list) and all(map(_is_nat, nodes)) and _is_nat(depth)):
+        raise _err(f"{path}: explicit trees need natural 'nodes' codes and 'depth'")
+    # decoding loops once per entry, so lengths are read (one unpair) first: a
+    # node longer than depth is never read, and a downward-closed list holds a
+    # node of length L together with its L proper prefixes
+    for c in nodes:
+        if lh(c) > min(depth, len(nodes) - 1):
+            raise _err(f"{path}: node code {c} has length {lh(c)}, more than 'depth' "
+                       f"or than {len(nodes)} listed codes can close downward")
+    continuation = build_tree(desc.get("continuation"), f"{path}.continuation")
+    return explicit_tree(nodes, depth, continuation, label=label or "explicit")
 
 
-def dsl_tree(node: dsl.Compiled, child_bound: int, label: str = "dsl") -> PrunedTree:
+def dsl_tree(node: dsl.Compiled, child_bound: int, label: str) -> PrunedTree:
     """A tree whose node predicate is a compiled expression over (s, len)."""
 
     def admits(u: tuple[int, ...]) -> bool:
@@ -225,7 +240,7 @@ def dsl_tree(node: dsl.Compiled, child_bound: int, label: str = "dsl") -> Pruned
 
 
 def explicit_tree(nodes: list[int], depth: int, continuation: PrunedTree,
-                  label: str = "explicit") -> PrunedTree:
+                  label: str) -> PrunedTree:
     """Admissible codes listed up to a depth, a catalog rule beyond it.
 
     Past the listed depth a stem is admitted when its listed prefix is and
@@ -259,6 +274,7 @@ def point_from_descriptor(desc: dict[str, Any]):
     """
     if not isinstance(desc, dict):
         raise _err("a point descriptor must be a JSON object")
+    _only(desc, ("rule",) if "rule" in desc else ("pre", "period"), "point: ")
     if "rule" in desc:
         rule = _expr("rule", desc["rule"], "point")
         return BairePoint(lambda n: int(rule({"n": n})))
@@ -276,12 +292,13 @@ def build_matrix(desc: Any, path: str) -> Pi02Matrix:
     if not isinstance(desc, dict) or "rule" not in desc:
         raise _err(f"{path}: a matrix descriptor needs a 'rule' field")
     rule = desc["rule"]
+    if not _is_name(rule, _MATRIX_RULES):
+        raise UnknownCatalogName(str(rule), kind="matrix rule")
+    _only(desc, ("rule", *_MATRIX_RULES[rule]), f"{path}: ")
     if rule == "catalog":
         if not _is_name(desc.get("name"), MATRIX_CATALOG):
             raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return MATRIX_CATALOG[desc["name"]]()
-    if rule != "dsl":
-        raise UnknownCatalogName(str(rule), kind="matrix rule")
     r_fn, use_fn = (_expr(fld, desc.get(fld), path) for fld in ("r", "use_bound"))
     budget = _nat(desc, "per_n_budget", path, "dsl matrices need a natural 'per_n_budget'")
 
@@ -321,13 +338,14 @@ def _ambient_tree(desc: Any) -> PrunedTree:
     if not isinstance(desc, dict):
         raise UnknownCatalogName(str(desc), kind="ambient space")
     kind = desc.get("kind")
+    if not _is_name(kind, _AMBIENT_KINDS):
+        raise UnknownCatalogName(str(kind), kind="ambient space")
+    _only(desc, ("kind", *_AMBIENT_KINDS[kind]), "ambient: ")
     if kind == "cantor":
         return full_cantor_tree()
     if kind == "baire":
         return full_baire_tree()
-    if kind == "tree":
-        return build_tree(desc.get("tree"), "ambient.tree", label="ambient")
-    raise UnknownCatalogName(str(kind), kind="ambient space")
+    return build_tree(desc.get("tree"), "ambient.tree", label="ambient")
 
 
 def build_instance(inst: InstanceFile) -> BuiltInstance:
@@ -360,7 +378,7 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
         part_a = witness_representation(build_matrix(inst.set_desc["a"], "set.a"), bound)
         part_c = witness_representation(build_matrix(inst.set_desc["complement"],
                                                      "set.complement"), bound)
-    sum_space = SumSpace(part_a=part_a, part_c=part_c, ambient=ambient, label=inst.id)
+    sum_space = SumSpace(part_a=part_a, part_c=part_c, ambient=ambient)
     return BuiltInstance(inst, ambient_fam, ambient, sum_space)
 
 

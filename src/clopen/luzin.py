@@ -108,9 +108,6 @@ class LuzinScheme:
         self._paths: dict[Any, list[Optional[int]]] = {}
         self._members: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def _radius(self, level: int) -> Fraction:
-        return Fraction(1, 2 ** (level + 2) + 1)
-
     def ball_stage(self, x: Any, cell: tuple[int, ...]) -> bool:
         """Membership in the undisjointified stage B_cell."""
         if not cell:
@@ -123,7 +120,7 @@ class LuzinScheme:
         parent, k = cell[:-1], cell[-1]
         pres = self.presentation
         v = (self.ball_stage(x, parent)
-             and pres.ball_member(x, k, self._radius(len(parent)))
+             and pres.ball_member(x, k, Fraction(1, 2 ** (len(parent) + 2) + 1))
              and self.ball_stage(pres.dense_point(k), parent))
         memo[key] = v
         return v
@@ -255,7 +252,7 @@ def _bit_distance(i: int, j: int) -> Fraction:
     return Fraction(1, k.bit_length())
 
 
-def cantor_presentation(witness_bound: int = 64) -> ZeroDimPresentation:
+def cantor_presentation(witness_bound: int) -> ZeroDimPresentation:
     """The two-symbol sequence space with the rescaled first-disagreement metric.
 
     Dense point i is the finite-support point whose k-th entry is bit k of i,

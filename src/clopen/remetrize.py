@@ -86,7 +86,6 @@ class SumSpace:
     part_a: ClosedRepresentation
     part_c: ClosedRepresentation
     ambient: ZeroDimPresentation
-    label: str = "sum"
 
     def side(self, tag: Side) -> ClosedRepresentation:
         return self.part_a if tag == 0 else self.part_c
@@ -133,7 +132,7 @@ def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
     def dist(t1: int, t2: int) -> Fraction:
         return sum_distance(sp, tag_of_index(sp, t1), tag_of_index(sp, t2))
 
-    return ZeroDimPresentation(name=f"sum[{sp.label}]", dense_point=dense_point, dist=dist)
+    return ZeroDimPresentation(name="sum", dense_point=dense_point, dist=dist)
 
 
 def epsilon_code(sp: SumSpace) -> BairePoint:

@@ -72,7 +72,6 @@ class InsufficientDensePoints(Exception):
 
 @dataclass
 class ValidationReport:
-    depth: int
     admissible: int
     inspected: int
 
@@ -82,6 +81,7 @@ class PrunedTree:
 
     admits      -- the node predicate on decoded sequences
     child_bound -- ceiling for the least-child search below a node
+    label       -- the tree's name in reports
     hint        -- optional (sequence -> (preperiod_len, period_len)) giving a
                    periodicity promise for the leftmost branch through a node
     """
@@ -90,8 +90,8 @@ class PrunedTree:
         self,
         admits: Callable[[tuple[int, ...]], bool],
         child_bound: Callable[[tuple[int, ...]], int],
+        label: str,
         hint: Optional[Callable[[tuple[int, ...]], Optional[tuple[int, int]]]] = None,
-        label: str = "tree",
     ):
         self._admits = admits
         self.child_bound = child_bound
@@ -160,7 +160,7 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
     if not admissible:
         raise EmptyTreeViolation(())
     tree.depth_validated = max(tree.depth_validated, depth)
-    return ValidationReport(depth=depth, admissible=admissible, inspected=inspected)
+    return ValidationReport(admissible=admissible, inspected=inspected)
 
 
 class DensePointFamily:
@@ -240,11 +240,12 @@ def dense_distance_le(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> 
     return i is None or k + 1 <= (i + 1) * m
 
 
-def enumerate_distinct(fam: DensePointFamily, count: int, cap: int = 100_000) -> list[int]:
+def enumerate_distinct(fam: DensePointFamily, count: int, cap: int) -> list[int]:
     """The first `count` least codes below cap, in code order: distinct points.
 
-    The family keeps the least codes its scan has found, so a later call
-    extends that scan and never repeats it.
+    cap is the caller's, an instance's enumeration_cap.  The family keeps the
+    least codes its scan has found, so a later call extends that scan and
+    never repeats it.
     """
     found = fam._least_codes
     if len(found) < count and fam._scanned < cap:
@@ -292,8 +293,8 @@ def constant_tree(c: int) -> PrunedTree:
                       hint=lambda u: (len(u), 1), label=f"constant-{c}")
 
 
-def cylinder_union_tree(prefixes: Iterable[Iterable[int]], label: str = "",
-                        child_floor: int = 0) -> PrunedTree:
+def cylinder_union_tree(prefixes: Iterable[Iterable[int]], label: str,
+                        child_floor: int) -> PrunedTree:
     """The union of the basic neighborhoods of the given finite prefixes.
 
     child_floor widens the child search ceiling beyond what the leftmost
@@ -324,5 +325,4 @@ def cylinder_union_tree(prefixes: Iterable[Iterable[int]], label: str = "",
     def hint(u: tuple[int, ...]) -> tuple[int, int]:
         return (max(len(u), max_len), 1)
 
-    return PrunedTree(admits, child_bound, hint=hint,
-                      label=label or f"cylinders-{len(pres)}")
+    return PrunedTree(admits, child_bound, label, hint=hint)

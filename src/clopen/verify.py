@@ -30,7 +30,7 @@ from .witness import WitnessClosure
 class CheckResult:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def line(self) -> str:
         status = "ok" if self.passed else "FAIL"
@@ -47,20 +47,17 @@ def _result(name: str, fn: Callable[[], Optional[str]]) -> CheckResult:
 
 # --- tree-level checks ---------------------------------------------------------
 
-def check_tree_valid(tree: PrunedTree, depth: int, name: str = "") -> CheckResult:
-    label = name or f"tree-valid:{tree.label}"
-
+def check_tree_valid(tree: PrunedTree, depth: int, name: str) -> CheckResult:
     def run():
         report = validate_pruned(tree, depth)
         return f"{report.admissible} admissible of {report.inspected} inspected"
 
-    return _result(label, run)
+    return _result(name, run)
 
 
 def check_dense_family(fam: DensePointFamily, stem_len: int, prefix_depth: int,
-                       name: str = "") -> CheckResult:
+                       name: str) -> CheckResult:
     """Leftmost branches pass through their stems and stay on the tree."""
-    label = name or f"dense-family:{fam.tree.label}"
 
     def run():
         count = 0
@@ -75,13 +72,12 @@ def check_dense_family(fam: DensePointFamily, stem_len: int, prefix_depth: int,
             count += 1
         return f"{count} stems checked to depth {prefix_depth}"
 
-    return _result(label, run)
+    return _result(name, run)
 
 
-def check_distance_oracle(fam: DensePointFamily, code_bound: int, budget: int,
-                          name: str = "") -> CheckResult:
+def check_distance_oracle(fam: DensePointFamily, budget: int, name: str) -> CheckResult:
     """The exact comparison relations agree with the budgeted scan oracle."""
-    label = name or f"distance-oracle:{fam.tree.label}"
+    code_bound = 40
     # (m, k, m/(k+1)): the thresholds are built once, not per index pair
     probes = [(m, k, Fraction(m, k + 1))
               for m, k in ((0, 0), (1, 0), (1, 1), (1, 5), (2, 3), (3, 1))]
@@ -106,7 +102,7 @@ def check_distance_oracle(fam: DensePointFamily, code_bound: int, budget: int,
                         raise AssertionError(f"le({s},{t},{m},{k}) != {want_le}")
         return f"{code_bound}x{code_bound} index pairs"
 
-    return _result(label, run)
+    return _result(name, run)
 
 
 def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int) -> CheckResult:
@@ -122,7 +118,7 @@ def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int) -> CheckRe
 
 # --- summed-space checks --------------------------------------------------------
 
-def check_sum_metric_axioms(sp: SumSpace, count: int, name: str = "") -> CheckResult:
+def check_sum_metric_axioms(sp: SumSpace, count: int) -> CheckResult:
     pres = new_presentation(sp)
 
     def run():
@@ -134,10 +130,10 @@ def check_sum_metric_axioms(sp: SumSpace, count: int, name: str = "") -> CheckRe
         check_metric_axioms(pres.dist, count, equal=equal)
         return f"triples below {count}"
 
-    return _result(name or f"sum-metric:{sp.label}", run)
+    return _result("sum-metric", run)
 
 
-def check_clopen_sides(sp: SumSpace, count: int, name: str = "") -> CheckResult:
+def check_clopen_sides(sp: SumSpace, count: int) -> CheckResult:
     """Side membership of every dense index recovered by the one-ball test."""
 
     def run():
@@ -147,11 +143,12 @@ def check_clopen_sides(sp: SumSpace, count: int, name: str = "") -> CheckResult:
                 raise AssertionError(f"ball test misclassifies index {t}")
         return f"{count} dense indices"
 
-    return _result(name or f"clopen:{sp.label}", run)
+    return _result("clopen-sides", run)
 
 
-def check_epsilon_code(sp: SumSpace, code_bound: int, name: str = "") -> CheckResult:
+def check_epsilon_code(sp: SumSpace) -> CheckResult:
     """The combined parameter agrees with both node predicates."""
+    code_bound = 300
 
     def run():
         eps = epsilon_code(sp)
@@ -167,10 +164,10 @@ def check_epsilon_code(sp: SumSpace, code_bound: int, name: str = "") -> CheckRe
                 raise AssertionError(f"non-pair position {s} holds a 1")
         return f"codes below {code_bound}"
 
-    return _result(name or f"epsilon:{sp.label}", run)
+    return _result("epsilon-code", run)
 
 
-def certified_ball_list(sp: SumSpace, per_side: int = 6) -> list[tuple[int, int, int, Fraction]]:
+def certified_ball_list(sp: SumSpace, per_side: int) -> list[tuple[int, int, int, Fraction]]:
     """(side, dense code, ambient center, radius) pairs with strict interiors.
 
     The list is the instance's certified extension catalog: for each listed
@@ -192,8 +189,7 @@ def certified_ball_list(sp: SumSpace, per_side: int = 6) -> list[tuple[int, int,
     return out
 
 
-def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None,
-                                 name: str = "") -> CheckResult:
+def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None) -> CheckResult:
     """Every listed ball passes its certificate.  Without a list the check builds
     the catalog itself (four points a side): a side short of points fails here."""
 
@@ -203,7 +199,7 @@ def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None,
             extension_certificate(sp, side, s, center, radius)
         return f"{len(balls)} certified balls"
 
-    return _result(name or f"extension:{sp.label}", run)
+    return _result("extension", run)
 
 
 def check_degenerate(built: BuiltInstance) -> CheckResult:
@@ -243,8 +239,7 @@ def _agree(p: BairePoint, q: BairePoint, length: int) -> bool:
     return first_disagreement(p, q, length) is None
 
 
-def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
-                               name: str = "") -> CheckResult:
+def check_two_sided_continuity(sp: SumSpace) -> CheckResult:
     """Sampled soundness of both declared moduli on every side.
 
     Everything reduces to finite prefix agreement, exactly: branch distance
@@ -261,7 +256,7 @@ def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
         pairs_checked = 0
         for side in (0, 1):
             rep = sp.side(side)
-            branches = side_sample_branches(rep, per_side)
+            branches = side_sample_branches(rep, 4)
             images = [rep.map_point(b) for b in branches]
             for k in range(4):  # the precisions 1/(k+1) down to 1/4
                 fwd = rep.map_modulus(k)
@@ -277,7 +272,7 @@ def check_two_sided_continuity(sp: SumSpace, per_side: int = 4,
                         pairs_checked += 1
         return f"{pairs_checked} modulus samples"
 
-    return _result(name or f"continuity:{sp.label}", run)
+    return _result("continuity", run)
 
 
 # --- scheme and witness checks ----------------------------------------------------
@@ -346,10 +341,9 @@ def check_image_tree_pruned(scheme: LuzinScheme, depth: int) -> CheckResult:
 
 
 def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
-                         depth: int, rng: random.Random, perturbations: int = 50,
-                         name: str = "") -> CheckResult:
+                         depth: int, rng: random.Random, perturbations: int,
+                         name: str) -> CheckResult:
     """Closure membership, leastness refutations, and modulus soundness."""
-    matrix = closure.matrix
 
     def run():
         for a in base_points:
@@ -374,15 +368,10 @@ def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
                     raise AssertionError(f"witness prefix moved under a tail change at {pos}")
         return f"{len(base_points)} base points, depth {depth}"
 
-    return _result(name or f"witness:{matrix.label}", run)
+    return _result(name, run)
 
 
 # --- instance suite ---------------------------------------------------------------
-
-def interleaved_table(built: BuiltInstance, count: int):
-    return interleave(*built.families(), count, cap=built.file.bounds["enumeration_cap"],
-                      label=built.file.id)
-
 
 def instance_code(built: BuiltInstance) -> SpaceCode:
     """The instance's metric code at its table_size: `pipeline` on a batch of
@@ -395,7 +384,7 @@ def instance_code(built: BuiltInstance) -> SpaceCode:
     return result.codes[built.file.id]
 
 
-def check_interleaved_table(built: BuiltInstance, name: str = "") -> CheckResult:
+def check_interleaved_table(built: BuiltInstance) -> CheckResult:
     def run():
         code = instance_code(built)
         table = code.table
@@ -406,34 +395,31 @@ def check_interleaved_table(built: BuiltInstance, name: str = "") -> CheckResult
                     raise AssertionError(f"code round trip differs at ({i},{j})")
         return f"K={table.K} validated, {probe}x{probe} bits round-tripped"
 
-    return _result(name or f"interleave:{built.file.id}", run)
+    return _result("interleave", run)
 
 
-def check_code_matches_sum(built: BuiltInstance, matched: int = 12,
-                           name: str = "") -> CheckResult:
+def check_code_matches_sum(built: BuiltInstance, matched: int) -> CheckResult:
     """Interleaved code distances equal summed-space distances on matched indices."""
 
     def run():
-        table = interleaved_table(built, matched)
-        sp = built.sum_space
         fam_a, fam_c = built.families()
-        codes_a = enumerate_distinct(fam_a, (matched + 1) // 2,
-                                     cap=built.file.bounds["enumeration_cap"])
-        codes_c = enumerate_distinct(fam_c, matched // 2,
-                                     cap=built.file.bounds["enumeration_cap"])
+        cap = built.file.bounds["enumeration_cap"]
+        table = interleave(fam_a, fam_c, matched, cap, label=built.file.id)
+        codes_a = enumerate_distinct(fam_a, (matched + 1) // 2, cap)
+        codes_c = enumerate_distinct(fam_c, matched // 2, cap)
         for u in range(matched):
             for v in range(matched):
                 tag_u = (u % 2, (codes_a if u % 2 == 0 else codes_c)[u // 2])
                 tag_v = (v % 2, (codes_a if v % 2 == 0 else codes_c)[v // 2])
-                if table.dist(u, v) != sum_distance(sp, tag_u, tag_v):
+                if table.dist(u, v) != sum_distance(built.sum_space, tag_u, tag_v):
                     raise AssertionError(f"mismatch at matched indices ({u},{v})")
         return f"{matched}x{matched} matched indices agree"
 
-    return _result(name or f"code-vs-sum:{built.file.id}", run)
+    return _result("code-vs-sum", run)
 
 
-def run_instance_suite(built: BuiltInstance, *, axiom_count: int = 60,
-                       seed: int = 0) -> list[CheckResult]:
+def run_instance_suite(built: BuiltInstance, *, axiom_count: int,
+                       seed: int) -> list[CheckResult]:
     """Every applicable check for one built instance, deterministically ordered."""
     results: list[CheckResult] = []
     bounds = built.file.bounds
@@ -447,17 +433,16 @@ def run_instance_suite(built: BuiltInstance, *, axiom_count: int = 60,
         results.append(check_dense_family(rep.fam, min(bounds["depth"], 3),
                                           2 * bounds["depth"],
                                           name=f"dense-family:{side_name}"))
-        results.append(check_distance_oracle(rep.fam, 40, bounds["budget"],
+        results.append(check_distance_oracle(rep.fam, bounds["budget"],
                                              name=f"distance-oracle:{side_name}"))
-    results.append(check_sum_metric_axioms(sp, axiom_count, name="sum-metric"))
-    results.append(check_clopen_sides(sp, axiom_count, name="clopen-sides"))
-    results.append(check_epsilon_code(sp, 300, name="epsilon-code"))
+    results.append(check_sum_metric_axioms(sp, axiom_count))
+    results.append(check_clopen_sides(sp, axiom_count))
+    results.append(check_epsilon_code(sp))
     if sp.certifiable:
-        results.append(check_extension_certificates(sp, name="extension"))
-    results.append(check_two_sided_continuity(sp, per_side=4, name="continuity"))
-    results.append(check_interleaved_table(built, name="interleave"))
-    results.append(check_code_matches_sum(built, matched=min(8, bounds["table_size"]),
-                                          name="code-vs-sum"))
+        results.append(check_extension_certificates(sp))
+    results.append(check_two_sided_continuity(sp))
+    results.append(check_interleaved_table(built))
+    results.append(check_code_matches_sum(built, matched=min(8, bounds["table_size"])))
     for side_name, rep in (("a", sp.part_a), ("c", sp.part_c)):
         if rep.closure is not None:
             rng = random.Random(seed)

@@ -45,7 +45,7 @@ class Pi02Matrix:
     r: Callable[[Callable[[int], int], int, int], bool]
     use_bound: Callable[[int, int], int]
     per_n_budget: int
-    label: str = "matrix"
+    label: str
 
     def check(self, a: BairePoint, n: int, m: int) -> bool:
         limit = self.use_bound(n, m)

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from clopen.baire import Exact, distance, eventually_periodic
-from clopen.codes import (catalog_table, decode_metric, encode_metric, pipeline,
-                          render_code_file, validate_metric_table)
+from clopen.codes import (catalog_table, decode_metric, encode_metric, interleave,
+                          pipeline, render_code_file, validate_metric_table)
 from clopen.coding import decode, encode, quad_code
-from clopen.instances import (INTERLEAVE_CATALOG, CATALOG, build_instance,
+from clopen.instances import (INTERLEAVE_CATALOG, CATALOG, DEFAULT_BOUNDS, build_instance,
                               build_tree, builtin_instance)
 from clopen.luzin import LuzinScheme, cantor_presentation
 from clopen.remetrize import OnBoundary, open_ball_distance
@@ -27,14 +27,19 @@ from clopen.trees import (DensePointFamily, constant_tree, cylinder_union_tree,
 from clopen.verify import (certified_ball_list, check_clopen_sides,
                            check_embedding_injective, check_extension_certificates,
                            check_image_tree_pruned, check_luzin_scheme,
-                           check_sum_metric_axioms, check_witness_matrix,
-                           interleaved_table)
+                           check_sum_metric_axioms, check_witness_matrix)
 from clopen.witness import WitnessClosure, diagonal_matrix, parity_matrix, \
     zero_tail_matrix
 
 
 def report(number: int, summary: str):
     print(f"PASS criterion {number}: {summary}")
+
+
+def interleaved_table(built, count):
+    """The instance's interleaved table with count entries, at its enumeration cap."""
+    return interleave(*built.families(), count, cap=built.file.bounds["enumeration_cap"],
+                      label=built.file.id)
 
 
 def built_catalog():
@@ -180,7 +185,7 @@ def test_criterion_7_witness_maps():
         closure = WitnessClosure(matrix)
         points = witness_base_points(matrix.label, rng, 100)
         result = check_witness_matrix(closure, points, depth=16, rng=rng,
-                                      perturbations=50)
+                                      perturbations=50, name=f"witness:{matrix.label}")
         assert result.passed, f"{matrix.label}: {result.detail}"
     report(7, f"{len(matrices)} matrices, closure to depth 16, perturbed witnesses "
               f"refuted, modulus sound on 100x50 samples")
@@ -214,8 +219,9 @@ def test_criterion_8_codes():
                     bits_checked += 1
 
     jobs = [(name, *built.families(), 24) for name, built in instances.items()]
-    first = pipeline(jobs)
-    second = pipeline(jobs)
+    cap = DEFAULT_BOUNDS["enumeration_cap"]
+    first = pipeline(jobs, cap=cap)
+    second = pipeline(jobs, cap=cap)
     assert not first.errors and not second.errors
     for name in instances:
         text1 = render_code_file(first.codes[name], name)

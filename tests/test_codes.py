@@ -10,9 +10,11 @@ from clopen.codes import (CauchyRateViolation, CompletionPoint, MalformedCode,
                           render_code_file, validate_metric_table)
 from clopen import codes
 from clopen.coding import quad_code
-from clopen.instances import build_instance, builtin_instance
+from clopen.instances import DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
 from clopen.trees import InsufficientDensePoints, dense_pn_distance
+
+CAP = DEFAULT_BOUNDS["enumeration_cap"]  # the catalog instances' enumeration cap
 
 
 def representations(value, limit):
@@ -36,12 +38,12 @@ def test_discrete_code_bits_follow_the_formula():
 
 
 def test_zero_distance_is_witnessed_everywhere():
-    code = encode_metric(catalog_table("discrete"))
+    code = encode_metric(catalog_table("discrete", k=8))
     assert code.point(quad_code(0, 0, 0, 5)) == 1
 
 
 def test_non_quadruple_positions_are_zero():
-    code = encode_metric(catalog_table("discrete"))
+    code = encode_metric(catalog_table("discrete", k=8))
     for t in (0, 1, 2, 3, 17):
         assert code.point(t) == 0
 
@@ -58,11 +60,11 @@ def test_representation_completeness():
 def test_decode_scan_order_and_round_trip():
     table = catalog_table("discrete", k=5)
     code = encode_metric(table)
-    assert decode_metric(code, 0, 1) == 1  # first witness is (m, n) = (1, 0)
-    assert decode_metric(code, 2, 2) == 0
+    assert decode_metric(code, 0, 1, window=64) == 1  # first witness is (m, n) = (1, 0)
+    assert decode_metric(code, 2, 2, window=64) == 0
     for i in range(5):
         for j in range(5):
-            assert decode_metric(code, i, j) == table.dist(i, j)
+            assert decode_metric(code, i, j, window=64) == table.dist(i, j)
 
 
 def test_malformed_codes():
@@ -142,21 +144,21 @@ def _families(name="cantor-split-0"):
 
 def test_interleave_layout():
     fam_a, fam_c = _families()
-    table = interleave(fam_a, fam_c, 12)
+    table = interleave(fam_a, fam_c, 12, cap=CAP, label="interleaved")
     for i in range(6):
         for j in range(6):
             assert table.dist(2 * i, 2 * j + 1) == 2
             assert table.dist(2 * j + 1, 2 * i) == 2
     # even-even distances are the set side's branch distances
     from clopen.trees import enumerate_distinct
-    codes = enumerate_distinct(fam_a, 3)
+    codes = enumerate_distinct(fam_a, 3, cap=CAP)
     assert table.dist(0, 2) == dense_pn_distance(fam_a, codes[0], codes[1])
     validate_metric_table(table)
 
 
 def test_interleave_extends_past_serialized_prefix():
     fam_a, fam_c = _families()
-    table = interleave(fam_a, fam_c, 6)
+    table = interleave(fam_a, fam_c, 6, cap=CAP, label="interleaved")
     assert table.dist(10, 12) != 0  # indices beyond K come from the tail rule
     assert table.dist(10, 11) == 2
 
@@ -178,13 +180,13 @@ def test_pipeline_determinism_and_error_aggregation():
 
 
 def test_pipeline_empty_batch():
-    result = pipeline([])
+    result = pipeline([], cap=CAP)
     assert result.codes == {} and result.errors == {}
 
 
 def test_code_file_round_trip():
     fam_a, fam_c = _families()
-    table = interleave(fam_a, fam_c, 8, label="roundtrip")
+    table = interleave(fam_a, fam_c, 8, cap=CAP, label="roundtrip")
     code = encode_metric(table)
     text = render_code_file(code, "roundtrip")
     inst_id, k, entries, tail = parse_code_file(text)
@@ -198,9 +200,9 @@ def test_interleaved_code_matches_sum_space():
     built = build_instance(builtin_instance("cantor-split-00"))
     fam_a, fam_c = built.families()
     from clopen.trees import enumerate_distinct
-    codes_a = enumerate_distinct(fam_a, 6)
-    codes_c = enumerate_distinct(fam_c, 6)
-    table = interleave(fam_a, fam_c, 12)
+    codes_a = enumerate_distinct(fam_a, 6, cap=CAP)
+    codes_c = enumerate_distinct(fam_c, 6, cap=CAP)
+    table = interleave(fam_a, fam_c, 12, cap=CAP, label="interleaved")
     for u in range(12):
         for v in range(12):
             tag_u = (u % 2, (codes_a if u % 2 == 0 else codes_c)[u // 2])
@@ -242,7 +244,7 @@ def test_malformed_code_files_name_their_line(text, line):
 
 def test_rendered_catalog_file_parses_to_its_table():
     built = build_instance(builtin_instance("cantor-split-0"))
-    table = interleave(*built.families(), 8, label="cantor-split-0")
+    table = interleave(*built.families(), 8, cap=CAP, label="cantor-split-0")
     text = render_code_file(encode_metric(table), "cantor-split-0")
     inst_id, k, entries, tail = parse_code_file(text)
     assert (inst_id, k, tail) == ("cantor-split-0", 8, "interleave:cantor-split-0")

@@ -244,6 +244,9 @@ _FIXED_DOCS = {
     # a catalog entry over a tree ambient, named by a file with the cantor ambient
     "catalog-other-ambient": {"format": "instance/1", "id": "mine", "ambient": {"kind": "cantor"},
                               "set": {"kind": "catalog", "name": "baire-split-0"}},
+    # a key that no reader reads, misspelt from child_bound
+    "misspelt-child-bound": _doc("u", _tree_pair(dict(_CYLINDERS_0, child_bounds=3),
+                                                 _CYLINDERS_1)),
 }
 
 _HUGE_POINT = '{"pre": [1' + "0" * 5000 + '], "period": [0]}'
@@ -278,6 +281,7 @@ FIXED_CASES = [
     (["validate"], "deep-nesting", 2),
     (["validate"], "superscript-numeral", 2),
     (["remetrize"], "catalog-other-ambient", 2),
+    *[(cmd, "misspelt-child-bound", 2) for cmd in (["validate"], ["verify"], ["encode"])],
     (["witness", "--matrix", "diagonal", "--point", _HUGE_POINT], None, 2),
 ]
 

@@ -7,7 +7,7 @@ import pytest
 from clopen.cli import build_parser, main
 from clopen.coding import pair
 from clopen.dsl import ParseError
-from clopen.instances import (CATALOG, UnknownCatalogName, build_instance,
+from clopen.instances import (CATALOG, DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
 
 MINIMAL = """
@@ -72,10 +72,10 @@ def test_unbounded_quantifier_in_tree_dsl():
 
 
 def _with(doc, where, desc):
-    """MINIMAL, or doc, with desc at where: 'set.a', 'set.complement', 'ambient'."""
+    """MINIMAL, or doc, with desc at where: 'set.a', 'set.complement', 'ambient', 'set'."""
     doc = json.loads(doc or MINIMAL)
-    if where == "ambient":
-        doc["ambient"] = desc
+    if where in ("ambient", "set"):
+        doc[where] = desc
     else:
         doc["set"][where.split(".")[1]] = desc
     return json.dumps(doc)
@@ -139,6 +139,68 @@ def test_each_descriptor_field_is_checked_by_its_reader(doc, where, desc, text):
     with pytest.raises((ParseError, UnknownCatalogName)) as exc:
         parse_instance(_with(doc, where, desc))
     assert getattr(exc.value, "message", str(exc.value)) == text
+
+
+def _extra(desc):
+    return dict(desc, extra=1)
+
+
+# one descriptor of each tree rule, matrix rule, ambient kind and set kind
+# holding a key that its reader does not read: the document, where the
+# descriptor sits, the descriptor, and the path the error names
+UNKNOWN_KEY_CASES = [
+    *[(None, "set.a", _extra(desc), "set.a") for desc in (
+        {"rule": "full"}, {"rule": "cantor"}, {"rule": "empty"}, {"rule": "constant", "value": 0},
+        {"rule": "cylinders", "prefixes": [[0]], "child_bound": 1},
+        {"rule": "dsl", "node": "len < 9", "child_bound": 1}, _EXPLICIT)],
+    (None, "set.a", dict(_EXPLICIT, continuation=_extra({"rule": "cantor"})),
+     "set.a.continuation"),
+    (_PI02, "set.a", _extra({"rule": "catalog", "name": "first-value-0"}), "set.a"),
+    (_PI02, "set.complement", _extra(_R), "set.complement"),
+    (None, "ambient", _extra({"kind": "cantor"}), "ambient"),
+    (None, "ambient", _extra({"kind": "baire"}), "ambient"),
+    (None, "ambient", _extra({"kind": "tree", "tree": {"rule": "cantor"}}), "ambient"),
+    (None, "ambient", {"kind": "tree", "tree": _extra({"rule": "cantor"})}, "ambient.tree"),
+    (None, "set", _extra(json.loads(MINIMAL)["set"]), "set"),
+    (None, "set", _extra(json.loads(_PI02)["set"]), "set"),
+    (None, "set", _extra({"kind": "catalog", "name": "cantor-split-0"}), "set"),
+]
+
+
+@pytest.mark.parametrize("doc,where,desc,path", UNKNOWN_KEY_CASES,
+                         ids=[f"{where}-{desc.get('rule') or desc['kind']}-at-{path}"
+                              for _, where, desc, path in UNKNOWN_KEY_CASES])
+def test_each_descriptor_accepts_only_the_keys_it_reads(doc, where, desc, path):
+    with pytest.raises(ParseError) as exc:
+        parse_instance(_with(doc, where, desc))
+    assert exc.value.message == f"{path}: unknown key 'extra'"
+
+
+def test_point_descriptors_accept_only_the_keys_they_read(capsys):
+    from clopen.instances import point_from_descriptor
+
+    for desc, key in (({"rule": "n", "extra": 1}, "extra"), ({"rule": "n", "pre": [0]}, "pre"),
+                      ({"pre": [0], "period": [1], "extra": 1}, "extra")):
+        with pytest.raises(ParseError) as exc:
+            point_from_descriptor(desc)
+        assert exc.value.message == f"point: unknown key {key!r}"
+        assert main(["witness", "--point", json.dumps(desc)]) == 2
+        assert capsys.readouterr().err == f"error: 0:0: point: unknown key {key!r}\n"
+
+
+def test_a_misspelt_child_bound_exits_2(tmp_path, capsys):
+    # cantor-split-0 with "child_bounds": 3 in set.a parsed and built as if the
+    # key were absent, and nothing reported it
+    doc = json.loads(builtin_instance("cantor-split-0").canonical_text())
+    doc["set"]["a"]["child_bounds"] = 3
+    with pytest.raises(ParseError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.message == "set.a: unknown key 'child_bounds'"
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "verify", "encode"):
+        assert main([command, "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == "error: 0:0: set.a: unknown key 'child_bounds'\n"
 
 
 def test_explicit_node_codes_past_depth_or_list_are_rejected():
@@ -547,11 +609,22 @@ def test_cli_subcommands_take_only_the_flags_they_read(capsys):
     ("witness", "witness values printed and the modulus depth (default 4)"),
     ("embed", "length of each printed embedding prefix (default 4, or the instance's "
               "with baire-closed)"),
+    ("verify", "tree validation and check depth (default 4 or the instance's)"),
 ])
 def test_cli_depth_help_names_what_the_subcommand_reads(command, text, capsys):
     assert main([command, "--help"]) == 0
     # argparse wraps to the terminal width, so compare with whitespace collapsed
     assert f"--depth DEPTH {text}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_help_takes_the_bound_defaults_from_default_bounds(capsys):
+    assert main(["verify", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--budget BUDGET scan budget (default {DEFAULT_BOUNDS['budget']} " in out
+    assert main(["embed", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert (f"--witness-bound WITNESS_BOUND dense-witness scan ceiling "
+            f"(default {DEFAULT_BOUNDS['witness_bound']} ") in out
 
 
 def test_cli_main_leaves_no_garbage_cycles(capsys):

@@ -28,7 +28,7 @@ def test_rescale_values():
 
 
 def test_cantor_dense_family_is_injective_and_dense():
-    pres = cantor_presentation()
+    pres = cantor_presentation(witness_bound=64)
     seen = set()
     for i in range(64):
         key = pres.dense_point(i).prefix(8)
@@ -40,7 +40,7 @@ def test_cantor_dense_family_is_injective_and_dense():
 
 
 def test_ball_member_consistent_with_dist():
-    pres = cantor_presentation()
+    pres = cantor_presentation(witness_bound=64)
     for q in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 3)):
         for j in range(10):
             for i in range(10):
@@ -51,14 +51,14 @@ def test_ball_member_consistent_with_dist():
 def test_presentation_metric_axioms():
     from clopen.codes import check_metric_axioms
 
-    pres = cantor_presentation()
+    pres = cantor_presentation(witness_bound=64)
     check_metric_axioms(pres.dist, 40)
     disc = discrete_presentation(5)
     check_metric_axioms(disc.dist, 5)
 
 
 def test_presentation_distances_are_rescaled_and_bounded():
-    pres = cantor_presentation()
+    pres = cantor_presentation(witness_bound=64)
     for i in range(12):
         for j in range(12):
             d = pres.dist(i, j)
@@ -183,7 +183,7 @@ def test_branches_and_embeddings_freed_by_reference_counting():
 
 
 def test_max_depth_guard():
-    sch = LuzinScheme(cantor_presentation(), max_depth=2)
+    sch = LuzinScheme(cantor_presentation(witness_bound=64), max_depth=2)
     with pytest.raises(ValueError):
         sch.cell_member_seq(sch.presentation.dense_point(0), (0, 0, 0))
     f = sch.embed(sch.presentation.dense_point(5))

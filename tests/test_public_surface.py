@@ -1,4 +1,4 @@
-"""No aliases that only tests call, and no settings that only tests set.
+"""No aliases that only tests call, and no settings that one value or only tests use.
 
 Every public module-level function of the library, and every public method
 of a module-level class, has a caller in `src/` or `bench/` outside its own
@@ -7,18 +7,25 @@ exported from the package is no reason: `__init__.py` is not searched.
 
 A caller is an `ast` reference, never a word in a comment or a string:
 - of a function: its name loaded in its own module, an import of it
-  (`from .codes import pipeline`), or an attribute read on a name spelled
-  like its module (`codes.pipeline`, `clopen.codes.pipeline`);
+  (`from .codes import pipeline`), or an attribute read on an owner that
+  spells its module (`codes.pipeline`, `clopen.codes.pipeline`, and bench's
+  `_mod("codes").pipeline` and `sys.modules["clopen.codes"].pipeline`);
 - of a method: an attribute read `.name` on any object.
 
-Likewise every defaulted parameter of a public function or method, and every
-defaulted field of a public module-level dataclass (a `default_factory`
-container is not a setting), has a setter in `src/` or `bench/` outside its
-own definition, or is listed in PARAMETERS_WITHOUT_SETTERS with its reason.
-A setter is a call of the function, method or class, resolved as above, that
-passes the value: by keyword, by a positional argument at or past its index,
-or by a `dataclasses.replace` keyword of the field's name.  A listed entry
-that gains a setter, or that is no longer defined, fails the guard.
+Likewise every defaulted parameter of a public function or method, of the
+`__init__` of a public module-level class, and every defaulted field of a
+public module-level dataclass (a `default_factory` container is not a
+setting), is used both ways outside its own definition in `src/` or `bench/`,
+or is listed in SETTINGS_NOT_USED_BOTH_WAYS with its reason:
+- it has a setter: a call of the function, method or class, resolved as above,
+  that passes the value by keyword, by a positional argument at or past its
+  index, or by a `dataclasses.replace` keyword of the field's name;
+- some call leaves it out.  A default that every call overrides, or that only
+  tests override, is one value written twice: the caller's value belongs in
+  the function, or the parameter is required.
+A call of a class is a call of its `__init__`, and so is a call of a subclass
+in its module that inherits that `__init__`.  A listed entry that is now used both ways, or that is no longer defined,
+fails the guard.
 Standard library only.
 """
 
@@ -51,13 +58,11 @@ WITHOUT_CALLERS = {
         "the printer that pins instances/*.json to the catalog",
 }
 
-# defaulted parameters ("module.function(name)", "module.Class.method(name)")
-# and dataclass fields ("module.Class.name") kept without a setter in src/ or
-# bench/, each with its reason; a listed entry that gains a setter fails the guard
-PARAMETERS_WITHOUT_SETTERS = {
-    "cli.main(argv)":
-        "the console script calls main() and it reads sys.argv; tests pass argv in process",
-}
+# settings ("module.function(name)", "module.Class.method(name)",
+# "module.Class.__init__(name)" and dataclass fields "module.Class.name") kept
+# without being both set and left out by calls in src/ or bench/, each with its
+# reason; a listed entry that is now used both ways fails the guard
+SETTINGS_NOT_USED_BOTH_WAYS: dict[str, str] = {}
 
 
 def _public_defs(nodes):
@@ -105,10 +110,26 @@ def _calls_function(path, node, module, name):
         return source in ("", "clopen", module.stem) and any(
             alias.name == name for alias in node.names)
     if isinstance(node, ast.Attribute) and node.attr == name:
-        owner = node.value
-        spelled = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
-        return spelled == module.stem
+        return _spelled(node.value) == module.stem
     return False
+
+
+def _spelled(owner):
+    """The module name an attribute owner spells: a name or attribute
+    (`codes`, `clopen.codes`), bench's `_mod("codes")` or
+    `sys.modules["clopen.codes"]`; None for any other owner."""
+    if isinstance(owner, ast.Name):
+        return owner.id
+    if isinstance(owner, ast.Attribute):
+        return owner.attr
+    if (isinstance(owner, ast.Call) and getattr(owner.func, "id", None) == "_mod"
+            and len(owner.args) == 1 and isinstance(owner.args[0], ast.Constant)):
+        return owner.args[0].value
+    if (isinstance(owner, ast.Subscript) and getattr(owner.value, "attr", None) == "modules"
+            and isinstance(owner.slice, ast.Constant) and isinstance(owner.slice.value, str)
+            and owner.slice.value.startswith("clopen.")):
+        return owner.slice.value[len("clopen."):]
+    return None
 
 
 def _calls(kind, module, name):
@@ -190,42 +211,72 @@ def _is_factory(value):
             and any(k.arg == "default_factory" for k in value.keywords))
 
 
+def _defaulted(node, bound):
+    """(name, index) of each defaulted parameter of a function definition;
+    index is the position a positional argument takes, None for a keyword-only
+    parameter.  A bound method's first parameter takes no argument."""
+    args = node.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _inheritors(tree, cls):
+    """The class's name and those of the classes of its module that inherit
+    its __init__: a call of any of them is a call of it."""
+    names = [cls.name]
+    for other in tree.body:
+        if (isinstance(other, ast.ClassDef) and other is not cls
+                and any(getattr(b, "id", None) in names for b in other.bases)
+                and not any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                            for f in other.body)):
+            names.append(other.name)
+    return names
+
+
 def _settings():
-    """(key, kind, module path, callee name, first line, last line, name, index)
-    of each defaulted parameter of a public function or method and each
-    defaulted field of a public top-level dataclass; index is the position a
-    positional argument takes, None for a keyword-only parameter."""
+    """(key, callee test, module path, first line, last line, name, index) of
+    each defaulted parameter of a public function or method or of the
+    __init__ of a public top-level class, and of each defaulted field of a
+    public top-level dataclass; a field's key has no parentheses."""
     for key, kind, module, name, first, last, node in _definitions():
-        args = node.args
-        positional = args.posonlyargs + args.args
-        if kind == "method" and not any(getattr(d, "id", None) == "staticmethod"
-                                        for d in node.decorator_list):
-            positional = positional[1:]
-        for index, arg in enumerate(positional):
-            if index >= len(positional) - len(args.defaults):
-                yield f"{key}({arg.arg})", kind, module, name, first, last, arg.arg, index
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield f"{key}({arg.arg})", kind, module, name, first, last, arg.arg, None
+        bound = kind == "method" and not any(getattr(d, "id", None) == "staticmethod"
+                                             for d in node.decorator_list)
+        calls = _callee(kind, module, name)
+        for param, index in _defaulted(node, bound):
+            yield f"{key}({param})", calls, module, first, last, param, index
     for module, tree in _parsed().items():
         if module.parent != PACKAGE:
             continue
         for cls in tree.body:
-            if (not isinstance(cls, ast.ClassDef) or cls.name.startswith("_")
-                    or not _is_dataclass(cls)):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            tests = [_callee("function", module, n) for n in _inheritors(tree, cls)]
+            calls = lambda path, func, tests=tests: any(t(path, func) for t in tests)
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    for param, index in _defaulted(init, True):
+                        yield (f"{module.stem}.{cls.name}.__init__({param})", calls, module,
+                               init.lineno, init.end_lineno, param, index)
+            if not _is_dataclass(cls):
                 continue
             fields = [f for f in cls.body
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             for index, f in enumerate(fields):
                 if f.value is not None and not _is_factory(f.value):
-                    yield (f"{module.stem}.{cls.name}.{f.target.id}", "function", module,
-                           cls.name, cls.lineno, cls.end_lineno, f.target.id, index)
+                    yield (f"{module.stem}.{cls.name}.{f.target.id}", calls, module,
+                           cls.lineno, cls.end_lineno, f.target.id, index)
 
 
 def _sets(call, name, index):
-    """Whether a call passes the value: by keyword, or by a positional
-    argument at or past its index (a starred one may reach it)."""
-    if any(k.arg == name for k in call.keywords):
+    """Whether a call passes the value: by keyword (a `**` mapping may hold
+    it), or by a positional argument at or past its index (a starred one may
+    reach it)."""
+    if any(k.arg in (name, None) for k in call.keywords):
         return True
     if index is None:
         return False
@@ -240,28 +291,60 @@ def _is_replace(call):
         and getattr(func.value, "id", None) == "dataclasses")
 
 
-def _without_setters():
-    """The keys of the settings that have no setter."""
-    missing = []
-    for key, kind, module, callee, first, last, name, index in _settings():
-        calls = _callee(kind, module, callee)
-        field = "(" not in key
-        if not any(calls(path, call.func) and _sets(call, name, index)
-                   or field and _is_replace(call) and any(k.arg == name for k in call.keywords)
-                   for path, call in _outside(module, first, last, ast.Call)):
-            missing.append(key)
-    return missing
+@cache
+def _uses():
+    """{setting key: (whether a call sets it, whether a call leaves it out)},
+    over the calls in src/ and bench/ outside the setting's own definition."""
+    uses = {}
+    for key, calls, module, first, last, name, index in _settings():
+        field, set_, left_out = "(" not in key, False, False
+        for path, call in _outside(module, first, last, ast.Call):
+            if calls(path, call.func):
+                passed = _sets(call, name, index)
+                set_, left_out = set_ or passed, left_out or not passed
+            elif field and _is_replace(call) and any(k.arg == name for k in call.keywords):
+                set_ = True
+        uses[key] = (set_, left_out)
+    return uses
+
+
+def _check_settings(way, what):
+    unused = {key for key, ways in _uses().items() if not ways[way]}
+    unlisted = sorted(unused - set(SETTINGS_NOT_USED_BOTH_WAYS))
+    assert unlisted == [], f"settings {what}: {unlisted}"
 
 
 def test_every_setting_has_a_setter_outside_tests():
-    missing = set(_without_setters())
-    listed = set(PARAMETERS_WITHOUT_SETTERS)
-    unlisted, set_now = sorted(missing - listed), sorted(listed - missing)
-    assert unlisted == [], f"settings that only tests set, or nothing sets: {unlisted}"
-    assert set_now == [], f"listed settings that now have a setter, or are gone: {set_now}"
+    _check_settings(0, "that only tests set, or nothing sets")
 
 
-def test_every_setting_kept_without_setters_is_defined_and_has_a_reason():
-    defined = {key for key, *_ in _settings()}
-    assert sorted(set(PARAMETERS_WITHOUT_SETTERS) - defined) == []
-    assert all(reason.strip() for reason in PARAMETERS_WITHOUT_SETTERS.values())
+def test_every_setting_is_left_out_by_a_call_outside_tests():
+    _check_settings(1, "that every call outside tests passes: write the value "
+                       "in the function, or make the parameter required")
+
+
+def test_every_setting_kept_is_defined_and_has_a_reason():
+    uses = _uses()
+    listed = set(SETTINGS_NOT_USED_BOTH_WAYS)
+    assert sorted(listed - set(uses)) == [], "listed settings that are not defined"
+    assert sorted(key for key in listed & set(uses) if all(uses[key])) == [], \
+        "listed settings that are now both set and left out"
+    assert all(reason.strip() for reason in SETTINGS_NOT_USED_BOTH_WAYS.values())
+
+
+def test_bench_module_lookups_resolve_to_their_module():
+    # bench/workloads.py reaches luzin as _mod("luzin"), bench/worker.py codes
+    # as sys.modules["clopen.codes"]
+    luzin = PACKAGE / "luzin.py"
+    callers = {path.name for path, call in _nodes(ast.Call)
+               if _calls_function(path, call.func, luzin, "baire_closed_presentation")}
+    assert "workloads.py" in callers
+    for text, module in (('_mod("luzin")', "luzin"), ('sys.modules["clopen.codes"]', "codes"),
+                         ('sys.modules["numpy"]', None), ('other("luzin")', None)):
+        assert _spelled(ast.parse(text, mode="eval").body) == module
+
+
+def test_a_subclass_call_is_a_call_of_the_inherited_init():
+    # ChildSearchExhausted(prefix, detail) sets TreeError.__init__(detail);
+    # EmptyTreeViolation(()) leaves it out
+    assert _uses()["trees.TreeError.__init__(detail)"] == (True, True)

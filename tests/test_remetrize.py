@@ -127,7 +127,7 @@ def test_certified_catalog_passes():
 def test_two_sided_continuity_identity_and_witness():
     for name in ("cantor-split-0", "witness-first-bit"):
         sp = built(name).sum_space
-        assert check_two_sided_continuity(sp, per_side=4).passed
+        assert check_two_sided_continuity(sp).passed
 
 
 def test_witness_representation_moduli():

@@ -48,7 +48,7 @@ def test_validate_constant_tree():
 
 
 def test_root_only_tree_is_not_pruned():
-    tree = PrunedTree(lambda u: u == (), lambda u: 3)
+    tree = PrunedTree(lambda u: u == (), lambda u: 3, label="tree")
     with pytest.raises(PrunednessViolation) as exc:
         validate_pruned(tree, 3)
     assert exc.value.node == ()
@@ -56,14 +56,14 @@ def test_root_only_tree_is_not_pruned():
 
 def test_empty_tree_rejected():
     with pytest.raises(EmptyTreeViolation):
-        validate_pruned(PrunedTree(lambda u: False, lambda u: 0), 2)
+        validate_pruned(PrunedTree(lambda u: False, lambda u: 0, label="tree"), 2)
 
 
 def test_dense_family_of_a_rootless_tree_is_empty_without_recursing():
     # a caller's depth_validated claim on a tree that rejects its root: one
     # predicate call decides it, and no leftmost(0) recurses into itself
     asked = []
-    tree = PrunedTree(lambda u: asked.append(u) or False, lambda u: 0)
+    tree = PrunedTree(lambda u: asked.append(u) or False, lambda u: 0, label="tree")
     tree.depth_validated = 1
     with pytest.raises(EmptyTreeViolation):
         DensePointFamily(tree)
@@ -72,7 +72,7 @@ def test_dense_family_of_a_rootless_tree_is_empty_without_recursing():
 
 def test_inadmissible_root_with_admissible_child_is_not_empty():
     # the root is dead but (1) is admitted: a closure violation, not an empty tree
-    tree = PrunedTree(lambda u: len(u) > 0 and u[0] == 1, lambda u: 1)
+    tree = PrunedTree(lambda u: len(u) > 0 and u[0] == 1, lambda u: 1, label="tree")
     with pytest.raises(DownwardClosureViolation):
         validate_pruned(tree, 3)
 
@@ -82,7 +82,7 @@ def test_downward_closure_violation():
     def admits(u):
         return all(x == 0 for x in u) or (len(u) >= 2 and u[0] == 1)
 
-    tree = PrunedTree(admits, lambda u: 1)
+    tree = PrunedTree(admits, lambda u: 1, label="tree")
     with pytest.raises(DownwardClosureViolation) as exc:
         validate_pruned(tree, 3)
     assert exc.value.node == (1,)
@@ -117,7 +117,7 @@ def test_leftmost_memoizes():
 def test_leftmost_searches_each_position_once():
     searched = []
     cantor = full_cantor_tree()
-    tree = validated(PrunedTree(cantor.admits, lambda u: searched.append(u) or 1))
+    tree = validated(PrunedTree(cantor.admits, lambda u: searched.append(u) or 1, label="tree"))
     searched.clear()
     stem = (1, 0, 1)
     point = DensePointFamily(tree).leftmost(encode(stem))
@@ -129,7 +129,7 @@ def test_leftmost_searches_each_position_once():
 
 def test_child_search_exhausted_beyond_contract():
     # caller asserts prunedness that does not actually hold
-    tree = PrunedTree(lambda u: all(x == 5 for x in u), lambda u: 0)
+    tree = PrunedTree(lambda u: all(x == 5 for x in u), lambda u: 0, label="tree")
     tree.depth_validated = 1
     fam = DensePointFamily(tree)
     with pytest.raises(ChildSearchExhausted):
@@ -178,7 +178,8 @@ def test_dense_distance_relations():
 
 
 def test_dense_distance_agrees_with_budget_oracle():
-    for tree in (full_cantor_tree(), cylinder_union_tree([[0, 1], [1]], child_floor=1)):
+    for tree in (full_cantor_tree(),
+                 cylinder_union_tree([[0, 1], [1]], "cylinders", child_floor=1)):
         fam = DensePointFamily(validated(tree))
         for s in range(60):
             for t in range(60):
@@ -191,7 +192,7 @@ def test_dense_distance_agrees_with_budget_oracle():
 
 
 def test_leftmost_stays_inside_neighborhood_and_tree():
-    tree = validated(cylinder_union_tree([[0, 0], [1, 1]], child_floor=1))
+    tree = validated(cylinder_union_tree([[0, 0], [1, 1]], "cylinders", child_floor=1))
     fam = DensePointFamily(tree)
     for u in iter_admissible(tree, 4):
         point = fam.leftmost(encode(u))
@@ -247,7 +248,7 @@ def test_enumerate_distinct_keeps_its_scan_when_a_search_raises():
     # past the validated depth, the node (0, 0) has no child within its bound
     # 0, so the least-code test of its admissible child (0, 0, 1) raises
     tree = validated(PrunedTree(lambda u: len(u) < 3 or u[2] != 0,
-                                lambda u: 0 if len(u) == 2 else 2), depth=2)
+                                lambda u: 0 if len(u) == 2 else 2, label="tree"), depth=2)
     fam = DensePointFamily(tree)
     bad = encode((0, 0, 1))
     want = [s for s in range(bad) if fam.is_least_code(s)]
@@ -307,7 +308,7 @@ def _random_cylinders(rng):
     alphabet = rng.randint(2, 5)
     prefixes = [[rng.randrange(alphabet) for _ in range(rng.randint(1, 4))]
                 for _ in range(rng.randint(1, 4))]
-    return cylinder_union_tree(prefixes, child_floor=alphabet - 1)
+    return cylinder_union_tree(prefixes, "cylinders", child_floor=alphabet - 1)
 
 
 def _identity_rule_trees():

@@ -13,14 +13,14 @@ from clopen.verify import check_two_sided_continuity, run_instance_suite, side_s
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_instance_suites_pass(name):
     built = build_instance(builtin_instance(name))
-    results = run_instance_suite(built, axiom_count=40)
+    results = run_instance_suite(built, axiom_count=40, seed=0)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, failed
 
 
 def test_suite_order_is_canonical():
     built = build_instance(builtin_instance("cantor-split-0"))
-    results = run_instance_suite(built, axiom_count=20)
+    results = run_instance_suite(built, axiom_count=20, seed=0)
     names = [r.name for r in results]
     assert names == sorted(names)
 
@@ -38,7 +38,7 @@ def test_one_point_side_passes_continuity():
                                   "child_bound": 2}},
            "bounds": {"depth": 2}}
     sp = build_instance(parse_instance(json.dumps(doc))).sum_space
-    result = check_two_sided_continuity(sp, name="continuity")
+    result = check_two_sided_continuity(sp)
     assert result.line() == "ok   continuity  68 modulus samples"
 
 
@@ -52,7 +52,7 @@ def test_huge_least_stem_passes_continuity():
                                   "child_bound": 1}},
            "bounds": {"depth": 2}}
     sp = build_instance(parse_instance(json.dumps(doc))).sum_space
-    result = check_two_sided_continuity(sp, per_side=4, name="continuity")
+    result = check_two_sided_continuity(sp)
     assert result.line() == "ok   continuity  80 modulus samples"
 
 
@@ -69,9 +69,9 @@ def test_continuity_reads_a_split_at_position_0_as_a_disagreement():
     shift = ClosedRepresentation(fam=DensePointFamily(tree), map_point=shifted,
                                  map_modulus=lambda k: max(k - 1, 0),
                                  inverse_modulus=lambda branch, k: k + 2)
-    sp = SumSpace(part_a=shift, part_c=shift, ambient=cantor_presentation())
+    sp = SumSpace(part_a=shift, part_c=shift, ambient=cantor_presentation(witness_bound=64))
     branches = side_sample_branches(shift, 4)
     assert first_disagreement(branches[0], branches[1], 4) == 0
     assert first_disagreement(shifted(branches[0]), shifted(branches[1]), 4) == 1
-    result = check_two_sided_continuity(sp, name="continuity")
+    result = check_two_sided_continuity(sp)
     assert result.line() == "ok   continuity  128 modulus samples"

@@ -89,7 +89,7 @@ def test_continuity_modulus_soundness():
 
 def test_use_bound_is_enforced():
     cheater = Pi02Matrix(r=lambda a, n, m: a(n + 5) == 0,
-                         use_bound=lambda n, m: 1, per_n_budget=4)
+                         use_bound=lambda n, m: 1, per_n_budget=4, label="cheater")
     with pytest.raises(UseBoundViolation):
         cheater.check(eventually_periodic((), (0,)), 0, 0)
 
