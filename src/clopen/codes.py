@@ -20,8 +20,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .baire import BairePoint
-from .coding import decode, quad_code
+from .coding import quad_code, unpair
 from .trees import DensePointFamily, dense_pn_distance, enumerate_distinct
+
+_CROSS = Fraction(2)  # the distance between the two sides of an interleaving
 
 
 class MalformedCode(Exception):
@@ -63,33 +65,44 @@ def check_metric_axioms(dist: Callable[[int, int], Fraction], count: int,
     """Exhaustively verify the metric axioms on all index triples below count.
 
     equal decides which index pairs name the same point (identity on indices
-    by default); identity of indiscernibles is checked relative to it.  The
-    triangle inequality runs over integer cross-products, so the whole check
-    is exact.
+    by default); identity of indiscernibles is checked relative to it.  Each
+    value is read as its reduced numerator and denominator once, so equal
+    values are equal pairs of ints, and the triangle inequality runs over
+    integer cross-products: the whole check is exact.  Both d(i, j) and
+    d(j, i) are asked for, so symmetry compares two separate answers.
     """
-    if equal is None:
-        equal = lambda i, j: i == j
     num = [[0] * count for _ in range(count)]
     den = [[1] * count for _ in range(count)]
     for i in range(count):
+        num_i, den_i = num[i], den[i]
         for j in range(i, count):
             d = dist(i, j)
-            if d < 0:
+            p, q = d.numerator, d.denominator
+            if p < 0:
                 raise MetricAxiomViolation("nonnegativity", (i, j), f"value {d}")
-            if (d == 0) != equal(i, j):
+            if (p == 0) != (i == j if equal is None else equal(i, j)):
                 raise MetricAxiomViolation("identity-of-indiscernibles", (i, j),
                                            f"value {d}")
-            if i != j and dist(j, i) != d:
-                raise MetricAxiomViolation("symmetry", (i, j))
-            num[i][j] = num[j][i] = d.numerator
-            den[i][j] = den[j][i] = d.denominator
+            if i != j:
+                e = dist(j, i)
+                if e.numerator != p or e.denominator != q:
+                    raise MetricAxiomViolation("symmetry", (i, j))
+            num_i[j] = num[j][i] = p
+            den_i[j] = den[j][i] = q
     _check_triangle(num, den, count)
 
 
-TRIANGLE_BLOCK = 32
+TRIANGLE_BLOCK = 8
 
 
 def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> None:
+    """The triangle inequality on a symmetric, nonnegative table that is 0 on
+    its diagonal, reporting the first violation (i, j, k) in index order.
+
+    That violation has i < k: d(i, i) = 0 breaks no triangle, and a violation
+    at (i, j, k) with i > k mirrors, by symmetry, one at (k, j, i), which
+    comes earlier.  So a row i need only be checked against columns k >= i,
+    or, a block of rows at a time, k >= the block's first row."""
     max_num = max((max(row) for row in num), default=0)
     max_den = max((max(row) for row in den), default=0)
     if max_num <= 1 << 10 and max_den <= 1 << 15 and count >= 8:
@@ -100,29 +113,33 @@ def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> N
 
 def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int) -> None:
     """The integer check below on int64 arrays, TRIANGLE_BLOCK values of i at a
-    time: memory is O(TRIANGLE_BLOCK * count^2), and blocks run in ascending i,
-    so the first violation is the one the exact loop finds."""
+    time against the columns k >= the block's first row: memory is
+    O(TRIANGLE_BLOCK * count^2), and blocks run in ascending i, so the first
+    violation is the one the exact loop finds."""
     import numpy as np
 
     p = np.array(num, dtype=np.int64)
     q = np.array(den, dtype=np.int64)
-    # three block-sized buffers, written in place by every block
-    bufs = [np.empty((min(count, TRIANGLE_BLOCK), count, count), dtype=np.int64)
-            for _ in range(3)]
+    # three block-sized buffers, reshaped and written in place by every block
+    size = min(count, TRIANGLE_BLOCK) * count * count
+    bufs = [np.empty(size, dtype=np.int64) for _ in range(3)]
     for lo in range(0, count, TRIANGLE_BLOCK):
-        pb, qb = p[lo:lo + TRIANGLE_BLOCK], q[lo:lo + TRIANGLE_BLOCK]
-        lhs, rhs, tmp = (buf[:len(pb)] for buf in bufs)
+        p_ij, q_ij = p[lo:lo + TRIANGLE_BLOCK], q[lo:lo + TRIANGLE_BLOCK]
+        p_ik, q_ik = p_ij[:, lo:], q_ij[:, lo:]
+        p_jk, q_jk = p[:, lo:], q[:, lo:]
+        rows, width = len(p_ij), count - lo
+        lhs, rhs, tmp = (buf[:rows * count * width].reshape(rows, count, width) for buf in bufs)
         # lhs[i,j,k] = p[i,k] q[i,j] q[j,k], rhs[i,j,k] = (p[i,j] q[j,k] + p[j,k] q[i,j]) q[i,k]
-        np.multiply(pb[:, None, :], qb[:, :, None], out=lhs)
-        lhs *= q
-        np.multiply(pb[:, :, None], q, out=rhs)
-        np.multiply(p, qb[:, :, None], out=tmp)
+        np.multiply(p_ik[:, None, :], q_ij[:, :, None], out=lhs)
+        lhs *= q_jk
+        np.multiply(p_ij[:, :, None], q_jk, out=rhs)
+        np.multiply(p_jk, q_ij[:, :, None], out=tmp)
         rhs += tmp
-        rhs *= qb[:, None, :]
+        rhs *= q_ik[:, None, :]
         bad = np.argwhere(lhs > rhs)
         if len(bad):
             i, j, k = (int(v) for v in bad[0])
-            raise MetricAxiomViolation("triangle", (lo + i, k), f"via {j}")
+            raise MetricAxiomViolation("triangle", (lo + i, lo + k), f"via {j}")
 
 
 def _triangle_exact(num: list[list[int]], den: list[list[int]], count: int) -> None:
@@ -152,16 +169,24 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
     """The lazily evaluated code point of a metric table.
 
     Position quad_code(i, j, m, n) is 1 exactly when d(i, j) = m/(n+1);
-    positions not coding a quadruple are 0.
+    positions not coding a quadruple are 0.  The rule unpairs a position's
+    length tag first and reads i, j, m and n only under the quadruple tag 3,
+    then compares d(i, j) with m/(n+1) by cross-multiplying: no decode, and
+    no Fraction built.
     """
     dist = table.dist
 
     def rule(t: int) -> int:
-        u = decode(t)
-        if len(u) != 4:
+        if t == 0:
             return 0
-        i, j, m, n = u
-        return 1 if dist(i, j) == Fraction(m, n + 1) else 0
+        tag, fold = unpair(t - 1)  # the tag is the sequence length less one
+        if tag != 3:
+            return 0
+        i, fold = unpair(fold)
+        j, fold = unpair(fold)
+        m, n = unpair(fold)
+        d = dist(i, j)
+        return 1 if d.numerator * (n + 1) == m * d.denominator else 0
 
     return SpaceCode(point=BairePoint(rule), table=table)
 
@@ -222,6 +247,12 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
     distinct; the cross distance is 2.  The table extends past its serialized
     prefix by continuing the same enumerations on demand.  Every scan stops
     at cap, the instance's enumeration_cap; the tail rule is interleave:label.
+
+    dist keeps each ordered pair of indices below count the first time it
+    computes it, so the axiom check, rows() and the code point read one
+    value per entry; d(u, v) and d(v, u) are kept apart, so the symmetry
+    check still compares two computations.  Pairs at count or beyond are
+    computed on demand and not kept.  The store dies with the table.
     """
     sides = (fam_a, fam_c)
     codes: tuple[list[int], list[int]] = (
@@ -235,11 +266,19 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
             known.extend(enumerate_distinct(sides[parity], idx + 1, cap=cap)[len(known):])
         return known[idx]
 
+    entries: dict[tuple[int, int], Fraction] = {}  # same-side ordered pairs below count
+
     def dist(u: int, v: int) -> Fraction:
-        pu, pv = u % 2, v % 2
-        if pu != pv:
-            return Fraction(2)
-        return dense_pn_distance(sides[pu], side_code(pu, u // 2), side_code(pv, v // 2))
+        parity = u % 2
+        if parity != v % 2:
+            return _CROSS
+        d = entries.get((u, v))
+        if d is None:
+            d = dense_pn_distance(sides[parity], side_code(parity, u // 2),
+                                  side_code(parity, v // 2))
+            if u < count and v < count:
+                entries[u, v] = d
+        return d
 
     return RationalMetricTable(dist=dist, K=count, tail_rule=f"interleave:{label}",
                                label=label)
@@ -310,11 +349,14 @@ def parse_code_file(text: str) -> tuple[str, int, dict[tuple[int, int], Fraction
         raise MalformedCode("line 3: K must be a natural number")
     pairs = ((i, j) for i in range(k) for j in range(i, k))  # lazy: K may be huge
     entries: dict[tuple[int, int], Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct value text, parsed once
     for n, line in enumerate(lines[3:-1], start=4):
         try:
             i_s, j_s, frac = line.split()
-            p_s, q_s = frac.split("/")
-            pair, value = (int(i_s), int(j_s)), Fraction(int(p_s), int(q_s))
+            pair, value = (int(i_s), int(j_s)), parsed.get(frac)
+            if value is None:
+                p_s, q_s = frac.split("/")
+                value = parsed[frac] = Fraction(int(p_s), int(q_s))
         except (ValueError, ZeroDivisionError):
             raise MalformedCode(f"line {n}: expected an entry 'i j p/q'") from None
         want = next(pairs, None)

@@ -24,11 +24,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .baire import BairePoint, branch, first_disagreement
-from .coding import decode, encode
+from .coding import decode
 
 
 class TreeError(Exception):
@@ -38,10 +39,6 @@ class TreeError(Exception):
         self.node = node
         self.detail = detail
         super().__init__(f"{type(self).__name__} at node {list(node)} {detail}".rstrip())
-
-    @property
-    def code(self) -> int:
-        return encode(self.node)
 
 
 class EmptyTreeViolation(TreeError):
@@ -219,11 +216,20 @@ def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:
     return _split(fam, s, t) is None
 
 
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=256)
+def _reciprocal(n: int) -> Fraction:
+    return Fraction(1, n)
+
+
 def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:
     """Exact first-disagreement distance of two dense points: 1/(k+1) for the
-    first position k where they differ, 0 when they are equal."""
+    first position k where they differ, 0 when they are equal.  The values
+    are shared Fraction constants, 1/(k+1) from a small bounded cache."""
     k = _split(fam, s, t)
-    return Fraction(0) if k is None else Fraction(1, k + 1)
+    return _ZERO if k is None else _reciprocal(k + 1)
 
 
 def dense_distance_lt(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> bool:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from clopen.codes import (CauchyRateViolation, CompletionPoint, MalformedCode,
                           encode_metric, interleave, parse_code_file, pipeline,
                           render_code_file, validate_metric_table)
 from clopen import codes
-from clopen.coding import quad_code
+from clopen import coding
+from clopen.coding import decode, encode, quad_code
 from clopen.instances import DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
 from clopen.trees import InsufficientDensePoints, dense_pn_distance
@@ -88,6 +90,31 @@ def test_metric_axiom_violations_are_caught():
     validate_metric_table(bad)  # |i - j| is a true metric
 
 
+AXIOM_BREAKS = {
+    # d(0, 1) and d(1, 0) as given; every other pair of distinct indices is 1
+    "nonnegativity": (Fraction(-1, 2), Fraction(-1, 2), (0, 1)),
+    "symmetry": (Fraction(1, 2), Fraction(1, 3), (0, 1)),  # one numerator, two values
+    "identity-of-indiscernibles": (Fraction(0), Fraction(0), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", AXIOM_BREAKS)
+def test_axiom_check_reads_each_value_as_its_reduced_pair(kind):
+    forward, backward, where = AXIOM_BREAKS[kind]
+
+    def dist(i, j):
+        if {i, j} == {0, 1}:
+            return forward if (i, j) == (0, 1) else backward
+        return Fraction(0) if i == j else Fraction(1)
+
+    with pytest.raises(MetricAxiomViolation) as exc:
+        check_metric_axioms(dist, 4)
+    assert (exc.value.kind, exc.value.where) == (kind, where)
+    # 2/4 and 3/6 are both 1/2: equal values are equal reduced pairs
+    check_metric_axioms(
+        lambda i, j: Fraction(0) if i == j else Fraction(2, 4) if i < j else Fraction(3, 6), 4)
+
+
 def _triangle_outcome(check, dist, count):
     num = [[dist(i, j).numerator for j in range(count)] for i in range(count)]
     den = [[dist(i, j).denominator for j in range(count)] for i in range(count)]
@@ -102,7 +129,7 @@ def _triangle_outcome(check, dist, count):
 def test_blocked_triangle_check_matches_the_exact_loop(count):
     base = lambda i, j: Fraction(0) if i == j else Fraction(1, ((i ^ j) & -(i ^ j)).bit_length() + 1)
     # a stretched pair's first violation has i = its smaller index: the first
-    # block, and at count 70 the third, partial block (i = 67)
+    # block, and at count 70 the last, partial block (i = 67)
     for pair in (None, (1, count - 1), (count - 3, count - 1)):
         def dist(i, j, pair=pair):
             return Fraction(2) if pair is not None and {i, j} == set(pair) else base(i, j)
@@ -110,6 +137,36 @@ def test_blocked_triangle_check_matches_the_exact_loop(count):
         want = _triangle_outcome(codes._triangle_exact, dist, count)
         assert (want is None) == (pair is None)
         assert _triangle_outcome(codes._triangle_numpy, dist, count) == want
+
+
+@pytest.mark.parametrize("count", [8, 9, 13, 33, 40])
+def test_triangle_check_matches_the_exact_loop_on_random_tables(count):
+    # symmetric, nonnegative, 0 on the diagonal: the tables the axiom check
+    # hands on.  Values in [1/2, 1] make a metric; planted pairs far above 1
+    # or far below 1/2 break triangles.  The last two cases plant only one
+    # pair, among the last three indices: in the partial last block at count 13
+    rng = random.Random(1400 + count)
+    outcomes = set()
+    for case in range(8):
+        table = {}
+        for i in range(count):
+            for j in range(i + 1, count):
+                q = rng.randint(1, 12)
+                table[i, j] = Fraction(rng.randint((q + 1) // 2, q), q)
+        for _ in range(case % 4 if case < 6 else 0):
+            i, j = sorted(rng.sample(range(count), 2))
+            table[i, j] = rng.choice([Fraction(rng.randint(3, 9)), Fraction(1, rng.randint(5, 40))])
+        if case >= 6:
+            i, j = sorted(rng.sample(range(count - 3, count), 2))
+            table[i, j] = Fraction(rng.randint(3, 9))
+
+        def dist(i, j, table=table):
+            return Fraction(0) if i == j else table[min(i, j), max(i, j)]
+
+        want = _triangle_outcome(codes._triangle_exact, dist, count)
+        assert _triangle_outcome(codes._triangle_numpy, dist, count) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}  # both metrics and violations were drawn
 
 
 def test_completion_of_constant_sequences():
@@ -254,3 +311,86 @@ def test_rendered_catalog_file_parses_to_its_table():
 def test_an_empty_metric_table_passes_the_axiom_check():
     check_metric_axioms(lambda i, j: Fraction(0), 0)
     validate_metric_table(catalog_table("discrete", 0))
+
+
+# --- the code point's rule and the computed-once table ----------------------------
+
+def test_code_point_rule_matches_its_definition():
+    # d(i, j) == m/(n+1) on decode(t), for t = 0, tags other than 3, m = 0
+    # and unreduced values such as 2/6 for 1/3
+    table = RationalMetricTable(
+        dist=lambda i, j: Fraction(0) if i == j else Fraction(1, 3) if (i + j) % 2 else Fraction(2),
+        K=6, tail_rule="test", label="test")
+    point = encode_metric(table).point
+    rng = random.Random(1401)
+    positions = [0, encode((0,)), encode((1, 2)), encode((1, 2, 1)), encode((1, 2, 1, 2, 0)),
+                 encode((0, 1, 1, 2, 7)), quad_code(3, 3, 0, 0), quad_code(3, 3, 0, 9),
+                 quad_code(1, 2, 0, 2), quad_code(1, 2, 1, 2), quad_code(1, 2, 2, 5),
+                 quad_code(0, 2, 4, 1), quad_code(0, 2, 2, 0)]
+    positions += [rng.randrange(1 << 20) for _ in range(400)]
+    positions += [quad_code(i, j, m, n) for i in range(4) for j in range(4)
+                  for m in range(7) for n in range(7)]
+    tags = set()
+    for t in positions:
+        u = decode(t)
+        tags.add(len(u))
+        want = len(u) == 4 and table.dist(u[0], u[1]) == Fraction(u[2], u[3] + 1)
+        assert point(t) == (1 if want else 0), (t, u)
+    assert {0, 1, 2, 3, 4, 5} <= tags
+    assert sum(point(t) for t in positions) > 50  # a sample of mostly zeros tests little
+
+
+def test_decode_metric_leaves_the_decode_cache_alone():
+    code = encode_metric(catalog_table("harmonic", 8))
+    before = coding.decode.cache_info()
+    values = [decode_metric(code, i, j, window=64) for i in range(8) for j in range(8)]
+    after = coding.decode.cache_info()
+    assert values == [code.table.dist(i, j) for i in range(8) for j in range(8)]
+    assert after.currsize == before.currsize
+    assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
+    fam_a, fam_c = _families()
+    calls = {}
+
+    def counted(fam, s, t):
+        calls[id(fam), s, t] = calls.get((id(fam), s, t), 0) + 1
+        return dense_pn_distance(fam, s, t)
+
+    monkeypatch.setattr(codes, "dense_pn_distance", counted)
+    table = interleave(fam_a, fam_c, 12, cap=CAP, label="once")
+    validate_metric_table(table)
+    code = encode_metric(table)
+    render_code_file(code, "once")
+    for i in range(6):
+        for j in range(6):
+            assert decode_metric(code, 2 * i, 2 * j + i % 2, window=64) == table.dist(
+                2 * i, 2 * j + i % 2)
+    # every same-side ordered pair below K, each once: the pairs are ordered,
+    # so d(u, v) and d(v, u) are two computations
+    assert sorted(calls.values()) == [1] * (2 * 6 * 6)
+    # a pair past K extends the enumerations, and is computed each time it is asked
+    scanned = len(fam_a._least_codes)
+    far = table.dist(2, 20)
+    assert len(fam_a._least_codes) > scanned
+    codes_a = fam_a._least_codes
+    assert far == dense_pn_distance(fam_a, codes_a[1], codes_a[10])
+    assert table.dist(2, 20) == far
+    assert calls[id(fam_a), codes_a[1], codes_a[10]] == 2
+
+
+def test_a_repeated_value_text_is_still_checked_on_its_line():
+    fam_a, fam_c = _families()
+    text = render_code_file(encode_metric(interleave(fam_a, fam_c, 4, cap=CAP, label="x")), "x")
+    lines = text.splitlines()
+    assert lines[3] == "0 0 0/1" and lines[4] == "0 1 2/1"
+    # a second 0/1, off the diagonal
+    off = lines[:4] + ["0 1 0/1"] + lines[5:]
+    with pytest.raises(MalformedCode, match="^line 5: d\\(0, 1\\) = 0 is not a metric value"):
+        parse_code_file("\n".join(off) + "\n")
+    # a second 2/1, on the diagonal (line 8 is the entry of pair (1, 1))
+    assert lines[7] == "1 1 0/1"
+    diag = lines[:7] + ["1 1 2/1"] + lines[8:]
+    with pytest.raises(MalformedCode, match="^line 8: d\\(1, 1\\) = 2 is not a metric value"):
+        parse_code_file("\n".join(diag) + "\n")

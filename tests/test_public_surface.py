@@ -10,7 +10,9 @@ A caller is an `ast` reference, never a word in a comment or a string:
   (`from .codes import pipeline`), or an attribute read on an owner that
   spells its module (`codes.pipeline`, `clopen.codes.pipeline`, and bench's
   `_mod("codes").pipeline` and `sys.modules["clopen.codes"].pipeline`);
-- of a method: an attribute read `.name` on any object.
+- of a method: an attribute read `.name` on any object, except on a name
+  bound by `except <builtin exception> as name` (`exc.code` on a caught
+  `SystemExit` calls no method of the library).
 
 Likewise every defaulted parameter of a public function or method, of the
 `__init__` of a public module-level class, and every defaulted field of a
@@ -30,6 +32,7 @@ Standard library only.
 """
 
 import ast
+import builtins
 from functools import cache
 from pathlib import Path
 
@@ -132,10 +135,38 @@ def _spelled(owner):
     return None
 
 
+def _is_builtin_exception(node):
+    """Whether an except clause's type names only builtin exceptions."""
+    if isinstance(node, ast.Tuple):
+        return bool(node.elts) and all(map(_is_builtin_exception, node.elts))
+    found = getattr(builtins, getattr(node, "id", ""), None)
+    return isinstance(found, type) and issubclass(found, BaseException)
+
+
+def _builtin_exception_reads(tree):
+    """The attribute reads off a name bound by `except <builtin exception> as
+    name`, within that clause: the library defines none of their attributes."""
+    reads = []
+    for handler in ast.walk(tree):
+        if (isinstance(handler, ast.ExceptHandler) and handler.name
+                and handler.type is not None and _is_builtin_exception(handler.type)):
+            reads += [node for stmt in handler.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == handler.name]
+    return reads
+
+
+@cache
+def _not_method_calls():
+    """The ids of the searched attribute reads that the method rule skips."""
+    return {id(node) for tree in _parsed().values() for node in _builtin_exception_reads(tree)}
+
+
 def _calls(kind, module, name):
     """The caller test of a definition: (path, node) -> whether node refers to it."""
     if kind == "method":
-        return lambda path, node: isinstance(node, ast.Attribute) and node.attr == name
+        return lambda path, node: (isinstance(node, ast.Attribute) and node.attr == name
+                                   and id(node) not in _not_method_calls())
     return lambda path, node: _calls_function(path, node, module, name)
 
 
@@ -348,3 +379,18 @@ def test_a_subclass_call_is_a_call_of_the_inherited_init():
     # ChildSearchExhausted(prefix, detail) sets TreeError.__init__(detail);
     # EmptyTreeViolation(()) leaves it out
     assert _uses()["trees.TreeError.__init__(detail)"] == (True, True)
+
+
+def test_attributes_of_a_caught_builtin_exception_are_not_method_calls():
+    # cli.main reads exc.code off a caught SystemExit, which calls no library method
+    tree = ast.parse(
+        "try:\n    f()\n"
+        "except SystemExit as exc:\n    exc.code\n"
+        "except (KeyError, ValueError) as err:\n    err.args\n"
+        "except TreeError as err:\n    err.node\n"
+        "except (OSError, TreeError) as err:\n    err.detail\n"
+        "except Exception:\n    other.label\n")
+    assert [node.attr for node in _builtin_exception_reads(tree)] == ["code", "args"]
+    cli = PACKAGE / "cli.py"
+    assert any(path == cli and node.attr == "code" and id(node) in _not_method_calls()
+               for path, node in _nodes(ast.Attribute))

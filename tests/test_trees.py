@@ -264,8 +264,10 @@ def test_enumerate_distinct_keeps_its_scan_when_a_search_raises():
 
 
 def test_tree_error_carries_code():
+    # the node, which encode codes; the error keeps no code of its own
     err = PrunednessViolation((1, 2))
-    assert err.code == encode((1, 2))
+    assert err.node == (1, 2)
+    assert not hasattr(err, "code")
 
 
 def test_dense_metric_axioms_exhaustive():
