@@ -7,11 +7,11 @@ makes a designated set clopen while extending the topology, and bit-exact
 codes of the resulting rational metrics.
 """
 
-from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact, distance,
-                    eventually_periodic, exact_distance, first_disagreement,
-                    pair_points, slice_point)
+from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact,
+                    disagreement_distance, distance, eventually_periodic, exact_distance,
+                    first_disagreement, pair_points, slice_point)
 from .coding import (SeqCode, decode, encode, index_of_rational, lh, pair_code,
-                     quad_code, rational_of_index)
+                     pair_count, pair_position, quad_code, rational_of_index)
 from .codes import (CompletionPoint, RationalMetricTable, SpaceCode,
                     completion_distance, decode_metric, encode_metric, interleave,
                     pipeline, render_code_file)
@@ -22,8 +22,7 @@ from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
                         membership_in_a, new_presentation, open_ball_distance,
                         sum_distance, witness_representation)
-from .trees import (DensePointFamily, PrunedTree, dense_distance_le,
-                    dense_distance_lt, dense_equal, dense_pn_distance,
+from .trees import (DensePointFamily, PrunedTree, dense_equal, dense_pn_distance,
                     validate_pruned)
 from .witness import Pi02Matrix, WitnessClosure
 

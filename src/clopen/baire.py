@@ -4,8 +4,9 @@ A point is a total rule position -> natural together with the prefix of
 values computed so far, so a repeated query is one list index; points that
 grow by a choice rule are built by branch.  Equality of points is only
 semi-decidable; every comparison takes an explicit depth budget, scanned by
-first_disagreement for a position k (None within the budget), and distance
-reports Exact(1/(k+1)) or BelowThreshold instead of guessing equality.
+first_disagreement for a position k (None within the budget).
+disagreement_distance is the one place k becomes the distance 1/(k+1), and
+distance reports Exact(1/(k+1)) or BelowThreshold instead of guessing equality.
 Points that are known to be eventually periodic carry a tail hint, which
 makes their pairwise distance exactly computable.
 """
@@ -14,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
-from .coding import decode, pair_code
+from .coding import pair_code, pair_position
 
 
 class BairePoint:
@@ -132,6 +134,21 @@ def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Optional[int
     return None
 
 
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=256)
+def _reciprocal(n: int) -> Fraction:
+    return Fraction(1, n)
+
+
+def disagreement_distance(k: Optional[int]) -> Fraction:
+    """The first-disagreement distance for a first disagreement at k: 1/(k+1),
+    or 0 for None (no disagreement).  The values are shared Fraction
+    constants, 1/(k+1) from a small bounded cache."""
+    return _ZERO if k is None else _reciprocal(k + 1)
+
+
 def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     """First-disagreement distance, scanned up to the budget.
 
@@ -143,7 +160,7 @@ def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = first_disagreement(a, b, budget)
-    return BelowThreshold(Fraction(1, budget)) if k is None else Exact(Fraction(1, k + 1))
+    return BelowThreshold(Fraction(1, budget)) if k is None else Exact(disagreement_distance(k))
 
 
 def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
@@ -156,8 +173,7 @@ def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:
     if a.tail_hint is None or b.tail_hint is None:
         raise ValueError("exact_distance needs tail hints on both points")
     bound = max(a.tail_hint[0], b.tail_hint[0]) + lcm(a.tail_hint[1], b.tail_hint[1])
-    k = first_disagreement(a, b, bound)
-    return Fraction(0) if k is None else Fraction(1, k + 1)
+    return disagreement_distance(first_disagreement(a, b, bound))
 
 
 def pair_points(a: BairePoint, b: BairePoint) -> BairePoint:
@@ -168,10 +184,11 @@ def pair_points(a: BairePoint, b: BairePoint) -> BairePoint:
     """
 
     def rule(t: int) -> int:
-        u = decode(t)
-        if len(u) == 2 and u[0] in (0, 1):
-            return a(u[1]) if u[0] == 0 else b(u[1])
-        return 0
+        pos = pair_position(t)
+        if pos is None:
+            return 0
+        i, n = pos
+        return a(n) if i == 0 else b(n)
 
     return BairePoint(rule)
 

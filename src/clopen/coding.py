@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 SeqCode = int
 Rational = Fraction
@@ -39,8 +39,8 @@ def unpair(z: int) -> Tuple[int, int]:
     return a, w - a
 
 
-@lru_cache(maxsize=1 << 16)
-def _encode_tuple(u: Tuple[int, ...]) -> SeqCode:
+def encode(u: Sequence[int]) -> SeqCode:
+    """Code of a finite sequence of naturals; 0 codes the empty sequence."""
     n = len(u)
     if n == 0:
         return 0
@@ -48,11 +48,6 @@ def _encode_tuple(u: Tuple[int, ...]) -> SeqCode:
     for i in range(n - 2, -1, -1):
         fold = pair(u[i], fold)
     return 1 + pair(n - 1, fold)
-
-
-def encode(u: Sequence[int]) -> SeqCode:
-    """Code of a finite sequence of naturals; 0 codes the empty sequence."""
-    return _encode_tuple(tuple(u))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -79,6 +74,29 @@ def lh(s: SeqCode) -> int:
 def pair_code(i: int, n: int) -> SeqCode:
     """Code of the two-entry sequence (i, n)."""
     return 1 + pair(1, pair(i, n))
+
+
+def pair_position(t: SeqCode) -> Optional[Tuple[int, int]]:
+    """(i, n) when t = pair_code(i, n) with i in {0, 1}, else None.
+
+    The tag is unpaired first: only a two-entry code reads its entries.
+    """
+    if t == 0:
+        return None
+    tag, fold = unpair(t - 1)
+    if tag != 1:
+        return None
+    i, n = unpair(fold)
+    return (i, n) if i <= 1 else None
+
+
+def pair_count(i: int, length: int) -> int:
+    """The number of n with pair_code(i, n) < length: how many entries of
+    component i a prefix of that length holds."""
+    n = 0
+    while pair_code(i, n) < length:
+        n += 1
+    return n
 
 
 def quad_code(i: int, j: int, m: int, n: int) -> SeqCode:

@@ -357,8 +357,7 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
     ambient_tree = _ambient_tree(inst.ambient)
     validate_pruned(ambient_tree, depth)
     ambient_fam = DensePointFamily(ambient_tree)
-    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]",
-                                   witness_bound=inst.bounds["witness_bound"])
+    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
 
     if inst.set_desc["kind"] == "tree-pair":
         tree_a = build_tree(inst.set_desc["a"], "set.a", label=f"{inst.id}:a")

@@ -34,7 +34,8 @@ from functools import partial
 from math import ceil
 from typing import Any, Callable, Optional
 
-from .baire import BairePoint, branch, eventually_periodic, exact_distance, first_disagreement
+from .baire import (BairePoint, branch, disagreement_distance, eventually_periodic,
+                    exact_distance, first_disagreement)
 from .coding import rational_of_index
 from .trees import DensePointFamily, PrunedTree, dense_pn_distance
 
@@ -222,7 +223,7 @@ def image_presentation(scheme: LuzinScheme,
     def dist(i: int, j: int) -> Fraction:
         """1/(k+1) for the depth k of the deepest common cell of i and j."""
         if not distinct(i, j):
-            return Fraction(0)
+            return disagreement_distance(None)
         delta = source.dist(i, j)
         if delta == 0:
             raise SplitSearchExhausted(j, 0)
@@ -230,13 +231,13 @@ def image_presentation(scheme: LuzinScheme,
         k = first_disagreement(dense_point(i), dense_point(j), depth + 1)
         if k is None:
             raise SplitSearchExhausted(j, depth)
-        return Fraction(1, k + 1)
+        return disagreement_distance(k)
 
     def dist_to_dense(y: BairePoint, i: int) -> Fraction:
         k = first_disagreement(y, dense_point(i), scheme.max_depth)
         if k is None:
             raise SplitSearchExhausted(i, scheme.max_depth)
-        return Fraction(1, k + 1)
+        return disagreement_distance(k)
 
     return ZeroDimPresentation(f"image[{source.name}]", dense_point, dist, dist_to_dense,
                                witness_bound=source.witness_bound)
@@ -245,11 +246,10 @@ def image_presentation(scheme: LuzinScheme,
 # --- presentation catalog ----------------------------------------------------
 
 def _bit_distance(i: int, j: int) -> Fraction:
-    """Distance of the dense points r_i, r_j whose entries are the bits of i, j."""
-    if i == j:
-        return Fraction(0)
-    k = (i ^ j) & -(i ^ j)
-    return Fraction(1, k.bit_length())
+    """Distance of the dense points r_i, r_j whose entries are the bits of i, j:
+    they first disagree at the lowest bit where i and j differ."""
+    x = i ^ j
+    return disagreement_distance((x & -x).bit_length() - 1 if x else None)
 
 
 def cantor_presentation(witness_bound: int) -> ZeroDimPresentation:
@@ -302,13 +302,11 @@ def baire_closed_presentation(fam: DensePointFamily,
                                dist_to_dense=dist, witness_bound=witness_bound)
 
 
-def ambient_presentation(fam: DensePointFamily, name: str,
-                         witness_bound: int) -> ZeroDimPresentation:
+def ambient_presentation(fam: DensePointFamily, name: str) -> ZeroDimPresentation:
     """The metric of baire_closed_presentation with leftmost branches as point
     handles: with the tree's periodicity hint, any eventually periodic point
     has an exact distance to them; without one, there is no dist_to_dense."""
     to_dense = rescale(lambda x, i: exact_distance(x, fam.leftmost(i)))
     return ZeroDimPresentation(
         name, fam.leftmost, dist=rescale(partial(dense_pn_distance, fam)),
-        dist_to_dense=to_dense if fam.tree.hint is not None else None,
-        witness_bound=witness_bound)
+        dist_to_dense=to_dense if fam.tree.hint is not None else None)

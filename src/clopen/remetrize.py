@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .baire import BairePoint, pair_points, slice_point
-from .coding import decode, pair_code
+from .baire import BairePoint, disagreement_distance, pair_points, slice_point
+from .coding import pair_code, pair_count, pair_position
 from .luzin import ZeroDimPresentation
-from .trees import (DensePointFamily, PrunedTree, dense_distance_lt, dense_pn_distance,
-                    validate_pruned)
+from .trees import DensePointFamily, PrunedTree, dense_pn_distance, validate_pruned
 from .witness import WitnessClosure, pair_tree
 
 Side = int  # 0 for the designated set, 1 for its complement
@@ -115,10 +114,7 @@ def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
     of side i; every other index falls back to the root's branch (code 0) of
     the set side.
     """
-    u = decode(t)
-    if len(u) == 2 and u[0] in (0, 1):
-        return u[0], u[1]
-    return 0, 0
+    return pair_position(t) or (0, 0)
 
 
 def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
@@ -179,10 +175,11 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     k_target = -(-margin.denominator // margin.numerator) - 1
     prefix_len = rep.map_modulus(max(k_target, 0))
     k_cert = max(prefix_len - 1, 0)
+    new_radius = disagreement_distance(k_cert)
     for t in range(SAMPLE_CAP):
         if not rep.fam.tree.node(t):
             continue
-        if not dense_distance_lt(rep.fam, t, s, 1, k_cert):
+        if not dense_pn_distance(rep.fam, t, s) < new_radius:
             continue
         d = dist_to_dense(rep.dense_image(t), center)
         if d >= radius:
@@ -205,12 +202,6 @@ def witness_representation(matrix, alphabet_bound: int) -> ClosedRepresentation:
     fam = DensePointFamily(tree)
     closure = WitnessClosure(matrix)
 
-    def covered(component: int, k: int) -> int:
-        n = 0
-        while pair_code(component, n) <= k:
-            n += 1
-        return n
-
     def map_point(branch: BairePoint) -> BairePoint:
         return slice_point(branch, 0)
 
@@ -220,8 +211,8 @@ def witness_representation(matrix, alphabet_bound: int) -> ClosedRepresentation:
         return pair_code(0, k - 1) + 1
 
     def inverse_modulus(branch: BairePoint, k: int) -> int:
-        point_prefix = covered(0, k)
-        witness_levels = covered(1, k)
+        point_prefix = pair_count(0, k + 1)
+        witness_levels = pair_count(1, k + 1)
         alpha = map_point(branch)
         stability = closure.continuity_modulus(alpha, witness_levels)
         return max(point_prefix, stability)

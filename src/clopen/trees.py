@@ -13,10 +13,11 @@ its shortest stem and that stem's extensions along it, and codes grow under
 extension, so a code is the least code of its point exactly when it is
 admissible and its stem is empty or does not end in the least child of the
 rest.  A family keeps one memo, code -> (branch, stem length); an
-inadmissible code shares code 0's entry.  Equality and the distance relations
-are decided exactly from the first position where two branches differ, and
-unequal branches provably disagree within the longer of the two stems; only
-dense_pn_distance turns that position k into the distance 1/(k+1).
+inadmissible code shares code 0's entry.  Equality and the distance are
+decided exactly from the first position where two branches differ, and
+unequal branches provably disagree within the longer of the two stems;
+dense_pn_distance turns that position k into the distance 1/(k+1), and the
+order relations d < q and d <= q are read off that exact value.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
-from .baire import BairePoint, branch, first_disagreement
+from .baire import BairePoint, branch, disagreement_distance, first_disagreement
 from .coding import decode
 
 
@@ -216,34 +216,11 @@ def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:
     return _split(fam, s, t) is None
 
 
-_ZERO = Fraction(0)
-
-
-@lru_cache(maxsize=256)
-def _reciprocal(n: int) -> Fraction:
-    return Fraction(1, n)
-
-
 def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:
     """Exact first-disagreement distance of two dense points: 1/(k+1) for the
-    first position k where they differ, 0 when they are equal.  The values
-    are shared Fraction constants, 1/(k+1) from a small bounded cache."""
-    k = _split(fam, s, t)
-    return _ZERO if k is None else _reciprocal(k + 1)
-
-
-def dense_distance_lt(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> bool:
-    """Decide distance(point s, point t) < m/(k+1) exactly."""
-    if m == 0:
-        return False
-    i = _split(fam, s, t)
-    return i is None or k + 1 < (i + 1) * m
-
-
-def dense_distance_le(fam: DensePointFamily, s: int, t: int, m: int, k: int) -> bool:
-    """Decide distance(point s, point t) <= m/(k+1) exactly."""
-    i = _split(fam, s, t)
-    return i is None or k + 1 <= (i + 1) * m
+    first position k where they differ, 0 when they are equal.  The order
+    relations d < q and d <= q are decided by comparing this exact value."""
+    return disagreement_distance(_split(fam, s, t))
 
 
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int) -> list[int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .baire import BairePoint
-from .coding import decode, pair_code
+from .coding import pair_code, pair_count, pair_position
 from .trees import PrunedTree
 
 
@@ -122,17 +122,11 @@ def pair_tree(matrix: Pi02Matrix, alphabet_bound: int) -> PrunedTree:
     witness entries are capped by the matrix budget.
     """
 
-    def position_kind(t: int) -> tuple[int, int] | None:
-        u = decode(t)
-        return (u[0], u[1]) if len(u) == 2 and u[0] in (0, 1) else None
-
     def admits(stem: tuple[int, ...]) -> bool:
-        avail = 0
-        while pair_code(0, avail) < len(stem):
-            avail += 1
+        avail = pair_count(0, len(stem))
         witness_at: dict[int, int] = {}
         for t, v in enumerate(stem):
-            kind = position_kind(t)
+            kind = pair_position(t)
             if kind is None:
                 if v != 0:
                     return False
@@ -167,7 +161,7 @@ def pair_tree(matrix: Pi02Matrix, alphabet_bound: int) -> PrunedTree:
         return True
 
     def child_bound(stem: tuple[int, ...]) -> int:
-        kind = position_kind(len(stem))
+        kind = pair_position(len(stem))
         if kind is None:
             return 0
         return alphabet_bound if kind[0] == 0 else matrix.per_n_budget

@@ -21,9 +21,8 @@ from clopen.instances import (INTERLEAVE_CATALOG, CATALOG, DEFAULT_BOUNDS, build
 from clopen.luzin import LuzinScheme, cantor_presentation
 from clopen.remetrize import OnBoundary, open_ball_distance
 from clopen.trees import (DensePointFamily, constant_tree, cylinder_union_tree,
-                          dense_distance_le, dense_distance_lt, dense_pn_distance,
-                          full_baire_tree, full_cantor_tree, iter_admissible,
-                          validate_pruned)
+                          dense_pn_distance, full_baire_tree, full_cantor_tree,
+                          iter_admissible, validate_pruned)
 from clopen.verify import (certified_ball_list, check_clopen_sides,
                            check_embedding_injective, check_extension_certificates,
                            check_image_tree_pruned, check_luzin_scheme,
@@ -97,9 +96,6 @@ def test_criterion_2_dense_families():
                     assert res.value == d
                 else:
                     assert d == 0
-                for m, k in ((0, 0), (1, 0), (1, 1), (1, 4), (2, 3)):
-                    assert dense_distance_lt(fam, s, t, m, k) == (d < Fraction(m, k + 1))
-                    assert dense_distance_le(fam, s, t, m, k) == (d <= Fraction(m, k + 1))
                 pairs_checked += 1
     report(2, f"{len(trees)} trees, {pairs_checked} index pairs against the scan oracle")
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, distance,
-                          eventually_periodic, exact_distance, first_disagreement,
-                          pair_points, slice_point)
+from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, disagreement_distance,
+                          distance, eventually_periodic, exact_distance,
+                          first_disagreement, pair_points, slice_point)
 from clopen.coding import encode, pair_code
 
 
@@ -229,3 +229,12 @@ def test_slice_reads_pair_positions():
     g = BairePoint(lambda t: t + 1)
     for n in range(6):
         assert slice_point(g, 3)(n) == g(pair_code(3, n))
+
+
+def test_disagreement_distance_is_one_over_k_plus_one():
+    assert disagreement_distance(None) == 0
+    assert disagreement_distance(None) is disagreement_distance(None)
+    for k in range(300):
+        assert disagreement_distance(k) == Fraction(1, k + 1)
+    for k in (0, 1, 7, 100):
+        assert disagreement_distance(k) is disagreement_distance(k)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from clopen.coding import (decode, encode, index_of_rational, lh, pair, pair_code,
-                           quad_code, rational_of_index, unpair)
+                           pair_count, pair_position, quad_code, rational_of_index, unpair)
 
 
 def test_empty_sequence_codes_to_zero():
@@ -18,6 +18,7 @@ def test_singleton_zero_codes_to_one():
 def test_round_trip_examples():
     assert decode(encode((1, 2, 3))) == (1, 2, 3)
     assert decode(encode((7, 4))) == (7, 4)
+    assert decode(encode([7, 4])) == (7, 4)
 
 
 def test_round_trip_exhaustive_small():
@@ -86,3 +87,26 @@ def test_pair_and_quad_codes_match_encode():
         for n in range(5):
             assert pair_code(i, n) == encode((i, n))
     assert quad_code(1, 2, 3, 4) == encode((1, 2, 3, 4))
+
+
+def _pair_position_by_decode(t):
+    u = decode(t)
+    return (u[0], u[1]) if len(u) == 2 and u[0] in (0, 1) else None
+
+
+def test_pair_position_matches_the_decode_rule():
+    # large codes with short sequences: a random t near 10^12 codes a sequence
+    # of about a million entries, too long for the reference to decode
+    rng = random.Random(15)
+    large = [1 + pair(rng.randrange(4), rng.randrange(10 ** 6, 10 ** 12)) for _ in range(2000)]
+    large += [pair_code(i, n) + d for i in range(3) for n in (10 ** 5, 10 ** 9)
+              for d in (-1, 0, 1)]
+    for t in [*range(5000), *large]:
+        assert pair_position(t) == _pair_position_by_decode(t), t
+
+
+def test_pair_count_counts_the_pair_codes_below_a_length():
+    for i in (0, 1):
+        codes = [pair_code(i, n) for n in range(500)]
+        for length in range(500):
+            assert pair_count(i, length) == sum(c < length for c in codes), (i, length)

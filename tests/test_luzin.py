@@ -357,7 +357,7 @@ def test_members_match_the_brute_force_scan(make):
 def test_dense_handles_are_stable():
     tree = full_cantor_tree()
     validate_pruned(tree, 4)
-    ambient = ambient_presentation(DensePointFamily(tree), "ambient", witness_bound=8)
+    ambient = ambient_presentation(DensePointFamily(tree), "ambient")
     cantor = cantor_presentation(witness_bound=8)
     image = image_presentation(LuzinScheme(cantor, max_depth=4), lambda i, j: i != j)
     for pres in (cantor, ambient, image):

@@ -61,6 +61,22 @@ WITHOUT_CALLERS = {
         "the printer that pins instances/*.json to the catalog",
 }
 
+# every memo decorator in src/ (functools.lru_cache or functools.cache), keyed
+# "module.qualified name", with the traffic that justifies it, counted over one
+# in-process `clopen verify` of each of the 8 catalog instances; an unlisted
+# memo, or a listed one that is no longer defined, fails the guard
+CACHES = {
+    "coding.decode":
+        "24,445 hits against 446 misses: trees, codes and verify decode the same "
+        "small codes over and over",
+    "baire._reciprocal":
+        "17,790 hits against 17 misses: first disagreements sit at a few small "
+        "positions, so 1/(k+1) is a handful of shared Fractions",
+    "cli.build_parser":
+        "7 hits against 1 miss: argparse objects form reference cycles, so a "
+        "parser per main call would leave them to the cyclic collector",
+}
+
 # settings ("module.function(name)", "module.Class.method(name)",
 # "module.Class.__init__(name)" and dataclass fields "module.Class.name") kept
 # without being both set and left out by calls in src/ or bench/, each with its
@@ -394,3 +410,68 @@ def test_attributes_of_a_caught_builtin_exception_are_not_method_calls():
     cli = PACKAGE / "cli.py"
     assert any(path == cli and node.attr == "code" and id(node) in _not_method_calls()
                for path, node in _nodes(ast.Attribute))
+
+
+# --- memo decorators -------------------------------------------------------------
+
+_MEMOS = ("lru_cache", "cache")
+
+
+def _memo_uses(tree, stem):
+    """The key of each use of a functools memo in a module: "module.qualified
+    name" of the function it decorates, or "module:line" of any other use."""
+    direct = {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "functools"
+              for alias in node.names if alias.name in _MEMOS}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+
+    def is_memo(node):
+        if isinstance(node, ast.Name):
+            return node.id in direct
+        return (isinstance(node, ast.Attribute) and node.attr in _MEMOS
+                and getattr(node.value, "id", None) in modules)
+
+    decorating = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{scope}.{child.name}"
+                for dec in getattr(child, "decorator_list", []):
+                    for sub in ast.walk(dec):
+                        decorating[id(sub)] = qual
+                visit(child, qual)
+            else:
+                visit(child, scope)
+
+    visit(tree, stem)
+    return [decorating.get(id(node), f"{stem}:{node.lineno}")
+            for node in ast.walk(tree) if is_memo(node)]
+
+
+def _memos():
+    return sorted(key for path in sorted(PACKAGE.glob("*.py"))
+                  for key in _memo_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+
+
+def test_every_memo_is_listed_with_its_traffic():
+    memos = _memos()
+    assert sorted(set(memos) - set(CACHES)) == [], "memos without a CACHES entry"
+    assert sorted(set(CACHES) - set(memos)) == [], "CACHES entries that are no longer defined"
+    assert all(reason.strip() for reason in CACHES.values())
+
+
+def test_memo_uses_are_found_in_every_spelling():
+    tree = ast.parse(
+        "import functools\nimport functools as ft\nfrom functools import lru_cache, cache as c\n"
+        "@lru_cache(maxsize=8)\ndef a(): pass\n"
+        "@c\ndef b(): pass\n"
+        "@functools.cache\ndef d(): pass\n"
+        "class K:\n    @ft.lru_cache\n    def m(self): pass\n"
+        "def outer():\n    @lru_cache\n    def inner(): pass\n"
+        "e = lru_cache()(len)\n"
+        "def f():\n    cache = {}\n    return cache\n")
+    assert sorted(_memo_uses(tree, "mod")) == [
+        "mod.K.m", "mod.a", "mod.b", "mod.d", "mod.outer.inner", "mod:16"]

@@ -5,15 +5,17 @@ import pytest
 from clopen.baire import Exact, distance, slice_point
 from clopen.coding import encode, pair_code
 from clopen.instances import build_instance, builtin_instance
-from clopen.remetrize import (NotInterior, OnBoundary, distance_to_sphere, epsilon_code,
+from clopen.luzin import ambient_presentation
+from clopen.remetrize import (CertificateFailure, ClosedRepresentation, NotInterior,
+                              OnBoundary, SumSpace, distance_to_sphere, epsilon_code,
                               extension_certificate, membership_in_a, new_presentation,
                               open_ball_distance, sum_distance, tag_of_index,
                               witness_representation)
-from clopen.trees import dense_pn_distance
+from clopen.trees import DensePointFamily, dense_pn_distance, full_cantor_tree, validate_pruned
 from clopen.verify import (certified_ball_list, check_clopen_sides,
                            check_extension_certificates, check_sum_metric_axioms,
                            check_two_sided_continuity, side_sample_branches)
-from clopen.witness import first_value_matrix
+from clopen.witness import Pi02Matrix, first_value_matrix
 
 
 def built(name):
@@ -115,6 +117,50 @@ def test_extension_certificate_not_interior():
     d0 = sp.ambient.dist_to_dense(sp.part_a.dense_image(s), 1)
     with pytest.raises(NotInterior):
         extension_certificate(sp, 0, s, center=1, radius=d0)
+
+
+def _cantor_sum_space(map_modulus):
+    """Both sides the two-symbol space over itself, with the given map modulus."""
+    tree = full_cantor_tree()
+    validate_pruned(tree, 4)
+    side = ClosedRepresentation(fam=DensePointFamily(tree), map_point=lambda branch: branch,
+                                map_modulus=map_modulus,
+                                inverse_modulus=lambda branch, k: k + 1)
+    return SumSpace(part_a=side, part_c=side,
+                    ambient=ambient_presentation(DensePointFamily(tree), "ambient"))
+
+
+def test_extension_certificate_samples_exactly_the_new_ball():
+    # the ambient distance of a first disagreement at k is 1/(k+2), so a
+    # prefix of k positions maps within 1/(k+1): the modulus k is tight.
+    # Around the zero branch with radius 1/4 it certifies k = 2, and the
+    # sample ball (new distance < 1/3) holds exactly the points that first
+    # differ at 3 or later, all inside; encode((0, 0, 1)) = 9 differs at 2,
+    # on the ambient sphere
+    tight = _cantor_sum_space(lambda k: k)
+    assert extension_certificate(tight, 0, 0, center=0, radius=Fraction(1, 4)) == 2
+    # one position short, the certificate is k = 1 and the sample meets code 9
+    short = _cantor_sum_space(lambda k: max(k - 1, 0))
+    with pytest.raises(CertificateFailure, match="sampled point 9 "):
+        extension_certificate(short, 0, 0, center=0, radius=Fraction(1, 4))
+
+
+def test_witness_inverse_modulus_pins_the_entry_at_position_k():
+    # branches within the inverse modulus agree on [0, k] of the pair
+    # branch, so the entry at position k must be pinned: point entry n
+    # needs n + 1 point positions, witness level n the witness map's
+    # modulus for n + 1 levels
+    rep = witness_representation(first_value_matrix(0), alphabet_bound=1)
+    for branch in side_sample_branches(rep, 3):
+        for n in (1, 2):
+            assert rep.inverse_modulus(branch, pair_code(0, n)) >= n + 1
+    # witness level n is a(n + 2): level 0 reads three point entries, more
+    # than the two whose positions (3 and 5) lie below its position 8
+    lookahead = Pi02Matrix(r=lambda a, n, m: a(n + 2) == m, use_bound=lambda n, m: n + 3,
+                           per_n_budget=1, label="lookahead")
+    rep = witness_representation(lookahead, alphabet_bound=1)
+    for branch in side_sample_branches(rep, 4):
+        assert rep.inverse_modulus(branch, pair_code(1, 0)) >= 3
 
 
 def test_certified_catalog_passes():

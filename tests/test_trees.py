@@ -9,8 +9,7 @@ from clopen.instances import CATALOG, build_instance, build_tree, builtin_instan
 from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           DownwardClosureViolation, EmptyTreeViolation,
                           InsufficientDensePoints, PrunedTree, PrunednessViolation,
-                          constant_tree, cylinder_union_tree, dense_distance_le,
-                          dense_distance_lt, dense_equal, dense_pn_distance,
+                          constant_tree, cylinder_union_tree, dense_equal, dense_pn_distance,
                           enumerate_distinct, full_baire_tree,
                           full_cantor_tree, iter_admissible, validate_pruned)
 from clopen.verify import side_sample_branches
@@ -163,18 +162,14 @@ def test_first_disagreement_matches_scan():
 
 
 def test_dense_distance_relations():
+    # the order relations are read off these exact values
     fam = DensePointFamily(validated(full_cantor_tree()))
     s, t = encode((0,)), encode((1,))
-    # equal points and a positive threshold
-    assert dense_distance_lt(fam, s, encode((0, 0)), 1, 0)
-    # distance 1 against threshold 1/2
-    assert not dense_distance_lt(fam, s, t, 1, 1)
-    assert dense_distance_le(fam, s, t, 1, 0)
-    # nothing is below zero
-    assert not dense_distance_lt(fam, s, t, 0, 0)
-    assert not dense_distance_lt(fam, s, s, 0, 3)
-    # but distance zero is allowed by a zero threshold
-    assert dense_distance_le(fam, s, s, 0, 3)
+    # (0,) and (0, 0) name the same leftmost branch
+    assert dense_pn_distance(fam, s, encode((0, 0))) == 0
+    # (0,) and (1,) differ at position 0
+    assert dense_pn_distance(fam, s, t) == 1
+    assert dense_pn_distance(fam, s, s) == 0
 
 
 def test_dense_distance_agrees_with_budget_oracle():
