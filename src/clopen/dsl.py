@@ -16,7 +16,8 @@ Unbounded quantification is not expressible: the grammar requires the
 
 from __future__ import annotations
 
-import operator
+import ast
+import builtins
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -265,79 +266,113 @@ Env = Mapping[str, Union[int, Callable[[int], int]]]
 Compiled = Callable[[Env], Union[bool, int]]
 
 # the strict binary operators; "and"/"or" short-circuit and are built apart
-_STRICT_OPS = {"+": operator.add, "*": operator.mul, "<": operator.lt, "<=": operator.le,
-               ">": operator.gt, ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_STRICT_OPS = {"+": ast.Add(), "*": ast.Mult(), "<": ast.Lt(), "<=": ast.LtE(),
+               ">": ast.Gt(), ">=": ast.GtE(), "==": ast.Eq(), "!=": ast.NotEq()}
+
+
+def _variable(env: Env, name: str):
+    v = env.get(name)
+    return v if isinstance(v, int) else None
+
+
+def _sequence(env: Env, name: str):
+    f = env.get(name)
+    return f if callable(f) else None
+
+
+def _unbound(kind: str, name: str):
+    raise EvalError(f"unbound {kind} {name!r}")
+
+
+# the only globals generated code sees; its locals are v<i> (a name the
+# environment binds) and q<i> (a quantifier variable), so no DSL name is ever
+# a Python name
+_GLOBALS = {"__builtins__": {}, "all": all, "any": any, "range": range, "bool": bool,
+            "_variable": _variable, "_sequence": _sequence, "_unbound": _unbound}
+
+
+class _Builder:
+    """The Python expression of a DSL expression.  A name no quantifier binds
+    is looked up in the environment once per call, into a local v<i>, and its
+    read checks that lookup, so an unbound name raises only when read."""
+
+    def __init__(self):
+        self.lookups: dict[tuple[str, str], str] = {}  # (kind, DSL name) -> local
+        self.quantifiers = 0
+
+    def free(self, kind: str, name: str) -> ast.expr:
+        local = self.lookups.setdefault((kind, name), f"v{len(self.lookups)}")
+        unbound = _call("_unbound", ast.Constant(kind), ast.Constant(name))
+        return ast.IfExp(ast.Compare(_load(local), [ast.IsNot()], [ast.Constant(None)]),
+                         _load(local), unbound)
+
+    def build(self, e: Expr, scope: dict[str, str]) -> ast.expr:
+        if isinstance(e, Num):
+            return ast.Constant(e.value)
+        if isinstance(e, Var):
+            local = scope.get(e.name)
+            return _load(local) if local else self.free("variable", e.name)
+        if isinstance(e, Access):
+            # a quantifier variable is a number, so it names no sequence
+            f = (_call("_unbound", ast.Constant("sequence"), ast.Constant(e.name))
+                 if e.name in scope else self.free("sequence", e.name))
+            return ast.Call(f, [self.build(e.arg, scope)], [])
+        if isinstance(e, Not):
+            return ast.UnaryOp(ast.Not(), self.build(e.body, scope))
+        if isinstance(e, Quant):
+            local = f"q{self.quantifiers}"
+            self.quantifiers += 1
+            loop = ast.comprehension(ast.Name(local, ast.Store()),
+                                     _call("range", self.build(e.bound, scope)), [], 0)
+            body = self.build(e.body, {**scope, e.var: local})
+            return _call("all" if e.kind == "all" else "any", ast.GeneratorExp(body, [loop]))
+        if isinstance(e, BinOp):
+            left, right = self.build(e.left, scope), self.build(e.right, scope)
+            if e.op in ("and", "or"):
+                op = ast.And() if e.op == "and" else ast.Or()
+                return ast.BoolOp(op, [_call("bool", left), _call("bool", right)])
+            if e.op in _ARITH_OPS:
+                return ast.BinOp(left, _STRICT_OPS[e.op], right)
+            if e.op in _CMP_OPS:
+                return ast.Compare(left, [_STRICT_OPS[e.op]], [right])
+        raise EvalError(f"unknown node {e!r}")
+
+
+def _load(name: str) -> ast.Name:
+    return ast.Name(name, ast.Load())
+
+
+def _call(name: str, *args: ast.expr) -> ast.Call:
+    return ast.Call(_load(name), list(args), [])
 
 
 def compile(e: Expr) -> Compiled:
     """The expression as a function of an environment, built once.
 
-    Each node becomes a closure over its children's closures, so a call
-    dispatches on nothing.  Calling it is evaluating e: and/or short-circuit,
-    a quantifier stops at its first witness or counterexample, and a name
-    the environment does not bind raises EvalError when it is read.
+    e becomes one Python expression tree, `lambda env: ...`, with a quantifier
+    as all()/any() over a generator and and/or as `bool(l) and bool(r)`, and
+    the built-in compiler turns that into one code object; no source text is
+    written or parsed.  Calling the function is evaluating e: and/or
+    short-circuit, a quantifier stops at its first witness or counterexample,
+    and a name the environment does not bind raises EvalError when it is read.
     """
-    if isinstance(e, Num):
-        value = e.value
-        return lambda env: value
-    if isinstance(e, Var):
-        name = e.name
-
-        def var(env: Env) -> int:
-            v = env.get(name)
-            if not isinstance(v, int):
-                raise EvalError(f"unbound variable {name!r}")
-            return v
-        return var
-    if isinstance(e, Access):
-        name, arg = e.name, compile(e.arg)
-
-        def access(env: Env) -> int:
-            f = env.get(name)
-            if not callable(f):
-                raise EvalError(f"unbound sequence {name!r}")
-            return f(arg(env))
-        return access
-    if isinstance(e, Not):
-        body = compile(e.body)
-        return lambda env: not body(env)
-    if isinstance(e, Quant):
-        var, bound, body = e.var, compile(e.bound), compile(e.body)
-        if e.kind == "some":
-            def some(env: Env) -> bool:  # True at the first witness
-                n = bound(env)
-                scope = dict(env)
-                for k in range(n):
-                    scope[var] = k
-                    if body(scope):
-                        return True
-                return False
-            return some
-
-        def all_(env: Env) -> bool:  # False at the first counterexample
-            n = bound(env)
-            scope = dict(env)
-            for k in range(n):
-                scope[var] = k
-                if not body(scope):
-                    return False
-            return True
-        return all_
-    if isinstance(e, BinOp):
-        left, right = compile(e.left), compile(e.right)
-        if e.op == "and":
-            return lambda env: bool(left(env)) and bool(right(env))
-        if e.op == "or":
-            return lambda env: bool(left(env)) or bool(right(env))
-        fn = _STRICT_OPS.get(e.op)
-        if fn is not None:
-            return lambda env: fn(left(env), right(env))
-    raise EvalError(f"unknown node {e!r}")
+    builder = _Builder()
+    body = builder.build(e, {})
+    if builder.lookups:  # (v0 := lookup, ..., body)[-1]
+        hoisted = [ast.NamedExpr(ast.Name(local, ast.Store()),
+                                 _call("_variable" if kind == "variable" else "_sequence",
+                                       _load("env"), ast.Constant(name)))
+                   for (kind, name), local in builder.lookups.items()]
+        body = ast.Subscript(ast.Tuple([*hoisted, body], ast.Load()), ast.Constant(-1),
+                             ast.Load())
+    args = ast.arguments([], [ast.arg("env")], None, [], [], None, [])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
+    return eval(builtins.compile(tree, "<dsl>", "eval"), _GLOBALS)
 
 
 def evaluate(e: Expr, env: Env):
     """The value of e in env: compile(e)(env).  Hot paths compile once and
-    keep the closure."""
+    keep the function."""
     return compile(e)(env)
 
 

@@ -111,10 +111,14 @@ _EXPR_FIELDS = {
 
 def _expr(fld: str, text: Any, path: str) -> dsl.Compiled:
     """The compiled expression of a field, of the field's sort and reading only
-    the names the field binds."""
+    the names the field binds.  An expression nested past the recursion limit
+    is a ParseError naming the field."""
     if not isinstance(text, str):
         raise _err(f"{path}: {fld!r} must be an expression string")
-    return dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
+    try:
+        return dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
+    except RecursionError:
+        raise _err(f"{path}: {fld!r} is nested too deeply") from None
 
 
 def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str, int]:

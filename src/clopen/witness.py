@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .baire import BairePoint
-from .coding import pair_code, pair_count, pair_position
+from .coding import pair_position
 from .trees import PrunedTree
 
 
@@ -120,43 +120,61 @@ def pair_tree(matrix: Pi02Matrix, alphabet_bound: int) -> PrunedTree:
 
     alphabet_bound caps the point entries (1 for two-symbol instances); the
     witness entries are capped by the matrix budget.
+
+    The level verdicts are memoised, and the memo is exact.  Whether a level
+    n without a placed witness is refuted reads only n and the point entries
+    the stem holds: `decided` uses their count and `prefix` raises past it.
+    So the verdicts are kept per tuple of point entries, {n: refuted}, and
+    every stem holding those entries shares them; without the memo each new
+    stem re-checked every level below its length.  A stem is still checked
+    in the full scan's order: its entries, then its placed witnesses, then
+    its other levels upwards.  A level whose check raises is not stored, so
+    a matrix that breaks its use bound raises at the same point every time.
     """
+    budget = matrix.per_n_budget
+    kinds: list = []  # pair_position(t) for t < len(kinds)
+    verdicts: dict[tuple[int, ...], dict[int, bool]] = {}  # point entries -> {n: refuted}
 
     def admits(stem: tuple[int, ...]) -> bool:
-        avail = pair_count(0, len(stem))
-        witness_at: dict[int, int] = {}
-        for t, v in enumerate(stem):
-            kind = pair_position(t)
+        while len(kinds) < len(stem):
+            kinds.append(pair_position(len(kinds)))
+        point: list[int] = []  # a(0), a(1), ...: pair_code(0, i) grows with i
+        witness: list[int] = []  # b(0), b(1), ...: pair_code(1, n) grows with n
+        for kind, v in zip(kinds, stem):
             if kind is None:
                 if v != 0:
                     return False
             elif kind[0] == 0:
                 if v > alphabet_bound:
                     return False
+                point.append(v)
             else:
-                if v > matrix.per_n_budget:
+                if v > budget:
                     return False
-                witness_at[kind[1]] = v
+                witness.append(v)
+        avail = len(point)
 
         def prefix(i: int) -> int:
             if i >= avail:  # a decided R reads only below its use bound, so below avail
                 raise UseBoundViolation(f"{matrix.label}: R read position {i} past its use bound")
-            return stem[pair_code(0, i)]
+            return point[i]
 
         def decided(n: int, m: int) -> bool:
             return matrix.use_bound(n, m) <= avail
 
-        for n, m in witness_at.items():
+        for n, m in enumerate(witness):
             if decided(n, m) and not matrix.r(prefix, n, m):
                 return False
             for k in range(m):
                 if decided(n, k) and matrix.r(prefix, n, k):
                     return False
-        for n in range(len(stem)):
-            if n in witness_at:
-                continue
-            if all(decided(n, m) and not matrix.r(prefix, n, m)
-                   for m in range(matrix.per_n_budget + 1)):
+        known = verdicts.setdefault(tuple(point), {})
+        for n in range(len(witness), len(stem)):  # the levels without a placed witness
+            refuted = known.get(n)
+            if refuted is None:
+                refuted = known[n] = all(decided(n, m) and not matrix.r(prefix, n, m)
+                                         for m in range(budget + 1))
+            if refuted:
                 return False
         return True
 

@@ -1,6 +1,14 @@
+import contextlib
+import io
+import json
+import operator
+import random
+
 import pytest
 
-from clopen.dsl import EvalError, ParseError, compile, evaluate, parse, parse_field, sort_of
+from clopen.cli import main
+from clopen.dsl import (Access, BinOp, EvalError, Not, Num, ParseError, Quant, Var, compile,
+                        evaluate, parse, parse_field, sort_of)
 
 
 def seq(*values):
@@ -157,3 +165,145 @@ def test_compiled_expression_is_reused_and_keeps_result_types():
     for text in ("1 < 2", "not 1 < 2", "1 < 2 and 2 < 3", "1 < 2 or 2 < 3",
                  "some i < 2 : i == 1", "all i < 0 : i == 1"):
         assert type(compile(parse(text))({})) is bool
+
+
+# --- the compiler against a tree-walking reference ------------------------------
+
+_REFERENCE_OPS = {"+": operator.add, "*": operator.mul, "<": operator.lt, "<=": operator.le,
+                  ">": operator.gt, ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def reference(e, env):
+    """The value of e in env, by walking the tree with a scope dict per quantifier."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        v = env.get(e.name)
+        if not isinstance(v, int):
+            raise EvalError(f"unbound variable {e.name!r}")
+        return v
+    if isinstance(e, Access):
+        f = env.get(e.name)
+        if not callable(f):
+            raise EvalError(f"unbound sequence {e.name!r}")
+        return f(reference(e.arg, env))
+    if isinstance(e, Not):
+        return not reference(e.body, env)
+    if isinstance(e, Quant):
+        stop = e.kind == "some"  # the body value that ends the search
+        for k in range(reference(e.bound, env)):
+            if bool(reference(e.body, {**env, e.var: k})) is stop:
+                return stop
+        return not stop
+    if e.op == "and":
+        return bool(reference(e.left, env)) and bool(reference(e.right, env))
+    if e.op == "or":
+        return bool(reference(e.left, env)) or bool(reference(e.right, env))
+    return _REFERENCE_OPS[e.op](reference(e.left, env), reference(e.right, env))
+
+
+# names the environments bind as numbers and as sequences, and names they never bind;
+# quantifiers reuse all of them, so they shadow numbers and sequences alike
+NUMBER_NAMES, SEQUENCE_NAMES, FREE_NAMES = ("n", "len"), ("s", "t"), ("x", "f")
+ALL_NAMES = NUMBER_NAMES + SEQUENCE_NAMES + FREE_NAMES + ("i", "j")
+
+
+def _random_expr(rng, sort, depth):
+    """A random expression, mostly of the sort asked for, over every node kind."""
+    if rng.random() < 0.05:  # an operand of the other sort
+        sort = "bool" if sort == "nat" else "nat"
+    if sort == "nat":
+        kind = rng.choice(("num", "var", "var", "access")) if depth == 0 else \
+            rng.choice(("num", "var", "access", "+", "*"))
+        if kind == "num":
+            return Num(rng.randrange(4))
+        if kind == "var":
+            return Var(rng.choice(ALL_NAMES))
+        if kind == "access":
+            arg = _random_expr(rng, "nat", depth - 1) if depth else \
+                rng.choice((Num(rng.randrange(4)), Var(rng.choice(ALL_NAMES))))
+            return Access(rng.choice(ALL_NAMES), arg)
+        return BinOp(kind, _random_expr(rng, "nat", depth - 1), _random_expr(rng, "nat", depth - 1))
+    if depth == 0:
+        return BinOp(rng.choice(("<", "==")), _random_expr(rng, "nat", 0),
+                     _random_expr(rng, "nat", 0))
+    kind = rng.choice(("cmp", "cmp", "and", "or", "not", "all", "some"))
+    if kind == "cmp":
+        return BinOp(rng.choice(("<", "<=", ">", ">=", "==", "!=")),
+                     _random_expr(rng, "nat", depth - 1), _random_expr(rng, "nat", depth - 1))
+    if kind in ("and", "or"):
+        return BinOp(kind, _random_expr(rng, "bool", depth - 1),
+                     _random_expr(rng, "bool", depth - 1))
+    if kind == "not":
+        return Not(_random_expr(rng, "bool", depth - 1))
+    # a bound of one atom keeps nested quantifiers to a few hundred steps
+    return Quant(kind, rng.choice(ALL_NAMES), _random_expr(rng, "nat", 0),
+                 _random_expr(rng, "bool", depth - 1))
+
+
+def _outcome(run):
+    try:
+        value = run()
+    except EvalError as exc:
+        return "EvalError", str(exc)
+    return type(value).__name__, value
+
+
+def test_compiled_expressions_match_the_reference_walk():
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(2000):
+        e = _random_expr(rng, rng.choice(("bool", "nat")), rng.randrange(1, 6))
+        env = {name: rng.randrange(4) for name in NUMBER_NAMES if rng.random() < 0.8}
+        env.update({name: seq(*(rng.randrange(4) for _ in range(4)))
+                    for name in SEQUENCE_NAMES if rng.random() < 0.8})
+        want = _outcome(lambda: reference(e, env))
+        assert _outcome(lambda: compile(e)(env)) == want, e
+        kinds.add(want[0])
+    assert kinds == {"bool", "int", "EvalError"}
+
+
+def test_compiled_reads_follow_the_reference_order():
+    """An access looks its sequence up before it reads its argument, and the
+    first unbound name read is the one reported."""
+    env = {"s": seq(1, 2), "n": 1}
+    for text in ("t(x) == 0", "s(x) == t(0)", "all s < 2 : s(x) == 0", "x(n) + n(x)",
+                 "some i < 2 : i == 1 and s(i + x) == 0", "all n < 1 : n(0) == 0"):
+        e = parse(text)
+        assert _outcome(lambda: compile(e)(env)) == _outcome(lambda: reference(e, env)), text
+        assert _outcome(lambda: compile(e)(env))[0] == "EvalError", text
+
+
+def test_names_are_never_python_names():
+    """A DSL name that is a Python builtin or a generated helper's name reads
+    the environment, not the builtin."""
+    env = {"all": 1, "range": 2, "bool": 3, "v0": 4, "q0": 5, "_unbound": 6}
+    assert compile(parse("range + bool * v0"))(env) == 2 + 3 * 4
+    assert compile(parse("some v0 < range : v0 + q0 == 6"))(env) is True
+    assert compile(parse("all range < 3 : range < bool"))(env) is True
+    with pytest.raises(EvalError, match="'env'"):
+        compile(parse("env == 0"))(env)
+
+
+def _doc(node):
+    return {"format": "instance/1", "id": "deep", "ambient": {"kind": "cantor"},
+            "set": {"kind": "tree-pair",
+                    "a": {"rule": "dsl", "node": node, "child_bound": 1},
+                    "complement": {"rule": "cylinders", "prefixes": [[1]], "child_bound": 1}},
+            "bounds": {"depth": 2, "budget": 16, "witness_bound": 4,
+                       "enumeration_cap": 2000, "table_size": 4}}
+
+
+@pytest.mark.parametrize("node", [
+    "not " * 400 + "all i < len : s(i) <= 1",
+    "".join(f"all i{k} < 1 : " for k in range(300)) + "all i < len : s(i) <= 1",
+], ids=["400-nested-not", "300-nested-quantifiers"])
+def test_deep_expressions_compile_and_run(tmp_path, node):
+    tree = (frozenset({"len"}), frozenset({"s"}))
+    admits = compile(parse_field(node, "bool", *tree))
+    assert admits({"len": 2, "s": seq(1, 0)}) is True
+    assert admits({"len": 2, "s": seq(2, 0)}) is False
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_doc(node)), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", "--instance", str(path)]) == 0

@@ -244,6 +244,13 @@ _FIXED_DOCS = {
     # a catalog entry over a tree ambient, named by a file with the cantor ambient
     "catalog-other-ambient": {"format": "instance/1", "id": "mine", "ambient": {"kind": "cantor"},
                               "set": {"kind": "catalog", "name": "baire-split-0"}},
+    # dsl fields nested past the recursion limit, in the parser and in the sort check
+    "deep-parentheses": _doc("u", _tree_pair({"rule": "dsl", "child_bound": 1,
+                                              "node": "(" * 300 + "len < 1" + ")" * 300},
+                                             _CYLINDERS_1)),
+    "long-and-chain": _doc("u", _tree_pair({"rule": "dsl", "child_bound": 1,
+                                            "node": " and ".join(["len < 9"] * 2000)},
+                                           _CYLINDERS_1)),
     # a key that no reader reads, misspelt from child_bound
     "misspelt-child-bound": _doc("u", _tree_pair(dict(_CYLINDERS_0, child_bounds=3),
                                                  _CYLINDERS_1)),
@@ -280,6 +287,8 @@ FIXED_CASES = [
     (["validate"], "huge-numeral", 2),
     (["validate"], "deep-nesting", 2),
     (["validate"], "superscript-numeral", 2),
+    *[(cmd, doc, 2) for doc in ("deep-parentheses", "long-and-chain")
+      for cmd in (["validate"], ["verify"])],
     (["remetrize"], "catalog-other-ambient", 2),
     *[(cmd, "misspelt-child-bound", 2) for cmd in (["validate"], ["verify"], ["encode"])],
     (["witness", "--matrix", "diagonal", "--point", _HUGE_POINT], None, 2),

@@ -1,11 +1,14 @@
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from clopen.baire import BairePoint, eventually_periodic, slice_point
+from clopen.coding import pair_code, pair_count, pair_position
+from clopen.instances import build_matrix
 from clopen.trees import DensePointFamily, validate_pruned
-from clopen.witness import (Pi02Matrix, UseBoundViolation, WitnessClosure,
+from clopen.witness import (MATRIX_CATALOG, Pi02Matrix, UseBoundViolation, WitnessClosure,
                             WitnessSearchExhausted, diagonal_matrix,
                             first_value_matrix, pair_tree, parity_matrix,
                             zero_tail_matrix)
@@ -123,3 +126,107 @@ def test_pair_tree_diagonal_forces_witness_entries():
     branch = fam.leftmost(0)
     alpha, beta = slice_point(branch, 0), slice_point(branch, 1)
     assert beta.prefix(4) == alpha.prefix(4)
+
+
+def reference_admits(matrix, alphabet_bound, stem):
+    """pair_tree's node predicate as a full scan of the stem, without a memo."""
+    avail = pair_count(0, len(stem))
+    witness_at = {}
+    for t, v in enumerate(stem):
+        kind = pair_position(t)
+        if kind is None:
+            if v != 0:
+                return False
+        elif kind[0] == 0:
+            if v > alphabet_bound:
+                return False
+        else:
+            if v > matrix.per_n_budget:
+                return False
+            witness_at[kind[1]] = v
+
+    def prefix(i):
+        if i >= avail:
+            raise UseBoundViolation(f"{matrix.label}: R read position {i} past its use bound")
+        return stem[pair_code(0, i)]
+
+    def decided(n, m):
+        return matrix.use_bound(n, m) <= avail
+
+    for n, m in witness_at.items():
+        if decided(n, m) and not matrix.r(prefix, n, m):
+            return False
+        for k in range(m):
+            if decided(n, k) and matrix.r(prefix, n, k):
+                return False
+    for n in range(len(stem)):
+        if n in witness_at:
+            continue
+        if all(decided(n, m) and not matrix.r(prefix, n, m)
+               for m in range(matrix.per_n_budget + 1)):
+            return False
+    return True
+
+
+# the fuzz suite's use-bound-lie matrix: r reads a(n + 1) but declares n
+USE_BOUND_LIE = {"rule": "dsl", "r": "a(n + 1) == m", "use_bound": "n", "per_n_budget": 1}
+
+
+def _verdict(admits, stem):
+    try:
+        return admits(stem)
+    except UseBoundViolation as exc:
+        return "raises", str(exc)
+
+
+def _random_walk(rng, admits, matrix, alphabet_bound, length):
+    """A seeded walk down the full-scan tree: mostly a random child that is
+    admitted or raises, else any entry, a fifth of the time one past its cap."""
+    stem = ()
+    while len(stem) < length:
+        kind = pair_position(len(stem))
+        cap = 0 if kind is None else alphabet_bound if kind[0] == 0 else matrix.per_n_budget
+        if rng.random() < 0.9:
+            open_ = [v for v in range(cap + 1) if _verdict(admits, stem + (v,)) is not False]
+            if open_:
+                stem += (rng.choice(open_),)
+                continue
+        stem += (rng.randrange(cap + 2) if rng.random() < 0.2 else rng.randrange(cap + 1),)
+    return stem
+
+
+@pytest.mark.parametrize("name", [*sorted(MATRIX_CATALOG), "use-bound-lie"])
+def test_memoised_pair_tree_matches_the_full_scan(name):
+    matrix = build_matrix(USE_BOUND_LIE, "set.a") if name == "use-bound-lie" \
+        else MATRIX_CATALOG[name]()
+    rng = random.Random(f"pairs-{name}")
+    outcomes = set()
+    for bound in (1, 2):
+        tree = pair_tree(matrix, alphabet_bound=bound)
+        full_scan = partial(reference_admits, matrix, bound)
+        stems = sorted({branch[:k] for _ in range(12)
+                        for branch in [_random_walk(rng, full_scan, matrix, bound, 60)]
+                        for k in range(61)})
+        rng.shuffle(stems)  # the memo is filled in no particular order
+        for stem in stems + stems[:40]:  # a raising stem is not cached, and raises again
+            want = _verdict(full_scan, stem)
+            assert _verdict(tree.admits, stem) == want, (bound, stem)
+            outcomes.add(want if isinstance(want, bool) else want[0])
+    assert {True, False} <= outcomes
+    if name == "use-bound-lie":
+        assert "raises" in outcomes
+
+
+def test_extending_a_pair_tree_branch_calls_the_matrix_linearly_often():
+    """The full scan re-checks every level below a stem's length, so a branch
+    of length L cost about L^2/2 matrix calls; the level memo leaves a few per
+    position."""
+    calls = []
+    base = first_value_matrix(0)
+    counted = replace(base, r=lambda a, n, m: calls.append(n) or base.r(a, n, m))
+    tree = pair_tree(counted, alphabet_bound=1)
+    stem = ()
+    while len(stem) < 256:
+        stem += (tree.least_child(stem),)
+    assert stem[pair_code(0, 0)] == 0
+    assert len(calls) <= 8 * 256
