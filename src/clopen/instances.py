@@ -237,7 +237,8 @@ def dsl_tree(node: dsl.Compiled, child_bound: int, label: str) -> PrunedTree:
     """A tree whose node predicate is a compiled expression over (s, len)."""
 
     def admits(u: tuple[int, ...]) -> bool:
-        env = {"s": (lambda i: u[i] if 0 <= i < len(u) else 0), "len": len(u)}
+        n = len(u)
+        env = {"s": (lambda i: u[i] if 0 <= i < n else 0), "len": n}
         return bool(node(env))
 
     return PrunedTree(admits, lambda u: child_bound, label=label)

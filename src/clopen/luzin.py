@@ -56,12 +56,14 @@ def rescale(dist: Callable[..., Fraction]) -> Callable[..., Fraction]:
     """Turn a distance oracle d into d / (1 + d), exact on rationals.
 
     The rescaled oracle is bounded by 1, strictly below 1 on finite values,
-    and preserves the ultrametric inequality.
+    and preserves the ultrametric inequality.  For d = p/q in lowest terms the
+    value is p/(p + q), again in lowest terms, since gcd(p, p + q) = gcd(p, q).
     """
 
     def scaled(*args) -> Fraction:
         d = dist(*args)
-        return d / (1 + d)
+        p = d.numerator
+        return Fraction(p, p + d.denominator)
 
     return scaled
 
@@ -108,6 +110,8 @@ class LuzinScheme:
         self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
         self._paths: dict[Any, list[Optional[int]]] = {}
         self._members: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # the ball radius below a parent of length n
+        self._radii = [Fraction(1, 2 ** (n + 2) + 1) for n in range(max_depth)]
 
     def ball_stage(self, x: Any, cell: tuple[int, ...]) -> bool:
         """Membership in the undisjointified stage B_cell."""
@@ -118,10 +122,11 @@ class LuzinScheme:
         v = memo.get(key)
         if v is not None:
             return v
+        self._check_depth(len(cell))
         parent, k = cell[:-1], cell[-1]
         pres = self.presentation
         v = (self.ball_stage(x, parent)
-             and pres.ball_member(x, k, Fraction(1, 2 ** (len(parent) + 2) + 1))
+             and pres.ball_member(x, k, self._radii[len(parent)])
              and self.ball_stage(pres.dense_point(k), parent))
         memo[key] = v
         return v
@@ -158,19 +163,29 @@ class LuzinScheme:
     def members(self, cell: tuple[int, ...]) -> tuple[int, ...]:
         """The dense indices i <= witness_bound whose points lie in A_cell, ascending.
 
-        A_cell lies inside A_parent, so the list filters the parent's list.
+        A_cell lies inside A_parent, so the first request under a parent goes
+        once through the parent's list, reads each member's index on the
+        cell's level, and stores the lists of all the parent's children
+        within the bound.  A cell with an entry above the bound holds no point.
         """
         self._check_depth(len(cell))
-        found = self._members.get(cell)
+        memo = self._members
+        found = memo.get(cell)
         if found is None:
             pres = self.presentation
-            if cell:
-                level, k = len(cell) - 1, cell[-1]
-                found = tuple(i for i in self.members(cell[:-1])
-                              if self._index(pres.dense_point(i), level) == k)
+            bound = pres.witness_bound
+            if not cell:
+                found = memo[cell] = tuple(range(bound + 1))
+            elif not 0 <= cell[-1] <= bound:
+                found = ()
             else:
-                found = tuple(range(pres.witness_bound + 1))
-            self._members[cell] = found
+                parent, level = cell[:-1], len(cell) - 1
+                children: dict[Optional[int], list[int]] = {}
+                for i in self.members(parent):
+                    children.setdefault(self._index(pres.dense_point(i), level), []).append(i)
+                for k in range(bound + 1):
+                    memo[(*parent, k)] = tuple(children.get(k, ()))
+                found = memo[cell]
         return found
 
     def image_tree(self) -> PrunedTree:

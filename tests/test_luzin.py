@@ -1,17 +1,20 @@
 import gc
+import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from clopen.baire import Exact, distance, eventually_periodic
+from clopen.baire import Exact, distance, eventually_periodic, exact_distance
 from clopen.coding import encode, index_of_rational
 from clopen.luzin import (CellSearchExhausted, LuzinScheme,
                           SplitSearchExhausted, ambient_presentation,
                           baire_closed_presentation, cantor_presentation,
                           discrete_presentation, image_presentation, rescale,
                           split_level)
-from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
+from clopen.trees import (DensePointFamily, dense_pn_distance, full_cantor_tree,
+                          validate_pruned)
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
                            check_luzin_scheme)
 
@@ -25,6 +28,18 @@ def test_rescale_values():
     assert d(0) == 0
     assert d(1) == Fraction(1, 2)
     assert d(3) == Fraction(3, 4)
+
+
+def test_rescale_is_d_over_one_plus_d_in_lowest_terms():
+    rng = random.Random(17)
+    values = [Fraction(0), 0, *range(1, 6), *map(Fraction, range(1, 6))]
+    values += [Fraction(rng.randrange(200), rng.randrange(1, 200)) for _ in range(300)]
+    scaled = rescale(lambda d: d)
+    for d in values:
+        v = scaled(d)
+        assert isinstance(v, Fraction)
+        assert v == Fraction(d) / (1 + Fraction(d))
+        assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
 
 
 def test_cantor_dense_family_is_injective_and_dense():
@@ -312,11 +327,14 @@ def test_baire_closed_presentation_exactness():
     assert sch.image_tree().admits(())
 
 
-def _baire_split_0_closed(witness_bound):
+def _baire_split_0_family():
     from clopen.instances import build_instance, builtin_instance
 
-    fam = build_instance(builtin_instance("baire-split-0")).ambient_fam
-    return baire_closed_presentation(fam, witness_bound=witness_bound)
+    return build_instance(builtin_instance("baire-split-0")).ambient_fam
+
+
+def _baire_split_0_closed(witness_bound):
+    return baire_closed_presentation(_baire_split_0_family(), witness_bound=witness_bound)
 
 
 def _in_cell_by_disjointification(sch, x, cell):
@@ -352,6 +370,80 @@ def test_members_match_the_brute_force_scan(make):
     assert len(cells) == sum((bound + 1) ** n for n in range(4))
     with pytest.raises(ValueError):
         sch.members((0, 0, 0, 0))
+
+
+def test_root_children_are_listed_in_one_pass_over_the_root():
+    pres = _baire_split_0_closed(64)
+    calls = [0]
+
+    def counted(i, dense_point=pres.dense_point):
+        calls[0] += 1
+        return dense_point(i)
+
+    sch = LuzinScheme(replace(pres, dense_point=counted))
+    lists = [sch.members((k,)) for k in range(65)]
+    # one handle per root member for its index, and one per found ball for its
+    # centre (ball_stage checks that r_k lies in the parent's stage); filtering
+    # the root once per child made 65 * 65 + 65 = 4,290 calls
+    made = calls[0]
+    assert made <= 2 * 65
+    assert sorted(i for found in lists for i in found) == list(range(65))
+    assert all(list(found) == sorted(found) for found in lists)
+    # a cell past the bound holds no point and starts no second pass
+    assert sch.members((65,)) == () and calls[0] == made
+    assert sch.members((3, 200)) == ()
+
+
+def _ball_stage_by_definition(raw, dense_point):
+    """B_cell from the raw distance, rescaled by plain d/(1+d) and compared
+    with the level radius 1/(2^(l+2) + 1) of the parent's length l."""
+    memo = {}
+
+    def stage(x, cell):
+        if not cell:
+            return True
+        if (x, cell) not in memo:
+            parent, k = cell[:-1], cell[-1]
+            d = Fraction(raw(x, k))
+            memo[x, cell] = (stage(x, parent)
+                             and d / (1 + d) < Fraction(1, 2 ** (len(parent) + 2) + 1)
+                             and stage(dense_point(k), parent))
+        return memo[x, cell]
+
+    return stage
+
+
+def _cantor_raw(pres):
+    return lambda x, i: exact_distance(x, pres.dense_point(i))
+
+
+def _discrete_raw(pres):
+    return lambda x, i: 0 if x == i % 4 else 1
+
+
+def _baire_closed_raw(pres):
+    fam = _baire_split_0_family()
+    return lambda x, i: dense_pn_distance(fam, x, i)
+
+
+@pytest.mark.parametrize("make, raw", [
+    (lambda: cantor_presentation(witness_bound=8), _cantor_raw),
+    (lambda: discrete_presentation(4), _discrete_raw),
+    (lambda: _baire_split_0_closed(8), _baire_closed_raw)],
+    ids=["cantor", "discrete", "baire-closed"])
+def test_ball_stage_matches_the_plain_rescaled_comparison(make, raw):
+    pres = make()
+    sch = LuzinScheme(pres, max_depth=3)
+    want = _ball_stage_by_definition(raw(pres), pres.dense_point)
+    bound = pres.witness_bound
+    points = [pres.dense_point(i) for i in range(bound + 1)]
+    cells = [()]
+    for cell in cells:
+        for x in points:
+            assert sch.ball_stage(x, cell) == want(x, cell)
+        if len(cell) < 3:
+            cells.extend(cell + (k,) for k in range(bound + 1))
+    assert len(cells) == sum((bound + 1) ** n for n in range(4))
 
 
 def test_dense_handles_are_stable():

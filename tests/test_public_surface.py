@@ -56,7 +56,7 @@ WITHOUT_CALLERS = {
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
     "luzin.LuzinScheme.inverse_ball":
         "the paper's semi-decision of preimages of balls under the embedding; "
-        "a verify caller would change the trio goldens (ROADMAP item 6)",
+        "a verify caller would change the trio goldens (ROADMAP item 11)",
     "instances.InstanceFile.canonical_text":
         "the printer that pins instances/*.json to the catalog",
 }
