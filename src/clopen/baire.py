@@ -60,18 +60,20 @@ class BairePoint:
         return f"<point {shown},...>"
 
 
-def branch(step: Callable[[tuple[int, ...]], int], stem: Sequence[int] = (),
+def branch(step: Callable[[list[int]], int], stem: Sequence[int] = (),
            tail_hint: Optional[tuple[int, int]] = None) -> BairePoint:
-    """The point that follows stem, then takes step(prefix so far) at each position.
+    """The point that follows stem, then takes step(values so far) at each position.
 
-    The rule grows the point's own prefix list and closes over that list,
-    not the point, so a dropped branch is freed by reference counting.
+    step is called once per position, in order, with the point's own list of
+    values, which it reads and never changes; copying it is the step's choice.
+    The rule grows that list and closes over it, not the point, so a dropped
+    branch is freed by reference counting.
     """
     vals = list(stem)
 
     def rule(n: int) -> int:
         while len(vals) <= n:
-            vals.append(step(tuple(vals)))
+            vals.append(step(vals))
         return vals[n]
 
     pt = BairePoint(rule, tail_hint=tail_hint)

@@ -379,8 +379,9 @@ def catalog_table(name: str, k: int) -> RationalMetricTable:
             dist=lambda i, j: Fraction(0) if i == j else Fraction(1),
             K=k, tail_rule="discrete", label="discrete")
     if name == "harmonic":
-        # d(i, j) = |1/(i+1) - 1/(j+1)|: the convergent sequence with its limit gap
+        # d(i, j) = |1/(i+1) - 1/(j+1)| = |j - i|/((i+1)(j+1)): the convergent
+        # sequence with its limit gap, one Fraction per entry
         return RationalMetricTable(
-            dist=lambda i, j: abs(Fraction(1, i + 1) - Fraction(1, j + 1)),
+            dist=lambda i, j: Fraction(abs(j - i), (i + 1) * (j + 1)),
             K=k, tail_rule="harmonic", label="harmonic")
     raise KeyError(name)

@@ -11,7 +11,7 @@ to an equal value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Container, Optional
 
 from . import dsl
@@ -44,10 +44,16 @@ DEFAULT_BOUNDS = {
 
 @dataclass
 class InstanceFile:
+    """A parsed instance document.  compiled holds the expression fields the
+    parser compiled, keyed (field, text), for build_instance to reuse; it is
+    not part of the document."""
+
     id: str
     ambient: dict[str, Any]
     set_desc: dict[str, Any]
     bounds: dict[str, int]
+    compiled: dict[tuple[str, str], dsl.Compiled] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def canonical_text(self) -> str:
         doc: dict[str, Any] = {
@@ -109,16 +115,20 @@ _EXPR_FIELDS = {
 }
 
 
-def _expr(fld: str, text: Any, path: str) -> dsl.Compiled:
+def _expr(fld: str, text: Any, path: str, compiled: dict) -> dsl.Compiled:
     """The compiled expression of a field, of the field's sort and reading only
-    the names the field binds.  An expression nested past the recursion limit
-    is a ParseError naming the field."""
+    the names the field binds; one that compiled holds is not compiled again.
+    An expression nested past the recursion limit is a ParseError naming the
+    field."""
     if not isinstance(text, str):
         raise _err(f"{path}: {fld!r} must be an expression string")
-    try:
-        return dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
-    except RecursionError:
-        raise _err(f"{path}: {fld!r} is nested too deeply") from None
+    found = compiled.get((fld, text))
+    if found is None:
+        try:
+            found = compiled[fld, text] = dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
+        except RecursionError:
+            raise _err(f"{path}: {fld!r} is nested too deeply") from None
+    return found
 
 
 def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str, int]:
@@ -148,7 +158,7 @@ def load_json(text: str, where: str = "") -> Any:
 
 def parse_instance(text: str) -> InstanceFile:
     """Parse and validate an instance document; its descriptors are checked
-    by building them."""
+    by building them, and the file keeps the expressions that compiled."""
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise _err("instance document must be a JSON object")
@@ -159,8 +169,9 @@ def parse_instance(text: str) -> InstanceFile:
     if not isinstance(inst_id, str) or not inst_id:
         raise _err("instance needs a nonempty string 'id'")
 
+    compiled: dict[tuple[str, str], dsl.Compiled] = {}
     ambient = doc.get("ambient")
-    _ambient_tree(ambient)
+    _ambient_tree(ambient, compiled)
 
     set_desc = doc.get("set")
     if not isinstance(set_desc, dict) or not _is_name(set_desc.get("kind"), _SET_KINDS):
@@ -168,11 +179,11 @@ def parse_instance(text: str) -> InstanceFile:
     _only(set_desc, ("kind", *_SET_KINDS[set_desc["kind"]]), "set: ")
     base = DEFAULT_BOUNDS
     if set_desc["kind"] == "tree-pair":
-        build_tree(set_desc.get("a"), "set.a")
-        build_tree(set_desc.get("complement"), "set.complement")
+        build_tree(set_desc.get("a"), "set.a", compiled)
+        build_tree(set_desc.get("complement"), "set.complement", compiled)
     elif set_desc["kind"] == "pi02-pair":
-        build_matrix(set_desc.get("a"), "set.a")
-        build_matrix(set_desc.get("complement"), "set.complement")
+        build_matrix(set_desc.get("a"), "set.a", compiled)
+        build_matrix(set_desc.get("complement"), "set.complement", compiled)
         if not _is_nat(set_desc.get("alphabet_bound", 1)):
             raise _err("set.alphabet_bound must be a natural number")
     else:
@@ -182,16 +193,20 @@ def parse_instance(text: str) -> InstanceFile:
         if ambient != entry.ambient:
             raise _err(f"ambient: catalog entry {entry.id!r} needs its ambient {entry.ambient}")
         base = entry.bounds  # the file overrides the entry's
+        compiled = entry.compiled
 
     bounds = merge_bounds(base, doc.get("bounds", {}))
-    return InstanceFile(id=inst_id, ambient=ambient, set_desc=set_desc, bounds=bounds)
+    return InstanceFile(id=inst_id, ambient=ambient, set_desc=set_desc, bounds=bounds,
+                        compiled=compiled)
 
 
-def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:
+def build_tree(desc: Any, path: str, compiled: dict, label: str = "") -> PrunedTree:
     """The tree a descriptor names, each field checked where it is read.
 
     A malformed field is a ParseError naming path, the descriptor's place in
     the instance document; an unknown rule is an UnknownCatalogName.
+    compiled maps (field, text) to the expressions compiled so far; the
+    ones this call compiles join it.
     """
     if not isinstance(desc, dict) or "rule" not in desc:
         raise _err(f"{path}: a tree descriptor needs a 'rule' field")
@@ -215,7 +230,7 @@ def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:
         floor = _nat(desc, "child_bound", path, "'child_bound' must be a natural number", 0)
         return cylinder_union_tree(prefixes, label=label or "cylinders", child_floor=floor)
     if rule == "dsl":
-        node = _expr("node", desc.get("node"), path)
+        node = _expr("node", desc.get("node"), path, compiled)
         bound = _nat(desc, "child_bound", path, "dsl trees need a natural 'child_bound'")
         return dsl_tree(node, bound, label=label or "dsl")
     # the explicit rule
@@ -229,7 +244,7 @@ def build_tree(desc: Any, path: str, label: str = "") -> PrunedTree:
         if lh(c) > min(depth, len(nodes) - 1):
             raise _err(f"{path}: node code {c} has length {lh(c)}, more than 'depth' "
                        f"or than {len(nodes)} listed codes can close downward")
-    continuation = build_tree(desc.get("continuation"), f"{path}.continuation")
+    continuation = build_tree(desc.get("continuation"), f"{path}.continuation", compiled)
     return explicit_tree(nodes, depth, continuation, label=label or "explicit")
 
 
@@ -281,7 +296,7 @@ def point_from_descriptor(desc: dict[str, Any]):
         raise _err("a point descriptor must be a JSON object")
     _only(desc, ("rule",) if "rule" in desc else ("pre", "period"), "point: ")
     if "rule" in desc:
-        rule = _expr("rule", desc["rule"], "point")
+        rule = _expr("rule", desc["rule"], "point", {})
         return BairePoint(lambda n: int(rule({"n": n})))
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
@@ -291,7 +306,7 @@ def point_from_descriptor(desc: dict[str, Any]):
     return eventually_periodic(pre, period)
 
 
-def build_matrix(desc: Any, path: str) -> Pi02Matrix:
+def build_matrix(desc: Any, path: str, compiled: dict) -> Pi02Matrix:
     """The matrix a descriptor names, each field checked where it is read
     (errors as in build_tree)."""
     if not isinstance(desc, dict) or "rule" not in desc:
@@ -304,7 +319,7 @@ def build_matrix(desc: Any, path: str) -> Pi02Matrix:
         if not _is_name(desc.get("name"), MATRIX_CATALOG):
             raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return MATRIX_CATALOG[desc["name"]]()
-    r_fn, use_fn = (_expr(fld, desc.get(fld), path) for fld in ("r", "use_bound"))
+    r_fn, use_fn = (_expr(fld, desc.get(fld), path, compiled) for fld in ("r", "use_bound"))
     budget = _nat(desc, "per_n_budget", path, "dsl matrices need a natural 'per_n_budget'")
 
     def r(a, n: int, m: int) -> bool:
@@ -338,7 +353,7 @@ class BuiltInstance:
         return self.sum_space.part_a.fam, self.sum_space.part_c.fam
 
 
-def _ambient_tree(desc: Any) -> PrunedTree:
+def _ambient_tree(desc: Any, compiled: dict) -> PrunedTree:
     """The tree of the ambient space; an unknown kind is an UnknownCatalogName."""
     if not isinstance(desc, dict):
         raise UnknownCatalogName(str(desc), kind="ambient space")
@@ -350,23 +365,26 @@ def _ambient_tree(desc: Any) -> PrunedTree:
         return full_cantor_tree()
     if kind == "baire":
         return full_baire_tree()
-    return build_tree(desc.get("tree"), "ambient.tree", label="ambient")
+    return build_tree(desc.get("tree"), "ambient.tree", compiled, label="ambient")
 
 
 def build_instance(inst: InstanceFile) -> BuiltInstance:
-    """Construct and validate every runtime object the instance declares."""
+    """Construct and validate every runtime object the instance declares,
+    with the expressions parse_instance compiled."""
     if inst.set_desc["kind"] == "catalog":
-        return build_instance(replace(builtin_instance(inst.set_desc["name"]),
-                                      bounds=inst.bounds))
-    depth = inst.bounds["depth"]
-    ambient_tree = _ambient_tree(inst.ambient)
+        # parse_instance checked the entry, its ambient and its expressions
+        entry = CATALOG[inst.set_desc["name"]]
+        return build_instance(replace(inst, id=entry["id"], set_desc=entry["set"]))
+    depth, compiled = inst.bounds["depth"], inst.compiled
+    ambient_tree = _ambient_tree(inst.ambient, compiled)
     validate_pruned(ambient_tree, depth)
     ambient_fam = DensePointFamily(ambient_tree)
     ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
 
     if inst.set_desc["kind"] == "tree-pair":
-        tree_a = build_tree(inst.set_desc["a"], "set.a", label=f"{inst.id}:a")
-        tree_c = build_tree(inst.set_desc["complement"], "set.complement", label=f"{inst.id}:c")
+        tree_a = build_tree(inst.set_desc["a"], "set.a", compiled, label=f"{inst.id}:a")
+        tree_c = build_tree(inst.set_desc["complement"], "set.complement", compiled,
+                            label=f"{inst.id}:c")
         empty = []
         for side, tree in (("empty-set", tree_a), ("empty-complement", tree_c)):
             try:
@@ -379,9 +397,10 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
         part_c = identity_representation(tree_c)
     else:
         bound = inst.set_desc.get("alphabet_bound", 1)
-        part_a = witness_representation(build_matrix(inst.set_desc["a"], "set.a"), bound)
+        part_a = witness_representation(build_matrix(inst.set_desc["a"], "set.a", compiled),
+                                        bound)
         part_c = witness_representation(build_matrix(inst.set_desc["complement"],
-                                                     "set.complement"), bound)
+                                                     "set.complement", compiled), bound)
     sum_space = SumSpace(part_a=part_a, part_c=part_c, ambient=ambient)
     return BuiltInstance(inst, ambient_fam, ambient, sum_space)
 

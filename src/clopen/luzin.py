@@ -151,7 +151,7 @@ class LuzinScheme:
     def embed(self, x: Any) -> BairePoint:
         """The point reading off x's path, its cell index on each level."""
 
-        def index(prefix: tuple[int, ...]) -> int:
+        def index(prefix: list[int]) -> int:
             self._check_depth(len(prefix) + 1)
             i = self._index(x, len(prefix))
             if i is None:

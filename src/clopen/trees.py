@@ -8,16 +8,28 @@ The code-level view required by the wire formats is provided on top.
 
 The dense point family attaches to each code s the branch that starts with
 the coded sequence and then always takes the least admissible child; an
-inadmissible s names the root's branch (code 0).  The stems of a point are
-its shortest stem and that stem's extensions along it, and codes grow under
-extension, so a code is the least code of its point exactly when it is
-admissible and its stem is empty or does not end in the least child of the
-rest.  A family keeps one memo, code -> (branch, stem length); an
-inadmissible code shares code 0's entry.  Equality and the distance are
-decided exactly from the first position where two branches differ, and
-unequal branches provably disagree within the longer of the two stems;
-dense_pn_distance turns that position k into the distance 1/(k+1), and the
-order relations d < q and d <= q are read off that exact value.
+inadmissible s names the root's branch (code 0).
+
+Verdicts live in two places.  Tuple queries (admits, least_child, node,
+validate_pruned, is_least_code) keep a flat memo, stem -> verdict.  Branches
+grow along the tree's walk trie, whose nodes each hold a walked stem's
+verdict, its least child once searched and links to its children.  A branch
+finds its node at its first step past its stem; a step at a node whose least
+child is known is one append and one link, and a fresh step builds the
+prefix tuple once, calls child_bound once and keeps each candidate's verdict
+in the trie, not its tuple.  A miss on either side reads the other side's
+verdict before it runs the predicate, so the predicate sees each stem at
+most once per tree.  Each code still grows its own branch.
+
+The stems of a point are its shortest stem and that stem's extensions along
+it, and codes grow under extension, so a code is the least code of its point
+exactly when it is admissible and its stem is empty or does not end in the
+least child of the rest.  A family keeps one memo, code -> (branch, stem
+length); an inadmissible code shares code 0's entry.  Equality and the
+distance are decided exactly from the first position where two branches
+differ, and unequal branches provably disagree within the longer of the two
+stems; dense_pn_distance turns that position k into the distance 1/(k+1),
+and the order relations d < q and d <= q are read off that exact value.
 """
 
 from __future__ import annotations
@@ -73,6 +85,20 @@ class ValidationReport:
     inspected: int
 
 
+class _Stem:
+    """A node of a tree's walk trie: the last entry of its stem, the
+    predicate's verdict on the stem (None until asked), the node of its
+    least child once searched, and the nodes of the children asked about."""
+
+    __slots__ = ("entry", "verdict", "least", "children")
+
+    def __init__(self, entry: int):
+        self.entry = entry
+        self.verdict: Optional[bool] = None
+        self.least: Optional[_Stem] = None
+        self.children: dict[int, _Stem] = {}
+
+
 class PrunedTree:
     """A closed set of branches, given by a sequence predicate.
 
@@ -96,14 +122,27 @@ class PrunedTree:
         self.label = label
         self.depth_validated = 0
         self._cache: dict[tuple[int, ...], bool] = {}
+        self._walked: Optional[_Stem] = None  # the trie root, made by the first walk
 
     def admits(self, u: tuple[int, ...]) -> bool:
         cache = self._cache
         v = cache.get(u)
         if v is None:
-            v = bool(self._admits(u))
+            if self._walked is not None:
+                v = self._walked_verdict(u)
+            if v is None:
+                v = bool(self._admits(u))
             cache[u] = v
         return v
+
+    def _walked_verdict(self, u: tuple[int, ...]) -> Optional[bool]:
+        """The verdict a walk holds for u, or None."""
+        node = self._walked
+        for x in u:
+            node = node.children.get(x)
+            if node is None:
+                return None
+        return node.verdict
 
     def node(self, s: int) -> bool:
         """Code-level node predicate (the 0/1 parameter of the closed set)."""
@@ -115,6 +154,63 @@ class PrunedTree:
         for k in range(bound + 1):
             if self.admits(prefix + (k,)):
                 return k
+        raise ChildSearchExhausted(prefix, f"(bound {bound})")
+
+    def _walk(self, u: tuple[int, ...]) -> Callable[[list[int]], int]:
+        """The step of the leftmost branch through the admissible stem u.
+
+        The step keeps the trie node of the values so far, found at the first
+        step, so a branch never read past its stem adds no node.  A node
+        whose least child is known moves to it; otherwise _search finds it.
+        """
+        node: Optional[_Stem] = None
+
+        def step(vals: list[int]) -> int:
+            nonlocal node
+            if node is None:
+                node = self._stem(u)
+            child = node.least
+            if child is None:
+                child = self._search(node, vals)
+            node = child
+            return child.entry
+
+        return step
+
+    def _stem(self, u: tuple[int, ...]) -> _Stem:
+        """The trie node of the stem u, made with the nodes on its path."""
+        node = self._walked
+        if node is None:
+            node = self._walked = _Stem(0)
+        for x in u:
+            child = node.children.get(x)
+            if child is None:
+                child = node.children[x] = _Stem(x)
+            node = child
+        return node
+
+    def _search(self, node: _Stem, vals: list[int]) -> _Stem:
+        """The least admissible child of the walked stem vals, with node its
+        trie node: least_child's search, with each verdict read from the trie,
+        then _cache, and only then from the predicate, and kept in the trie.
+        A search that raises links no least child, so it raises again."""
+        prefix = tuple(vals)
+        bound = self.child_bound(prefix)
+        children, cache = node.children, self._cache
+        for k in range(bound + 1):
+            child = children.get(k)
+            if child is None:
+                child = children[k] = _Stem(k)
+            v = child.verdict
+            if v is None:
+                c = prefix + (k,)
+                v = cache.get(c)
+                if v is None:
+                    v = bool(self._admits(c))
+                child.verdict = v
+            if v:
+                node.least = child
+                return child
         raise ChildSearchExhausted(prefix, f"(bound {bound})")
 
     def __repr__(self) -> str:
@@ -189,7 +285,7 @@ class DensePointFamily:
                 e = self._entry(0)
             else:
                 hint = tree.hint(u) if tree.hint is not None else None
-                e = (branch(tree.least_child, stem=u, tail_hint=hint), len(u))
+                e = (branch(tree._walk(u), stem=u, tail_hint=hint), len(u))
             self._points[s] = e
         return e
 

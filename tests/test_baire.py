@@ -50,7 +50,7 @@ def test_branch_follows_stem_then_steps():
     seen = []
 
     def step(prefix):
-        seen.append(prefix)
+        seen.append(tuple(prefix))  # the point's own list, read at each call
         return len(prefix)
 
     p = branch(step, stem=(7, 7), tail_hint=(2, 1))

@@ -50,6 +50,13 @@ def test_non_quadruple_positions_are_zero():
         assert code.point(t) == 0
 
 
+def test_harmonic_table_is_the_distance_of_the_reciprocals():
+    dist = catalog_table("harmonic", k=300).dist
+    for i in range(300):
+        for j in range(300):
+            assert dist(i, j) == abs(Fraction(1, i + 1) - Fraction(1, j + 1))
+
+
 def test_representation_completeness():
     table = catalog_table("harmonic", k=6)
     code = encode_metric(table)

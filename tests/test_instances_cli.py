@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from clopen import dsl
 from clopen.cli import build_parser, main
 from clopen.coding import pair
 from clopen.dsl import ParseError
@@ -360,7 +361,7 @@ def test_explicit_tree_descriptor():
     listed = [encode(u) for u in ((), (0,), (2,), (0, 0), (0, 1), (2, 2))]
     desc = {"rule": "explicit", "nodes": listed, "depth": 2,
             "continuation": {"rule": "cantor"}}
-    tree = build_tree(desc, "tree")
+    tree = build_tree(desc, "tree", {})
     validate_pruned(tree, 4)
     assert tree.admits((2, 2))
     assert not tree.admits((1,))
@@ -530,6 +531,19 @@ def test_boundless_catalog_file_takes_the_entry_bounds(tmp_path, capsys):
     assert main(["encode", "--instance", _write(tmp_path, doc)]) == 0
     assert "\nK 2\n" in capsys.readouterr().out
 
+
+
+@pytest.mark.parametrize("catalog_file", [False, True], ids=["name", "catalog-file"])
+def test_each_dsl_field_is_compiled_once_per_command(catalog_file, monkeypatch, tmp_path,
+                                                      capsys):
+    # parse_instance compiles the two node fields and build_instance reuses them
+    calls = []
+    compile_ = dsl.compile
+    monkeypatch.setattr(dsl, "compile", lambda e: calls.append(e) or compile_(e))
+    instance = (_write(tmp_path, _catalog_doc("cantor-dsl-eq01")) if catalog_file
+                else "cantor-dsl-eq01")
+    assert main(["verify", "--instance", instance]) == 0
+    assert len(calls) == 2
 
 @pytest.mark.parametrize("argv, doc", [
     (["embed", "--space", "baire-closed", "--instance", "cantor-split-0",

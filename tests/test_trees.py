@@ -1,9 +1,13 @@
 import random
+import tracemalloc
+from collections import Counter
+from contextlib import suppress
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
-from clopen.baire import Exact, distance
+from clopen.baire import Exact, branch, distance
 from clopen.coding import encode
 from clopen.instances import CATALOG, build_instance, build_tree, builtin_instance
 from clopen.trees import (ChildSearchExhausted, DensePointFamily,
@@ -13,6 +17,7 @@ from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           enumerate_distinct, full_baire_tree,
                           full_cantor_tree, iter_admissible, validate_pruned)
 from clopen.verify import side_sample_branches
+from clopen.witness import MATRIX_CATALOG, pair_tree
 
 
 def brute_force_leftmost(tree, stem, depth):
@@ -313,7 +318,7 @@ def _identity_rule_trees():
     trees = [(f"cylinders-{i}", _random_cylinders(rng)) for i in range(12)]
     trees.append(("dsl", build_tree({"rule": "dsl", "child_bound": 2,
                                      "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"},
-                                    "tree", label="dsl")))
+                                    "tree", {}, label="dsl")))
     trees.append(("constant-2", constant_tree(2)))
     for name, doc in CATALOG.items():
         if doc["set"]["kind"] == "pi02-pair":
@@ -337,3 +342,120 @@ def test_least_codes_match_the_pairwise_comparisons(label, tree):
     assert [s for s in range(cap) if fam.is_least_code(s)][:len(want)] == want
     samples = side_sample_branches(SimpleNamespace(tree=tree, fam=fam), 6)
     assert samples == [fam.leftmost(encode(u)) for u in _pairwise_samples(tree, 6)]
+
+
+# --- growing branches along the walk trie ---------------------------------------
+
+def _reference_branch(tree, u):
+    """The leftmost branch through u, one flat least-child search per position."""
+    return branch(lambda vals: tree.least_child(tuple(vals)), stem=u)
+
+
+_ZERO_TAIL_STEM = (0, 0, 0, 1, 0, 1, 0, 0, 128)  # ROADMAP item 9: no child at position 30
+
+
+def _walk_trees():
+    """(id, tree factory, extra stems) of the trees a walk is compared on:
+    seeded cylinder unions, a dsl tree and every catalog pair tree."""
+    cases = [(f"cylinders-{seed}", lambda seed=seed: _random_cylinders(random.Random(seed)), ())
+             for seed in range(6)]
+    cases.append(("dsl", lambda: build_tree(
+        {"rule": "dsl", "child_bound": 2,
+         "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"}, "tree", {}), ()))
+    for name in sorted(MATRIX_CATALOG):
+        extra = (_ZERO_TAIL_STEM,) if name == "zero-tail" else ()
+        cases.append((f"pairs-{name}",
+                      lambda name=name: pair_tree(MATRIX_CATALOG[name](), 1), extra))
+    return cases
+
+
+def _grown(point, length):
+    """The first length values of a point, or the search error that stops it."""
+    try:
+        return point.prefix(length)
+    except ChildSearchExhausted as exc:
+        return (type(exc), exc.node, str(exc))
+
+
+@pytest.mark.parametrize("make,extra", [pytest.param(make, extra, id=label)
+                                        for label, make, extra in _walk_trees()])
+def test_walked_branches_match_the_flat_least_child_search(make, extra):
+    tree, twin = validated(make(), 2), validated(make(), 2)
+    fam = DensePointFamily(tree)
+    stems = list(islice(iter_admissible(tree, 3), 12)) + list(extra)
+    for u in stems:
+        want = _grown(_reference_branch(twin, u), 300)
+        point = fam.leftmost(encode(u))
+        assert _grown(point, 300) == want, u
+        # a search that raised linked nothing, so it raises again at the same node
+        assert _grown(point, 300) == want, u
+    if extra:
+        assert _grown(fam.leftmost(encode(_ZERO_TAIL_STEM)), 300)[0] is ChildSearchExhausted
+
+
+def _counting(tree):
+    """A copy of the tree whose predicate counts the stems it is asked about."""
+    asked = Counter()
+
+    def admits(u):
+        asked[u] += 1
+        return tree._admits(u)
+
+    return PrunedTree(admits, tree.child_bound, tree.label, tree.hint), asked
+
+
+@pytest.mark.parametrize("make,extra", [pytest.param(make, extra, id=label)
+                                        for label, make, extra in _walk_trees()])
+def test_each_stem_is_asked_once_over_any_mix_of_queries(make, extra):
+    tree, asked = _counting(make())
+    fam = DensePointFamily(validated(tree, 1))
+    stems = list(iter_admissible(validated(make(), 3), 3)) + list(extra)
+    queries = [(op, u) for u in stems for op in ("admits", "least_child", "walk")]
+    queries += [("admits", u + (k,)) for u in stems for k in range(tree.child_bound(u) + 2)]
+    rng = random.Random(17)
+    for _ in range(3):
+        rng.shuffle(queries)
+        for op, u in queries:
+            if op == "admits":
+                tree.admits(u)
+            elif op == "least_child":
+                with suppress(ChildSearchExhausted):
+                    tree.least_child(u)
+            else:
+                _grown(fam.leftmost(encode(u)), rng.randrange(len(u), 300))
+    assert asked and max(asked.values()) == 1
+
+
+def test_a_second_branch_along_a_walked_path_asks_nothing():
+    asked, bounds = Counter(), Counter()
+    cantor = full_cantor_tree()
+
+    def child_bound(u):
+        bounds[u] += 1
+        return 1
+
+    tree = PrunedTree(lambda u: asked.update([u]) or cantor.admits(u), child_bound,
+                      "tree", cantor.hint)
+    fam = DensePointFamily(validated(tree, 1))
+    first = fam.leftmost(0)
+    assert first.prefix(200) == (0,) * 200
+    asked.clear()
+    bounds.clear()
+    second = fam.leftmost(encode((0, 0)))
+    assert second.prefix(200) == (0,) * 200
+    assert sum(asked.values()) == sum(bounds.values()) == 0
+    # the two codes keep separate branch objects, compared by their values
+    assert second is not first and dense_equal(fam, 0, encode((0, 0)))
+
+
+def test_a_long_walk_keeps_no_prefix_tuples():
+    fam = DensePointFamily(validated(cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)))
+    point = fam.leftmost(encode((1,)))
+    tracemalloc.start()
+    try:
+        point.prefix(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert point.prefix(4) == (1, 0, 1, 0)
+    assert peak < 2 ** 20
