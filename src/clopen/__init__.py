@@ -10,14 +10,13 @@ codes of the resulting rational metrics.
 from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact,
                     disagreement_distance, distance, eventually_periodic, exact_distance,
                     first_disagreement, pair_points, slice_point)
-from .coding import (SeqCode, decode, encode, index_of_rational, lh, pair_code,
-                     pair_count, pair_position, quad_code, rational_of_index)
-from .codes import (CompletionPoint, RationalMetricTable, SpaceCode,
-                    completion_distance, decode_metric, encode_metric, interleave,
-                    pipeline, render_code_file)
+from .coding import (SeqCode, decode, encode, lh, pair_code, pair_count, pair_position,
+                     quad_code)
+from .codes import (RationalMetricTable, SpaceCode, decode_metric, encode_metric, interleave,
+                    render_code_file)
 from .luzin import (LuzinScheme, ZeroDimPresentation, ambient_presentation,
                     baire_closed_presentation, cantor_presentation,
-                    discrete_presentation, image_presentation, rescale)
+                    discrete_presentation, rescale)
 from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
                         membership_in_a, new_presentation, open_ball_distance,

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands mirror the library pipelines: validate an instance's trees,
+Subcommands mirror the library layers: validate an instance's trees,
 embed a zero-dimensional catalog space, run witness maps, re-metrize, encode
 metric codes, and run the verification suite.  Reports are deterministic
 given (instance, flags, seed): numeric output is exact-rational text, check
@@ -21,7 +21,7 @@ from pathlib import Path
 from .baire import eventually_periodic
 from .codes import render_code_file
 from .dsl import ParseError
-from .instances import (DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
+from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_instance,
                         builtin_instance, load_json, merge_bounds, parse_instance,
                         point_from_descriptor)
 from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
@@ -44,7 +44,7 @@ def _bounds(args, bounds: dict[str, int]) -> dict[str, int]:
     return merge_bounds(bounds, overrides)
 
 
-def _load_instance(args) -> "InstanceFile":
+def _load_instance(args) -> InstanceFile:
     if args.instance is None:
         raise UnknownCatalogName("<missing --instance>")
     path = Path(args.instance)

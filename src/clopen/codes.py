@@ -15,9 +15,9 @@ derivable on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .baire import BairePoint
 from .coding import quad_code, unpair
@@ -28,12 +28,6 @@ _CROSS = Fraction(2)  # the distance between the two sides of an interleaving
 
 class MalformedCode(Exception):
     pass
-
-
-class CauchyRateViolation(Exception):
-    def __init__(self, r: int):
-        self.r = r
-        super().__init__(f"rate certificate fails at index {r}")
 
 
 class MetricAxiomViolation(Exception):
@@ -206,38 +200,6 @@ def decode_metric(code: SpaceCode | BairePoint, i: int, j: int, window: int) -> 
     raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
 
 
-@dataclass
-class CompletionPoint:
-    """A point of the completion: indices converging at the standard rate."""
-
-    index: Callable[[int], int]
-
-
-def certify_cauchy(table: RationalMetricTable, p: CompletionPoint, depth: int) -> None:
-    """Check the pairwise rate d(k_r, k_m) <= 2^-r for r < m <= depth.
-
-    The pairwise form (not just consecutive steps) is what bounds the
-    distance to the limit by 2^-r, which the completion interval relies on.
-    """
-    idx = [p.index(r) for r in range(depth + 1)]
-    for r in range(depth + 1):
-        bound = Fraction(1, 2 ** r)
-        for m in range(r + 1, depth + 1):
-            if table.dist(idx[r], idx[m]) > bound:
-                raise CauchyRateViolation(r)
-
-
-def completion_distance(table: RationalMetricTable, p: CompletionPoint,
-                        q: CompletionPoint, precision: int) -> tuple[Fraction, Fraction]:
-    """An interval of width 2^-precision containing the completed distance."""
-    r = precision + 2
-    certify_cauchy(table, p, r)
-    certify_cauchy(table, q, r)
-    center = table.dist(p.index(r), q.index(r))
-    slack = Fraction(1, 2 ** (r - 1))
-    return (center - slack, center + slack)
-
-
 def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
                cap: int, label: str) -> RationalMetricTable:
     """The summed space's metric on the interleaved distinct dense points.
@@ -282,33 +244,6 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
 
     return RationalMetricTable(dist=dist, K=count, tail_rule=f"interleave:{label}",
                                label=label)
-
-
-@dataclass
-class PipelineResult:
-    codes: dict[str, SpaceCode] = field(default_factory=dict)
-    errors: dict[str, Exception] = field(default_factory=dict)
-
-
-def pipeline(jobs: Iterable[tuple[str, DensePointFamily, DensePointFamily, int]],
-             cap: int) -> PipelineResult:
-    """Interleave, validate and encode each (id, set family, complement family, K) job.
-
-    The one path from dense families to a metric code: `clopen encode` and
-    the `interleave` check of `verify` run it on a batch of one, capped at
-    the instance's enumeration_cap.  Per-job failures are collected, not
-    raised, so one bad instance cannot poison a batch; each is kept as the
-    raised exception.  Identical inputs always produce bit-identical codes.
-    """
-    result = PipelineResult()
-    for job_id, fam_a, fam_c, count in jobs:
-        try:
-            table = interleave(fam_a, fam_c, count, cap=cap, label=job_id)
-            validate_metric_table(table)
-            result.codes[job_id] = encode_metric(table)
-        except Exception as exc:  # noqa: BLE001 - aggregated by contract
-            result.errors[job_id] = exc
-    return result
 
 
 # --- file format --------------------------------------------------------------

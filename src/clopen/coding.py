@@ -1,4 +1,4 @@
-"""Bit-exact codings of finite sequences and rationals.
+"""Bit-exact codings of finite sequences.
 
 Every finite sequence of naturals is coded by a single natural through a
 length-tagged iterated Cantor pairing:
@@ -17,13 +17,11 @@ sequences with small entries stay small, but they grow quickly with length.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Optional, Sequence, Tuple
 
 SeqCode = int
-Rational = Fraction
 
 
 def pair(a: int, b: int) -> int:
@@ -102,23 +100,3 @@ def pair_count(i: int, length: int) -> int:
 def quad_code(i: int, j: int, m: int, n: int) -> SeqCode:
     """Code of the four-entry sequence (i, j, m, n)."""
     return 1 + pair(3, pair(i, pair(j, pair(m, n))))
-
-
-def rational_of_index(s: int) -> Rational:
-    """The rational with index s: (-1)^(s)_0 * (s)_1 / ((s)_2 + 1).
-
-    Hits every rational; the result is always in lowest terms with a
-    positive denominator.
-    """
-    u = decode(s)
-    sign = u[0] if len(u) > 0 else 0
-    num = u[1] if len(u) > 1 else 0
-    den = (u[2] if len(u) > 2 else 0) + 1
-    q = Fraction(num, den)
-    return -q if sign % 2 else q
-
-
-def index_of_rational(q: Rational) -> int:
-    """An index s with rational_of_index(s) == q (the canonical one)."""
-    sign = 0 if q >= 0 else 1
-    return encode((sign, abs(q.numerator), q.denominator - 1))

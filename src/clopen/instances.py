@@ -4,8 +4,7 @@ An instance names an ambient sequence space, a set descriptor (a pair of
 trees, a pair of least-witness matrices, or a catalog entry), and the bounds
 that make every search total.  Parsing is strict: unknown kinds, missing
 fields, non-positive bounds and malformed predicates are position-annotated
-errors, and a parsed instance prints back to a canonical text that reparses
-to an equal value.
+errors.
 """
 
 from __future__ import annotations
@@ -54,16 +53,6 @@ class InstanceFile:
     bounds: dict[str, int]
     compiled: dict[tuple[str, str], dsl.Compiled] = field(
         default_factory=dict, compare=False, repr=False)
-
-    def canonical_text(self) -> str:
-        doc: dict[str, Any] = {
-            "format": "instance/1",
-            "id": self.id,
-            "ambient": self.ambient,
-            "set": self.set_desc,
-            "bounds": self.bounds,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # the keys each descriptor reads besides its kind or rule; it accepts no other
@@ -333,7 +322,7 @@ def build_matrix(desc: Any, path: str, compiled: dict) -> Pi02Matrix:
 
 @dataclass
 class BuiltInstance:
-    """All runtime objects of one instance, ready for the pipelines."""
+    """All runtime objects of one instance, ready for the commands and checks."""
 
     file: InstanceFile
     ambient_fam: DensePointFamily

@@ -34,9 +34,7 @@ from functools import partial
 from math import ceil
 from typing import Any, Callable, Optional
 
-from .baire import (BairePoint, branch, disagreement_distance, eventually_periodic,
-                    exact_distance, first_disagreement)
-from .coding import rational_of_index
+from .baire import BairePoint, branch, disagreement_distance, eventually_periodic, exact_distance
 from .trees import DensePointFamily, PrunedTree, dense_pn_distance
 
 
@@ -44,12 +42,6 @@ class CellSearchExhausted(Exception):
     def __init__(self, depth: int, bound: int):
         self.depth, self.bound = depth, bound
         super().__init__(f"no child cell contains the point at depth {depth} (bound {bound})")
-
-
-class SplitSearchExhausted(Exception):
-    def __init__(self, i: int, depth: int):
-        self.i, self.depth = i, depth
-        super().__init__(f"a point is not separated from dense point {i} by depth {depth}")
 
 
 def rescale(dist: Callable[..., Fraction]) -> Callable[..., Fraction]:
@@ -195,67 +187,11 @@ class LuzinScheme:
         return PrunedTree(lambda cell: bool(self.members(cell)), lambda cell: bound,
                           label=f"image[{self.presentation.name}]")
 
-    def inverse_ball(self, a: BairePoint, i: int, s_rat: int, depth: int) -> bool:
-        """Semi-decide d(point embedded at a, r_i) < q with the coded rational q.
-
-        True certifies the inequality through a dense member of a cell of a's
-        branch; False only means nothing was found within the depth and
-        witness budgets.
-        """
-        q = rational_of_index(s_rat)
-        dist = self.presentation.dist
-        for n in range(depth + 1):
-            margin = q - Fraction(1, 2 ** n)
-            if margin > 0 and any(dist(j, i) < margin for j in self.members(a.prefix(n))):
-                return True
-        return False
-
 
 def split_level(delta: Fraction) -> int:
     """The least depth n with 1/2^n <= delta, for delta > 0: cells of depth n
     have diameter below 1/2^n, so no such cell holds two points delta apart."""
     return (ceil(1 / delta) - 1).bit_length()
-
-
-def image_presentation(scheme: LuzinScheme,
-                       distinct: Callable[[int, int], bool]) -> ZeroDimPresentation:
-    """The embedded dense family with its exact first-disagreement distances.
-
-    distinct decides equality of dense indices in the source presentation;
-    the split depth of two distinct points is found within the level their
-    source distance allows, and a point that does not split from r_i within
-    the scheme's depth has no decided distance to it.
-    """
-    source = scheme.presentation
-    points: dict[int, BairePoint] = {}
-
-    def dense_point(i: int) -> BairePoint:
-        pt = points.get(i)
-        if pt is None:
-            pt = points[i] = scheme.embed(source.dense_point(i))
-        return pt
-
-    def dist(i: int, j: int) -> Fraction:
-        """1/(k+1) for the depth k of the deepest common cell of i and j."""
-        if not distinct(i, j):
-            return disagreement_distance(None)
-        delta = source.dist(i, j)
-        if delta == 0:
-            raise SplitSearchExhausted(j, 0)
-        depth = split_level(delta)
-        k = first_disagreement(dense_point(i), dense_point(j), depth + 1)
-        if k is None:
-            raise SplitSearchExhausted(j, depth)
-        return disagreement_distance(k)
-
-    def dist_to_dense(y: BairePoint, i: int) -> Fraction:
-        k = first_disagreement(y, dense_point(i), scheme.max_depth)
-        if k is None:
-            raise SplitSearchExhausted(i, scheme.max_depth)
-        return disagreement_distance(k)
-
-    return ZeroDimPresentation(f"image[{source.name}]", dense_point, dist, dist_to_dense,
-                               witness_bound=source.witness_bound)
 
 
 # --- presentation catalog ----------------------------------------------------

@@ -14,7 +14,8 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
-from .codes import SpaceCode, check_metric_axioms, decode_metric, interleave, pipeline
+from .codes import (SpaceCode, check_metric_axioms, decode_metric, encode_metric, interleave,
+                    validate_metric_table)
 from .coding import decode, encode
 from .instances import BuiltInstance
 from .luzin import LuzinScheme, split_level
@@ -366,14 +367,15 @@ def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
 # --- instance suite ---------------------------------------------------------------
 
 def instance_code(built: BuiltInstance) -> SpaceCode:
-    """The instance's metric code at its table_size: `pipeline` on a batch of
-    one, re-raising the job's exception if it failed."""
+    """The instance's metric code at its table_size, capped at its
+    enumeration_cap: interleave, check the metric axioms, encode.  The one
+    path from dense families to a code, run by `clopen encode` and the
+    `interleave` check."""
     bounds = built.file.bounds
-    result = pipeline([(built.file.id, *built.families(), bounds["table_size"])],
-                      cap=bounds["enumeration_cap"])
-    if built.file.id in result.errors:
-        raise result.errors[built.file.id]
-    return result.codes[built.file.id]
+    table = interleave(*built.families(), bounds["table_size"],
+                       bounds["enumeration_cap"], label=built.file.id)
+    validate_metric_table(table)
+    return encode_metric(table)
 
 
 def check_interleaved_table(built: BuiltInstance) -> CheckResult:

@@ -1,20 +1,21 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from clopen.baire import BairePoint
-from clopen.codes import (CauchyRateViolation, CompletionPoint, MalformedCode,
-                          MetricAxiomViolation, RationalMetricTable, catalog_table,
-                          check_metric_axioms, completion_distance, decode_metric,
-                          encode_metric, interleave, parse_code_file, pipeline,
-                          render_code_file, validate_metric_table)
+from clopen.codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable,
+                          catalog_table, check_metric_axioms, decode_metric, encode_metric,
+                          interleave, parse_code_file, render_code_file,
+                          validate_metric_table)
 from clopen import codes
 from clopen import coding
 from clopen.coding import decode, encode, quad_code
 from clopen.instances import DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
 from clopen.trees import InsufficientDensePoints, dense_pn_distance
+from clopen.verify import instance_code
 
 CAP = DEFAULT_BOUNDS["enumeration_cap"]  # the catalog instances' enumeration cap
 
@@ -176,32 +177,6 @@ def test_triangle_check_matches_the_exact_loop_on_random_tables(count):
     assert outcomes == {True, False}  # both metrics and violations were drawn
 
 
-def test_completion_of_constant_sequences():
-    table = catalog_table("discrete", k=6)
-    at_0, at_1, at_2 = (CompletionPoint(index=lambda r, i=i: i) for i in range(3))
-    lo, hi = completion_distance(table, at_0, at_1, 4)
-    assert lo <= 1 <= hi
-    assert hi - lo <= Fraction(1, 2 ** 4)
-    lo, hi = completion_distance(table, at_2, at_2, 6)
-    assert lo <= 0 <= hi
-
-
-def test_completion_of_converging_sequence():
-    table = catalog_table("harmonic", k=64)
-    # k_r = 2^r - 1 heads toward the limit point of the harmonic enumeration
-    point = CompletionPoint(index=lambda r: 2 ** min(r, 5) - 1)
-    lo, hi = completion_distance(table, point, CompletionPoint(index=lambda r: 0), 2)
-    true_gap = table.dist(31, 0)
-    assert lo <= true_gap <= hi
-
-
-def test_cauchy_rate_violation():
-    table = catalog_table("discrete", k=4)
-    hopping = CompletionPoint(index=lambda r: r % 2)
-    with pytest.raises(CauchyRateViolation):
-        completion_distance(table, hopping, CompletionPoint(index=lambda r: 0), 3)
-
-
 def _families(name="cantor-split-0"):
     return build_instance(builtin_instance(name)).families()
 
@@ -227,25 +202,12 @@ def test_interleave_extends_past_serialized_prefix():
     assert table.dist(10, 11) == 2
 
 
-def test_pipeline_determinism_and_error_aggregation():
-    fam_a, fam_c = _families()
-    sparse_a, sparse_c = _families("witness-first-bit")
-    jobs = [
-        ("good", fam_a, fam_c, 12),
-        ("starved", sparse_a, sparse_c, 40),  # far more points than the tree offers
-    ]
-    result = pipeline(jobs, cap=2000)
-    assert set(result.codes) == {"good"}
-    assert set(result.errors) == {"starved"}
-    assert isinstance(result.errors["starved"], InsufficientDensePoints)
-    text1 = render_code_file(result.codes["good"], "good")
-    text2 = render_code_file(pipeline(jobs, cap=2000).codes["good"], "good")
-    assert text1 == text2
-
-
-def test_pipeline_empty_batch():
-    result = pipeline([], cap=CAP)
-    assert result.codes == {} and result.errors == {}
+def test_a_starved_side_raises_insufficient_dense_points():
+    # witness-first-bit offers far fewer than 40 distinct points below code 2000
+    inst = builtin_instance("witness-first-bit")
+    bounds = {**inst.bounds, "table_size": 40, "enumeration_cap": 2000}
+    with pytest.raises(InsufficientDensePoints):
+        instance_code(build_instance(replace(inst, bounds=bounds)))
 
 
 def test_code_file_round_trip():

@@ -1,9 +1,8 @@
 import itertools
 import random
-from fractions import Fraction
 
-from clopen.coding import (decode, encode, index_of_rational, lh, pair, pair_code,
-                           pair_count, pair_position, quad_code, rational_of_index, unpair)
+from clopen.coding import (decode, encode, lh, pair, pair_code, pair_count, pair_position,
+                           quad_code, unpair)
 
 
 def test_empty_sequence_codes_to_zero():
@@ -61,25 +60,6 @@ def test_codes_grow_under_extension():
     for _ in range(300):
         u = tuple(rng.randrange(rng.choice((2, 5, 1000))) for _ in range(rng.randrange(12)))
         assert encode(u + (rng.randrange(50),)) > encode(u)
-
-
-def test_rational_of_index_examples():
-    assert rational_of_index(encode((0, 1, 1))) == Fraction(1, 2)
-    assert rational_of_index(encode((1, 1, 0))) == Fraction(-1)
-    assert rational_of_index(encode((0, 0, 5))) == 0
-
-
-def test_rational_of_index_short_codes():
-    assert rational_of_index(0) == 0
-    assert rational_of_index(encode((1,))) == 0  # -(0/1)
-
-
-def test_rationals_all_reachable():
-    for p in range(-20, 21):
-        for q in range(1, 21):
-            target = Fraction(p, q)
-            s = index_of_rational(target)
-            assert rational_of_index(s) == target
 
 
 def test_pair_and_quad_codes_match_encode():

@@ -6,13 +6,11 @@ from math import gcd
 
 import pytest
 
-from clopen.baire import Exact, distance, eventually_periodic, exact_distance
-from clopen.coding import encode, index_of_rational
-from clopen.luzin import (CellSearchExhausted, LuzinScheme,
-                          SplitSearchExhausted, ambient_presentation,
+from clopen.baire import eventually_periodic, exact_distance
+from clopen.coding import encode
+from clopen.luzin import (CellSearchExhausted, LuzinScheme, ambient_presentation,
                           baire_closed_presentation, cantor_presentation,
-                          discrete_presentation, image_presentation, rescale,
-                          split_level)
+                          discrete_presentation, rescale, split_level)
 from clopen.trees import (DensePointFamily, dense_pn_distance, full_cantor_tree,
                           validate_pruned)
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
@@ -213,109 +211,6 @@ def test_discrete_embedding_is_the_identity_stream():
         assert sch.embed(k).prefix(4) == (k,) * 4
 
 
-def test_inverse_ball_positive():
-    sch = small_scheme()
-    a = sch.embed(sch.presentation.dense_point(0))
-    q_half = index_of_rational(Fraction(1, 2))
-    assert sch.inverse_ball(a, 0, q_half, depth=4)
-    q_tenth = index_of_rational(Fraction(1, 10))
-    assert sch.inverse_ball(a, 0, q_tenth, depth=5)
-
-
-def test_inverse_ball_nonpositive_radius():
-    sch = small_scheme()
-    a = sch.embed(sch.presentation.dense_point(0))
-    assert not sch.inverse_ball(a, 0, index_of_rational(Fraction(0)), depth=6)
-    assert not sch.inverse_ball(a, 0, index_of_rational(Fraction(-1, 2)), depth=6)
-
-
-def test_inverse_ball_far_point_never_verifies():
-    sch = LuzinScheme(discrete_presentation(3), max_depth=8)
-    a = sch.embed(1)
-    assert sch.presentation.dist(1, 0) == Fraction(1, 2)
-    q_half = index_of_rational(Fraction(1, 2))
-    for depth in (1, 3, 6, 8):
-        assert not sch.inverse_ball(a, 0, q_half, depth=depth)
-
-
-def _inverse_ball_by_full_scan(sch, a, i, q, depth):
-    """inverse_ball as a scan of every dense index up to the witness bound."""
-    pres = sch.presentation
-    for n in range(depth + 1):
-        margin = q - Fraction(1, 2 ** n)
-        if margin <= 0:
-            continue
-        cell = a.prefix(n)
-        for j in range(pres.witness_bound + 1):
-            if pres.dist(j, i) < margin and sch.cell_member_seq(pres.dense_point(j), cell):
-                return True
-    return False
-
-
-def test_inverse_ball_matches_the_full_scan():
-    sch, brute = small_scheme(), small_scheme()
-    seen = set()
-    for x in range(6):
-        a = sch.embed(sch.presentation.dense_point(x))
-        for i in (0, 1, 3, 5, 30):
-            for q in (Fraction(3, 4), Fraction(1, 5), Fraction(1, 40)):
-                s_rat = index_of_rational(q)
-                for depth in range(7):
-                    want = _inverse_ball_by_full_scan(brute, a, i, q, depth)
-                    assert sch.inverse_ball(a, i, s_rat, depth) == want
-                    seen.add(want)
-    assert seen == {True, False}
-
-
-def test_inverse_ball_depth_guard_without_a_near_index():
-    sch = small_scheme()  # max depth 6, witness bound 24
-    a = eventually_periodic((), (0,))
-    # r_1000 is at distance >= 1/7 from every r_j with j <= 24, and the margin
-    # q - 1/2^n is positive only at n = 7, where it is 1/1000
-    q = Fraction(1, 128) + Fraction(1, 1000)
-    assert not _inverse_ball_by_full_scan(small_scheme(), a, 1000, q, 6)
-    assert min(sch.presentation.dist(j, 1000) for j in range(25)) == Fraction(1, 7)
-    with pytest.raises(ValueError, match="max depth"):
-        sch.inverse_ball(a, 1000, index_of_rational(q), depth=7)
-
-
-def test_image_presentation_distances():
-    sch = small_scheme()
-    img = image_presentation(sch, lambda i, j: i != j)
-    assert img.dist(3, 3) == 0
-    # centers 0 and 1 differ at position 0, so their cells split at the root
-    assert img.dist(0, 1) == Fraction(1)
-    # oracle equivalence against the budgeted scan on the embedded points
-    for i in range(12):
-        for j in range(12):
-            if i == j:
-                continue
-            res = distance(img.dense_point(i), img.dense_point(j), 64)
-            assert isinstance(res, Exact)
-            assert res.value == img.dist(i, j)
-
-
-def test_image_presentation_ball_members():
-    sch = small_scheme()
-    img = image_presentation(sch, lambda i, j: i != j)
-    for q in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
-        for i in range(8):
-            for j in range(8):
-                if i != j:
-                    want = img.dist(j, i) < q
-                    assert img.ball_member(img.dense_point(j), i, q) == want
-    # a point that never splits from r_i within the scheme depth has no decided distance
-    with pytest.raises(SplitSearchExhausted):
-        img.dist_to_dense(img.dense_point(3), 3)
-
-
-def test_image_presentation_detects_inconsistent_distinctness():
-    sch = small_scheme()
-    img = image_presentation(sch, lambda i, j: True)  # wrongly calls equal pairs distinct
-    with pytest.raises(SplitSearchExhausted):
-        img.dist(2, 2)
-
-
 def test_baire_closed_presentation_exactness():
     tree = full_cantor_tree()
     validate_pruned(tree, 4)
@@ -451,8 +346,7 @@ def test_dense_handles_are_stable():
     validate_pruned(tree, 4)
     ambient = ambient_presentation(DensePointFamily(tree), "ambient")
     cantor = cantor_presentation(witness_bound=8)
-    image = image_presentation(LuzinScheme(cantor, max_depth=4), lambda i, j: i != j)
-    for pres in (cantor, ambient, image):
+    for pres in (cantor, ambient):
         for i in range(12):
             assert pres.dense_point(i) is pres.dense_point(i)
 

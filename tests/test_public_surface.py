@@ -7,9 +7,9 @@ exported from the package is no reason: `__init__.py` is not searched.
 
 A caller is an `ast` reference, never a word in a comment or a string:
 - of a function: its name loaded in its own module, an import of it
-  (`from .codes import pipeline`), or an attribute read on an owner that
-  spells its module (`codes.pipeline`, `clopen.codes.pipeline`, and bench's
-  `_mod("codes").pipeline` and `sys.modules["clopen.codes"].pipeline`);
+  (`from .codes import interleave`), or an attribute read on an owner that
+  spells its module (`codes.interleave`, `clopen.codes.interleave`, and bench's
+  `_mod("codes").interleave` and `sys.modules["clopen.codes"].interleave`);
 - of a method: an attribute read `.name` on any object, except on a name
   bound by `except <builtin exception> as name` (`exc.code` on a caught
   `SystemExit` calls no method of the library).
@@ -28,11 +28,19 @@ or is listed in SETTINGS_NOT_USED_BOTH_WAYS with its reason:
 A call of a class is a call of its `__init__`, and so is a call of a subclass
 in its module that inherits that `__init__`.  A listed entry that is now used both ways, or that is no longer defined,
 fails the guard.
+
+Every name an import binds in a module of the library (`__init__.py` aside,
+whose imports are its exports) is read in that module, so a deletion leaves
+no import behind; and every annotation of the library's functions, methods
+and classes names something its module defines or imports.
 Standard library only.
 """
 
 import ast
 import builtins
+import importlib
+import inspect
+import typing
 from functools import cache
 from pathlib import Path
 
@@ -44,21 +52,10 @@ PACKAGE = ROOT / "src" / "clopen"
 WITHOUT_CALLERS = {
     "remetrize.open_ball_distance":
         "acceptance criterion 9: the open-ball distance the new metric must equal",
-    "codes.completion_distance":
-        "the distance on the completion of a coded metric",
-    "luzin.image_presentation":
-        "the presentation of the embedded image",
-    "coding.index_of_rational":
-        "the rational index that LuzinScheme.inverse_ball reads",
     "dsl.evaluate":
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
     "verify.check_dense_metric_axioms":
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
-    "luzin.LuzinScheme.inverse_ball":
-        "the paper's semi-decision of preimages of balls under the embedding; "
-        "a verify caller would change the trio goldens (ROADMAP item 11)",
-    "instances.InstanceFile.canonical_text":
-        "the printer that pins instances/*.json to the catalog",
 }
 
 # every memo decorator in src/ (functools.lru_cache or functools.cache), keyed
@@ -475,3 +472,59 @@ def test_memo_uses_are_found_in_every_spelling():
         "def f():\n    cache = {}\n    return cache\n")
     assert sorted(_memo_uses(tree, "mod")) == [
         "mod.K.m", "mod.a", "mod.b", "mod.d", "mod.outer.inner", "mod:16"]
+
+
+# --- imports ---------------------------------------------------------------------
+
+def _unread_imports(tree):
+    """The names a module's imports bind that the module never reads, sorted.
+    A name is read where it is loaded, alone or as the owner of an attribute
+    (`dsl.Compiled`); `from __future__` imports bind no name."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if names:
+                unread[path.name] = names
+    assert unread == {}, "imports that their module never reads"
+
+
+def test_unread_imports_are_found_in_every_spelling():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from x import a, b as c\nfrom . import dsl\n"
+        "def f(v: a) -> dsl.T:\n    return j.dumps(v)\n")
+    assert _unread_imports(tree) == ["c", "os"]
+
+
+def test_every_annotation_resolves_in_its_module():
+    # an annotation naming what its module neither defines nor imports makes
+    # typing.get_type_hints raise NameError
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"clopen.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [v for v in vars(obj).values() if inspect.isfunction(v)] \
+                if inspect.isclass(obj) else []
+            for target in [obj] + members:
+                if inspect.isfunction(target) or inspect.isclass(target):
+                    try:
+                        typing.get_type_hints(target)
+                    except NameError as exc:
+                        unresolved.append(f"{module.__name__}.{target.__qualname__}: {exc}")
+    assert unresolved == []
