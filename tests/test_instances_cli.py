@@ -42,6 +42,20 @@ def _file_text(inst):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def test_canonical_print_reparses_equal():
+    inst = parse_instance(MINIMAL)
+    again = parse_instance(_file_text(inst))
+    assert again == inst
+    assert _file_text(again) == _file_text(inst)
+
+
+def test_catalog_instances_parse_and_print():
+    # every catalog entry, not only those with a file under instances/
+    for name in CATALOG:
+        inst = builtin_instance(name)
+        assert parse_instance(_file_text(inst)) == inst
+
+
 def test_golden_instance_files_match_catalog():
     root = Path(__file__).resolve().parent.parent / "instances"
     files = sorted(root.glob("*.json"))

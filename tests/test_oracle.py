@@ -1,27 +1,40 @@
-"""`clopen encode` against the benchmark's independent oracle.
+"""The library and `clopen encode` against the benchmark's independent oracle.
 
 `bench/oracle.py` recomputes the interleaved table of a cylinder tree-pair
-from its prefixes alone, without importing `clopen`.  Seeded tree-pairs go
-through the command line and the code-file reader, and every entry of the
-written table must equal the oracle's; where the oracle finds too few
-distinct points below the enumeration cap, `encode` must exit 1.
+from its prefixes alone, without importing `clopen`: its own unpairing, its
+own admissibility and leftmost-branch rules, its own enumeration of distinct
+branches.  Each layer is compared with it on seeded cylinder sides over 2-5
+symbols: sequence decoding, `cylinder_union_tree`, leftmost branches, dense
+distances, `enumerate_distinct`, and the table `encode` writes through the
+command line and the code-file reader.  Where the oracle finds too few
+distinct points below the enumeration cap, the library must raise
+`InsufficientDensePoints` and `encode` must exit 1.
 """
 
 import importlib.util
+import itertools
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from clopen.cli import main
 from clopen.codes import parse_code_file
+from clopen.coding import decode, encode
+from clopen.trees import (DensePointFamily, InsufficientDensePoints, cylinder_union_tree,
+                          dense_pn_distance, enumerate_distinct, validate_pruned)
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_SIZE = 16
 CAP = 2000
+ALPHABETS = (2, 3, 4, 5)
 
 
-def _load_oracle():
+@pytest.fixture(scope="module")
+def oracle():
     spec = importlib.util.spec_from_file_location("bench_oracle", ROOT / "bench" / "oracle.py")
     module = importlib.util.module_from_spec(spec)
     written = sys.dont_write_bytecode
@@ -33,47 +46,156 @@ def _load_oracle():
     return module
 
 
-def _split_pair(rng, index):
-    """A cylinder tree-pair over m symbols split along a word w of length 1-3:
-    one side is the cylinder of w, the other the cylinders of the siblings
-    w[:i] + (c,) with c != w[i], in a seeded order."""
-    m, length = rng.randint(2, 5), rng.randint(1, 3)
+def _split(rng, m):
+    """A word w of length 1-3 over m symbols, and the sibling cylinders
+    w[:i] + (c,) with c != w[i] that make up the rest of the space."""
+    length = rng.randint(1, 3)
     word = [rng.randrange(m) for _ in range(length)]
-    siblings = [word[:i] + [c] for i in range(length) for c in range(m) if c != word[i]]
-    sides = [[word], siblings]
-    if rng.random() < 0.5:
-        sides.reverse()
+    return [word], [word[:i] + [c] for i in range(length) for c in range(m) if c != word[i]]
+
+
+def _partition(rng, m):
+    """The words of one length over m symbols, shuffled and cut in two: prefix
+    sets that are not the halves of a split word."""
+    words = [list(w) for w in itertools.product(range(m), repeat=rng.randint(1, 2))]
+    rng.shuffle(words)
+    cut = rng.randint(1, len(words) - 1)
+    return sorted(words[:cut]), sorted(words[cut:])
+
+
+def _sides(m):
+    """Seeded cylinder sides over m symbols: the whole space, and both halves
+    of three split words and of three partitions."""
+    rng = random.Random(6061 + m)
+    sides = [[[c] for c in range(m)]]
+    for draw in (_split, _split, _split, _partition, _partition, _partition):
+        sides += draw(rng, m)
+    return sides
+
+
+def _pairs(m, oracle):
+    """The library's validated tree and the oracle's side, for each seeded
+    side over m symbols."""
+    for prefixes in _sides(m):
+        tree = cylinder_union_tree(prefixes, "side", child_floor=m - 1)
+        validate_pruned(tree, 4)
+        yield tree, oracle.CylinderSide(prefixes, m - 1)
+
+
+def _stems(side, m, length):
+    """The stems over m symbols of length <= length that the oracle admits."""
+    return [u for n in range(length + 1) for u in itertools.product(range(m), repeat=n)
+            if side.admits(u)]
+
+
+def test_decode_matches_the_oracle(oracle):
+    for s in range(5000):
+        assert decode(s) == oracle.seq_of_code(s), s
+
+
+@pytest.mark.parametrize("m", ALPHABETS)
+def test_cylinder_trees_admit_what_the_oracle_admits(oracle, m):
+    for tree, side in _pairs(m, oracle):
+        for n in range(5):
+            for u in itertools.product(range(m + 1), repeat=n):
+                assert tree.admits(u) == side.admits(u), (side.prefixes, u)
+
+
+@pytest.mark.parametrize("m", ALPHABETS)
+def test_leftmost_branches_match_the_oracle(oracle, m):
+    for tree, side in _pairs(m, oracle):
+        fam = DensePointFamily(tree)
+        for u in _stems(side, m, 3):
+            assert fam.leftmost(encode(u)).prefix(8) == side.branch(u, 8), (side.prefixes, u)
+
+
+@pytest.mark.parametrize("m", ALPHABETS)
+def test_dense_distances_match_the_oracle(oracle, m):
+    for tree, side in _pairs(m, oracle):
+        fam = DensePointFamily(tree)
+        stems = _stems(side, m, 2)
+        for u, v in itertools.product(stems, repeat=2):
+            length = max(len(u), len(v)) + side.max_len + 1
+            split = next((k for k, (a, b) in enumerate(zip(side.branch(u, length),
+                                                           side.branch(v, length)))
+                          if a != b), None)
+            want = Fraction(0) if split is None else Fraction(1, split + 1)
+            assert dense_pn_distance(fam, encode(u), encode(v)) == want, (side.prefixes, u, v)
+
+
+@pytest.mark.parametrize("m", ALPHABETS)
+def test_enumerate_distinct_matches_the_oracle_stems(oracle, m):
+    outcomes = set()
+    for tree, side in _pairs(m, oracle):
+        fam = DensePointFamily(tree)  # shared, so later counts extend the kept scan
+        for count in (1, 4, 9, 24):
+            try:
+                want = side.distinct_stems(count, CAP)
+            except ValueError:
+                with pytest.raises(InsufficientDensePoints):
+                    enumerate_distinct(fam, count, CAP)
+                outcomes.add("short")
+                continue
+            assert [decode(s) for s in enumerate_distinct(fam, count, CAP)] == want, \
+                (side.prefixes, count)
+            outcomes.add("listed")
+    assert "listed" in outcomes
+
+
+def _pair_doc(inst_id, m, a, c):
     ambient = ({"kind": "cantor"} if m == 2 else
                {"kind": "tree", "tree": {"rule": "cylinders",
-                                         "prefixes": [[c] for c in range(m)],
+                                         "prefixes": [[k] for k in range(m)],
                                          "child_bound": m - 1}})
-    a, c = ({"rule": "cylinders", "prefixes": side, "child_bound": m - 1} for side in sides)
-    return {"format": "instance/1", "id": f"split-{index}", "ambient": ambient,
-            "set": {"kind": "tree-pair", "a": a, "complement": c},
+    return {"format": "instance/1", "id": inst_id, "ambient": ambient,
+            "set": {"kind": "tree-pair",
+                    "a": {"rule": "cylinders", "prefixes": a, "child_bound": m - 1},
+                    "complement": {"rule": "cylinders", "prefixes": c,
+                                   "child_bound": m - 1}},
             "bounds": {"table_size": TABLE_SIZE, "enumeration_cap": CAP}}
 
 
-def test_encode_matches_the_oracle_on_seeded_cylinder_pairs(tmp_path, capsys):
-    oracle = _load_oracle()
+def _encode_against(oracle, doc, tmp_path, capsys):
+    """Entries of doc's written table checked against the oracle; 0 when the
+    oracle finds too few points and encode exits 1."""
+    path, out = tmp_path / f"{doc['id']}.json", tmp_path / f"{doc['id']}.code"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    status = main(["encode", "--instance", str(path), "--out", str(out)])
+    capsys.readouterr()
+    try:
+        want = oracle.InterleavedOracle(doc, TABLE_SIZE)
+    except ValueError:
+        assert status == 1, f"{doc}: the oracle finds too few points, encode exits {status}"
+        return 0
+    assert status == 0, doc
+    inst_id, k, entries, tail = parse_code_file(out.read_text(encoding="utf-8"))
+    assert (inst_id, k, tail) == (doc["id"], TABLE_SIZE, f"interleave:{doc['id']}")
+    for (i, j), value in entries.items():
+        assert value == want.entry(i, j), f"{doc}: entry ({i},{j})"
+    return len(entries)
+
+
+def test_encode_matches_the_oracle_on_seeded_cylinder_pairs(oracle, tmp_path, capsys):
     rng = random.Random(6061)
     checked = short = 0
     for index in range(60):
-        doc = _split_pair(rng, index)
-        path, out = tmp_path / f"{doc['id']}.json", tmp_path / f"{doc['id']}.code"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        status = main(["encode", "--instance", str(path), "--out", str(out)])
-        capsys.readouterr()
-        try:
-            want = oracle.InterleavedOracle(doc, TABLE_SIZE)
-        except ValueError:
-            assert status == 1, f"{doc}: the oracle finds too few points, encode exits {status}"
-            short += 1
-            continue
-        assert status == 0, doc
-        inst_id, k, entries, tail = parse_code_file(out.read_text(encoding="utf-8"))
-        assert (inst_id, k, tail) == (doc["id"], TABLE_SIZE, f"interleave:{doc['id']}")
-        for (i, j), value in entries.items():
-            assert value == want.entry(i, j), f"{doc}: entry ({i},{j})"
-        checked += len(entries)
+        m = rng.randint(2, 5)
+        sides = list(_split(rng, m))
+        if rng.random() < 0.5:
+            sides.reverse()
+        entries = _encode_against(oracle, _pair_doc(f"split-{index}", m, *sides),
+                                  tmp_path, capsys)
+        checked += entries
+        short += not entries
     # both outcomes were drawn
     assert checked and short
+
+
+@pytest.mark.parametrize("m", ALPHABETS)
+def test_encode_matches_the_oracle_on_prefix_partitions(oracle, m, tmp_path, capsys):
+    rng = random.Random(7079 + m)
+    checked = 0
+    for index in range(8):
+        doc = _pair_doc(f"partition-{m}-{index}", m, *_partition(rng, m))
+        checked += _encode_against(oracle, doc, tmp_path, capsys)
+    assert checked
