@@ -185,14 +185,14 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
     return SpaceCode(point=BairePoint(rule), table=table)
 
 
-def decode_metric(code: SpaceCode | BairePoint, i: int, j: int, window: int) -> Fraction:
+def decode_metric(code: SpaceCode, i: int, j: int, window: int) -> Fraction:
     """Read d(i, j) back off a code point.
 
     Scans the quadruple positions for (i, j) in increasing (m, n) order, m and
     n up to the caller's window, and returns the value of the first set bit;
     no set bit within the window is a MalformedCode.
     """
-    point = code.point if isinstance(code, SpaceCode) else code
+    point = code.point
     for m in range(window + 1):
         for n in range(window + 1):
             if point(quad_code(i, j, m, n)):

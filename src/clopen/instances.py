@@ -4,7 +4,9 @@ An instance names an ambient sequence space, a set descriptor (a pair of
 trees, a pair of least-witness matrices, or a catalog entry), and the bounds
 that make every search total.  Parsing is strict: unknown kinds, missing
 fields, non-positive bounds and malformed predicates are position-annotated
-errors.
+errors.  The parser checks each descriptor by building it, once, and the
+parsed file keeps what it built; build_instance validates and wires those
+parts.
 """
 
 from __future__ import annotations
@@ -43,16 +45,17 @@ DEFAULT_BOUNDS = {
 
 @dataclass
 class InstanceFile:
-    """A parsed instance document.  compiled holds the expression fields the
-    parser compiled, keyed (field, text), for build_instance to reuse; it is
-    not part of the document."""
+    """A parsed instance document.  parts holds what the parser built from its
+    descriptors: the ambient tree and the two sides' trees or matrices, each
+    labelled for reports (a catalog-kind file holds its entry's parts).  It
+    is not part of the document."""
 
     id: str
     ambient: dict[str, Any]
     set_desc: dict[str, Any]
     bounds: dict[str, int]
-    compiled: dict[tuple[str, str], dsl.Compiled] = field(
-        default_factory=dict, compare=False, repr=False)
+    parts: tuple[PrunedTree, PrunedTree | Pi02Matrix, PrunedTree | Pi02Matrix] = field(
+        compare=False, repr=False)
 
 
 # the keys each descriptor reads besides its kind or rule; it accepts no other
@@ -104,20 +107,16 @@ _EXPR_FIELDS = {
 }
 
 
-def _expr(fld: str, text: Any, path: str, compiled: dict) -> dsl.Compiled:
+def _expr(fld: str, text: Any, path: str) -> dsl.Compiled:
     """The compiled expression of a field, of the field's sort and reading only
-    the names the field binds; one that compiled holds is not compiled again.
-    An expression nested past the recursion limit is a ParseError naming the
-    field."""
+    the names the field binds.  An expression nested past the recursion limit
+    is a ParseError naming the field."""
     if not isinstance(text, str):
         raise _err(f"{path}: {fld!r} must be an expression string")
-    found = compiled.get((fld, text))
-    if found is None:
-        try:
-            found = compiled[fld, text] = dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
-        except RecursionError:
-            raise _err(f"{path}: {fld!r} is nested too deeply") from None
-    return found
+    try:
+        return dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
+    except RecursionError:
+        raise _err(f"{path}: {fld!r} is nested too deeply") from None
 
 
 def merge_bounds(bounds: dict[str, int], overrides: dict[str, Any]) -> dict[str, int]:
@@ -147,7 +146,7 @@ def load_json(text: str, where: str = "") -> Any:
 
 def parse_instance(text: str) -> InstanceFile:
     """Parse and validate an instance document; its descriptors are checked
-    by building them, and the file keeps the expressions that compiled."""
+    by building them, and the file keeps what they built as its parts."""
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise _err("instance document must be a JSON object")
@@ -158,9 +157,8 @@ def parse_instance(text: str) -> InstanceFile:
     if not isinstance(inst_id, str) or not inst_id:
         raise _err("instance needs a nonempty string 'id'")
 
-    compiled: dict[tuple[str, str], dsl.Compiled] = {}
     ambient = doc.get("ambient")
-    _ambient_tree(ambient, compiled)
+    ambient_tree = _ambient_tree(ambient)
 
     set_desc = doc.get("set")
     if not isinstance(set_desc, dict) or not _is_name(set_desc.get("kind"), _SET_KINDS):
@@ -168,11 +166,13 @@ def parse_instance(text: str) -> InstanceFile:
     _only(set_desc, ("kind", *_SET_KINDS[set_desc["kind"]]), "set: ")
     base = DEFAULT_BOUNDS
     if set_desc["kind"] == "tree-pair":
-        build_tree(set_desc.get("a"), "set.a", compiled)
-        build_tree(set_desc.get("complement"), "set.complement", compiled)
+        parts = (ambient_tree,
+                 build_tree(set_desc.get("a"), "set.a", label=f"{inst_id}:a"),
+                 build_tree(set_desc.get("complement"), "set.complement",
+                            label=f"{inst_id}:c"))
     elif set_desc["kind"] == "pi02-pair":
-        build_matrix(set_desc.get("a"), "set.a", compiled)
-        build_matrix(set_desc.get("complement"), "set.complement", compiled)
+        parts = (ambient_tree, build_matrix(set_desc.get("a"), "set.a"),
+                 build_matrix(set_desc.get("complement"), "set.complement"))
         if not _is_nat(set_desc.get("alphabet_bound", 1)):
             raise _err("set.alphabet_bound must be a natural number")
     else:
@@ -182,20 +182,19 @@ def parse_instance(text: str) -> InstanceFile:
         if ambient != entry.ambient:
             raise _err(f"ambient: catalog entry {entry.id!r} needs its ambient {entry.ambient}")
         base = entry.bounds  # the file overrides the entry's
-        compiled = entry.compiled
+        parts = entry.parts
 
     bounds = merge_bounds(base, doc.get("bounds", {}))
     return InstanceFile(id=inst_id, ambient=ambient, set_desc=set_desc, bounds=bounds,
-                        compiled=compiled)
+                        parts=parts)
 
 
-def build_tree(desc: Any, path: str, compiled: dict, label: str = "") -> PrunedTree:
-    """The tree a descriptor names, each field checked where it is read.
+def build_tree(desc: Any, path: str, label: str) -> PrunedTree:
+    """The tree a descriptor names, labelled label, each field checked where
+    it is read.
 
     A malformed field is a ParseError naming path, the descriptor's place in
     the instance document; an unknown rule is an UnknownCatalogName.
-    compiled maps (field, text) to the expressions compiled so far; the
-    ones this call compiles join it.
     """
     if not isinstance(desc, dict) or "rule" not in desc:
         raise _err(f"{path}: a tree descriptor needs a 'rule' field")
@@ -208,7 +207,7 @@ def build_tree(desc: Any, path: str, compiled: dict, label: str = "") -> PrunedT
     if rule == "cantor":
         return full_cantor_tree()
     if rule == "empty":
-        return PrunedTree(lambda u: False, lambda u: 0, label=label or "empty")
+        return PrunedTree(lambda u: False, lambda u: 0, label=label)
     if rule == "constant":
         return constant_tree(_nat(desc, "value", path, "constant trees need a natural 'value'"))
     if rule == "cylinders":
@@ -217,11 +216,11 @@ def build_tree(desc: Any, path: str, compiled: dict, label: str = "") -> PrunedT
                 and all(isinstance(p, list) and all(map(_is_nat, p)) for p in prefixes)):
             raise _err(f"{path}: cylinder trees need a nonempty list of natural prefixes")
         floor = _nat(desc, "child_bound", path, "'child_bound' must be a natural number", 0)
-        return cylinder_union_tree(prefixes, label=label or "cylinders", child_floor=floor)
+        return cylinder_union_tree(prefixes, label=label, child_floor=floor)
     if rule == "dsl":
-        node = _expr("node", desc.get("node"), path, compiled)
+        node = _expr("node", desc.get("node"), path)
         bound = _nat(desc, "child_bound", path, "dsl trees need a natural 'child_bound'")
-        return dsl_tree(node, bound, label=label or "dsl")
+        return dsl_tree(node, bound, label=label)
     # the explicit rule
     nodes, depth = desc.get("nodes"), desc.get("depth")
     if not (isinstance(nodes, list) and all(map(_is_nat, nodes)) and _is_nat(depth)):
@@ -233,8 +232,9 @@ def build_tree(desc: Any, path: str, compiled: dict, label: str = "") -> PrunedT
         if lh(c) > min(depth, len(nodes) - 1):
             raise _err(f"{path}: node code {c} has length {lh(c)}, more than 'depth' "
                        f"or than {len(nodes)} listed codes can close downward")
-    continuation = build_tree(desc.get("continuation"), f"{path}.continuation", compiled)
-    return explicit_tree(nodes, depth, continuation, label=label or "explicit")
+    continuation = build_tree(desc.get("continuation"), f"{path}.continuation",
+                              label=f"{label}.continuation")
+    return explicit_tree(nodes, depth, continuation, label=label)
 
 
 def dsl_tree(node: dsl.Compiled, child_bound: int, label: str) -> PrunedTree:
@@ -285,7 +285,7 @@ def point_from_descriptor(desc: dict[str, Any]):
         raise _err("a point descriptor must be a JSON object")
     _only(desc, ("rule",) if "rule" in desc else ("pre", "period"), "point: ")
     if "rule" in desc:
-        rule = _expr("rule", desc["rule"], "point", {})
+        rule = _expr("rule", desc["rule"], "point")
         return BairePoint(lambda n: int(rule({"n": n})))
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
@@ -295,7 +295,7 @@ def point_from_descriptor(desc: dict[str, Any]):
     return eventually_periodic(pre, period)
 
 
-def build_matrix(desc: Any, path: str, compiled: dict) -> Pi02Matrix:
+def build_matrix(desc: Any, path: str) -> Pi02Matrix:
     """The matrix a descriptor names, each field checked where it is read
     (errors as in build_tree)."""
     if not isinstance(desc, dict) or "rule" not in desc:
@@ -308,7 +308,7 @@ def build_matrix(desc: Any, path: str, compiled: dict) -> Pi02Matrix:
         if not _is_name(desc.get("name"), MATRIX_CATALOG):
             raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return MATRIX_CATALOG[desc["name"]]()
-    r_fn, use_fn = (_expr(fld, desc.get(fld), path, compiled) for fld in ("r", "use_bound"))
+    r_fn, use_fn = (_expr(fld, desc.get(fld), path) for fld in ("r", "use_bound"))
     budget = _nat(desc, "per_n_budget", path, "dsl matrices need a natural 'per_n_budget'")
 
     def r(a, n: int, m: int) -> bool:
@@ -342,7 +342,7 @@ class BuiltInstance:
         return self.sum_space.part_a.fam, self.sum_space.part_c.fam
 
 
-def _ambient_tree(desc: Any, compiled: dict) -> PrunedTree:
+def _ambient_tree(desc: Any) -> PrunedTree:
     """The tree of the ambient space; an unknown kind is an UnknownCatalogName."""
     if not isinstance(desc, dict):
         raise UnknownCatalogName(str(desc), kind="ambient space")
@@ -354,55 +354,50 @@ def _ambient_tree(desc: Any, compiled: dict) -> PrunedTree:
         return full_cantor_tree()
     if kind == "baire":
         return full_baire_tree()
-    return build_tree(desc.get("tree"), "ambient.tree", compiled, label="ambient")
+    return build_tree(desc.get("tree"), "ambient.tree", label="ambient")
 
 
 def build_instance(inst: InstanceFile) -> BuiltInstance:
-    """Construct and validate every runtime object the instance declares,
-    with the expressions parse_instance compiled."""
+    """Validate the parts parse_instance built to the instance's depth and
+    wire them into every runtime object the instance declares.  A catalog-kind
+    file runs as its entry, under the entry's id and set."""
     if inst.set_desc["kind"] == "catalog":
-        # parse_instance checked the entry, its ambient and its expressions
+        # parse_instance checked the entry and its ambient, and kept its parts
         entry = CATALOG[inst.set_desc["name"]]
-        return build_instance(replace(inst, id=entry["id"], set_desc=entry["set"]))
-    depth, compiled = inst.bounds["depth"], inst.compiled
-    ambient_tree = _ambient_tree(inst.ambient, compiled)
+        inst = replace(inst, id=entry["id"], set_desc=entry["set"])
+    depth = inst.bounds["depth"]
+    ambient_tree, side_a, side_c = inst.parts
     validate_pruned(ambient_tree, depth)
     ambient_fam = DensePointFamily(ambient_tree)
     ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
 
     if inst.set_desc["kind"] == "tree-pair":
-        tree_a = build_tree(inst.set_desc["a"], "set.a", compiled, label=f"{inst.id}:a")
-        tree_c = build_tree(inst.set_desc["complement"], "set.complement", compiled,
-                            label=f"{inst.id}:c")
         empty = []
-        for side, tree in (("empty-set", tree_a), ("empty-complement", tree_c)):
+        for side, tree in (("empty-set", side_a), ("empty-complement", side_c)):
             try:
                 validate_pruned(tree, depth)
             except EmptyTreeViolation:
                 empty.append(side)
         if empty:
             return BuiltInstance(inst, ambient_fam, ambient, None, degenerate=empty[0])
-        part_a = identity_representation(tree_a)
-        part_c = identity_representation(tree_c)
+        part_a = identity_representation(side_a)
+        part_c = identity_representation(side_c)
     else:
         bound = inst.set_desc.get("alphabet_bound", 1)
-        part_a = witness_representation(build_matrix(inst.set_desc["a"], "set.a", compiled),
-                                        bound)
-        part_c = witness_representation(build_matrix(inst.set_desc["complement"],
-                                                     "set.complement", compiled), bound)
+        part_a = witness_representation(side_a, bound)
+        part_c = witness_representation(side_c, bound)
     sum_space = SumSpace(part_a=part_a, part_c=part_c, ambient=ambient)
     return BuiltInstance(inst, ambient_fam, ambient, sum_space)
 
 
 # --- the built-in catalog -----------------------------------------------------
 
-def _tree_pair(inst_id: str, ambient: dict, a: dict, c: dict, **bounds) -> dict:
+def _tree_pair(inst_id: str, ambient: dict, a: dict, c: dict) -> dict:
     return {
         "format": "instance/1",
         "id": inst_id,
         "ambient": ambient,
         "set": {"kind": "tree-pair", "a": a, "complement": c},
-        "bounds": bounds or None,
     }
 
 
@@ -473,5 +468,4 @@ def builtin_instance(name: str) -> InstanceFile:
     doc = CATALOG.get(name)
     if doc is None:
         raise UnknownCatalogName(name)
-    doc = {k: v for k, v in doc.items() if v is not None}
     return parse_instance(json.dumps(doc))

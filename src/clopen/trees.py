@@ -10,16 +10,18 @@ The dense point family attaches to each code s the branch that starts with
 the coded sequence and then always takes the least admissible child; an
 inadmissible s names the root's branch (code 0).
 
-Verdicts live in two places.  Tuple queries (admits, least_child, node,
-validate_pruned, is_least_code) keep a flat memo, stem -> verdict.  Branches
-grow along the tree's walk trie, whose nodes each hold a walked stem's
-verdict, its least child once searched and links to its children.  A branch
-finds its node at its first step past its stem; a step at a node whose least
-child is known is one append and one link, and a fresh step builds the
-prefix tuple once, calls child_bound once and keeps each candidate's verdict
-in the trie, not its tuple.  A miss on either side reads the other side's
-verdict before it runs the predicate, so the predicate sees each stem at
-most once per tree.  Each code still grows its own branch.
+Verdicts live in two places.  Tuple queries (admits, node, validate_pruned
+and is_least_code's admissibility test) keep a flat memo, stem -> verdict.
+Branches grow along the tree's walk trie, whose nodes each hold a walked
+stem's verdict, its least child once searched and links to its children.
+least_child reads the trie node of its prefix, so a least-child search runs
+once per stem whether a walk or a query asks first.  A branch finds its node
+at its first step past its stem; a step at a node whose least child is known
+is one append and one link, and a fresh step builds the prefix tuple once,
+calls child_bound once and keeps each candidate's verdict in the trie, not
+its tuple.  A miss on either side reads the other side's verdict before it
+runs the predicate, so the predicate sees each stem at most once per tree.
+Each code still grows its own branch.
 
 The stems of a point are its shortest stem and that stem's extensions along
 it, and codes grow under extension, so a code is the least code of its point
@@ -149,12 +151,13 @@ class PrunedTree:
         return self.admits(decode(s))
 
     def least_child(self, prefix: tuple[int, ...]) -> int:
-        """The least admissible child entry below prefix, within its child bound."""
-        bound = self.child_bound(prefix)
-        for k in range(bound + 1):
-            if self.admits(prefix + (k,)):
-                return k
-        raise ChildSearchExhausted(prefix, f"(bound {bound})")
+        """The least admissible child entry below prefix, within its child
+        bound: the least child of prefix's trie node, searched once."""
+        node = self._stem(prefix)
+        child = node.least
+        if child is None:
+            child = self._search(node, prefix)
+        return child.entry
 
     def _walk(self, u: tuple[int, ...]) -> Callable[[list[int]], int]:
         """The step of the leftmost branch through the admissible stem u.
@@ -189,11 +192,11 @@ class PrunedTree:
             node = child
         return node
 
-    def _search(self, node: _Stem, vals: list[int]) -> _Stem:
-        """The least admissible child of the walked stem vals, with node its
-        trie node: least_child's search, with each verdict read from the trie,
-        then _cache, and only then from the predicate, and kept in the trie.
-        A search that raises links no least child, so it raises again."""
+    def _search(self, node: _Stem, vals: Iterable[int]) -> _Stem:
+        """The least admissible child of the stem vals, with node its trie
+        node, searched up to the child bound, with each verdict read from the
+        trie, then _cache, and only then from the predicate, and kept in the
+        trie.  A search that raises links no least child, so it raises again."""
         prefix = tuple(vals)
         bound = self.child_bound(prefix)
         children, cache = node.children, self._cache

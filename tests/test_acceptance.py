@@ -72,7 +72,7 @@ def tree_catalog():
         constant_tree(3),
         build_tree({"rule": "dsl", "child_bound": 1,
                     "node": "(all i < len : s(i) <= 1) and (len < 2 or s(0) == s(1))"},
-                   "tree", {}, label="dsl"),
+                   "tree", label="dsl"),
     ]
 
 

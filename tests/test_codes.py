@@ -6,8 +6,8 @@ import pytest
 
 from clopen.baire import BairePoint
 from clopen.codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable,
-                          catalog_table, check_metric_axioms, decode_metric, encode_metric,
-                          interleave, parse_code_file, render_code_file,
+                          SpaceCode, catalog_table, check_metric_axioms, decode_metric,
+                          encode_metric, interleave, parse_code_file, render_code_file,
                           validate_metric_table)
 from clopen import codes
 from clopen import coding
@@ -78,7 +78,7 @@ def test_decode_scan_order_and_round_trip():
 
 
 def test_malformed_codes():
-    empty = BairePoint(lambda t: 0)
+    empty = SpaceCode(BairePoint(lambda t: 0), catalog_table("discrete", 1))
     with pytest.raises(MalformedCode):
         decode_metric(empty, 0, 0, window=8)
 

@@ -1,16 +1,19 @@
 import copy
 import gc
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from clopen import dsl
+from clopen import dsl, instances
 from clopen.cli import build_parser, main
+from clopen.codes import render_code_file
 from clopen.coding import pair
 from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
+from clopen.verify import instance_code, run_instance_suite
 
 MINIMAL = """
 {
@@ -202,7 +205,6 @@ def test_a_misspelt_child_bound_exits_2(tmp_path, capsys):
     # cantor-split-0 with "child_bounds": 3 in set.a parsed and built as if the
     # key were absent, and nothing reported it
     doc = copy.deepcopy(CATALOG["cantor-split-0"])
-    del doc["bounds"]  # None: the entry keeps the default bounds
     doc["set"]["a"]["child_bounds"] = 3
     with pytest.raises(ParseError) as exc:
         parse_instance(json.dumps(doc))
@@ -290,6 +292,11 @@ def test_catalog_indirection():
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_each_catalog_entry_is_a_valid_document_as_it_stands(name):
+    assert parse_instance(json.dumps(CATALOG[name])) == builtin_instance(name)
+
+
 # --- command line -------------------------------------------------------------
 
 
@@ -371,7 +378,7 @@ def test_explicit_tree_descriptor():
     listed = [encode(u) for u in ((), (0,), (2,), (0, 0), (0, 1), (2, 2))]
     desc = {"rule": "explicit", "nodes": listed, "depth": 2,
             "continuation": {"rule": "cantor"}}
-    tree = build_tree(desc, "tree", {})
+    tree = build_tree(desc, "tree", label="explicit")
     validate_pruned(tree, 4)
     assert tree.admits((2, 2))
     assert not tree.admits((1,))
@@ -546,7 +553,7 @@ def test_boundless_catalog_file_takes_the_entry_bounds(tmp_path, capsys):
 @pytest.mark.parametrize("catalog_file", [False, True], ids=["name", "catalog-file"])
 def test_each_dsl_field_is_compiled_once_per_command(catalog_file, monkeypatch, tmp_path,
                                                       capsys):
-    # parse_instance compiles the two node fields and build_instance reuses them
+    # parse_instance compiles the two node fields and build_instance compiles none
     calls = []
     compile_ = dsl.compile
     monkeypatch.setattr(dsl, "compile", lambda e: calls.append(e) or compile_(e))
@@ -554,6 +561,39 @@ def test_each_dsl_field_is_compiled_once_per_command(catalog_file, monkeypatch, 
                 else "cantor-dsl-eq01")
     assert main(["verify", "--instance", instance]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("instance, want", [
+    ("cantor-split-0", {"build_tree": 2, "_ambient_tree": 1}),
+    ("witness-first-bit", {"build_matrix": 2, "_ambient_tree": 1}),
+    # the file's own ambient is built to check it, and the entry's with the entry
+    (_catalog_doc("cantor-split-0"), {"build_tree": 2, "_ambient_tree": 2}),
+], ids=["tree-pair", "pi02-pair", "catalog-file"])
+def test_each_descriptor_is_built_once_per_command(instance, want, monkeypatch, tmp_path,
+                                                    capsys):
+    calls = Counter()
+    for name in ("build_tree", "build_matrix", "_ambient_tree"):
+        def counted(*args, real=getattr(instances, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(instances, name, counted)
+    if isinstance(instance, dict):
+        instance = _write(tmp_path, instance)
+    assert main(["verify", "--instance", instance]) == 0
+    assert calls == want
+
+
+@pytest.mark.parametrize("name", ["cantor-dsl-eq01", "witness-first-bit"])
+def test_a_file_built_twice_shares_its_parts_and_reports_alike(name):
+    inst = builtin_instance(name)
+    first, second = build_instance(inst), build_instance(inst)
+    assert first.ambient_fam.tree is second.ambient_fam.tree is inst.parts[0]
+    reports = [(render_code_file(instance_code(built), built.file.id),
+                [r.line() for r in run_instance_suite(built, axiom_count=20, seed=0)])
+               for built in (first, second)]
+    assert reports[0] == reports[1]
+
 
 @pytest.mark.parametrize("argv, doc", [
     (["embed", "--space", "baire-closed", "--instance", "cantor-split-0",

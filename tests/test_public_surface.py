@@ -250,9 +250,13 @@ def _is_dataclass(cls):
                for d in cls.decorator_list)
 
 
-def _is_factory(value):
-    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
-            and any(k.arg == "default_factory" for k in value.keywords))
+def _has_default(value):
+    """Whether a field's value is a default: a plain value, or a field() call
+    passing default=.  A default_factory container is not a setting, and a
+    field() call without either leaves the field required."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg == "default" for k in value.keywords)
+    return True
 
 
 def _defaulted(node, bound):
@@ -311,7 +315,7 @@ def _settings():
             fields = [f for f in cls.body
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             for index, f in enumerate(fields):
-                if f.value is not None and not _is_factory(f.value):
+                if f.value is not None and _has_default(f.value):
                     yield (f"{module.stem}.{cls.name}.{f.target.id}", calls, module,
                            cls.lineno, cls.end_lineno, f.target.id, index)
 

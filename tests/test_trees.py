@@ -318,7 +318,7 @@ def _identity_rule_trees():
     trees = [(f"cylinders-{i}", _random_cylinders(rng)) for i in range(12)]
     trees.append(("dsl", build_tree({"rule": "dsl", "child_bound": 2,
                                      "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"},
-                                    "tree", {}, label="dsl")))
+                                    "tree", label="dsl")))
     trees.append(("constant-2", constant_tree(2)))
     for name, doc in CATALOG.items():
         if doc["set"]["kind"] == "pi02-pair":
@@ -347,8 +347,17 @@ def test_least_codes_match_the_pairwise_comparisons(label, tree):
 # --- growing branches along the walk trie ---------------------------------------
 
 def _reference_branch(tree, u):
-    """The leftmost branch through u, one flat least-child search per position."""
-    return branch(lambda vals: tree.least_child(tuple(vals)), stem=u)
+    """The leftmost branch through u, one flat scan of admits per position."""
+
+    def least(vals):
+        prefix = tuple(vals)
+        bound = tree.child_bound(prefix)
+        for k in range(bound + 1):
+            if tree.admits(prefix + (k,)):
+                return k
+        raise ChildSearchExhausted(prefix, f"(bound {bound})")
+
+    return branch(least, stem=u)
 
 
 _ZERO_TAIL_STEM = (0, 0, 0, 1, 0, 1, 0, 0, 128)  # ROADMAP item 9: no child at position 30
@@ -361,7 +370,7 @@ def _walk_trees():
              for seed in range(6)]
     cases.append(("dsl", lambda: build_tree(
         {"rule": "dsl", "child_bound": 2,
-         "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"}, "tree", {}), ()))
+         "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"}, "tree", label="dsl"), ()))
     for name in sorted(MATRIX_CATALOG):
         extra = (_ZERO_TAIL_STEM,) if name == "zero-tail" else ()
         cases.append((f"pairs-{name}",
@@ -446,6 +455,28 @@ def test_a_second_branch_along_a_walked_path_asks_nothing():
     assert sum(asked.values()) == sum(bounds.values()) == 0
     # the two codes keep separate branch objects, compared by their values
     assert second is not first and dense_equal(fam, 0, encode((0, 0)))
+
+
+def test_least_child_of_a_walked_stem_asks_nothing():
+    base = cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)
+    asked, bounds = Counter(), Counter()
+
+    def child_bound(u):
+        bounds[u] += 1
+        return base.child_bound(u)
+
+    tree = PrunedTree(lambda u: asked.update([u]) or base.admits(u), child_bound, "tree")
+    fam = DensePointFamily(validated(tree))
+    assert fam.leftmost(encode((1,))).prefix(8) == (1, 0, 1, 0, 0, 0, 0, 0)
+    asked.clear()
+    bounds.clear()
+    for u, least in (((1,), 0), ((1, 0), 1), ((1, 0, 1, 0, 0), 0)):
+        assert tree.least_child(u) == least
+    assert sum(asked.values()) == sum(bounds.values()) == 0
+    # a stem off the walked path is searched once, and then read from the trie
+    for _ in range(2):
+        assert tree.least_child((1, 0, 1, 1)) == 0
+    assert bounds == {(1, 0, 1, 1): 1}
 
 
 def test_a_long_walk_keeps_no_prefix_tuples():

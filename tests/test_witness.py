@@ -197,7 +197,7 @@ def _random_walk(rng, admits, matrix, alphabet_bound, length):
 
 @pytest.mark.parametrize("name", [*sorted(MATRIX_CATALOG), "use-bound-lie"])
 def test_memoised_pair_tree_matches_the_full_scan(name):
-    matrix = build_matrix(USE_BOUND_LIE, "set.a", {}) if name == "use-bound-lie" \
+    matrix = build_matrix(USE_BOUND_LIE, "set.a") if name == "use-bound-lie" \
         else MATRIX_CATALOG[name]()
     rng = random.Random(f"pairs-{name}")
     outcomes = set()
