@@ -239,33 +239,46 @@ def test_interleaved_code_matches_sum_space():
 _HEADER = "format space-code/1\ninstance x\nK 2\n"
 
 
+# each case's text and its whole message, line number first
 MALFORMED_CODE_FILES = {
-    "no-instance-line": ("format space-code/1\n", 2),
-    "K-not-a-number": ("format space-code/1\ninstance x\nK two\ntail t\n", 3),
-    "K-negative": ("format space-code/1\ninstance x\nK -1\ntail t\n", 3),
-    "entry-without-slash": (_HEADER + "0 0 1\ntail t\n", 4),
-    "zero-denominator": (_HEADER + "0 0 0/1\n0 0 1/0\ntail t\n", 5),
-    "no-instance-prefix": ("format space-code/1\nx\nK 2\ntail t\n", 2),
-    "no-tail-line": (_HEADER + "0 0 0/1\n", 4),
-    "header-only": (_HEADER, 4),
-    "tail-not-last": (_HEADER + "tail t\n0 0 0/1\n", 5),
+    "no-instance-line": ("format space-code/1\n", "line 2: expected 'instance ...'"),
+    "K-not-a-number": ("format space-code/1\ninstance x\nK two\ntail t\n",
+                       "line 3: K must be a natural number"),
+    "K-negative": ("format space-code/1\ninstance x\nK -1\ntail t\n",
+                   "line 3: K must be a natural number"),
+    "entry-without-slash": (_HEADER + "0 0 1\ntail t\n", "line 4: expected an entry 'i j p/q'"),
+    "zero-denominator": (_HEADER + "0 0 0/1\n0 0 1/0\ntail t\n",
+                         "line 5: expected an entry 'i j p/q'"),
+    "no-instance-prefix": ("format space-code/1\nx\nK 2\ntail t\n",
+                           "line 2: expected 'instance ...'"),
+    "no-tail-line": (_HEADER + "0 0 0/1\n", "line 4: expected 'tail ...'"),
+    "header-only": (_HEADER, "line 4: expected 'tail ...'"),
+    "tail-not-last": (_HEADER + "tail t\n0 0 0/1\n", "line 5: expected 'tail ...'"),
     # entries past K, a duplicate, a negative distance and d(0, 0) = 1
     "entries-past-K": ("format space-code/1\ninstance x\nK 1\n5 7 -1/2\n5 7 1/3\n"
-                       "0 0 1/1\ntail t\n", 4),
-    "missing-entry": (_HEADER + "0 0 0/1\ntail t\n", 5),
-    "duplicate-entry": (_HEADER + "0 0 0/1\n0 0 0/1\n0 1 1/2\n1 1 0/1\ntail t\n", 5),
-    "rows-out-of-order": (_HEADER + "0 0 0/1\n1 1 0/1\n0 1 1/2\ntail t\n", 5),
-    "extra-entry": (_HEADER + "0 0 0/1\n0 1 1/2\n1 1 0/1\n1 2 1/2\ntail t\n", 7),
-    "negative-distance": (_HEADER + "0 0 0/1\n0 1 -1/2\n1 1 0/1\ntail t\n", 5),
-    "nonzero-self-distance": (_HEADER + "0 0 0/1\n0 1 1/2\n1 1 1/1\ntail t\n", 6),
-    "zero-between-distinct": (_HEADER + "0 0 0/1\n0 1 0/1\n1 1 0/1\ntail t\n", 5),
+                       "0 0 1/1\ntail t\n", "line 4: expected the entry of pair (0, 0)"),
+    "missing-entry": (_HEADER + "0 0 0/1\ntail t\n", "line 5: expected the entry of pair (0, 1)"),
+    "duplicate-entry": (_HEADER + "0 0 0/1\n0 0 0/1\n0 1 1/2\n1 1 0/1\ntail t\n",
+                        "line 5: expected the entry of pair (0, 1)"),
+    "rows-out-of-order": (_HEADER + "0 0 0/1\n1 1 0/1\n0 1 1/2\ntail t\n",
+                          "line 5: expected the entry of pair (0, 1)"),
+    "extra-entry": (_HEADER + "0 0 0/1\n0 1 1/2\n1 1 0/1\n1 2 1/2\ntail t\n",
+                    "line 7: expected the tail line"),
+    "negative-distance": (_HEADER + "0 0 0/1\n0 1 -1/2\n1 1 0/1\ntail t\n",
+                          "line 5: d(0, 1) = -1/2 is not a metric value"),
+    "nonzero-self-distance": (_HEADER + "0 0 0/1\n0 1 1/2\n1 1 1/1\ntail t\n",
+                              "line 6: d(1, 1) = 1 is not a metric value"),
+    "zero-between-distinct": (_HEADER + "0 0 0/1\n0 1 0/1\n1 1 0/1\ntail t\n",
+                              "line 5: d(0, 1) = 0 is not a metric value"),
 }
 
 
-@pytest.mark.parametrize("text,line", MALFORMED_CODE_FILES.values(), ids=MALFORMED_CODE_FILES)
-def test_malformed_code_files_name_their_line(text, line):
-    with pytest.raises(MalformedCode, match=f"^line {line}: "):
+@pytest.mark.parametrize("text,message", MALFORMED_CODE_FILES.values(),
+                         ids=MALFORMED_CODE_FILES)
+def test_malformed_code_files_name_their_line(text, message):
+    with pytest.raises(MalformedCode) as exc:
         parse_code_file(text)
+    assert str(exc.value) == message
 
 
 def test_rendered_catalog_file_parses_to_its_table():
