@@ -56,12 +56,15 @@ def _load_instance(args) -> InstanceFile:
     return inst
 
 
-def _emit(args, lines: list[str]):
-    body = "\n".join(lines) + "\n"
+def _write(args, text: str):
     if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(text)
+
+
+def _emit(args, lines: list[str]):
+    _write(args, "\n".join(lines) + "\n")
 
 
 def _report(args, results: list[CheckResult], header: list[str]) -> int:
@@ -189,7 +192,7 @@ def cmd_encode(args) -> int:
     if built.sum_space is None:
         _emit(args, [f"instance {inst.id}", f"degenerate {built.degenerate}"])
         return EXIT_OK
-    _emit(args, render_code_file(instance_code(built), inst.id).splitlines())
+    _write(args, render_code_file(instance_code(built), inst.id))
     return EXIT_OK
 
 

@@ -20,10 +20,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .baire import BairePoint
-from .coding import quad_code, unpair
+from .coding import quad_code, quad_position
+from .remetrize import CROSS_DISTANCE
 from .trees import DensePointFamily, dense_pn_distance, enumerate_distinct
-
-_CROSS = Fraction(2)  # the distance between the two sides of an interleaving
 
 
 class MalformedCode(Exception):
@@ -60,10 +59,10 @@ def check_metric_axioms(dist: Callable[[int, int], Fraction], count: int,
 
     equal decides which index pairs name the same point (identity on indices
     by default); identity of indiscernibles is checked relative to it.  Each
-    value is read as its reduced numerator and denominator once, so equal
-    values are equal pairs of ints, and the triangle inequality runs over
-    integer cross-products: the whole check is exact.  Both d(i, j) and
-    d(j, i) are asked for, so symmetry compares two separate answers.
+    value is read once, as its reduced ratio (numerator, denominator), so
+    equal values are equal pairs of ints, and the triangle inequality runs
+    over integer cross-products: the whole check is exact.  Both d(i, j) and
+    d(j, i) are asked for, so symmetry compares two separate answers' ratios.
     """
     num = [[0] * count for _ in range(count)]
     den = [[1] * count for _ in range(count)]
@@ -71,16 +70,14 @@ def check_metric_axioms(dist: Callable[[int, int], Fraction], count: int,
         num_i, den_i = num[i], den[i]
         for j in range(i, count):
             d = dist(i, j)
-            p, q = d.numerator, d.denominator
+            p, q = ratio = d.as_integer_ratio()
             if p < 0:
                 raise MetricAxiomViolation("nonnegativity", (i, j), f"value {d}")
             if (p == 0) != (i == j if equal is None else equal(i, j)):
                 raise MetricAxiomViolation("identity-of-indiscernibles", (i, j),
                                            f"value {d}")
-            if i != j:
-                e = dist(j, i)
-                if e.numerator != p or e.denominator != q:
-                    raise MetricAxiomViolation("symmetry", (i, j))
+            if i != j and dist(j, i).as_integer_ratio() != ratio:
+                raise MetricAxiomViolation("symmetry", (i, j))
             num_i[j] = num[j][i] = p
             den_i[j] = den[j][i] = q
     _check_triangle(num, den, count)
@@ -105,18 +102,30 @@ def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> N
         _triangle_exact(num, den, count)
 
 
+def _triangle_dtype(max_num: int, max_den: int):
+    """The narrowest of int16, int32 and int64 that holds 2 * max_num * max_den^2,
+    the largest value any product or sum of the triangle check reaches."""
+    import numpy as np
+
+    bound = 2 * max_num * max_den * max_den
+    return next(dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= bound)
+
+
 def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int) -> None:
-    """The integer check below on int64 arrays, TRIANGLE_BLOCK values of i at a
-    time against the columns k >= the block's first row: memory is
-    O(TRIANGLE_BLOCK * count^2), and blocks run in ascending i, so the first
-    violation is the one the exact loop finds."""
+    """The integer check below on arrays of _triangle_dtype, so no product
+    wraps, TRIANGLE_BLOCK values of i at a time against the columns k >= the
+    block's first row: memory is O(TRIANGLE_BLOCK * count^2), and blocks run
+    in ascending i, so the first violation is the one the exact loop finds.
+    A block is searched for its violation only when it holds one."""
     import numpy as np
 
     p = np.array(num, dtype=np.int64)
     q = np.array(den, dtype=np.int64)
+    dtype = _triangle_dtype(int(p.max(initial=0)), int(q.max(initial=0)))
+    p, q = p.astype(dtype), q.astype(dtype)
     # three block-sized buffers, reshaped and written in place by every block
     size = min(count, TRIANGLE_BLOCK) * count * count
-    bufs = [np.empty(size, dtype=np.int64) for _ in range(3)]
+    bufs = [np.empty(size, dtype=dtype) for _ in range(3)]
     for lo in range(0, count, TRIANGLE_BLOCK):
         p_ij, q_ij = p[lo:lo + TRIANGLE_BLOCK], q[lo:lo + TRIANGLE_BLOCK]
         p_ik, q_ik = p_ij[:, lo:], q_ij[:, lo:]
@@ -130,9 +139,9 @@ def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int) -> N
         np.multiply(p_jk, q_ij[:, :, None], out=tmp)
         rhs += tmp
         rhs *= q_ik[:, None, :]
-        bad = np.argwhere(lhs > rhs)
-        if len(bad):
-            i, j, k = (int(v) for v in bad[0])
+        bad = lhs > rhs
+        if bad.any():
+            i, j, k = (int(v) for v in np.argwhere(bad)[0])
             raise MetricAxiomViolation("triangle", (lo + i, lo + k), f"via {j}")
 
 
@@ -163,24 +172,19 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
     """The lazily evaluated code point of a metric table.
 
     Position quad_code(i, j, m, n) is 1 exactly when d(i, j) = m/(n+1);
-    positions not coding a quadruple are 0.  The rule unpairs a position's
-    length tag first and reads i, j, m and n only under the quadruple tag 3,
-    then compares d(i, j) with m/(n+1) by cross-multiplying: no decode, and
-    no Fraction built.
+    positions not coding a quadruple are 0.  The rule reads (i, j, m, n) off
+    a position with quad_position, then compares d(i, j) with m/(n+1) by
+    cross-multiplying: no decode, and no Fraction built.
     """
     dist = table.dist
 
     def rule(t: int) -> int:
-        if t == 0:
+        quad = quad_position(t)
+        if quad is None:
             return 0
-        tag, fold = unpair(t - 1)  # the tag is the sequence length less one
-        if tag != 3:
-            return 0
-        i, fold = unpair(fold)
-        j, fold = unpair(fold)
-        m, n = unpair(fold)
-        d = dist(i, j)
-        return 1 if d.numerator * (n + 1) == m * d.denominator else 0
+        i, j, m, n = quad
+        p, q = dist(i, j).as_integer_ratio()
+        return 1 if p * (n + 1) == m * q else 0
 
     return SpaceCode(point=BairePoint(rule), table=table)
 
@@ -233,7 +237,7 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
     def dist(u: int, v: int) -> Fraction:
         parity = u % 2
         if parity != v % 2:
-            return _CROSS
+            return CROSS_DISTANCE
         d = entries.get((u, v))
         if d is None:
             d = dense_pn_distance(sides[parity], side_code(parity, u // 2),
@@ -282,28 +286,33 @@ def parse_code_file(text: str) -> tuple[str, int, dict[tuple[int, int], Fraction
         k = -1
     if k < 0:
         raise MalformedCode("line 3: K must be a natural number")
-    pairs = ((i, j) for i in range(k) for j in range(i, k))  # lazy: K may be huge
+    wi, wj = 0, 0  # the pair the next entry line must hold; wi == k asks for the tail
     entries: dict[tuple[int, int], Fraction] = {}
-    parsed: dict[str, Fraction] = {}  # each distinct value text, parsed once
+    parsed: dict[str, tuple[Fraction, int]] = {}  # each distinct value text: value, sign
     for n, line in enumerate(lines[3:-1], start=4):
         try:
             i_s, j_s, frac = line.split()
-            pair, value = (int(i_s), int(j_s)), parsed.get(frac)
-            if value is None:
+            i, j, known = int(i_s), int(j_s), parsed.get(frac)
+            if known is None:
                 p_s, q_s = frac.split("/")
-                value = parsed[frac] = Fraction(int(p_s), int(q_s))
+                value = Fraction(int(p_s), int(q_s))
+                known = parsed[frac] = value, (value > 0) - (value < 0)
         except (ValueError, ZeroDivisionError):
             raise MalformedCode(f"line {n}: expected an entry 'i j p/q'") from None
-        want = next(pairs, None)
-        if pair != want:
-            raise MalformedCode(f"line {n}: expected " + (
-                "the tail line" if want is None else f"the entry of pair {want}"))
-        if value.numerator < 0 or (value.numerator == 0) != (pair[0] == pair[1]):
-            raise MalformedCode(f"line {n}: d{pair} = {value} is not a metric value")
-        entries[pair] = value
-    want = next(pairs, None)
-    if want is not None:
-        raise MalformedCode(f"line {len(lines)}: expected the entry of pair {want}")
+        if wi == k:
+            raise MalformedCode(f"line {n}: expected the tail line")
+        if i != wi or j != wj:
+            raise MalformedCode(f"line {n}: expected the entry of pair {(wi, wj)}")
+        value, sign = known
+        if sign < 0 or (sign == 0) != (i == j):
+            raise MalformedCode(f"line {n}: d{(i, j)} = {value} is not a metric value")
+        entries[i, j] = value
+        wj += 1
+        if wj == k:
+            wi += 1
+            wj = wi
+    if wi < k:
+        raise MalformedCode(f"line {len(lines)}: expected the entry of pair {(wi, wj)}")
     return instance_id, k, entries, tail
 
 

@@ -98,5 +98,37 @@ def pair_count(i: int, length: int) -> int:
 
 
 def quad_code(i: int, j: int, m: int, n: int) -> SeqCode:
-    """Code of the four-entry sequence (i, j, m, n)."""
-    return 1 + pair(3, pair(i, pair(j, pair(m, n))))
+    """Code of the four-entry sequence (i, j, m, n): encode's pairings, inline."""
+    s = m + n
+    z = s * (s + 1) // 2 + m
+    s = j + z
+    z = s * (s + 1) // 2 + j
+    s = i + z
+    z = s * (s + 1) // 2 + i
+    s = 3 + z
+    return 1 + s * (s + 1) // 2 + 3
+
+
+def quad_position(t: SeqCode) -> Optional[Tuple[int, int, int, int]]:
+    """(i, j, m, n) when t = quad_code(i, j, m, n), else None.
+
+    The tag is unpaired first: only a four-entry code reads its entries.
+    Each unpairing is unpair's, inline.
+    """
+    if t == 0:
+        return None
+    z = t - 1
+    w = (isqrt(8 * z + 1) - 1) // 2
+    tag = z - w * (w + 1) // 2
+    if tag != 3:
+        return None
+    z = w - 3
+    w = (isqrt(8 * z + 1) - 1) // 2
+    i = z - w * (w + 1) // 2
+    z = w - i
+    w = (isqrt(8 * z + 1) - 1) // 2
+    j = z - w * (w + 1) // 2
+    z = w - j
+    w = (isqrt(8 * z + 1) - 1) // 2
+    m = z - w * (w + 1) // 2
+    return i, j, m, w - m

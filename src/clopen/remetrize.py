@@ -27,6 +27,8 @@ from .witness import WitnessClosure, pair_tree
 
 Side = int  # 0 for the designated set, 1 for its complement
 
+CROSS_DISTANCE = Fraction(2)  # the distance between points on opposite sides
+
 
 class NotInterior(Exception):
     """A dense point does not lie strictly inside the ball it is certified for."""
@@ -103,7 +105,7 @@ def sum_distance(sp: SumSpace, p: tuple[Side, int], q: tuple[Side, int]) -> Frac
     """2 across the partition; within a side, the first-disagreement distance
     of the side's branches, pulled back to the dense indices."""
     if p[0] != q[0]:
-        return Fraction(2)
+        return CROSS_DISTANCE
     return dense_pn_distance(sp.side(p[0]).fam, p[1], q[1])
 
 

@@ -299,10 +299,12 @@ class DensePointFamily:
 
 def _split(fam: DensePointFamily, s: int, t: int) -> Optional[int]:
     """The first position where the dense points s and t differ, or None
-    when they are equal: the scan up to the longer stem is total."""
-    a, m = fam._entry(s)
-    b, n = fam._entry(t)
-    return None if a is b else first_disagreement(a, b, max(m, n))
+    when they are equal: the scan up to the longer stem is total.  The
+    family's memo is read first; _entry makes an entry it lacks."""
+    points = fam._points
+    a, m = points.get(s) or fam._entry(s)
+    b, n = points.get(t) or fam._entry(t)
+    return None if a is b else first_disagreement(a, b, m if m > n else n)
 
 
 def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:

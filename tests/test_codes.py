@@ -177,6 +177,34 @@ def test_triangle_check_matches_the_exact_loop_on_random_tables(count):
     assert outcomes == {True, False}  # both metrics and violations were drawn
 
 
+# (max numerator M, max denominator D, the dtype holding 2 M D^2): the largest
+# bound that fits int16, then one past it; the same at int32, with D = 2
+DTYPE_EDGES = [
+    (16383, 1, "int16"),  # 2 M D^2 = 32766, iinfo(int16).max - 1: no bound is odd
+    (16384, 1, "int32"),  # 32768, one past it
+    ((1 << 28) - 1, 2, "int32"),  # 2^31 - 8: D = 2 puts the bound in steps of 8
+    (1 << 28, 2, "int64"),  # 2^31, one past iinfo(int32).max
+]
+
+
+@pytest.mark.parametrize("max_num,max_den,dtype", DTYPE_EDGES)
+def test_triangle_dtype_edges_keep_the_first_violation(max_num, max_den, dtype):
+    # every distinct pair at M/D, so (i, j, k) = (0, 1, 2) reaches 2 M D^2, which
+    # wraps negative one dtype too narrow and reads as a violation at i = 0;
+    # the one true violation is d(3, 5) = M/D > d(3, 4) + d(4, 5) = 2/D
+    assert codes._triangle_dtype(max_num, max_den).__name__ == dtype
+    count = 12
+    num = [[0 if i == j else max_num for j in range(count)] for i in range(count)]
+    den = [[1 if i == j else max_den for j in range(count)] for i in range(count)]
+    for i, j in ((3, 4), (4, 5)):
+        num[i][j] = num[j][i] = 1
+    want = ("triangle", (3, 5), "triangle fails at (3, 5) via 4")
+    for check in (codes._triangle_exact, codes._triangle_numpy):
+        with pytest.raises(MetricAxiomViolation) as exc:
+            check(num, den, count)
+        assert (exc.value.kind, exc.value.where, str(exc.value)) == want, check
+
+
 def _families(name="cantor-split-0"):
     return build_instance(builtin_instance(name)).families()
 

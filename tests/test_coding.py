@@ -2,7 +2,7 @@ import itertools
 import random
 
 from clopen.coding import (decode, encode, lh, pair, pair_code, pair_count, pair_position,
-                           quad_code, unpair)
+                           quad_code, quad_position, unpair)
 
 
 def test_empty_sequence_codes_to_zero():
@@ -83,6 +83,36 @@ def test_pair_position_matches_the_decode_rule():
               for d in (-1, 0, 1)]
     for t in [*range(5000), *large]:
         assert pair_position(t) == _pair_position_by_decode(t), t
+
+
+def _quad_position_by_decode(t):
+    u = decode(t)
+    return u if len(u) == 4 else None
+
+
+def test_quad_position_matches_the_decode_rule():
+    # the positions cover lengths 0-6 (tags 0-5); quadruples with entries of
+    # 2^20 and more, and their neighbours, stay short enough for decode
+    rng = random.Random(21)
+    big = [tuple(rng.randrange(1 << 20, 1 << 40) for _ in range(4)) for _ in range(300)]
+    mixed = [tuple(rng.choice((rng.randrange(4), rng.randrange(1 << 20, 1 << 24)))
+                   for _ in range(4)) for _ in range(300)]
+    positions = [*range(5000), *(quad_code(*q) + d for q in big + mixed for d in (-1, 0, 1))]
+    positions += [encode(u) for u in ((1 << 20,), (0, 1 << 21), (5, 6, 1 << 20),
+                                      (1, 2, 3, 4, 1 << 20), (7,) * 6)]
+    lengths = set()
+    for t in positions:
+        lengths.add(lh(t))
+        assert quad_position(t) == _quad_position_by_decode(t), t
+    assert {0, 1, 2, 3, 4, 5, 6} <= lengths
+
+
+def test_quad_position_inverts_quad_code():
+    rng = random.Random(22)
+    for _ in range(2000):
+        q = tuple(rng.randrange(1 << rng.randrange(1, 64)) for _ in range(4))
+        assert quad_code(*q) == encode(q)
+        assert quad_position(quad_code(*q)) == q
 
 
 def test_pair_count_counts_the_pair_codes_below_a_length():
