@@ -19,7 +19,7 @@ from .luzin import (LuzinScheme, ZeroDimPresentation, ambient_presentation,
                     discrete_presentation, rescale)
 from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
-                        membership_in_a, new_presentation, open_ball_distance,
+                        membership_in_a, open_ball_distance,
                         sum_distance, witness_representation)
 from .trees import (DensePointFamily, PrunedTree, dense_equal, dense_pn_distance,
                     validate_pruned)

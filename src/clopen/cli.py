@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .baire import eventually_periodic
-from .codes import render_code_file
+from .codes import entry_line, render_code_file
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_instance,
                         builtin_instance, load_json, merge_bounds, parse_instance,
@@ -29,7 +29,7 @@ from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
 from .remetrize import epsilon_code
 from .trees import InsufficientDensePoints, TreeError
 from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
-                     check_tree_valid, instance_code, run_instance_suite)
+                     check_tree_valid, instance_code, instance_table, run_instance_suite)
 from .witness import MATRIX_CATALOG, UseBoundViolation, WitnessClosure, WitnessSearchExhausted
 
 EXIT_OK = 0
@@ -164,13 +164,10 @@ def cmd_remetrize(args) -> int:
         lines.append("presentation ambient (unchanged)")
         _emit(args, lines)
         return EXIT_OK
-    pres = built.presentation()
-    k = min(inst.bounds["table_size"], 24)
+    table = instance_table(built)
+    k = min(table.K, 24)
     lines.append(f"K {k}")
-    for i in range(k):
-        for j in range(i, k):
-            d = pres.dist(i, j)
-            lines.append(f"{i} {j} {d.numerator}/{d.denominator}")
+    lines += [entry_line(i, j, table.dist(i, j)) for i in range(k) for j in range(i, k)]
     eps = epsilon_code(built.sum_space)
     bits = "".join(str(eps(t)) for t in range(args.epsilon_prefix))
     lines.append(f"epsilon {bits}")
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--point", help="JSON point descriptor: "
                            '{"pre": [...], "period": [...]} or {"rule": "expr in n"}')
 
-    p_remetrize = command("remetrize", cmd_remetrize, "build the summed presentation",
+    p_remetrize = command("remetrize", cmd_remetrize, "print the summed space's table",
                           tree_depth, "instance", "out")
     p_remetrize.add_argument("--epsilon-prefix", dest="epsilon_prefix",
                              type=_POSITIVE, default=64)

@@ -255,12 +255,16 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
 FORMAT_LINE = "format space-code/1"
 
 
+def entry_line(i: int, j: int, value: Fraction) -> str:
+    """The code file's line of the entry d(i, j): 'i j p/q', p/q reduced."""
+    return f"{i} {j} {value.numerator}/{value.denominator}"
+
+
 def render_code_file(code: SpaceCode, instance_id: str) -> str:
     """The canonical textual form of a code: header, reduced table, tail rule."""
     table = code.table
     lines = [FORMAT_LINE, f"instance {instance_id}", f"K {table.K}"]
-    for i, j, value in table.rows():
-        lines.append(f"{i} {j} {value.numerator}/{value.denominator}")
+    lines += [entry_line(*row) for row in table.rows()]
     lines.append(f"tail {table.tail_rule}")
     return "\n".join(lines) + "\n"
 

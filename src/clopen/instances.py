@@ -19,12 +19,11 @@ from . import dsl
 from .baire import BairePoint, eventually_periodic
 from .coding import decode, lh
 from .dsl import ParseError
-from .luzin import ZeroDimPresentation, ambient_presentation
-from .remetrize import (SumSpace, identity_representation, new_presentation,
-                        witness_representation)
-from .trees import (DensePointFamily, EmptyTreeViolation, PrunedTree, constant_tree,
-                    cylinder_union_tree, full_baire_tree, full_cantor_tree,
-                    validate_pruned)
+from .luzin import ambient_presentation
+from .remetrize import SumSpace, identity_representation, witness_representation
+from .trees import (CoverViolation, DensePointFamily, EmptyTreeViolation, PrunedTree,
+                    constant_tree, cylinder_union_tree, full_baire_tree, full_cantor_tree,
+                    iter_admissible, validate_pruned)
 from .witness import MATRIX_CATALOG, Pi02Matrix
 
 
@@ -154,8 +153,10 @@ def parse_instance(text: str) -> InstanceFile:
     if doc.get("format") != "instance/1":
         raise _err(f"unknown format {doc.get('format')!r}")
     inst_id = doc.get("id")
-    if not isinstance(inst_id, str) or not inst_id:
-        raise _err("instance needs a nonempty string 'id'")
+    # the id is a line of the code file, read back by splitlines and strip
+    if not isinstance(inst_id, str) or inst_id.splitlines() != [inst_id.strip()]:
+        raise _err("instance needs an 'id': a nonempty string on one line, with no "
+                   "whitespace around it")
 
     ambient = doc.get("ambient")
     ambient_tree = _ambient_tree(ambient)
@@ -326,15 +327,8 @@ class BuiltInstance:
 
     file: InstanceFile
     ambient_fam: DensePointFamily
-    ambient: ZeroDimPresentation
     sum_space: Optional[SumSpace]
     degenerate: Optional[str] = None
-
-    def presentation(self) -> ZeroDimPresentation:
-        """The re-metrized presentation; the ambient one on degenerate input."""
-        if self.sum_space is None:
-            return self.ambient
-        return new_presentation(self.sum_space)
 
     def families(self) -> tuple[DensePointFamily, DensePointFamily]:
         if self.sum_space is None:
@@ -369,7 +363,6 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
     ambient_tree, side_a, side_c = inst.parts
     validate_pruned(ambient_tree, depth)
     ambient_fam = DensePointFamily(ambient_tree)
-    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
 
     if inst.set_desc["kind"] == "tree-pair":
         empty = []
@@ -378,16 +371,21 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
                 validate_pruned(tree, depth)
             except EmptyTreeViolation:
                 empty.append(side)
+        # a pruned tree admits every prefix of its branches, so an ambient stem
+        # that neither side admits holds a point in neither
+        for u in iter_admissible(ambient_tree, depth - 1):
+            if not (side_a.admits(u) or side_c.admits(u)):
+                raise CoverViolation(u, "(neither side admits it)")
         if empty:
-            return BuiltInstance(inst, ambient_fam, ambient, None, degenerate=empty[0])
+            return BuiltInstance(inst, ambient_fam, None, degenerate=empty[0])
         part_a = identity_representation(side_a)
         part_c = identity_representation(side_c)
     else:
         bound = inst.set_desc.get("alphabet_bound", 1)
         part_a = witness_representation(side_a, bound)
         part_c = witness_representation(side_c, bound)
-    sum_space = SumSpace(part_a=part_a, part_c=part_c, ambient=ambient)
-    return BuiltInstance(inst, ambient_fam, ambient, sum_space)
+    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
+    return BuiltInstance(inst, ambient_fam, SumSpace(part_a, part_c, ambient))
 
 
 # --- the built-in catalog -----------------------------------------------------

@@ -71,16 +71,12 @@ class ZeroDimPresentation:
     dist_to_dense  -- exact distance from a point handle to r_i; None when
                       the space decides distances between dense points only
     witness_bound  -- scan ceiling for dense witnesses in a cell
-
-    The summed presentation of remetrize has no dist_to_dense, never reaches
-    LuzinScheme and is outside this contract: its dense_point may build a new
-    handle on each call.
     """
 
     name: str
     dense_point: Callable[[int], Any]
     dist: Callable[[int, int], Fraction]
-    dist_to_dense: Optional[Callable[[Any, int], Fraction]] = None
+    dist_to_dense: Optional[Callable[[Any, int], Fraction]]
     witness_bound: int = 64
 
     def ball_member(self, x: Any, i: int, radius: Fraction) -> bool:

@@ -110,27 +110,14 @@ def sum_distance(sp: SumSpace, p: tuple[Side, int], q: tuple[Side, int]) -> Frac
 
 
 def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
-    """Decode a dense index of the sum presentation into (side, family code).
+    """Decode an index of the pair-code layout, which the summed-space checks
+    range over, into (side, family code).
 
     Indices coding a pair (i, s) with i in {0, 1} name the s-th dense point
     of side i; every other index falls back to the root's branch (code 0) of
     the set side.
     """
     return pair_position(t) or (0, 0)
-
-
-def new_presentation(sp: SumSpace) -> ZeroDimPresentation:
-    """The countable presentation of the summed space, decided exactly on
-    dense indices; it has no point-to-dense distance."""
-
-    def dense_point(t: int):
-        side, s = tag_of_index(sp, t)
-        return sp.side(side).dense_image(s)
-
-    def dist(t1: int, t2: int) -> Fraction:
-        return sum_distance(sp, tag_of_index(sp, t1), tag_of_index(sp, t2))
-
-    return ZeroDimPresentation(name="sum", dense_point=dense_point, dist=dist)
 
 
 def epsilon_code(sp: SumSpace) -> BairePoint:

@@ -71,6 +71,11 @@ class DownwardClosureViolation(TreeError):
         super().__init__(node, f"(child {k})")
 
 
+class CoverViolation(TreeError):
+    """The ambient admits a stem that neither side of a tree-pair admits.  (That
+    the sides are disjoint cannot be decided at a finite depth.)"""
+
+
 class ChildSearchExhausted(TreeError):
     """The least-child search ran past the bound beyond the validated depth."""
 

@@ -14,13 +14,13 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
-from .codes import (SpaceCode, check_metric_axioms, decode_metric, encode_metric, interleave,
-                    validate_metric_table)
+from .codes import (RationalMetricTable, SpaceCode, check_metric_axioms, decode_metric,
+                    encode_metric, interleave, validate_metric_table)
 from .coding import decode, encode
 from .instances import BuiltInstance
 from .luzin import LuzinScheme, split_level
 from .remetrize import (SumSpace, extension_certificate, membership_in_a,
-                        epsilon_code, new_presentation, sum_distance, tag_of_index)
+                        epsilon_code, sum_distance, tag_of_index)
 from .trees import (DensePointFamily, PrunedTree, dense_equal, dense_pn_distance,
                     enumerate_distinct, iter_admissible, validate_pruned)
 from .witness import WitnessClosure
@@ -112,15 +112,16 @@ def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int) -> CheckRe
 # --- summed-space checks --------------------------------------------------------
 
 def check_sum_metric_axioms(sp: SumSpace, count: int) -> CheckResult:
-    pres = new_presentation(sp)
-
     def run():
+        def dist(i: int, j: int) -> Fraction:
+            return sum_distance(sp, tag_of_index(sp, i), tag_of_index(sp, j))
+
         def equal(i: int, j: int) -> bool:
             side_i, code_i = tag_of_index(sp, i)
             side_j, code_j = tag_of_index(sp, j)
             return side_i == side_j and dense_equal(sp.side(side_i).fam, code_i, code_j)
 
-        check_metric_axioms(pres.dist, count, equal=equal)
+        check_metric_axioms(dist, count, equal=equal)
         return f"triples below {count}"
 
     return _result("sum-metric", run)
@@ -196,19 +197,22 @@ def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None)
 
 
 def check_degenerate(built: BuiltInstance) -> CheckResult:
-    """Degenerate instances re-present the ambient space unchanged, on the
-    first 40 dense indices."""
+    """A degenerate instance's nonempty side is the whole ambient space: its
+    dense family has the ambient family's distances on the first 40 dense
+    indices."""
     sample = 40
 
     def run():
         if built.sum_space is not None:
             raise AssertionError("instance is not degenerate")
-        pres = built.presentation()
-        amb = built.ambient
+        _, side_a, side_c = built.file.parts
+        side = DensePointFamily(side_c if built.degenerate == "empty-set" else side_a)
+        amb = built.ambient_fam
         for i in range(sample):
             for j in range(sample):
-                if pres.dist(i, j) != amb.dist(i, j):
-                    raise AssertionError(f"presentation differs from ambient at ({i},{j})")
+                if dense_pn_distance(side, i, j) != dense_pn_distance(amb, i, j):
+                    raise AssertionError(f"the nonempty side differs from the ambient at "
+                                         f"({i},{j})")
         return f"{built.degenerate}; {sample}x{sample} distances identical"
 
     return _result(f"degenerate:{built.file.id}", run)
@@ -366,14 +370,19 @@ def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
 
 # --- instance suite ---------------------------------------------------------------
 
-def instance_code(built: BuiltInstance) -> SpaceCode:
-    """The instance's metric code at its table_size, capped at its
-    enumeration_cap: interleave, check the metric axioms, encode.  The one
-    path from dense families to a code, run by `clopen encode` and the
-    `interleave` check."""
+def instance_table(built: BuiltInstance) -> RationalMetricTable:
+    """The interleaved table at the instance's table_size and enumeration_cap:
+    the one `clopen encode` codes and `clopen remetrize` prints."""
     bounds = built.file.bounds
-    table = interleave(*built.families(), bounds["table_size"],
-                       bounds["enumeration_cap"], label=built.file.id)
+    return interleave(*built.families(), bounds["table_size"],
+                      bounds["enumeration_cap"], label=built.file.id)
+
+
+def instance_code(built: BuiltInstance) -> SpaceCode:
+    """The instance's metric code: its table, checked against the metric
+    axioms, encoded.  The one path from dense families to a code, run by
+    `clopen encode` and the `interleave` check."""
+    table = instance_table(built)
     validate_metric_table(table)
     return encode_metric(table)
 

@@ -254,6 +254,10 @@ _FIXED_DOCS = {
     # a key that no reader reads, misspelt from child_bound
     "misspelt-child-bound": _doc("u", _tree_pair(dict(_CYLINDERS_0, child_bounds=3),
                                                  _CYLINDERS_1)),
+    # ids that the code file's line reader would split or strip
+    **{f"id-{name}": _doc(inst_id, _tree_pair(_CYLINDERS_0, _CYLINDERS_1))
+       for name, inst_id in (("newline", "a\nb"), ("line-separator", "a\u2028b"),
+                             ("form-feed", "a\x0cb"), ("padded", " padded "))},
 }
 
 _HUGE_POINT = '{"pre": [1' + "0" * 5000 + '], "period": [0]}'
@@ -292,6 +296,8 @@ FIXED_CASES = [
     (["remetrize"], "catalog-other-ambient", 2),
     *[(cmd, "misspelt-child-bound", 2) for cmd in (["validate"], ["verify"], ["encode"])],
     (["witness", "--matrix", "diagonal", "--point", _HUGE_POINT], None, 2),
+    *[(["encode"], doc, 2) for doc in ("id-newline", "id-line-separator", "id-form-feed",
+                                        "id-padded")],
 ]
 
 

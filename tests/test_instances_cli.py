@@ -2,18 +2,19 @@ import copy
 import gc
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from clopen import dsl, instances
 from clopen.cli import build_parser, main
-from clopen.codes import render_code_file
+from clopen.codes import parse_code_file, render_code_file
 from clopen.coding import pair
 from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
-from clopen.verify import instance_code, run_instance_suite
+from clopen.verify import instance_code, instance_table, run_instance_suite
 
 MINIMAL = """
 {
@@ -275,7 +276,10 @@ def test_cli_misspelt_or_empty_bounds_exit_2(tmp_path, capsys, change, message):
 def test_build_minimal_instance():
     built = build_instance(parse_instance(MINIMAL))
     assert built.sum_space is not None
-    assert built.presentation().dist(3, 8) in (0, 2) or True  # exercised below
+    # even indices are points of the set, odd ones of its complement, in code order
+    table = instance_table(built)
+    assert table.dist(3, 6) == 2
+    assert table.dist(2, 4) == Fraction(1, 2)  # 0, 1, 0, ... and 0, 0, 1, ... split at 1
     fam_a, fam_c = built.families()
     assert fam_a.leftmost(0)(0) == 0
     assert fam_c.leftmost(0)(0) == 1
@@ -603,7 +607,10 @@ def test_a_file_built_twice_shares_its_parts_and_reports_alike(name):
     (["encode"], dict(CATALOG["witness-first-bit"],
                       bounds={"table_size": 8, "enumeration_cap": 2000})),
     (["encode"], _catalog_doc("witness-first-bit", table_size=8)),
-], ids=["cell-baire-closed", "cell-cantor", "witness", "dense-points", "dense-points-catalog"])
+    (["remetrize"], dict(CATALOG["witness-first-bit"],
+                         bounds={"table_size": 8, "enumeration_cap": 2000})),
+], ids=["cell-baire-closed", "cell-cantor", "witness", "dense-points", "dense-points-catalog",
+        "dense-points-remetrize"])
 def test_cli_search_exhausted_exit_1(argv, doc, tmp_path, capsys):
     if doc is not None:
         argv = argv + ["--instance", _write(tmp_path, doc)]
@@ -637,11 +644,81 @@ def test_cli_verify_reports_a_side_short_of_points(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "search exhausted: InsufficientDensePoints: found 1 distinct " \
         "dense points of 2 wanted (codes < 2000)\n"
-    # remetrize needs the catalog for its certificates line: it stops as before
+    # remetrize prints the table encode codes, and stops as encode does
     assert main(["remetrize", "--instance", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("search exhausted: InsufficientDensePoints: ")
+    assert captured.err == "search exhausted: InsufficientDensePoints: found 1 distinct " \
+        "dense points of 2 wanted (codes < 2000)\n"
+
+
+# --- the sides of a tree-pair cover the ambient ---------------------------------
+
+_CYLINDER_0 = {"rule": "cylinders", "prefixes": [[0]], "child_bound": 1}
+_UNCOVERED = "CoverViolation: CoverViolation at node [1] (neither side admits it)"
+
+
+def _pair_doc(a, complement):
+    """MINIMAL with the given sides, at the default bounds (depth 4)."""
+    doc = json.loads(MINIMAL)
+    doc["set"].update(a=a, complement=complement)
+    del doc["bounds"]
+    return doc
+
+
+@pytest.mark.parametrize("a", [_CYLINDER_0, {"rule": "empty"}], ids=["overlap", "degenerate"])
+def test_sides_that_miss_an_ambient_stem_fail_every_command(a, tmp_path, capsys):
+    path = _write(tmp_path, _pair_doc(a, _CYLINDER_0))
+    for command in ("validate", "verify"):
+        assert main([command, "--instance", path]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "instance mini", f"FAIL tree-valid  {_UNCOVERED}", 'failures ["tree-valid"]']
+    for argv in (["remetrize"], ["encode"], ["embed", "--space", "baire-closed"]):
+        assert main(argv + ["--instance", path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"validation failure: {_UNCOVERED}\n")
+
+
+def test_a_degenerate_side_is_compared_with_the_ambient_past_the_cover_depth(tmp_path,
+                                                                             capsys):
+    # binary below position 4 and 0 from there on: it covers every stem shorter
+    # than depth 4, but not the stem 0, 0, 0, 0, 1 of index 20
+    free_below_4 = {"rule": "dsl", "child_bound": 1,
+                    "node": "(all i < len : s(i) <= 1) and (all i < len : i < 4 or s(i) == 0)"}
+    path = _write(tmp_path, _pair_doc({"rule": "empty"}, free_below_4))
+    assert main(["validate", "--instance", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--instance", path]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "FAIL degenerate:mini  AssertionError: the nonempty side differs from the ambient "
+        "at (0,20)", 'failures ["degenerate:mini"]']
+
+
+# --- remetrize prints the table encode codes ------------------------------------
+
+@pytest.mark.parametrize("name", [n for n in sorted(CATALOG) if not n.startswith("degenerate")])
+def test_remetrize_prints_the_encoded_table_below_its_k(name, capsys):
+    assert main(["remetrize", "--instance", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    k = int(lines[2].removeprefix("K "))
+    assert k == min(builtin_instance(name).bounds["table_size"], 24)
+    entries = lines[3:3 + k * (k + 1) // 2]
+    assert main(["encode", "--instance", name]) == 0
+    encoded = capsys.readouterr().out.splitlines()[3:-1]
+    assert entries == [line for line in encoded if int(line.split()[1]) < k]
+    # index j names a new point when no earlier index is at distance 0 from it
+    zero = {(int(i), int(j)) for i, j, d in map(str.split, entries) if d == "0/1"}
+    assert [j for j in range(k) if any((i, j) in zero for i in range(j))] == []
+
+
+def test_an_id_is_one_line_without_whitespace_around_it(tmp_path, capsys):
+    for bad in ("a\nb", "a\u2028b", "a\x0cb", " padded ", ""):
+        with pytest.raises(ParseError, match="'id'"):
+            parse_instance(json.dumps(dict(json.loads(MINIMAL), id=bad)))
+    # whitespace inside the line is kept, and reads back from the code file
+    path = _write(tmp_path, dict(json.loads(MINIMAL), id="mini\tsplit 0"))
+    assert main(["encode", "--instance", path]) == 0
+    assert parse_code_file(capsys.readouterr().out)[0] == "mini\tsplit 0"
 
 
 CLI_FLAGS = {

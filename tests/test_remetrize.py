@@ -8,11 +8,11 @@ from clopen.instances import build_instance, builtin_instance
 from clopen.luzin import ambient_presentation
 from clopen.remetrize import (CertificateFailure, ClosedRepresentation, NotInterior,
                               OnBoundary, SumSpace, distance_to_sphere, epsilon_code,
-                              extension_certificate, membership_in_a, new_presentation,
+                              extension_certificate, membership_in_a,
                               open_ball_distance, sum_distance, tag_of_index,
                               witness_representation)
 from clopen.trees import DensePointFamily, dense_pn_distance, full_cantor_tree, validate_pruned
-from clopen.verify import (certified_ball_list, check_clopen_sides,
+from clopen.verify import (certified_ball_list, check_clopen_sides, check_degenerate,
                            check_extension_certificates, check_sum_metric_axioms,
                            check_two_sided_continuity, side_sample_branches)
 from clopen.witness import Pi02Matrix, first_value_matrix
@@ -52,22 +52,25 @@ def test_sum_distance_cases():
     assert d == dense_pn_distance(sp.part_c.fam, encode((1, 0)), encode((1, 1)))
 
 
-def test_new_presentation_distances():
+def _pair_layout_distance(sp, t1, t2):
+    return sum_distance(sp, tag_of_index(sp, t1), tag_of_index(sp, t2))
+
+
+def test_pair_code_indices_distances():
     sp = built("cantor-split-0").sum_space
-    pres = new_presentation(sp)
     for s in range(12):
         for t in range(12):
-            assert pres.dist(pair_code(0, s), pair_code(1, t)) == 2
+            assert tag_of_index(sp, pair_code(1, t)) == (1, t)
+            assert _pair_layout_distance(sp, pair_code(0, s), pair_code(1, t)) == 2
     idx = pair_code(0, 3)
-    assert pres.dist(idx, idx) == 0
+    assert _pair_layout_distance(sp, idx, idx) == 0
 
 
 def test_non_pair_indices_fall_back_to_base_point():
     sp = built("cantor-split-0").sum_space
     side, code = tag_of_index(sp, 0)
     assert side == 0 and code == 0
-    pres = new_presentation(sp)
-    assert pres.dist(0, pair_code(0, 0)) == 0
+    assert _pair_layout_distance(sp, 0, pair_code(0, 0)) == 0
 
 
 def test_sum_metric_axioms():
@@ -192,13 +195,14 @@ def test_witness_representation_moduli():
 
 
 def test_degenerate_instances_keep_ambient():
-    for name in ("degenerate-empty", "degenerate-full"):
+    for name, nonempty in (("degenerate-empty", 2), ("degenerate-full", 1)):
         b = built(name)
         assert b.sum_space is None
-        pres = b.presentation()
+        side = DensePointFamily(b.file.parts[nonempty])
         for i in range(30):
             for j in range(30):
-                assert pres.dist(i, j) == b.ambient.dist(i, j)
+                assert dense_pn_distance(side, i, j) == dense_pn_distance(b.ambient_fam, i, j)
+        assert check_degenerate(b).passed
 
 
 def test_dense_images_distinct_across_sides():
