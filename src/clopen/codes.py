@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .baire import BairePoint
 from .coding import quad_code, quad_position
 from .remetrize import CROSS_DISTANCE
-from .trees import DensePointFamily, dense_pn_distance, enumerate_distinct
+from .trees import DensePointFamily, dense_pn_distance, dense_pn_rows, enumerate_distinct
 
 
 class MalformedCode(Exception):
@@ -214,17 +214,19 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
     prefix by continuing the same enumerations on demand.  Every scan stops
     at cap, the instance's enumeration_cap; the tail rule is interleave:label.
 
-    dist keeps each ordered pair of indices below count the first time it
-    computes it, so the axiom check, rows() and the code point read one
-    value per entry; d(u, v) and d(v, u) are kept apart, so the symmetry
-    check still compares two computations.  Pairs at count or beyond are
-    computed on demand and not kept.  The store dies with the table.
+    Below count, dist reads the table dense_pn_rows computed for each side,
+    so the axiom check, rows() and the code point read one value per entry;
+    d(u, v) comes from row u and d(v, u) from row v, so the symmetry check
+    still compares two computations.  Pairs at count or beyond are computed
+    on demand by dense_pn_distance and not kept.  The rows die with the
+    table.
     """
     sides = (fam_a, fam_c)
     codes: tuple[list[int], list[int]] = (
         enumerate_distinct(fam_a, (count + 1) // 2, cap=cap),
         enumerate_distinct(fam_c, count // 2, cap=cap),
     )
+    rows = (dense_pn_rows(fam_a, codes[0]), dense_pn_rows(fam_c, codes[1]))
 
     def side_code(parity: int, idx: int) -> int:
         known = codes[parity]
@@ -232,19 +234,14 @@ def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
             known.extend(enumerate_distinct(sides[parity], idx + 1, cap=cap)[len(known):])
         return known[idx]
 
-    entries: dict[tuple[int, int], Fraction] = {}  # same-side ordered pairs below count
-
     def dist(u: int, v: int) -> Fraction:
         parity = u % 2
         if parity != v % 2:
             return CROSS_DISTANCE
-        d = entries.get((u, v))
-        if d is None:
-            d = dense_pn_distance(sides[parity], side_code(parity, u // 2),
-                                  side_code(parity, v // 2))
-            if u < count and v < count:
-                entries[u, v] = d
-        return d
+        if u < count and v < count:
+            return rows[parity][u // 2][v // 2]
+        return dense_pn_distance(sides[parity], side_code(parity, u // 2),
+                                 side_code(parity, v // 2))
 
     return RationalMetricTable(dist=dist, K=count, tail_rule=f"interleave:{label}",
                                label=label)

@@ -329,6 +329,45 @@ def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:
     return disagreement_distance(_split(fam, s, t))
 
 
+def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> list[list[Fraction]]:
+    """Every distance among the dense points with the given codes: row u
+    holds dense_pn_distance(fam, codes[u], codes[v]) for each v.
+
+    The values the points have stored are stacked in one array, relabelled
+    to small ints so any natural fits, each row padded with a label no other
+    row holds.  Row u's first mismatch against every row is then one argmax.
+    A mismatch inside both points' stored values is their first
+    disagreement.  One at or past the end of either goes to
+    first_disagreement up to the longer stem, which grows the shorter
+    branch; so does the diagonal, whose all-false row argmax reads as 0.
+    Each row is computed from row u alone, so d(u, v) and d(v, u) are two
+    computations.
+    """
+    import numpy as np
+
+    entries = [fam._entry(s) for s in codes]
+    labels: dict[int, int] = {}
+    stored = [[labels.setdefault(x, len(labels)) for x in point._prefix]
+              for point, _ in entries]
+    lengths = np.array([len(vals) for vals in stored], dtype=np.intp)
+    width = int(lengths.max(initial=0)) + 1
+    table = np.empty((len(codes), width), dtype=np.intp)
+    table[:] = -1 - np.arange(len(codes), dtype=np.intp)[:, None]
+    for u, vals in enumerate(stored):
+        table[u, :len(vals)] = vals
+    reciprocals = [disagreement_distance(k) for k in range(width)]
+    rows = []
+    for u, (a, m) in enumerate(entries):
+        firsts = (table != table[u]).argmax(axis=1)
+        firsts[u] = width - 1  # the diagonal, sent to first_disagreement
+        row = [reciprocals[k] for k in firsts.tolist()]
+        for v in np.flatnonzero(firsts >= np.minimum(lengths, lengths[u])).tolist():
+            b, n = entries[v]
+            row[v] = disagreement_distance(first_disagreement(a, b, m if m > n else n))
+        rows.append(row)
+    return rows
+
+
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int) -> list[int]:
     """The first `count` least codes below cap, in code order: distinct points.
 

@@ -112,13 +112,17 @@ def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int) -> CheckRe
 # --- summed-space checks --------------------------------------------------------
 
 def check_sum_metric_axioms(sp: SumSpace, count: int) -> CheckResult:
+    """The metric axioms on the indices below count, each index's tag read
+    once; d(i, j) and d(j, i) stay two sum_distance calls."""
+
     def run():
+        tags = [tag_of_index(sp, t) for t in range(count)]
+
         def dist(i: int, j: int) -> Fraction:
-            return sum_distance(sp, tag_of_index(sp, i), tag_of_index(sp, j))
+            return sum_distance(sp, tags[i], tags[j])
 
         def equal(i: int, j: int) -> bool:
-            side_i, code_i = tag_of_index(sp, i)
-            side_j, code_j = tag_of_index(sp, j)
+            (side_i, code_i), (side_j, code_j) = tags[i], tags[j]
             return side_i == side_j and dense_equal(sp.side(side_i).fam, code_i, code_j)
 
         check_metric_axioms(dist, count, equal=equal)

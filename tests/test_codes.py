@@ -14,7 +14,7 @@ from clopen import coding
 from clopen.coding import decode, encode, quad_code
 from clopen.instances import DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
-from clopen.trees import InsufficientDensePoints, dense_pn_distance
+from clopen.trees import InsufficientDensePoints, dense_pn_distance, dense_pn_rows
 from clopen.verify import instance_code
 
 CAP = DEFAULT_BOUNDS["enumeration_cap"]  # the catalog instances' enumeration cap
@@ -363,12 +363,20 @@ def test_decode_metric_leaves_the_decode_cache_alone():
 def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
     fam_a, fam_c = _families()
     calls = {}
+    kernel = []  # (family, codes, rows) of each dense_pn_rows call
 
     def counted(fam, s, t):
         calls[id(fam), s, t] = calls.get((id(fam), s, t), 0) + 1
         return dense_pn_distance(fam, s, t)
 
+    def rows_counted(fam, side_codes):
+        # one object per entry, so identity tells which row an entry came from
+        rows = [[Fraction(d) for d in row] for row in dense_pn_rows(fam, side_codes)]
+        kernel.append((fam, list(side_codes), rows))
+        return rows
+
     monkeypatch.setattr(codes, "dense_pn_distance", counted)
+    monkeypatch.setattr(codes, "dense_pn_rows", rows_counted)
     table = interleave(fam_a, fam_c, 12, cap=CAP, label="once")
     validate_metric_table(table)
     code = encode_metric(table)
@@ -377,9 +385,15 @@ def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
         for j in range(6):
             assert decode_metric(code, 2 * i, 2 * j + i % 2, window=64) == table.dist(
                 2 * i, 2 * j + i % 2)
-    # every same-side ordered pair below K, each once: the pairs are ordered,
-    # so d(u, v) and d(v, u) are two computations
-    assert sorted(calls.values()) == [1] * (2 * 6 * 6)
+    # every same-side ordered pair below K, each once, by its own row: one
+    # kernel call a side, no per-pair call, and d(u, v) is the object row u
+    # holds, so d(u, v) and d(v, u) are two computations
+    assert [(fam, side_codes) for fam, side_codes, _ in kernel] == [
+        (fam_a, fam_a._least_codes[:6]), (fam_c, fam_c._least_codes[:6])]
+    assert calls == {}
+    for u in range(12):
+        for v in range(u % 2, 12, 2):
+            assert table.dist(u, v) is kernel[u % 2][2][u // 2][v // 2]
     # a pair past K extends the enumerations, and is computed each time it is asked
     scanned = len(fam_a._least_codes)
     far = table.dist(2, 20)
@@ -388,6 +402,24 @@ def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
     assert far == dense_pn_distance(fam_a, codes_a[1], codes_a[10])
     assert table.dist(2, 20) == far
     assert calls[id(fam_a), codes_a[1], codes_a[10]] == 2
+
+
+def test_interleaved_symmetry_compares_the_two_rows(monkeypatch):
+    # d(u, v) is read from row u and d(v, u) from row v: a value planted in
+    # one row alone is a symmetry failure
+    def planted(fam, side_codes):
+        rows = dense_pn_rows(fam, side_codes)
+        if fam is fam_a:
+            rows[1][2] = Fraction(1, 7)
+        return rows
+
+    fam_a, fam_c = _families()
+    monkeypatch.setattr(codes, "dense_pn_rows", planted)
+    table = interleave(fam_a, fam_c, 12, cap=CAP, label="planted")
+    assert table.dist(2, 4) == Fraction(1, 7) != table.dist(4, 2)
+    with pytest.raises(MetricAxiomViolation) as exc:
+        validate_metric_table(table)
+    assert (exc.value.kind, exc.value.where) == ("symmetry", (2, 4))
 
 
 def test_a_repeated_value_text_is_still_checked_on_its_line():

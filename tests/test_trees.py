@@ -2,19 +2,21 @@ import random
 import tracemalloc
 from collections import Counter
 from contextlib import suppress
+from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
 from clopen.baire import Exact, branch, distance
+from clopen import trees
 from clopen.coding import encode
 from clopen.instances import CATALOG, build_instance, build_tree, builtin_instance
 from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           DownwardClosureViolation, EmptyTreeViolation,
                           InsufficientDensePoints, PrunedTree, PrunednessViolation,
                           constant_tree, cylinder_union_tree, dense_equal, dense_pn_distance,
-                          enumerate_distinct, full_baire_tree,
+                          dense_pn_rows, enumerate_distinct, full_baire_tree,
                           full_cantor_tree, iter_admissible, validate_pruned)
 from clopen.verify import side_sample_branches
 from clopen.witness import MATRIX_CATALOG, pair_tree
@@ -490,3 +492,76 @@ def test_a_long_walk_keeps_no_prefix_tuples():
         tracemalloc.stop()
     assert point.prefix(4) == (1, 0, 1, 0)
     assert peak < 2 ** 20
+
+
+# --- dense_pn_rows: every distance of a code list at once ----------------------
+
+def _split_pair(rng):
+    """A seeded cylinder tree-pair: the cylinder of a word over m symbols and
+    the cylinders of its siblings."""
+    m = rng.randint(2, 5)
+    word = [rng.randrange(m) for _ in range(rng.randint(1, 2))]
+    siblings = [word[:i] + [c] for i in range(len(word)) for c in range(m) if c != word[i]]
+    return [cylinder_union_tree(p, "side", child_floor=m - 1) for p in ([word], siblings)]
+
+
+def _dsl_pair(rng):
+    """A seeded dsl tree-pair over m symbols: s(p) == s(q) and s(p) != s(q)."""
+    m, p = rng.randint(2, 3), rng.randint(0, 2)
+    q = rng.randint(p + 1, 3)
+    return [build_tree({"rule": "dsl", "child_bound": m - 1,
+                        "node": f"(all i < len : s(i) <= {m - 1}) and "
+                                f"(len < {q + 1} or s({p}) {op} s({q}))"}, "tree", label=op)
+            for op in ("==", "!=")]
+
+
+@pytest.mark.parametrize("make", [_split_pair, _dsl_pair])
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_pn_rows_match_the_pair_rule(make, seed):
+    # K = 16 to 128 interleaved entries, K/2 distinct points a side; the
+    # reference runs on a family of its own, so it reads no branch the rows grew
+    count = (16, 32, 64, 128)[seed % 4] // 2
+    for tree in make(random.Random(seed)):
+        fam = DensePointFamily(validated(tree))
+        codes = enumerate_distinct(fam, count, cap=1 << 13)
+        rows = dense_pn_rows(fam, codes)
+        ref = DensePointFamily(tree)
+        assert rows == [[dense_pn_distance(ref, s, t) for t in codes] for s in codes]
+
+
+def test_dense_pn_rows_grow_a_short_stem_against_a_longer_one(monkeypatch):
+    # the point of (0,) has stored [0] only; it agrees there with (0, 0, 0, 1),
+    # so the first disagreement lies past its stored values and it grows
+    fam = DensePointFamily(validated(full_cantor_tree()))
+    short, long = encode((0,)), encode((0, 0, 0, 1))
+    assert fam.leftmost(short).prefix(1) == (0,) and len(fam.leftmost(short)._prefix) == 1
+    asked = []
+    real = trees.first_disagreement
+    monkeypatch.setattr(trees, "first_disagreement",
+                        lambda a, b, bound: asked.append(a is b) or real(a, b, bound))
+    assert dense_pn_rows(fam, [short, long]) == [[0, Fraction(1, 4)], [Fraction(1, 4), 0]]
+    assert len(fam.leftmost(short)._prefix) == 4
+    assert sorted(asked) == [False, False, True, True]  # two grown pairs, two diagonals
+
+
+def test_dense_pn_rows_diagonal_and_equal_points_are_zero():
+    # (0,), (0, 0), the inadmissible (5,), code 0 and (0, 0) again all name
+    # 0, 0, 0, ...; an all-false row's argmax is 0, which must not read as a
+    # disagreement at 0, and a repeated code's rows differ only in their pads
+    fam = DensePointFamily(validated(full_cantor_tree()))
+    codes = [encode((0,)), encode((0, 0)), encode((5,)), 0, encode((0, 0)), encode((1,))]
+    assert dense_pn_rows(fam, codes) == [[0] * 5 + [1]] * 5 + [[1] * 5 + [0]]
+    assert dense_pn_rows(fam, [encode((1, 1))]) == [[0]]
+    assert dense_pn_rows(fam, []) == []
+
+
+def test_dense_pn_rows_relabel_any_natural():
+    big = 2 ** 70
+    stems = [(), (big,), (big, 1), (big, 0, big), (big + 1,), (0, big), (big, 0, 0, 0, 1)]
+    fam = DensePointFamily(validated(full_baire_tree()))
+    codes = [encode(u) for u in stems]
+    rows = dense_pn_rows(fam, codes)
+    ref = DensePointFamily(validated(full_baire_tree()))
+    assert rows == [[dense_pn_distance(ref, s, t) for t in codes] for s in codes]
+    assert rows[1][2:5] == [Fraction(1, 2), Fraction(1, 3), 1]
+    assert rows[1][6] == Fraction(1, 5)
