@@ -16,10 +16,12 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .baire import eventually_periodic
-from .codes import entry_line, render_code_file
+from .codes import (MalformedCode, RationalMetricTable, encode_metric, entry_line,
+                    render_code_file)
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_instance,
                         builtin_instance, load_json, merge_bounds, parse_instance,
@@ -187,10 +189,17 @@ def cmd_encode(args) -> int:
     inst = _load_instance(args)
     built = build_instance(inst)
     if built.sum_space is None:
-        _emit(args, [f"instance {inst.id}", f"degenerate {built.degenerate}"])
+        # the ambient stands unchanged: a code file with no entries, whose tail says why
+        table = RationalMetricTable(dist=_no_entry, K=0,
+                                    tail_rule=f"degenerate:{built.degenerate}", label=inst.id)
+        _write(args, render_code_file(encode_metric(table), inst.id))
         return EXIT_OK
     _write(args, render_code_file(instance_code(built), inst.id))
     return EXIT_OK
+
+
+def _no_entry(i: int, j: int) -> Fraction:
+    raise MalformedCode(f"a degenerate instance's code has no entry ({i},{j})")
 
 
 def cmd_verify(args) -> int:

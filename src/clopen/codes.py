@@ -3,7 +3,8 @@
 A metric on the naturals with rational values is coded by the 0/1 point that
 holds a 1 exactly at the positions coding a quadruple (i, j, m, n) with
 d(i, j) = m/(n+1) -- at every representation of the value, not just the
-reduced one.  Completed, such a code names a complete separable metric
+reduced one, so a decoder that reads the reduced positions alone finds
+every value.  Completed, such a code names a complete separable metric
 space; the summed space of a re-metrized instance arrives here through the
 interleaving of its two dense families.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .baire import BairePoint
@@ -193,13 +195,22 @@ def decode_metric(code: SpaceCode, i: int, j: int, window: int) -> Fraction:
     """Read d(i, j) back off a code point.
 
     Scans the quadruple positions for (i, j) in increasing (m, n) order, m and
-    n up to the caller's window, and returns the value of the first set bit;
-    no set bit within the window is a MalformedCode.
+    n up to the caller's window, reading only those with m/(n+1) in lowest
+    terms, gcd(m, n+1) = 1 (in row m = 0, (0, 0) alone), and returns the value
+    of the first set bit; no set bit read is a MalformedCode.
+
+    A code point sets the bit of every representation of d(i, j), and the
+    reduced one has the smallest m and n of them, so on every point
+    encode_metric builds this returns the value, or raises, as a scan of all
+    positions would.  It reads 1 bit for 0, k+2 for 1/(k+1) and window+3 for
+    2, where that scan reads 1, window+k+2 and 2*window+3.  On a point that is
+    not a metric code, one that sets a non-reduced bit without its reduced
+    form, the two can differ: this scan passes such a bit by.
     """
     point = code.point
     for m in range(window + 1):
         for n in range(window + 1):
-            if point(quad_code(i, j, m, n)):
+            if gcd(m, n + 1) == 1 and point(quad_code(i, j, m, n)):
                 return Fraction(m, n + 1)
     raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
 

@@ -12,10 +12,10 @@ from clopen.codes import (MalformedCode, MetricAxiomViolation, RationalMetricTab
 from clopen import codes
 from clopen import coding
 from clopen.coding import decode, encode, quad_code
-from clopen.instances import DEFAULT_BOUNDS, build_instance, builtin_instance
+from clopen.instances import CATALOG, DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
 from clopen.trees import InsufficientDensePoints, dense_pn_distance, dense_pn_rows
-from clopen.verify import instance_code
+from clopen.verify import instance_code, instance_table
 
 CAP = DEFAULT_BOUNDS["enumeration_cap"]  # the catalog instances' enumeration cap
 
@@ -81,6 +81,91 @@ def test_malformed_codes():
     empty = SpaceCode(BairePoint(lambda t: 0), catalog_table("discrete", 1))
     with pytest.raises(MalformedCode):
         decode_metric(empty, 0, 0, window=8)
+
+
+def full_scan(code, i, j, window):
+    """decode_metric's scan over every (m, n), reduced or not: the reference
+    the lowest-terms scan must agree with on every code point."""
+    for m in range(window + 1):
+        for n in range(window + 1):
+            if code.point(quad_code(i, j, m, n)):
+                return Fraction(m, n + 1)
+    raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
+
+
+def _outcome(scan, code, i, j, window):
+    try:
+        return scan(code, i, j, window)
+    except MalformedCode as exc:
+        return f"MalformedCode: {exc}"
+
+
+NON_DEGENERATE = [name for name in CATALOG if not name.startswith("degenerate")]
+
+
+def _decode_table(name):
+    """A small catalog table, or a catalog instance's interleaved table (K=32;
+    K=2 on witness-first-bit)."""
+    if name == "discrete":
+        return catalog_table("discrete", 8)
+    if name == "harmonic":
+        return catalog_table("harmonic", 12)
+    return instance_table(build_instance(builtin_instance(name)))
+
+
+@pytest.mark.parametrize("name", ["discrete", "harmonic", *NON_DEGENERATE])
+def test_lowest_terms_decode_agrees_with_the_full_scan(name):
+    table = _decode_table(name)
+    code = encode_metric(table)
+    pairs = [(i, j) for i in range(table.K) for j in range(table.K)]
+    values = [table.dist(i, j) for i, j in pairs]
+    top = max(v.denominator for v in values)
+    cover = max(top - 1, *(v.numerator for v in values))
+    # at a window that covers the table every entry decodes; one below its
+    # largest denominator the entries with that denominator raise, in both scans
+    for window, decodes in ((cover, True), (top - 2, False)):
+        got = [_outcome(decode_metric, code, i, j, window) for i, j in pairs]
+        assert got == [_outcome(full_scan, code, i, j, window) for i, j in pairs]
+        assert (got == values) is decodes
+
+
+def test_decode_reads_only_the_reduced_positions():
+    # 1 read for 0; k + 2 for 1/(k+1): (0, 0), then (1, 0) .. (1, k); window + 3
+    # for 2: (0, 0), the whole m = 1 row, then (2, 0)
+    table = _decode_table("cantor-split-00")
+    code, window, reads = encode_metric(table), 96, []
+
+    def counted(t):
+        reads.append(t)
+        return code.point(t)
+
+    counting = SpaceCode(counted, table)
+    kinds = set()
+    for i in range(table.K):
+        for j in range(table.K):
+            value = table.dist(i, j)
+            reads.clear()
+            assert decode_metric(counting, i, j, window) == value
+            if value in (0, 2):
+                kinds.add(value)
+                want = 1 if value == 0 else window + 3
+            else:
+                assert value.numerator == 1
+                kinds.add("1/(k+1)")
+                want = value.denominator + 1
+            assert len(reads) == want, (i, j, value)
+    assert kinds == {0, "1/(k+1)", 2}
+
+
+def test_a_non_reduced_bit_alone_is_passed_by():
+    # not a metric code: the only bit set for (0, 1) is (2, 3), which codes 2/4
+    # while the reduced 1/2 at (1, 1) is clear; the full scan reads 1/2 off it
+    point = BairePoint(lambda t: int(t == quad_code(0, 1, 2, 3)))
+    code = SpaceCode(point, catalog_table("discrete", 2))
+    assert full_scan(code, 0, 1, 8) == Fraction(1, 2)
+    with pytest.raises(MalformedCode) as exc:
+        decode_metric(code, 0, 1, window=8)
+    assert str(exc.value) == "no value witnessed for pair (0,1) within window 8"
 
 
 def test_metric_axiom_violations_are_caught():

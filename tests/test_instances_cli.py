@@ -323,6 +323,15 @@ def test_cli_encode_deterministic(tmp_path):
     assert out1.read_text().startswith("format space-code/1")
 
 
+@pytest.mark.parametrize("name, kind", [("degenerate-empty", "empty-set"),
+                                        ("degenerate-full", "empty-complement")])
+def test_cli_encode_of_a_degenerate_instance_is_a_code_file(name, kind, tmp_path):
+    # the ambient stands unchanged: no entries, and the tail rule names the empty side
+    out = tmp_path / "d.code"
+    assert main(["encode", "--instance", name, "--out", str(out)]) == 0
+    assert parse_code_file(out.read_text()) == (name, 0, {}, f"degenerate:{kind}")
+
+
 def test_cli_verify_reports_deterministically(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["verify", "--instance", "witness-first-bit", "--format", "full-report"]

@@ -8,15 +8,33 @@ swapping `a` and `complement` permutes the table by u <-> u xor 1: entry
 (u, v) of one table is entry (u ^ 1, v ^ 1) of the other.  Checked on every
 non-degenerate catalog entry at its table size and on seeded cylinder
 tree-pairs.
+
+Caps only stop, never steer.  A cap that a run does not reach must not
+change its answer: every entry of a catalog table decodes to the same value
+at a window that covers the table and at twice that window, and the code
+file `clopen encode` writes is the same at the instance's enumeration_cap
+and at twice it.
+
+No hash-order dependence.  The code file is the same under two values of
+PYTHONHASHSEED, each in a fresh interpreter.
 """
 
+import contextlib
 import copy
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from clopen.instances import CATALOG, build_instance, parse_instance
+import clopen
+from clopen.cli import main
+from clopen.codes import FORMAT_LINE, decode_metric, encode_metric
+from clopen.instances import CATALOG, DEFAULT_BOUNDS, build_instance, parse_instance
 from clopen.verify import instance_table
 
 NON_DEGENERATE = [name for name in CATALOG if not name.startswith("degenerate")]
@@ -59,3 +77,48 @@ def test_swapping_the_sides_permutes_the_table_by_xor_1(doc):
     k = table.K
     assert [[table.dist(u, v) for v in range(k)] for u in range(k)] == \
         [[swapped.dist(u ^ 1, v ^ 1) for v in range(k)] for u in range(k)]
+
+
+@pytest.mark.parametrize("name", NON_DEGENERATE)
+def test_a_wider_decode_window_reads_the_same_values(name):
+    table = _table(CATALOG[name])
+    code = encode_metric(table)
+    pairs = [(u, v) for u in range(table.K) for v in range(table.K)]
+    values = [table.dist(u, v) for u, v in pairs]
+    window = max(max(d.denominator - 1, d.numerator) for d in values)
+    for w in (window, 2 * window):
+        assert [decode_metric(code, u, v, w) for u, v in pairs] == values
+
+
+def _encode(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    text = out.getvalue()
+    assert text.startswith(FORMAT_LINE + "\n")
+    return text
+
+
+@pytest.mark.parametrize("name", NON_DEGENERATE)
+def test_doubling_the_enumeration_cap_leaves_the_code_file_alone(name, tmp_path):
+    # 100,000 on the tree-pairs, 2,000 on witness-first-bit, each doubled
+    cap = {**DEFAULT_BOUNDS, **CATALOG[name].get("bounds", {})}["enumeration_cap"]
+    texts = []
+    for bound in (cap, 2 * cap):
+        doc = copy.deepcopy(CATALOG[name])
+        doc["bounds"] = {**doc.get("bounds", {}), "enumeration_cap": bound}
+        path = tmp_path / f"cap-{bound}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        texts.append(_encode(["encode", "--instance", str(path)]))
+    assert texts[0] == texts[1]
+
+
+def test_encode_does_not_depend_on_the_hash_seed():
+    src = str(Path(clopen.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "clopen.cli", "encode", "--instance", "cantor-dsl-eq01"]
+    runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+            for seed in ("0", "12345")]
+    texts = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert texts[0] == texts[1] and texts[0].startswith(FORMAT_LINE + "\n")
