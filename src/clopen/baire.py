@@ -117,19 +117,28 @@ def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Optional[int
     """The least k < bound with a(k) != b(k), or None when the points agree
     below the bound; k may be 0, so callers test the result against None.
 
-    The values both points have stored are read first, as one list compare;
-    only past them does the scan query the points, one position at a time.
-    No rule is called at a position past the first disagreement or at the
-    bound or beyond: some rules (image embeddings past their depth) raise
-    there.
+    The values both points have stored are read first, as one list compare
+    over the shorter stored list, whatever the bound: it slices nothing when
+    the lists have one length or are one list, and only the longer list
+    otherwise.  A disagreement found there at or past the bound reads as
+    None.  Only past the stored values does the scan query the points, one
+    position at a time, so a point scanned against itself grows to the
+    bound.  No rule is called at a position past the first disagreement or
+    at the bound or beyond: some rules (image embeddings past their depth)
+    raise there.
     """
     pa, pb = a._prefix, b._prefix
-    stored = min(len(pa), len(pb), bound)
-    if pa[:stored] != pb[:stored]:
-        k = 0
-        while pa[k] == pb[k]:
-            k += 1
-        return k
+    stored = min(len(pa), len(pb))
+    if pa is not pb:
+        if len(pa) > stored:
+            pa = pa[:stored]
+        elif len(pb) > stored:
+            pb = pb[:stored]
+        if pa != pb:
+            k = 0
+            while pa[k] == pb[k]:
+                k += 1
+            return k if k < bound else None
     for k in range(stored, bound):
         if a(k) != b(k):
             return k
@@ -162,7 +171,7 @@ def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = first_disagreement(a, b, budget)
-    return BelowThreshold(Fraction(1, budget)) if k is None else Exact(disagreement_distance(k))
+    return BelowThreshold(_reciprocal(budget)) if k is None else Exact(disagreement_distance(k))
 
 
 def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:

@@ -17,11 +17,13 @@ stem's verdict, its least child once searched and links to its children.
 least_child reads the trie node of its prefix, so a least-child search runs
 once per stem whether a walk or a query asks first.  A branch finds its node
 at its first step past its stem; a step at a node whose least child is known
-is one append and one link, and a fresh step builds the prefix tuple once,
-calls child_bound once and keeps each candidate's verdict in the trie, not
-its tuple.  A miss on either side reads the other side's verdict before it
-runs the predicate, so the predicate sees each stem at most once per tree.
-Each code still grows its own branch.
+is one append and one link.  A fresh step calls child_bound once, builds a
+candidate's stem tuple only to ask or return it, keeps each verdict in the
+trie, not the tuple, and hands the found child's stem to the next step, so
+a run of fresh steps never rebuilds the values so far.  A miss on either
+side reads the other side's verdict before it runs the predicate, skipping
+the flat memo for stems longer than any it holds, so the predicate sees
+each stem at most once per tree.  Each code still grows its own branch.
 
 The stems of a point are its shortest stem and that stem's extensions along
 it, and codes grow under extension, so a code is the least code of its point
@@ -129,6 +131,7 @@ class PrunedTree:
         self.label = label
         self.depth_validated = 0
         self._cache: dict[tuple[int, ...], bool] = {}
+        self._deepest = -1  # the length of the longest stem in _cache
         self._walked: Optional[_Stem] = None  # the trie root, made by the first walk
 
     def admits(self, u: tuple[int, ...]) -> bool:
@@ -140,6 +143,8 @@ class PrunedTree:
             if v is None:
                 v = bool(self._admits(u))
             cache[u] = v
+            if len(u) > self._deepest:
+                self._deepest = len(u)
         return v
 
     def _walked_verdict(self, u: tuple[int, ...]) -> Optional[bool]:
@@ -161,7 +166,7 @@ class PrunedTree:
         node = self._stem(prefix)
         child = node.least
         if child is None:
-            child = self._search(node, prefix)
+            child = self._search(node, prefix)[0]
         return child.entry
 
     def _walk(self, u: tuple[int, ...]) -> Callable[[list[int]], int]:
@@ -169,17 +174,23 @@ class PrunedTree:
 
         The step keeps the trie node of the values so far, found at the first
         step, so a branch never read past its stem adds no node.  A node
-        whose least child is known moves to it; otherwise _search finds it.
+        whose least child is known moves to it; otherwise _search finds it
+        and returns the child's stem, which the step keeps as the values so
+        far.  So a run of fresh steps builds one tuple a step, and only a
+        fresh step after a known one rebuilds the tuple from the values.
         """
         node: Optional[_Stem] = None
+        prefix = u
 
         def step(vals: list[int]) -> int:
-            nonlocal node
+            nonlocal node, prefix
             if node is None:
                 node = self._stem(u)
             child = node.least
             if child is None:
-                child = self._search(node, vals)
+                if len(prefix) != len(vals):
+                    prefix = tuple(vals)
+                child, prefix = self._search(node, prefix)
             node = child
             return child.entry
 
@@ -197,28 +208,33 @@ class PrunedTree:
             node = child
         return node
 
-    def _search(self, node: _Stem, vals: Iterable[int]) -> _Stem:
-        """The least admissible child of the stem vals, with node its trie
-        node, searched up to the child bound, with each verdict read from the
-        trie, then _cache, and only then from the predicate, and kept in the
-        trie.  A search that raises links no least child, so it raises again."""
-        prefix = tuple(vals)
+    def _search(self, node: _Stem, prefix: tuple[int, ...]) -> tuple[_Stem, tuple[int, ...]]:
+        """The least admissible child of the stem prefix, with node its trie
+        node, and the child's stem prefix + (k,), searched up to the child
+        bound.  Each verdict is read from the trie, then from _cache unless
+        the child's stem is longer than every stem there, and only then from
+        the predicate, and kept in the trie; a child stem is built only to
+        be asked or returned.  A search that raises links no least child, so
+        it raises again."""
         bound = self.child_bound(prefix)
         children, cache = node.children, self._cache
+        cached = len(prefix) < self._deepest
         for k in range(bound + 1):
             child = children.get(k)
             if child is None:
                 child = children[k] = _Stem(k)
             v = child.verdict
+            if v is False:
+                continue
+            c = prefix + (k,)
             if v is None:
-                c = prefix + (k,)
-                v = cache.get(c)
+                v = cache.get(c) if cached else None
                 if v is None:
                     v = bool(self._admits(c))
                 child.verdict = v
             if v:
                 node.least = child
-                return child
+                return child, c
         raise ChildSearchExhausted(prefix, f"(bound {bound})")
 
     def __repr__(self) -> str:

@@ -166,6 +166,117 @@ def test_first_disagreement_never_calls_a_rule_past_the_disagreement():
         first_disagreement(BairePoint(rule), eventually_periodic((), (0,)), 100)
 
 
+class _SliceCounting(list):
+    """A stored prefix that counts the slices taken of it."""
+
+    slices = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            _SliceCounting.slices += 1
+        return super().__getitem__(i)
+
+
+def _counted_point(stored, tail):
+    """A point holding stored as a slice-counting prefix; past it the value at
+    n is tail(n), and each computed position is recorded."""
+    computed = []
+    point = BairePoint(lambda n: computed.append(n) or tail(n))
+    point._prefix = _SliceCounting(stored)
+    return point, computed
+
+
+def _scan(a, b, bound):
+    """first_disagreement with the number of stored-prefix slices it took."""
+    _SliceCounting.slices = 0
+    return first_disagreement(a, b, bound), _SliceCounting.slices
+
+
+def test_first_disagreement_on_one_shared_list_slices_nothing():
+    stored = [0, 1, 2, 3, 4, 5]
+    for bound, grown in ((4, []), (6, []), (9, [6, 7, 8])):
+        a, computed = _counted_point(stored, lambda n: n)
+        b = BairePoint(a._rule)
+        b._prefix = a._prefix
+        assert _scan(a, b, bound) == (None, 0)
+        assert _scan(a, a, bound) == (None, 0)
+        # a self-scan grows the point to the bound, one rule call a position
+        assert computed == grown and a._prefix == list(range(max(bound, 6)))
+
+
+@pytest.mark.parametrize("bound,want", [(3, None), (4, None), (5, 4), (6, 4), (9, 4)])
+def test_first_disagreement_on_equal_stored_lengths_slices_nothing(bound, want):
+    # stored lengths 6 against bounds below, at and above them; the lists
+    # differ at 4 only, and the tails at 7 only
+    a, a_computed = _counted_point([0, 1, 2, 3, 4, 5], lambda n: 0)
+    b, b_computed = _counted_point([0, 1, 2, 3, 9, 5], lambda n: 0)
+    assert _scan(a, b, bound) == (want, 0)
+    assert _scan(b, a, bound) == (want, 0)
+    assert a_computed == b_computed == []
+    c, c_computed = _counted_point([0, 1, 2, 3, 4, 5], lambda n: 1 if n == 7 else 0)
+    assert _scan(a, c, bound) == ((7 if bound > 7 else None), 0)
+    assert a_computed == c_computed == list(range(6, min(bound, 8)))
+
+
+@pytest.mark.parametrize("split", [1, 3, 4, 6])
+@pytest.mark.parametrize("bound", [2, 4, 5, 7, 12])
+def test_first_disagreement_on_unequal_stored_lengths_slices_the_longer_once(split, bound):
+    # the shorter list holds 4 values; the points first differ at split:
+    # inside it (1), at its last value (3), at its end (4) and past it (6)
+    values = [10 * n for n in range(12)]
+    longer = values[:8]
+    other = values[:split] + [-1] + values[split + 1:]
+    for shorter_first in (True, False):
+        a, a_computed = _counted_point(other[:4], lambda n: other[n])
+        b, b_computed = _counted_point(longer, lambda n: values[n])
+        got = _scan(a, b, bound) if shorter_first else _scan(b, a, bound)
+        assert got == ((split if split < bound else None), 1)
+        # only the shorter point computes, up to the disagreement or the bound
+        assert a_computed == list(range(4, min(split + 1, bound)))
+        assert b_computed == []
+
+
+def test_first_disagreement_agrees_with_a_plain_scan():
+    rng = random.Random(25)
+    for _ in range(2000):
+        pick = rng.randrange(8)
+        values = [[rng.randrange(2) for _ in range(16)] for _ in range(2)]
+        lengths = [rng.randrange(12) for _ in range(2)]
+        bound = rng.randrange(14)
+        want = next((k for k in range(bound) if values[0][k] != values[1][k]), None)
+        pa, pb = (BairePoint(lambda n, v=v: v[n]) for v in values)
+        pa._prefix, pb._prefix = (v[:n] for v, n in zip(values, lengths))
+        if pick == 0:  # one point twice
+            pb, want = pa, None
+        assert first_disagreement(pa, pb, bound) == want
+
+
+def test_a_self_scan_raises_where_the_rule_raises():
+    def step(vals):
+        if len(vals) == 5:
+            raise IndexError(5)
+        return 0
+
+    point = branch(step, stem=(0, 0))
+    assert first_disagreement(point, point, 5) is None
+    assert point._prefix == [0] * 5
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            first_disagreement(point, point, 8)
+        assert point._prefix == [0] * 5
+    # the same at a distance scan: growing the point is where the rule raises
+    with pytest.raises(IndexError):
+        distance(point, point, 8)
+
+
+def test_distance_thresholds_are_shared_constants():
+    a = eventually_periodic((), (0,))
+    for budget in (1, 7, 256, 512):
+        res = distance(a, a, budget)
+        assert res == BelowThreshold(Fraction(1, budget))
+        assert res.threshold is distance(a, eventually_periodic((), (0,)), budget).threshold
+
+
 def test_distance_requires_budget():
     with pytest.raises(ValueError):
         distance(eventually_periodic((), (0,)), eventually_periodic((), (0,)), 0)

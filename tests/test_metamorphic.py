@@ -13,7 +13,8 @@ Caps only stop, never steer.  A cap that a run does not reach must not
 change its answer: every entry of a catalog table decodes to the same value
 at a window that covers the table and at twice that window, and the code
 file `clopen encode` writes is the same at the instance's enumeration_cap
-and at twice it.
+and at twice it, and the `clopen verify` report at scan budget 256 and at
+512.
 
 No hash-order dependence.  The code file is the same under two values of
 PYTHONHASHSEED, each in a fresh interpreter.
@@ -111,6 +112,22 @@ def test_doubling_the_enumeration_cap_leaves_the_code_file_alone(name, tmp_path)
         path.write_text(json.dumps(doc), encoding="utf-8")
         texts.append(_encode(["encode", "--instance", str(path)]))
     assert texts[0] == texts[1]
+
+
+def _verify(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_doubling_the_scan_budget_leaves_the_verify_report_alone(name):
+    # every distance-oracle scan grows its points past budget 256, where the
+    # catalog instances set it, to 512
+    runs = [_verify(["verify", "--instance", name, "--seed", "5", "--budget", str(budget)])
+            for budget in (256, 512)]
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_encode_does_not_depend_on_the_hash_seed():

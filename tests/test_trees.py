@@ -481,6 +481,74 @@ def test_least_child_of_a_walked_stem_asks_nothing():
     assert bounds == {(1, 0, 1, 1): 1}
 
 
+def _varied_trees():
+    """(id, tree factory) of trees whose branches vary along their length: a
+    cylinder tree with a long prefix, a dsl tree of alternating 0/1 branches
+    and two catalog pair trees."""
+    return [
+        ("cylinders", lambda: cylinder_union_tree([[2, 0, 1, 3, 1, 2, 0, 3], [1, 1]],
+                                                  "cylinders", child_floor=3)),
+        ("dsl", lambda: build_tree(
+            {"rule": "dsl", "child_bound": 1,
+             "node": "all i < len : s(i) <= 1 and (len < i + 2 or s(i) != s(i + 1))"},
+            "tree", label="dsl")),
+        ("pairs-diagonal", lambda: pair_tree(MATRIX_CATALOG["diagonal"](), 1)),
+        ("pairs-first-value-1", lambda: pair_tree(MATRIX_CATALOG["first-value-1"](), 1)),
+    ]
+
+
+@pytest.mark.parametrize("admits_first", [True, False], ids=["admits-first", "walk-first"])
+@pytest.mark.parametrize("make", [pytest.param(make, id=label) for label, make in _varied_trees()])
+def test_a_deep_stem_reaches_the_predicate_once(make, admits_first):
+    # the children of the root branch's length-120 stem, the branch's own
+    # among them, are asked through admits deeper than any walk has gone,
+    # then a walk passes through them (or the other way round); least_child
+    # and admits read the whole line after
+    twin = validated(make(), 2)
+    line = _grown(_reference_branch(twin, ()), 300)
+    tree, asked = _counting(make())
+    fam = DensePointFamily(validated(tree, 2))
+    deep = [line[:120] + (k,) for k in range(tree.child_bound(line[:120]) + 1)]
+    assert line[:121] in deep
+    if admits_first:
+        assert fam.leftmost(0).prefix(50) == line[:50]
+        assert [tree.admits(u) for u in deep] == [twin.admits(u) for u in deep]
+        assert all(asked[u] == 1 for u in deep)
+    assert fam.leftmost(0).prefix(300) == line
+    for n in range(300):
+        assert tree.least_child(line[:n]) == line[n]
+        assert tree.admits(line[:n + 1])
+    for u in deep:
+        tree.admits(u)
+    assert asked and max(asked.values()) == 1
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=label) for label, make in _varied_trees()])
+def test_branches_switching_between_known_and_fresh_nodes_match_the_reference(make):
+    # each walk below reads the trie nodes the walks before it searched, then
+    # nodes nobody searched: fresh, known, fresh, known, fresh along one line
+    # (codes of stems this long are too large to build, so the branches are
+    # made as DensePointFamily makes them, from the tree's walk)
+    twin = validated(make(), 2)
+    tree, asked = _counting(make())
+    validated(tree, 2)
+    stems = list(iter_admissible(twin, 3))
+    for u in (stems[0], stems[-1]):
+        line = _grown(_reference_branch(twin, u), 300)
+        n = len(u)
+        for start, stop in ((n + 80, n + 100), (n + 10, n + 30), (n, 300), (n + 5, 300),
+                            (n + 150, 300)):
+            point = branch(tree._walk(line[:start]), stem=line[:start])
+            assert _grown(point, stop) == line[:stop], (u, start, stop)
+        # stems off the walked line, below a walked node
+        for k in range(tree.child_bound(line[:n + 3]) + 1):
+            v = line[:n + 3] + (k,)
+            if v != line[:n + 4] and tree.admits(v):
+                want = _grown(_reference_branch(twin, v), 300)
+                assert _grown(branch(tree._walk(v), stem=v), 300) == want, v
+    assert max(asked.values()) == 1
+
+
 def test_a_long_walk_keeps_no_prefix_tuples():
     fam = DensePointFamily(validated(cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)))
     point = fam.leftmost(encode((1,)))
