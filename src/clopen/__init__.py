@@ -12,11 +12,10 @@ from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact,
                     first_disagreement, pair_points, slice_point)
 from .coding import (SeqCode, decode, encode, lh, pair_code, pair_count, pair_position,
                      quad_code)
-from .codes import (RationalMetricTable, SpaceCode, decode_metric, encode_metric, interleave,
+from .codes import (RationalMetricTable, decode_metric, encode_metric, interleave,
                     render_code_file)
-from .luzin import (LuzinScheme, ZeroDimPresentation, ambient_presentation,
-                    baire_closed_presentation, cantor_presentation,
-                    discrete_presentation, rescale)
+from .luzin import (LuzinScheme, ZeroDimPresentation, baire_closed_presentation,
+                    cantor_presentation, discrete_presentation, rescale)
 from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
                         membership_in_a, open_ball_distance,

@@ -20,8 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .baire import eventually_periodic
-from .codes import (MalformedCode, RationalMetricTable, encode_metric, entry_line,
-                    render_code_file)
+from .codes import MalformedCode, RationalMetricTable, entry_line, render_code_file
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_instance,
                         builtin_instance, load_json, merge_bounds, parse_instance,
@@ -31,7 +30,7 @@ from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
 from .remetrize import epsilon_code
 from .trees import InsufficientDensePoints, TreeError
 from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
-                     check_tree_valid, instance_code, instance_table, run_instance_suite)
+                     check_tree_valid, instance_table, run_instance_suite)
 from .witness import MATRIX_CATALOG, UseBoundViolation, WitnessClosure, WitnessSearchExhausted
 
 EXIT_OK = 0
@@ -192,9 +191,9 @@ def cmd_encode(args) -> int:
         # the ambient stands unchanged: a code file with no entries, whose tail says why
         table = RationalMetricTable(dist=_no_entry, K=0,
                                     tail_rule=f"degenerate:{built.degenerate}", label=inst.id)
-        _write(args, render_code_file(encode_metric(table), inst.id))
+        _write(args, render_code_file(table, inst.id))
         return EXIT_OK
-    _write(args, render_code_file(instance_code(built), inst.id))
+    _write(args, render_code_file(instance_table(built), inst.id))
     return EXIT_OK
 
 

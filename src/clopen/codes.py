@@ -41,9 +41,12 @@ class MetricAxiomViolation(Exception):
 class RationalMetricTable:
     """A rational-valued metric given as an oracle with a serialized prefix.
 
-    dist must be total on all index pairs; the first K indices are the
-    serialized, axiom-validated prefix and tail_rule names how the rest is
-    generated.
+    The first K indices are the serialized, axiom-validated prefix and
+    tail_rule names how the rest is generated.  Past K, dist is what its
+    maker gives: interleave continues its two enumerations on demand (and
+    raises InsufficientDensePoints past the cap), the catalog tables are
+    closed formulas, and a degenerate instance's K 0 table has no entry, so
+    its dist raises MalformedCode on every pair.
     """
 
     dist: Callable[[int, int], Fraction]
@@ -162,15 +165,7 @@ def validate_metric_table(table: RationalMetricTable) -> None:
     check_metric_axioms(table.dist, table.K)
 
 
-@dataclass
-class SpaceCode:
-    """The 0/1 point coding a rational metric, kept with its source table."""
-
-    point: BairePoint
-    table: RationalMetricTable
-
-
-def encode_metric(table: RationalMetricTable) -> SpaceCode:
+def encode_metric(table: RationalMetricTable) -> BairePoint:
     """The lazily evaluated code point of a metric table.
 
     Position quad_code(i, j, m, n) is 1 exactly when d(i, j) = m/(n+1);
@@ -188,10 +183,10 @@ def encode_metric(table: RationalMetricTable) -> SpaceCode:
         p, q = dist(i, j).as_integer_ratio()
         return 1 if p * (n + 1) == m * q else 0
 
-    return SpaceCode(point=BairePoint(rule), table=table)
+    return BairePoint(rule)
 
 
-def decode_metric(code: SpaceCode, i: int, j: int, window: int) -> Fraction:
+def decode_metric(point: BairePoint, i: int, j: int, window: int) -> Fraction:
     """Read d(i, j) back off a code point.
 
     Scans the quadruple positions for (i, j) in increasing (m, n) order, m and
@@ -207,7 +202,6 @@ def decode_metric(code: SpaceCode, i: int, j: int, window: int) -> Fraction:
     not a metric code, one that sets a non-reduced bit without its reduced
     form, the two can differ: this scan passes such a bit by.
     """
-    point = code.point
     for m in range(window + 1):
         for n in range(window + 1):
             if gcd(m, n + 1) == 1 and point(quad_code(i, j, m, n)):
@@ -268,9 +262,9 @@ def entry_line(i: int, j: int, value: Fraction) -> str:
     return f"{i} {j} {value.numerator}/{value.denominator}"
 
 
-def render_code_file(code: SpaceCode, instance_id: str) -> str:
-    """The canonical textual form of a code: header, reduced table, tail rule."""
-    table = code.table
+def render_code_file(table: RationalMetricTable, instance_id: str) -> str:
+    """The canonical textual form of a table's code: header, reduced table,
+    tail rule."""
     lines = [FORMAT_LINE, f"instance {instance_id}", f"K {table.K}"]
     lines += [entry_line(*row) for row in table.rows()]
     lines.append(f"tail {table.tail_rule}")

@@ -19,7 +19,6 @@ from . import dsl
 from .baire import BairePoint, eventually_periodic
 from .coding import decode, lh
 from .dsl import ParseError
-from .luzin import ambient_presentation
 from .remetrize import SumSpace, identity_representation, witness_representation
 from .trees import (CoverViolation, DensePointFamily, EmptyTreeViolation, PrunedTree,
                     constant_tree, cylinder_union_tree, full_baire_tree, full_cantor_tree,
@@ -384,8 +383,7 @@ def build_instance(inst: InstanceFile) -> BuiltInstance:
         bound = inst.set_desc.get("alphabet_bound", 1)
         part_a = witness_representation(side_a, bound)
         part_c = witness_representation(side_c, bound)
-    ambient = ambient_presentation(ambient_fam, name=f"ambient[{inst.id}]")
-    return BuiltInstance(inst, ambient_fam, SumSpace(part_a, part_c, ambient))
+    return BuiltInstance(inst, ambient_fam, SumSpace(part_a, part_c, ambient_fam))
 
 
 # --- the built-in catalog -----------------------------------------------------

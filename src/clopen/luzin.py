@@ -68,16 +68,15 @@ class ZeroDimPresentation:
                       same index must give the same handle on every call, so
                       the scheme's memos keyed by handle are hit again
     dist           -- exact distance on dense indices
-    dist_to_dense  -- exact distance from a point handle to r_i; None when
-                      the space decides distances between dense points only
+    dist_to_dense  -- exact distance from a point handle to r_i
     witness_bound  -- scan ceiling for dense witnesses in a cell
     """
 
     name: str
     dense_point: Callable[[int], Any]
     dist: Callable[[int, int], Fraction]
-    dist_to_dense: Optional[Callable[[Any, int], Fraction]]
-    witness_bound: int = 64
+    dist_to_dense: Callable[[Any, int], Fraction]
+    witness_bound: int
 
     def ball_member(self, x: Any, i: int, radius: Fraction) -> bool:
         """Exactly decide d(x, r_i) < radius."""
@@ -247,13 +246,3 @@ def baire_closed_presentation(fam: DensePointFamily,
     dist = rescale(partial(dense_pn_distance, fam))
     return ZeroDimPresentation(f"closed[{fam.tree.label}]", lambda i: i, dist,
                                dist_to_dense=dist, witness_bound=witness_bound)
-
-
-def ambient_presentation(fam: DensePointFamily, name: str) -> ZeroDimPresentation:
-    """The metric of baire_closed_presentation with leftmost branches as point
-    handles: with the tree's periodicity hint, any eventually periodic point
-    has an exact distance to them; without one, there is no dist_to_dense."""
-    to_dense = rescale(lambda x, i: exact_distance(x, fam.leftmost(i)))
-    return ZeroDimPresentation(
-        name, fam.leftmost, dist=rescale(partial(dense_pn_distance, fam)),
-        dist_to_dense=to_dense if fam.tree.hint is not None else None)

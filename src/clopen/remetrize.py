@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .baire import BairePoint, disagreement_distance, pair_points, slice_point
+from .baire import BairePoint, disagreement_distance, exact_distance, pair_points, slice_point
 from .coding import pair_code, pair_count, pair_position
-from .luzin import ZeroDimPresentation
+from .luzin import rescale
 from .trees import DensePointFamily, PrunedTree, dense_pn_distance, validate_pruned
 from .witness import WitnessClosure, pair_tree
 
@@ -82,21 +82,28 @@ def identity_representation(tree: PrunedTree) -> ClosedRepresentation:
 
 @dataclass
 class SumSpace:
-    """The direct sum of the two pulled-back sides over an ambient space."""
+    """The direct sum of the two pulled-back sides over an ambient space,
+    given by its dense family."""
 
     part_a: ClosedRepresentation
     part_c: ClosedRepresentation
-    ambient: ZeroDimPresentation
+    ambient: DensePointFamily
 
     def side(self, tag: Side) -> ClosedRepresentation:
         return self.part_a if tag == 0 else self.part_c
 
+    def ambient_distance(self, x: BairePoint, i: int) -> Fraction:
+        """The ambient metric, the rescaled first-disagreement distance, from
+        an eventually periodic point to the ambient's i-th dense point, its
+        leftmost branch: exact when the ambient tree has a periodicity hint."""
+        return rescale(exact_distance)(x, self.ambient.leftmost(i))
+
     @property
     def certifiable(self) -> bool:
         """Whether extension certificates apply: they need exact ambient
-        distances of branch points, i.e. identity sides with tail hints and an
-        ambient presentation with a point-to-dense distance."""
-        return self.ambient.dist_to_dense is not None and all(
+        distances of branch points, i.e. identity sides and an ambient tree,
+        all with tail hints."""
+        return self.ambient.tree.hint is not None and all(
             rep.closure is None and rep.fam.tree.hint is not None
             for rep in (self.part_a, self.part_c))
 
@@ -152,10 +159,10 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     ball, at exact-rational precision.
     """
     rep = sp.side(side)
-    dist_to_dense = sp.ambient.dist_to_dense
-    if dist_to_dense is None:
-        raise CertificateFailure("ambient presentation has no exact point distance")
-    d0 = dist_to_dense(rep.dense_image(s), center)
+    if sp.ambient.tree.hint is None:
+        raise CertificateFailure(f"ambient tree {sp.ambient.tree.label!r} has no "
+                                 "periodicity hint, so no exact point distance")
+    d0 = sp.ambient_distance(rep.dense_image(s), center)
     if d0 >= radius:
         raise NotInterior(f"point {s} on side {side} is not strictly inside "
                           f"the ball ({d0} >= {radius})")
@@ -170,7 +177,7 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
             continue
         if not dense_pn_distance(rep.fam, t, s) < new_radius:
             continue
-        d = dist_to_dense(rep.dense_image(t), center)
+        d = sp.ambient_distance(rep.dense_image(t), center)
         if d >= radius:
             raise CertificateFailure(
                 f"sampled point {t} at new-distance < 1/{k_cert + 1} of {s} "

@@ -24,6 +24,10 @@ a run of fresh steps never rebuilds the values so far.  A miss on either
 side reads the other side's verdict before it runs the predicate, skipping
 the flat memo for stems longer than any it holds, so the predicate sees
 each stem at most once per tree.  Each code still grows its own branch.
+The two stores fit two kinds of traffic: a tuple query hashes one short
+stem, and such queries are most of what encode and the Luzin scheme ask,
+while a walk grows branches to depth 256 and more, where a memo keyed by
+every stem tuple along them would hold memory quadratic in the depth.
 
 The stems of a point are its shortest stem and that stem's extensions along
 it, and codes grow under extension, so a code is the least code of its point

@@ -14,8 +14,8 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
-from .codes import (RationalMetricTable, SpaceCode, check_metric_axioms, decode_metric,
-                    encode_metric, interleave, validate_metric_table)
+from .codes import (RationalMetricTable, check_metric_axioms, decode_metric, encode_metric,
+                    interleave, validate_metric_table)
 from .coding import decode, encode
 from .instances import BuiltInstance
 from .luzin import LuzinScheme, split_level
@@ -180,7 +180,7 @@ def certified_ball_list(sp: SumSpace, per_side: int) -> list[tuple[int, int, int
         for s in codes:
             x = rep.dense_image(s)
             for center in range(4):
-                d0 = sp.ambient.dist_to_dense(x, center)
+                d0 = sp.ambient_distance(x, center)
                 for radius in (Fraction(1, 2), Fraction(1, 4)):
                     if d0 < radius:
                         out.append((side, s, center, radius))
@@ -375,26 +375,21 @@ def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
 # --- instance suite ---------------------------------------------------------------
 
 def instance_table(built: BuiltInstance) -> RationalMetricTable:
-    """The interleaved table at the instance's table_size and enumeration_cap:
-    the one `clopen encode` codes and `clopen remetrize` prints."""
+    """The interleaved table at the instance's table_size and enumeration_cap,
+    checked against the metric axioms: the one path from dense families to
+    the table that `clopen encode` codes, `clopen remetrize` prints and the
+    `interleave` check round-trips."""
     bounds = built.file.bounds
-    return interleave(*built.families(), bounds["table_size"],
-                      bounds["enumeration_cap"], label=built.file.id)
-
-
-def instance_code(built: BuiltInstance) -> SpaceCode:
-    """The instance's metric code: its table, checked against the metric
-    axioms, encoded.  The one path from dense families to a code, run by
-    `clopen encode` and the `interleave` check."""
-    table = instance_table(built)
+    table = interleave(*built.families(), bounds["table_size"],
+                       bounds["enumeration_cap"], label=built.file.id)
     validate_metric_table(table)
-    return encode_metric(table)
+    return table
 
 
 def check_interleaved_table(built: BuiltInstance) -> CheckResult:
     def run():
-        code = instance_code(built)
-        table = code.table
+        table = instance_table(built)
+        code = encode_metric(table)
         probe = min(table.K, 6)
         for i in range(probe):
             for j in range(probe):

@@ -27,7 +27,7 @@ from clopen.trees import (DensePointFamily, constant_tree, cylinder_union_tree,
 from clopen.verify import (certified_ball_list, check_clopen_sides,
                            check_embedding_injective, check_extension_certificates,
                            check_image_tree_pruned, check_luzin_scheme,
-                           check_sum_metric_axioms, check_witness_matrix, instance_code)
+                           check_sum_metric_axioms, check_witness_matrix, instance_table)
 from clopen.witness import WitnessClosure, diagonal_matrix, parity_matrix, \
     zero_tail_matrix
 
@@ -212,7 +212,7 @@ def test_criterion_8_codes():
             for j in range(table.K):
                 assert decode_metric(code, i, j, window=window) == table.dist(i, j)
                 for m, n in all_value_representations(table.dist(i, j), 40):
-                    assert code.point(quad_code(i, j, m, n)) == 1
+                    assert code(quad_code(i, j, m, n)) == 1
                     bits_checked += 1
 
     # the code `clopen encode` writes, at K=24, twice from fresh builds
@@ -221,7 +221,7 @@ def test_criterion_8_codes():
         for _ in range(2):
             inst = builtin_instance(name)
             built = build_instance(replace(inst, bounds={**inst.bounds, "table_size": 24}))
-            texts.append(render_code_file(instance_code(built), name))
+            texts.append(render_code_file(instance_table(built), name))
         assert texts[0] == texts[1]
 
     from clopen.verify import check_code_matches_sum

@@ -6,16 +6,15 @@ import pytest
 
 from clopen.baire import BairePoint
 from clopen.codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable,
-                          SpaceCode, catalog_table, check_metric_axioms, decode_metric,
-                          encode_metric, interleave, parse_code_file, render_code_file,
-                          validate_metric_table)
+                          catalog_table, check_metric_axioms, decode_metric, encode_metric,
+                          interleave, parse_code_file, render_code_file, validate_metric_table)
 from clopen import codes
 from clopen import coding
 from clopen.coding import decode, encode, quad_code
 from clopen.instances import CATALOG, DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
 from clopen.trees import InsufficientDensePoints, dense_pn_distance, dense_pn_rows
-from clopen.verify import instance_code, instance_table
+from clopen.verify import check_interleaved_table, instance_table
 
 CAP = DEFAULT_BOUNDS["enumeration_cap"]  # the catalog instances' enumeration cap
 
@@ -37,18 +36,18 @@ def test_discrete_code_bits_follow_the_formula():
             for m in range(8):
                 for n in range(8):
                     want = (i != j and m == n + 1) or (i == j and m == 0)
-                    assert code.point(quad_code(i, j, m, n)) == (1 if want else 0)
+                    assert code(quad_code(i, j, m, n)) == (1 if want else 0)
 
 
 def test_zero_distance_is_witnessed_everywhere():
     code = encode_metric(catalog_table("discrete", k=8))
-    assert code.point(quad_code(0, 0, 0, 5)) == 1
+    assert code(quad_code(0, 0, 0, 5)) == 1
 
 
 def test_non_quadruple_positions_are_zero():
     code = encode_metric(catalog_table("discrete", k=8))
     for t in (0, 1, 2, 3, 17):
-        assert code.point(t) == 0
+        assert code(t) == 0
 
 
 def test_harmonic_table_is_the_distance_of_the_reciprocals():
@@ -64,7 +63,7 @@ def test_representation_completeness():
     for i in range(6):
         for j in range(6):
             for m, n in representations(table.dist(i, j), 40):
-                assert code.point(quad_code(i, j, m, n)) == 1
+                assert code(quad_code(i, j, m, n)) == 1
 
 
 def test_decode_scan_order_and_round_trip():
@@ -78,7 +77,7 @@ def test_decode_scan_order_and_round_trip():
 
 
 def test_malformed_codes():
-    empty = SpaceCode(BairePoint(lambda t: 0), catalog_table("discrete", 1))
+    empty = BairePoint(lambda t: 0)
     with pytest.raises(MalformedCode):
         decode_metric(empty, 0, 0, window=8)
 
@@ -88,7 +87,7 @@ def full_scan(code, i, j, window):
     the lowest-terms scan must agree with on every code point."""
     for m in range(window + 1):
         for n in range(window + 1):
-            if code.point(quad_code(i, j, m, n)):
+            if code(quad_code(i, j, m, n)):
                 return Fraction(m, n + 1)
     raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
 
@@ -137,15 +136,14 @@ def test_decode_reads_only_the_reduced_positions():
 
     def counted(t):
         reads.append(t)
-        return code.point(t)
+        return code(t)
 
-    counting = SpaceCode(counted, table)
     kinds = set()
     for i in range(table.K):
         for j in range(table.K):
             value = table.dist(i, j)
             reads.clear()
-            assert decode_metric(counting, i, j, window) == value
+            assert decode_metric(counted, i, j, window) == value
             if value in (0, 2):
                 kinds.add(value)
                 want = 1 if value == 0 else window + 3
@@ -160,8 +158,7 @@ def test_decode_reads_only_the_reduced_positions():
 def test_a_non_reduced_bit_alone_is_passed_by():
     # not a metric code: the only bit set for (0, 1) is (2, 3), which codes 2/4
     # while the reduced 1/2 at (1, 1) is clear; the full scan reads 1/2 off it
-    point = BairePoint(lambda t: int(t == quad_code(0, 1, 2, 3)))
-    code = SpaceCode(point, catalog_table("discrete", 2))
+    code = BairePoint(lambda t: int(t == quad_code(0, 1, 2, 3)))
     assert full_scan(code, 0, 1, 8) == Fraction(1, 2)
     with pytest.raises(MalformedCode) as exc:
         decode_metric(code, 0, 1, window=8)
@@ -320,14 +317,13 @@ def test_a_starved_side_raises_insufficient_dense_points():
     inst = builtin_instance("witness-first-bit")
     bounds = {**inst.bounds, "table_size": 40, "enumeration_cap": 2000}
     with pytest.raises(InsufficientDensePoints):
-        instance_code(build_instance(replace(inst, bounds=bounds)))
+        instance_table(build_instance(replace(inst, bounds=bounds)))
 
 
 def test_code_file_round_trip():
     fam_a, fam_c = _families()
     table = interleave(fam_a, fam_c, 8, cap=CAP, label="roundtrip")
-    code = encode_metric(table)
-    text = render_code_file(code, "roundtrip")
+    text = render_code_file(table, "roundtrip")
     inst_id, k, entries, tail = parse_code_file(text)
     assert inst_id == "roundtrip" and k == 8 and tail == "interleave:roundtrip"
     for (i, j), value in entries.items():
@@ -397,7 +393,7 @@ def test_malformed_code_files_name_their_line(text, message):
 def test_rendered_catalog_file_parses_to_its_table():
     built = build_instance(builtin_instance("cantor-split-0"))
     table = interleave(*built.families(), 8, cap=CAP, label="cantor-split-0")
-    text = render_code_file(encode_metric(table), "cantor-split-0")
+    text = render_code_file(table, "cantor-split-0")
     inst_id, k, entries, tail = parse_code_file(text)
     assert (inst_id, k, tail) == ("cantor-split-0", 8, "interleave:cantor-split-0")
     assert entries == {(i, j): value for i, j, value in table.rows()}
@@ -416,7 +412,7 @@ def test_code_point_rule_matches_its_definition():
     table = RationalMetricTable(
         dist=lambda i, j: Fraction(0) if i == j else Fraction(1, 3) if (i + j) % 2 else Fraction(2),
         K=6, tail_rule="test", label="test")
-    point = encode_metric(table).point
+    point = encode_metric(table)
     rng = random.Random(1401)
     positions = [0, encode((0,)), encode((1, 2)), encode((1, 2, 1)), encode((1, 2, 1, 2, 0)),
                  encode((0, 1, 1, 2, 7)), quad_code(3, 3, 0, 0), quad_code(3, 3, 0, 9),
@@ -436,11 +432,12 @@ def test_code_point_rule_matches_its_definition():
 
 
 def test_decode_metric_leaves_the_decode_cache_alone():
-    code = encode_metric(catalog_table("harmonic", 8))
+    table = catalog_table("harmonic", 8)
+    code = encode_metric(table)
     before = coding.decode.cache_info()
     values = [decode_metric(code, i, j, window=64) for i in range(8) for j in range(8)]
     after = coding.decode.cache_info()
-    assert values == [code.table.dist(i, j) for i in range(8) for j in range(8)]
+    assert values == [table.dist(i, j) for i in range(8) for j in range(8)]
     assert after.currsize == before.currsize
     assert after.hits + after.misses == before.hits + before.misses
 
@@ -465,7 +462,7 @@ def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
     table = interleave(fam_a, fam_c, 12, cap=CAP, label="once")
     validate_metric_table(table)
     code = encode_metric(table)
-    render_code_file(code, "once")
+    render_code_file(table, "once")
     for i in range(6):
         for j in range(6):
             assert decode_metric(code, 2 * i, 2 * j + i % 2, window=64) == table.dist(
@@ -509,7 +506,7 @@ def test_interleaved_symmetry_compares_the_two_rows(monkeypatch):
 
 def test_a_repeated_value_text_is_still_checked_on_its_line():
     fam_a, fam_c = _families()
-    text = render_code_file(encode_metric(interleave(fam_a, fam_c, 4, cap=CAP, label="x")), "x")
+    text = render_code_file(interleave(fam_a, fam_c, 4, cap=CAP, label="x"), "x")
     lines = text.splitlines()
     assert lines[3] == "0 0 0/1" and lines[4] == "0 1 2/1"
     # a second 0/1, off the diagonal
@@ -521,3 +518,22 @@ def test_a_repeated_value_text_is_still_checked_on_its_line():
     diag = lines[:7] + ["1 1 2/1"] + lines[8:]
     with pytest.raises(MalformedCode, match="^line 8: d\\(1, 1\\) = 2 is not a metric value"):
         parse_code_file("\n".join(diag) + "\n")
+
+
+def test_instance_table_checks_the_metric_axioms(monkeypatch):
+    # a symmetric entry of 3 on side a breaks the triangle through index 0,
+    # since a side's distances are at most 1; encode, remetrize and the
+    # interleave check all read the table instance_table checked, so none of
+    # them reads the planted value unchecked
+    def planted(fam, side_codes):
+        rows = dense_pn_rows(fam, side_codes)
+        if fam is built.families()[0]:
+            rows[1][2] = rows[2][1] = Fraction(3)
+        return rows
+
+    built = build_instance(builtin_instance("cantor-split-0"))
+    monkeypatch.setattr(codes, "dense_pn_rows", planted)
+    with pytest.raises(MetricAxiomViolation) as exc:
+        instance_table(built)
+    assert exc.value.kind == "triangle"
+    assert check_interleaved_table(built).detail.startswith("MetricAxiomViolation: triangle")

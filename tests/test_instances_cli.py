@@ -14,7 +14,8 @@ from clopen.coding import pair
 from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
-from clopen.verify import instance_code, instance_table, run_instance_suite
+from clopen.remetrize import CertificateFailure, extension_certificate
+from clopen.verify import instance_table, run_instance_suite
 
 MINIMAL = """
 {
@@ -442,16 +443,30 @@ def test_cli_witness_point_descriptor(tmp_path):
     assert "witness 3 1 1 1" in out.read_text()
 
 
-def test_hint_free_ambient_is_not_certifiable():
-    # a dsl ambient tree has no periodicity hint, so its branches have no
-    # exact distance to an instance point and no extension certificate applies
+def _hint_free_ambient():
+    """MINIMAL over a dsl ambient tree, which has no periodicity hint."""
     doc = json.loads(MINIMAL)
     doc["ambient"] = {"kind": "tree", "tree": {"rule": "dsl", "child_bound": 1,
                                                "node": "all i < len : s(i) <= 1"}}
-    sp = build_instance(parse_instance(json.dumps(doc))).sum_space
-    assert sp.ambient.dist_to_dense is None
+    return build_instance(parse_instance(json.dumps(doc)))
+
+
+def test_hint_free_ambient_is_not_certifiable():
+    # without a hint the ambient's branches have no exact distance to an
+    # instance point, so no extension certificate applies
+    built = _hint_free_ambient()
+    sp = built.sum_space
+    assert sp.ambient is built.ambient_fam and sp.ambient.tree.hint is None
     assert not sp.certifiable
     assert build_instance(parse_instance(MINIMAL)).sum_space.certifiable
+
+
+def test_a_certificate_over_a_hint_free_ambient_names_the_missing_hint():
+    sp = _hint_free_ambient().sum_space
+    with pytest.raises(CertificateFailure) as exc:
+        extension_certificate(sp, 0, 0, 0, Fraction(1, 2))
+    assert str(exc.value) == ("ambient tree 'ambient' has no periodicity hint, "
+                              "so no exact point distance")
 
 
 def test_cli_unreadable_paths_exit_2(tmp_path, capsys):
@@ -602,7 +617,7 @@ def test_a_file_built_twice_shares_its_parts_and_reports_alike(name):
     inst = builtin_instance(name)
     first, second = build_instance(inst), build_instance(inst)
     assert first.ambient_fam.tree is second.ambient_fam.tree is inst.parts[0]
-    reports = [(render_code_file(instance_code(built), built.file.id),
+    reports = [(render_code_file(instance_table(built), built.file.id),
                 [r.line() for r in run_instance_suite(built, axiom_count=20, seed=0)])
                for built in (first, second)]
     assert reports[0] == reports[1]

@@ -8,9 +8,8 @@ import pytest
 
 from clopen.baire import eventually_periodic, exact_distance
 from clopen.coding import encode
-from clopen.luzin import (CellSearchExhausted, LuzinScheme, ambient_presentation,
-                          baire_closed_presentation, cantor_presentation,
-                          discrete_presentation, rescale, split_level)
+from clopen.luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
+                          cantor_presentation, discrete_presentation, rescale, split_level)
 from clopen.trees import (DensePointFamily, dense_pn_distance, full_cantor_tree,
                           validate_pruned)
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
@@ -342,13 +341,9 @@ def test_ball_stage_matches_the_plain_rescaled_comparison(make, raw):
 
 
 def test_dense_handles_are_stable():
-    tree = full_cantor_tree()
-    validate_pruned(tree, 4)
-    ambient = ambient_presentation(DensePointFamily(tree), "ambient")
-    cantor = cantor_presentation(witness_bound=8)
-    for pres in (cantor, ambient):
-        for i in range(12):
-            assert pres.dense_point(i) is pres.dense_point(i)
+    pres = cantor_presentation(witness_bound=8)
+    for i in range(12):
+        assert pres.dense_point(i) is pres.dense_point(i)
 
 
 def test_cantor_trio_distance_calls_stay_per_dense_index():

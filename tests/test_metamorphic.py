@@ -14,7 +14,9 @@ change its answer: every entry of a catalog table decodes to the same value
 at a window that covers the table and at twice that window, and the code
 file `clopen encode` writes is the same at the instance's enumeration_cap
 and at twice it, and the `clopen verify` report at scan budget 256 and at
-512.
+512.  `clopen embed` prints the same cell indices at witness bounds 16, 64
+and 256, on the two-symbol space and on a closed subset of Baire space:
+every printed index lies within the smallest bound.
 
 No hash-order dependence.  The code file is the same under two values of
 PYTHONHASHSEED, each in a fresh interpreter.
@@ -114,7 +116,7 @@ def test_doubling_the_enumeration_cap_leaves_the_code_file_alone(name, tmp_path)
     assert texts[0] == texts[1]
 
 
-def _verify(argv):
+def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(argv)
@@ -125,9 +127,16 @@ def _verify(argv):
 def test_doubling_the_scan_budget_leaves_the_verify_report_alone(name):
     # every distance-oracle scan grows its points past budget 256, where the
     # catalog instances set it, to 512
-    runs = [_verify(["verify", "--instance", name, "--seed", "5", "--budget", str(budget)])
+    runs = [_run(["verify", "--instance", name, "--seed", "5", "--budget", str(budget)])
             for budget in (256, 512)]
     assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+@pytest.mark.parametrize("space", [["--space", "cantor", "--count", "8"],
+                                   ["--space", "baire-closed", "--instance", "baire-split-0"]])
+def test_a_wider_witness_bound_leaves_the_embedding_alone(space):
+    runs = [_run(["embed", *space, "--witness-bound", str(bound)]) for bound in (16, 64, 256)]
+    assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0
 
 
 def test_encode_does_not_depend_on_the_hash_seed():

@@ -6,9 +6,10 @@ own admissibility and leftmost-branch rules, its own enumeration of distinct
 branches.  Each layer is compared with it on seeded cylinder sides over 2-5
 symbols: sequence decoding, `cylinder_union_tree`, leftmost branches, dense
 distances, `enumerate_distinct`, and the table `encode` writes through the
-command line and the code-file reader.  Where the oracle finds too few
-distinct points below the enumeration cap, the library must raise
-`InsufficientDensePoints` and `encode` must exit 1.
+command line and the code-file reader.  Most sides set `child_bound` to the
+largest symbol, m - 1; one seeded pair sets it higher.  Where the oracle
+finds too few distinct points below the enumeration cap, the library must
+raise `InsufficientDensePoints` and `encode` must exit 1.
 """
 
 import importlib.util
@@ -101,26 +102,33 @@ def test_cylinder_trees_admit_what_the_oracle_admits(oracle, m):
                 assert tree.admits(u) == side.admits(u), (side.prefixes, u)
 
 
+def _check_branches(tree, side, stems):
+    fam = DensePointFamily(tree)
+    for u in stems:
+        assert fam.leftmost(encode(u)).prefix(8) == side.branch(u, 8), (side.prefixes, u)
+
+
+def _check_distances(tree, side, stems):
+    fam = DensePointFamily(tree)
+    for u, v in itertools.product(stems, repeat=2):
+        length = max(len(u), len(v)) + side.max_len + 1
+        split = next((k for k, (a, b) in enumerate(zip(side.branch(u, length),
+                                                       side.branch(v, length)))
+                      if a != b), None)
+        want = Fraction(0) if split is None else Fraction(1, split + 1)
+        assert dense_pn_distance(fam, encode(u), encode(v)) == want, (side.prefixes, u, v)
+
+
 @pytest.mark.parametrize("m", ALPHABETS)
 def test_leftmost_branches_match_the_oracle(oracle, m):
     for tree, side in _pairs(m, oracle):
-        fam = DensePointFamily(tree)
-        for u in _stems(side, m, 3):
-            assert fam.leftmost(encode(u)).prefix(8) == side.branch(u, 8), (side.prefixes, u)
+        _check_branches(tree, side, _stems(side, m, 3))
 
 
 @pytest.mark.parametrize("m", ALPHABETS)
 def test_dense_distances_match_the_oracle(oracle, m):
     for tree, side in _pairs(m, oracle):
-        fam = DensePointFamily(tree)
-        stems = _stems(side, m, 2)
-        for u, v in itertools.product(stems, repeat=2):
-            length = max(len(u), len(v)) + side.max_len + 1
-            split = next((k for k, (a, b) in enumerate(zip(side.branch(u, length),
-                                                           side.branch(v, length)))
-                          if a != b), None)
-            want = Fraction(0) if split is None else Fraction(1, split + 1)
-            assert dense_pn_distance(fam, encode(u), encode(v)) == want, (side.prefixes, u, v)
+        _check_distances(tree, side, _stems(side, m, 2))
 
 
 @pytest.mark.parametrize("m", ALPHABETS)
@@ -142,16 +150,19 @@ def test_enumerate_distinct_matches_the_oracle_stems(oracle, m):
     assert "listed" in outcomes
 
 
-def _pair_doc(inst_id, m, a, c):
+def _pair_doc(inst_id, m, a, c, child_bound=None):
+    """A tree-pair over m symbols whose sides search children up to
+    child_bound, m - 1 unless given."""
+    bound = m - 1 if child_bound is None else child_bound
     ambient = ({"kind": "cantor"} if m == 2 else
                {"kind": "tree", "tree": {"rule": "cylinders",
                                          "prefixes": [[k] for k in range(m)],
                                          "child_bound": m - 1}})
     return {"format": "instance/1", "id": inst_id, "ambient": ambient,
             "set": {"kind": "tree-pair",
-                    "a": {"rule": "cylinders", "prefixes": a, "child_bound": m - 1},
+                    "a": {"rule": "cylinders", "prefixes": a, "child_bound": bound},
                     "complement": {"rule": "cylinders", "prefixes": c,
-                                   "child_bound": m - 1}},
+                                   "child_bound": bound}},
             "bounds": {"table_size": TABLE_SIZE, "enumeration_cap": CAP}}
 
 
@@ -199,3 +210,25 @@ def test_encode_matches_the_oracle_on_prefix_partitions(oracle, m, tmp_path, cap
         doc = _pair_doc(f"partition-{m}-{index}", m, *_partition(rng, m))
         checked += _encode_against(oracle, doc, tmp_path, capsys)
     assert checked
+
+
+def test_a_child_bound_above_the_alphabet_matches_the_oracle(oracle, tmp_path, capsys):
+    # a seeded split over m symbols whose sides search children up to m + 1
+    # or more: the least admissible child is found before the search passes
+    # m - 1, so branches, distances and the written table are the oracle's
+    # at the same child floor, stems with the extra symbols included
+    rng = random.Random(8087)
+    m = rng.randint(2, 5)
+    bound = m - 1 + rng.randint(2, 4)
+    sides = _split(rng, m)
+    for prefixes in sides:
+        tree = cylinder_union_tree(prefixes, "side", child_floor=bound)
+        validate_pruned(tree, 4)
+        side = oracle.CylinderSide(prefixes, bound)
+        # one entry past the longest prefix, where every symbol is admitted
+        stems = _stems(side, bound + 1, side.max_len + 1)
+        assert any(max(u, default=0) >= m for u in stems)
+        _check_branches(tree, side, stems)
+        _check_distances(tree, side, stems)
+    doc = _pair_doc("wide-bound", m, *sides, child_bound=bound)
+    assert _encode_against(oracle, doc, tmp_path, capsys) == TABLE_SIZE * (TABLE_SIZE + 1) // 2

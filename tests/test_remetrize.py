@@ -5,7 +5,6 @@ import pytest
 from clopen.baire import Exact, distance, slice_point
 from clopen.coding import encode, pair_code
 from clopen.instances import build_instance, builtin_instance
-from clopen.luzin import ambient_presentation
 from clopen.remetrize import (CertificateFailure, ClosedRepresentation, NotInterior,
                               OnBoundary, SumSpace, distance_to_sphere, epsilon_code,
                               extension_certificate, membership_in_a,
@@ -117,7 +116,7 @@ def test_extension_certificate_recovers_radius_class():
 def test_extension_certificate_not_interior():
     sp = built("cantor-split-0").sum_space
     s = encode((0,))
-    d0 = sp.ambient.dist_to_dense(sp.part_a.dense_image(s), 1)
+    d0 = sp.ambient_distance(sp.part_a.dense_image(s), 1)
     with pytest.raises(NotInterior):
         extension_certificate(sp, 0, s, center=1, radius=d0)
 
@@ -129,8 +128,7 @@ def _cantor_sum_space(map_modulus):
     side = ClosedRepresentation(fam=DensePointFamily(tree), map_point=lambda branch: branch,
                                 map_modulus=map_modulus,
                                 inverse_modulus=lambda branch, k: k + 1)
-    return SumSpace(part_a=side, part_c=side,
-                    ambient=ambient_presentation(DensePointFamily(tree), "ambient"))
+    return SumSpace(part_a=side, part_c=side, ambient=DensePointFamily(tree))
 
 
 def test_extension_certificate_samples_exactly_the_new_ball():

@@ -4,7 +4,6 @@ import pytest
 
 from clopen.baire import BairePoint, first_disagreement
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
-from clopen.luzin import cantor_presentation
 from clopen.remetrize import ClosedRepresentation, SumSpace
 from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
 from clopen.verify import check_two_sided_continuity, run_instance_suite, side_sample_branches
@@ -69,7 +68,7 @@ def test_continuity_reads_a_split_at_position_0_as_a_disagreement():
     shift = ClosedRepresentation(fam=DensePointFamily(tree), map_point=shifted,
                                  map_modulus=lambda k: max(k - 1, 0),
                                  inverse_modulus=lambda branch, k: k + 2)
-    sp = SumSpace(part_a=shift, part_c=shift, ambient=cantor_presentation(witness_bound=64))
+    sp = SumSpace(part_a=shift, part_c=shift, ambient=DensePointFamily(tree))
     branches = side_sample_branches(shift, 4)
     assert first_disagreement(branches[0], branches[1], 4) == 0
     assert first_disagreement(shifted(branches[0]), shifted(branches[1]), 4) == 1
