@@ -20,7 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .baire import eventually_periodic
-from .codes import MalformedCode, RationalMetricTable, entry_line, render_code_file
+from .codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable, entry_line,
+                    render_code_file)
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_instance,
                         builtin_instance, load_json, merge_bounds, parse_instance,
@@ -311,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (TreeError, UseBoundViolation) as exc:  # the instance breaks its own contract
         print(f"validation failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MetricAxiomViolation as exc:  # a table the axiom check rejects
+        print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (CellSearchExhausted, WitnessSearchExhausted, InsufficientDensePoints) as exc:
         print(f"search exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)

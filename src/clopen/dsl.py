@@ -12,6 +12,12 @@ quantifiers only:
 Quantifier bodies extend as far right as possible; parenthesize when mixing.
 Unbounded quantification is not expressible: the grammar requires the
 "< bound" part, which keeps every predicate decidable.
+
+A node predicate that bounds its stem's entries one by one, such as
+`all i < len : s(i) <= 1`, would read the whole stem at each child a walk
+asks about.  position_step recognises such position-local conjuncts by a
+syntactic test and gives the predicate's step form, which decides a child
+of an admitted stem from the child's last entry and the other conjuncts.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Optional, Union
 
 KEYWORDS = {"all", "some", "and", "or", "not"}
 _SYMBOLS = ("<=", ">=", "==", "!=", "<", ">", "+", "*", "(", ")", ":", ",")
@@ -368,6 +374,62 @@ def compile(e: Expr) -> Compiled:
     args = ast.arguments([], [ast.arg("env")], None, [], [], None, [])
     tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
     return eval(builtins.compile(tree, "<dsl>", "eval"), _GLOBALS)
+
+
+def position_step(e: Expr, sequence: str, length: str) -> Optional[tuple[Expr, tuple[str, ...]]]:
+    """The step form of a predicate e on a sequence and its length, with the
+    quantifier variables it reads free, or None when e has no position-local
+    conjunct.
+
+    A top-level conjunct `all i < length : φ` is position-local when φ reads
+    the sequence only as sequence(i), never reads length, and no quantifier
+    in it rebinds i (a syntactic test; i naming the sequence or the length
+    fails it too).  Such a conjunct holds on u + (k,) exactly when it holds
+    on u and φ holds with i = len(u), where sequence(i) is k.  The step form
+    is e with each such conjunct replaced by its φ.  So on a stem u that e
+    admits, e holds on u + (k,) exactly when the step form holds there with
+    each returned variable bound to len(u): it reads the new entry of each
+    position-local conjunct, and the other conjuncts whole.
+    """
+    conjuncts, stack = [], [e]
+    while stack:  # the top-level conjuncts, left to right
+        c = stack.pop()
+        if isinstance(c, BinOp) and c.op == "and":
+            stack += (c.right, c.left)
+        else:
+            conjuncts.append(c)
+    positions: list[str] = []
+    for n, c in enumerate(conjuncts):
+        if (isinstance(c, Quant) and c.kind == "all" and c.bound == Var(length)
+                and c.var not in (sequence, length)
+                and _reads_only_at(c.body, c.var, sequence, length)):
+            conjuncts[n] = c.body
+            positions.append(c.var)
+    if not positions:
+        return None
+    step = conjuncts[0]
+    for c in conjuncts[1:]:
+        step = BinOp("and", step, c)
+    return step, tuple(dict.fromkeys(positions))
+
+
+def _reads_only_at(e: Expr, var: str, sequence: str, length: str) -> bool:
+    """Whether e reads no sequence but sequence(var), never reads length, and
+    binds none of var, sequence and length."""
+    if isinstance(e, Num):
+        return True
+    if isinstance(e, Var):
+        return e.name != length
+    if isinstance(e, Access):
+        return e.name == sequence and e.arg == Var(var)
+    if isinstance(e, Not):
+        return _reads_only_at(e.body, var, sequence, length)
+    if isinstance(e, Quant):
+        return (e.var not in (var, sequence, length)
+                and _reads_only_at(e.bound, var, sequence, length)
+                and _reads_only_at(e.body, var, sequence, length))
+    return (_reads_only_at(e.left, var, sequence, length)
+            and _reads_only_at(e.right, var, sequence, length))
 
 
 def evaluate(e: Expr, env: Env):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Container, Optional
+from typing import Any, Callable, Container, Optional
 
 from . import dsl
 from .baire import BairePoint, eventually_periodic
@@ -105,14 +105,14 @@ _EXPR_FIELDS = {
 }
 
 
-def _expr(fld: str, text: Any, path: str) -> dsl.Compiled:
-    """The compiled expression of a field, of the field's sort and reading only
-    the names the field binds.  An expression nested past the recursion limit
-    is a ParseError naming the field."""
+def _expr(fld: str, text: Any, path: str, build: Callable[[dsl.Expr], Any]) -> Any:
+    """build(e), for e the parsed expression of a field, of the field's sort
+    and reading only the names the field binds.  An expression nested past
+    the recursion limit is a ParseError naming the field."""
     if not isinstance(text, str):
         raise _err(f"{path}: {fld!r} must be an expression string")
     try:
-        return dsl.compile(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
+        return build(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
     except RecursionError:
         raise _err(f"{path}: {fld!r} is nested too deeply") from None
 
@@ -218,9 +218,9 @@ def build_tree(desc: Any, path: str, label: str) -> PrunedTree:
         floor = _nat(desc, "child_bound", path, "'child_bound' must be a natural number", 0)
         return cylinder_union_tree(prefixes, label=label, child_floor=floor)
     if rule == "dsl":
-        node = _expr("node", desc.get("node"), path)
+        admits, step = _expr("node", desc.get("node"), path, _node_verdicts)
         bound = _nat(desc, "child_bound", path, "dsl trees need a natural 'child_bound'")
-        return dsl_tree(node, bound, label=label)
+        return _DslTree(admits, step, bound, label)
     # the explicit rule
     nodes, depth = desc.get("nodes"), desc.get("depth")
     if not (isinstance(nodes, list) and all(map(_is_nat, nodes)) and _is_nat(depth)):
@@ -237,15 +237,41 @@ def build_tree(desc: Any, path: str, label: str) -> PrunedTree:
     return explicit_tree(nodes, depth, continuation, label=label)
 
 
-def dsl_tree(node: dsl.Compiled, child_bound: int, label: str) -> PrunedTree:
-    """A tree whose node predicate is a compiled expression over (s, len)."""
+_Verdict = Callable[[tuple[int, ...]], bool]  # a verdict on stems
 
-    def admits(u: tuple[int, ...]) -> bool:
+
+def _node_verdicts(node: dsl.Expr) -> tuple[_Verdict, Optional[_Verdict]]:
+    """The node predicate on stems and, when the node has a position-local
+    conjunct, its verdict on a child of an admitted stem, which reads that
+    conjunct at the child's last entry only (dsl.position_step)."""
+    step = dsl.position_step(node, "s", "len")
+    return (_on_stems(dsl.compile(node), ()),
+            None if step is None else _on_stems(dsl.compile(step[0]), step[1]))
+
+
+def _on_stems(fn: dsl.Compiled, positions: tuple[str, ...]) -> _Verdict:
+    """fn as a predicate on stems u: s reads u (0 past its ends), len is
+    len(u) and each of positions names u's last position."""
+
+    def verdict(u: tuple[int, ...]) -> bool:
         n = len(u)
         env = {"s": (lambda i: u[i] if 0 <= i < n else 0), "len": n}
-        return bool(node(env))
+        for name in positions:
+            env[name] = n - 1
+        return bool(fn(env))
 
-    return PrunedTree(admits, lambda u: child_bound, label=label)
+    return verdict
+
+
+class _DslTree(PrunedTree):
+    """A tree whose node predicate is a compiled expression over (s, len),
+    with the step verdict of its position-local conjuncts, or None when it
+    has none."""
+
+    def __init__(self, admits: _Verdict, step: Optional[_Verdict], child_bound: int,
+                 label: str):
+        super().__init__(admits, lambda u: child_bound, label)
+        self._step_verdict = step
 
 
 def explicit_tree(nodes: list[int], depth: int, continuation: PrunedTree,
@@ -285,7 +311,7 @@ def point_from_descriptor(desc: dict[str, Any]):
         raise _err("a point descriptor must be a JSON object")
     _only(desc, ("rule",) if "rule" in desc else ("pre", "period"), "point: ")
     if "rule" in desc:
-        rule = _expr("rule", desc["rule"], "point")
+        rule = _expr("rule", desc["rule"], "point", dsl.compile)
         return BairePoint(lambda n: int(rule({"n": n})))
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
@@ -308,7 +334,7 @@ def build_matrix(desc: Any, path: str) -> Pi02Matrix:
         if not _is_name(desc.get("name"), MATRIX_CATALOG):
             raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return MATRIX_CATALOG[desc["name"]]()
-    r_fn, use_fn = (_expr(fld, desc.get(fld), path) for fld in ("r", "use_bound"))
+    r_fn, use_fn = (_expr(fld, desc.get(fld), path, dsl.compile) for fld in ("r", "use_bound"))
     budget = _nat(desc, "per_n_budget", path, "dsl matrices need a natural 'per_n_budget'")
 
     def r(a, n: int, m: int) -> bool:

@@ -23,7 +23,13 @@ trie, not the tuple, and hands the found child's stem to the next step, so
 a run of fresh steps never rebuilds the values so far.  A miss on either
 side reads the other side's verdict before it runs the predicate, skipping
 the flat memo for stems longer than any it holds, so the predicate sees
-each stem at most once per tree.  Each code still grows its own branch.
+each stem at most once per tree.  A tree may also have a step verdict,
+which decides a child stem of a stem it admits and may read less than the
+predicate: a dsl tree whose node has a position-local conjunct reads that
+conjunct at the child's last entry only (dsl.position_step).  A search asks
+it only below a stem the trie or the flat memo records as admitted, and
+the predicate everywhere else, and each stem still reaches one of the two
+at most once.  Each code still grows its own branch.
 The two stores fit two kinds of traffic: a tuple query hashes one short
 stem, and such queries are most of what encode and the Luzin scheme ask,
 while a walk grows branches to depth 256 and more, where a memo keyed by
@@ -122,6 +128,10 @@ class PrunedTree:
                    periodicity promise for the leftmost branch through a node
     """
 
+    # a subclass's verdict on a child stem of a stem it admits, which may read
+    # less than the predicate; it must agree with the predicate there
+    _step_verdict: Optional[Callable[[tuple[int, ...]], bool]] = None
+
     def __init__(
         self,
         admits: Callable[[tuple[int, ...]], bool],
@@ -182,6 +192,11 @@ class PrunedTree:
         and returns the child's stem, which the step keeps as the values so
         far.  So a run of fresh steps builds one tuple a step, and only a
         fresh step after a known one rebuilds the tuple from the values.
+        Every stem a step searches below is admitted and recorded so: u in
+        the flat memo, since the family asks admits about u before it walks,
+        and each later one in the trie.  So each fresh step asks the tree's step
+        verdict where it has one, and on a dsl tree with a position-local
+        conjunct a branch grown to depth n reads O(n) entries, not O(n^2).
         """
         node: Optional[_Stem] = None
         prefix = u
@@ -216,13 +231,19 @@ class PrunedTree:
         """The least admissible child of the stem prefix, with node its trie
         node, and the child's stem prefix + (k,), searched up to the child
         bound.  Each verdict is read from the trie, then from _cache unless
-        the child's stem is longer than every stem there, and only then from
-        the predicate, and kept in the trie; a child stem is built only to
-        be asked or returned.  A search that raises links no least child, so
-        it raises again."""
+        the child's stem is longer than every stem there, and only then
+        asked, and kept in the trie; a child stem is built only to be asked
+        or returned.  The tree's step verdict is asked when it has one and
+        the trie or _cache records prefix as admitted, which is what the
+        step verdict rests on; else the predicate is.  A search that raises
+        links no least child, so it raises again."""
         bound = self.child_bound(prefix)
         children, cache = node.children, self._cache
         cached = len(prefix) < self._deepest
+        ask = self._step_verdict
+        if ask is None or not (node.verdict or (len(prefix) <= self._deepest
+                                                 and cache.get(prefix))):
+            ask = self._admits
         for k in range(bound + 1):
             child = children.get(k)
             if child is None:
@@ -234,7 +255,7 @@ class PrunedTree:
             if v is None:
                 v = cache.get(c) if cached else None
                 if v is None:
-                    v = bool(self._admits(c))
+                    v = bool(ask(c))
                 child.verdict = v
             if v:
                 node.least = child

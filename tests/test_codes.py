@@ -10,6 +10,7 @@ from clopen.codes import (MalformedCode, MetricAxiomViolation, RationalMetricTab
                           interleave, parse_code_file, render_code_file, validate_metric_table)
 from clopen import codes
 from clopen import coding
+from clopen.cli import main
 from clopen.coding import decode, encode, quad_code
 from clopen.instances import CATALOG, DEFAULT_BOUNDS, build_instance, builtin_instance
 from clopen.remetrize import sum_distance
@@ -537,3 +538,22 @@ def test_instance_table_checks_the_metric_axioms(monkeypatch):
         instance_table(built)
     assert exc.value.kind == "triangle"
     assert check_interleaved_table(built).detail.startswith("MetricAxiomViolation: triangle")
+
+
+@pytest.mark.parametrize("command", ["encode", "remetrize"])
+def test_a_table_the_axiom_check_rejects_ends_the_command_in_one_line(command, monkeypatch,
+                                                                      capsys):
+    # the entry planted above, on the first side the command's table reads:
+    # one stderr line and exit 1, no traceback and no output
+    def planted(fam, side_codes):
+        rows = dense_pn_rows(fam, side_codes)
+        if not sides:
+            rows[1][2] = rows[2][1] = Fraction(3)
+        sides.append(fam)
+        return rows
+
+    sides = []
+    monkeypatch.setattr(codes, "dense_pn_rows", planted)
+    assert main([command, "--instance", "cantor-split-0"]) == 1
+    assert capsys.readouterr() == (
+        "", "verification failure: MetricAxiomViolation: triangle fails at (2, 4) via 0\n")

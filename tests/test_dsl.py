@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import operator
@@ -8,7 +9,8 @@ import pytest
 
 from clopen.cli import main
 from clopen.dsl import (Access, BinOp, EvalError, Not, Num, ParseError, Quant, Var, compile,
-                        evaluate, parse, parse_field, sort_of)
+                        evaluate, parse, parse_field, position_step, sort_of)
+from clopen.instances import _node_verdicts
 
 
 def seq(*values):
@@ -307,3 +309,96 @@ def test_deep_expressions_compile_and_run(tmp_path, node):
     path.write_text(json.dumps(_doc(node)), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["validate", "--instance", str(path)]) == 0
+
+
+def test_a_position_local_conjunct_steps_to_its_body():
+    e = parse("(all i < len : s(i) <= 1) and (len < 2 or s(0) == s(1))")
+    assert position_step(e, "s", "len") == (parse("s(i) <= 1 and (len < 2 or s(0) == s(1))"),
+                                           ("i",))
+    # every top-level conjunct is split, under however many parentheses, and
+    # the step form is their chain, left to right
+    e = parse("len < 9 and ((all j < len : some k < j : s(j) == k) and all i < len : 1 <= s(i))")
+    assert position_step(e, "s", "len") == (
+        parse("len < 9 and (some k < j : s(j) == k) and 1 <= s(i)"), ("j", "i"))
+
+
+@pytest.mark.parametrize("text", [
+    "all i < len : s(i + 1) <= 1",                    # reads s past the position
+    "all i < len : s(0) <= 1",                        # reads s at a fixed position
+    "all i < len : s(i) <= len",                      # reads len
+    "all i < len : all j < len : s(i) <= j",          # reads len in a nested bound
+    "some i < len : s(i) <= 1",                       # not a universal
+    "all i < len + 1 : s(i) <= 1",                    # not bounded by len
+    "all i < len : s(i) <= 1 and (some i < 2 : s(i) == i)",  # rebinds i
+    "all len < len : 0 == 0",                         # binds len itself
+    "not (all i < len : s(i) <= 1)",                  # not a conjunct
+    "(all i < len : s(i) <= 1) or len < 2",           # not a conjunct
+])
+def test_a_conjunct_that_is_not_position_local_is_not_split(text):
+    assert position_step(parse(text), "s", "len") is None
+
+
+def _node_expr(rng, sort, depth, numbers, binders, at):
+    """A random node expression of the sort, reading the variables in numbers
+    and the sequence s; its quantifiers bind names from binders.  With at, a
+    variable name, it reads s only as s(at)."""
+    if sort == "nat":
+        kind = rng.choice(("num", "var", "access") + (("+", "*") if depth else ()))
+        if kind == "num":
+            return Num(rng.randrange(3))
+        if kind == "var":
+            return Var(rng.choice(numbers))
+        if kind == "access":
+            return Access("s", Var(at) if at else _node_expr(rng, "nat", 0, numbers, binders, at))
+        return BinOp(kind, _node_expr(rng, "nat", depth - 1, numbers, binders, at),
+                     _node_expr(rng, "nat", depth - 1, numbers, binders, at))
+    kind = rng.choice(("cmp", "and", "or", "not", "all", "some")) if depth else "cmp"
+    if kind == "cmp":
+        return BinOp(rng.choice(("<", "<=", "==", "!=")),
+                     _node_expr(rng, "nat", min(depth, 1), numbers, binders, at),
+                     _node_expr(rng, "nat", min(depth, 1), numbers, binders, at))
+    if kind in ("and", "or"):
+        return BinOp(kind, _node_expr(rng, "bool", depth - 1, numbers, binders, at),
+                     _node_expr(rng, "bool", depth - 1, numbers, binders, at))
+    if kind == "not":
+        return Not(_node_expr(rng, "bool", depth - 1, numbers, binders, at))
+    var = rng.choice(binders)
+    return Quant(kind, var, _node_expr(rng, "nat", 0, numbers, binders, at),
+                 _node_expr(rng, "bool", depth - 1, numbers + (var,), binders, at))
+
+
+def test_the_step_form_agrees_with_the_whole_predicate_below_admitted_stems():
+    # seeded node predicates: one or two position-local conjuncts (each over
+    # i or j, with quantifiers over k and m inside) and up to two other
+    # conjuncts, half of them `all i < len : φ` with a φ that reads what it
+    # likes, in a random order; on each stem u the predicate admits, the
+    # tree's step verdict on u + (k,) is its whole predicate's
+    rng = random.Random(20261020)
+    checked, verdicts = 0, set()
+    for _ in range(300):
+        conjuncts = []
+        for _ in range(rng.randint(1, 2)):
+            var = rng.choice(("i", "j"))
+            body = _node_expr(rng, "bool", rng.randint(1, 3), (var,), ("k", "m"), var)
+            conjuncts.append(Quant("all", var, Var("len"), body))
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                conjuncts.append(_node_expr(rng, "bool", rng.randint(0, 2), ("len",),
+                                            ("i", "j", "k"), None))
+            else:
+                body = _node_expr(rng, "bool", rng.randint(1, 3), ("len", "i"), ("i", "j"), None)
+                conjuncts.append(Quant("all", "i", Var("len"), body))
+        rng.shuffle(conjuncts)
+        e = functools.reduce(lambda left, right: BinOp("and", left, right), conjuncts)
+        assert sort_of(e, frozenset({"len"}), frozenset({"s"})) == "bool"
+        admits, step = _node_verdicts(e)
+        assert step is not None, e
+        for _ in range(20):
+            u = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
+            if admits(u):
+                for k in range(3):
+                    want = admits(u + (k,))
+                    assert step(u + (k,)) == want, (e, u, k)
+                    verdicts.add(want)
+                    checked += 1
+    assert verdicts == {True, False} and checked > 3000

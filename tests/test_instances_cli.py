@@ -581,14 +581,16 @@ def test_boundless_catalog_file_takes_the_entry_bounds(tmp_path, capsys):
 @pytest.mark.parametrize("catalog_file", [False, True], ids=["name", "catalog-file"])
 def test_each_dsl_field_is_compiled_once_per_command(catalog_file, monkeypatch, tmp_path,
                                                       capsys):
-    # parse_instance compiles the two node fields and build_instance compiles none
+    # parse_instance compiles the two node fields, each with its step form (both
+    # have the position-local conjunct all i < len : s(i) <= 1), and
+    # build_instance compiles none
     calls = []
     compile_ = dsl.compile
     monkeypatch.setattr(dsl, "compile", lambda e: calls.append(e) or compile_(e))
     instance = (_write(tmp_path, _catalog_doc("cantor-dsl-eq01")) if catalog_file
                 else "cantor-dsl-eq01")
     assert main(["verify", "--instance", instance]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("instance, want", [

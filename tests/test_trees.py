@@ -405,14 +405,20 @@ def test_walked_branches_match_the_flat_least_child_search(make, extra):
 
 
 def _counting(tree):
-    """A copy of the tree whose predicate counts the stems it is asked about."""
+    """A copy of the tree whose predicate and step verdict count the stems
+    they are asked about, in one counter."""
     asked = Counter()
 
-    def admits(u):
-        asked[u] += 1
-        return tree._admits(u)
+    def counted(verdict):
+        def ask(u):
+            asked[u] += 1
+            return verdict(u)
+        return ask
 
-    return PrunedTree(admits, tree.child_bound, tree.label, tree.hint), asked
+    copy = PrunedTree(counted(tree._admits), tree.child_bound, tree.label, tree.hint)
+    if tree._step_verdict is not None:
+        copy._step_verdict = counted(tree._step_verdict)
+    return copy, asked
 
 
 @pytest.mark.parametrize("make,extra", [pytest.param(make, extra, id=label)
@@ -481,6 +487,32 @@ def test_least_child_of_a_walked_stem_asks_nothing():
     assert bounds == {(1, 0, 1, 1): 1}
 
 
+@pytest.mark.parametrize("admits_first", [True, False], ids=["admits-first", "search-first"])
+def test_a_step_verdict_is_asked_only_below_an_admitted_stem(admits_first):
+    # cantor-dsl-eq01's complement rejects (2,), and the whole predicate
+    # rejects (2, 0) and (2, 1), so (2,) has no child; the step verdict, which
+    # rests on its prefix being admitted, reads s(1) <= 1 and s(0) != s(1)
+    # and would pass (2, 0)
+    tree = builtin_instance("cantor-dsl-eq01").parts[2]
+    assert tree._step_verdict((2, 0)) and not tree._admits((2, 0))
+    if admits_first:
+        assert not tree.admits((2,))
+    for _ in range(2):
+        with pytest.raises(ChildSearchExhausted):
+            tree.least_child((2,))
+    # below an admitted stem the walk asks the step verdict, and agrees with
+    # a twin that asks only the whole predicate
+    counted, asked = _counting(tree)
+    steps = Counter()
+    step = counted._step_verdict
+    counted._step_verdict = lambda u: steps.update([u]) or step(u)
+    twin = builtin_instance("cantor-dsl-eq01").parts[2]
+    line = _grown(DensePointFamily(validated(counted)).leftmost(encode((0, 1))), 200)
+    assert line == _grown(_reference_branch(validated(twin), (0, 1)), 200)
+    # the stems to length 4 are in the flat memo from the validation
+    assert set(steps) == {line[:n] for n in range(5, 201)} and max(asked.values()) == 1
+
+
 def _varied_trees():
     """(id, tree factory) of trees whose branches vary along their length: a
     cylinder tree with a long prefix, a dsl tree of alternating 0/1 branches
@@ -492,6 +524,14 @@ def _varied_trees():
             {"rule": "dsl", "child_bound": 1,
              "node": "all i < len : s(i) <= 1 and (len < i + 2 or s(i) != s(i + 1))"},
             "tree", label="dsl")),
+        # a position-local conjunct (1 at the squares, 0 elsewhere) and a rest,
+        # so walks past admitted stems ask the step verdict
+        ("dsl-step", lambda: build_tree(
+            {"rule": "dsl", "child_bound": 1,
+             "node": "(all i < len : (s(i) == 0 and not (some j < i + 1 : j * j == i)) "
+                     "or (s(i) == 1 and (some j < i + 1 : j * j == i))) "
+                     "and (len < 2 or s(0) == s(1))"},
+            "tree", label="dsl-step")),
         ("pairs-diagonal", lambda: pair_tree(MATRIX_CATALOG["diagonal"](), 1)),
         ("pairs-first-value-1", lambda: pair_tree(MATRIX_CATALOG["first-value-1"](), 1)),
     ]
