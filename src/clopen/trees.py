@@ -29,7 +29,7 @@ predicate: a dsl tree whose node has a position-local conjunct reads that
 conjunct at the child's last entry only (dsl.position_step).  A search asks
 it only below a stem the trie or the flat memo records as admitted, and
 the predicate everywhere else, and each stem still reaches one of the two
-at most once.  Each code still grows its own branch.
+at most once.
 The two stores fit two kinds of traffic: a tuple query hashes one short
 stem, and such queries are most of what encode and the Luzin scheme ask,
 while a walk grows branches to depth 256 and more, where a memo keyed by
@@ -39,11 +39,16 @@ The stems of a point are its shortest stem and that stem's extensions along
 it, and codes grow under extension, so a code is the least code of its point
 exactly when it is admissible and its stem is empty or does not end in the
 least child of the rest.  A family keeps one memo, code -> (branch, stem
-length); an inadmissible code shares code 0's entry.  Equality and the
-distance are decided exactly from the first position where two branches
-differ, and unequal branches provably disagree within the longer of the two
-stems; dense_pn_distance turns that position k into the distance 1/(k+1),
-and the order relations d < q and d <= q are read off that exact value.
+length).  An inadmissible code shares code 0's branch, and a code whose stem
+ends in the least child of the rest shares the branch of the rest's code,
+told without a predicate call or child search: when that child is 0, or
+when the rest's trie node records it.  Only a stem ending in a nonzero least
+child that no search has found yet grows a second branch for its point.
+Equality and the distance are decided exactly from the first position where
+two branches differ, and unequal branches provably disagree within the
+longer of the two stems; dense_pn_distance turns that position k into the
+distance 1/(k+1), and the order relations d < q and d <= q are read off
+that exact value.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .baire import BairePoint, branch, disagreement_distance, first_disagreement
-from .coding import decode
+from .coding import decode, encode
 
 
 class TreeError(Exception):
@@ -152,8 +157,9 @@ class PrunedTree:
         cache = self._cache
         v = cache.get(u)
         if v is None:
-            if self._walked is not None:
-                v = self._walked_verdict(u)
+            node = self._walked_node(u)
+            if node is not None:
+                v = node.verdict
             if v is None:
                 v = bool(self._admits(u))
             cache[u] = v
@@ -161,14 +167,20 @@ class PrunedTree:
                 self._deepest = len(u)
         return v
 
-    def _walked_verdict(self, u: tuple[int, ...]) -> Optional[bool]:
-        """The verdict a walk holds for u, or None."""
+    def _walked_node(self, u: tuple[int, ...]) -> Optional[_Stem]:
+        """The trie node of u if a walk or search has made it, or None."""
         node = self._walked
         for x in u:
-            node = node.children.get(x)
             if node is None:
-                return None
-        return node.verdict
+                break
+            node = node.children.get(x)
+        return node
+
+    def _known_least(self, prefix: tuple[int, ...]) -> Optional[int]:
+        """The least child entry of prefix if a search has found it, else None;
+        it searches nothing and makes no trie node."""
+        node = self._walked_node(prefix)
+        return None if node is None or node.least is None else node.least.entry
 
     def node(self, s: int) -> bool:
         """Code-level node predicate (the 0/1 parameter of the closed set)."""
@@ -306,7 +318,10 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
 
 
 class DensePointFamily:
-    """The family of leftmost branches indexed by sequence codes."""
+    """The family of leftmost branches indexed by sequence codes.
+
+    Codes that name one point share one branch object wherever _entry can
+    tell without asking the tree (see there), so the point grows once."""
 
     def __init__(self, tree: PrunedTree):
         if tree.depth_validated < 1:
@@ -326,12 +341,25 @@ class DensePointFamily:
         return self.tree.admits(u) and (not u or u[-1] != self.tree.least_child(u[:-1]))
 
     def _entry(self, s: int) -> tuple[BairePoint, int]:
-        """The dense point with index s and the length of the stem it names."""
+        """The dense point with index s and the length of the stem it names.
+
+        An inadmissible s shares code 0's entry.  An admitted stem u that
+        ends in the least child of the rest names the rest's point, so s
+        shares the branch of encode(u[:-1])'s entry; it keeps its own stem
+        length, so _split's scan bound, and every distance, is unchanged.
+        Whether u ends in that child is told with no predicate call, child
+        search or new trie node: a last entry 0 does, since the child search
+        starts at 0 and u is admitted, and a nonzero one does when the rest's
+        trie node records it as its least child.  The rest's entry, made if
+        the family lacks it, asks admits about the rest, which downward
+        closure admits.  Any other s grows a branch of its own."""
         e = self._points.get(s)
         if e is None:
             u, tree = decode(s), self.tree
             if not tree.admits(u):
                 e = self._entry(0)
+            elif u and (u[-1] == 0 or tree._known_least(u[:-1]) == u[-1]):
+                e = (self._entry(encode(u[:-1]))[0], len(u))
             else:
                 hint = tree.hint(u) if tree.hint is not None else None
                 e = (branch(tree._walk(u), stem=u, tail_hint=hint), len(u))

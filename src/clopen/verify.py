@@ -387,13 +387,29 @@ def instance_table(built: BuiltInstance) -> RationalMetricTable:
 
 
 def check_interleaved_table(built: BuiltInstance) -> CheckResult:
+    """The instance's table passes the axiom check, and its code point decodes
+    back to the table on the first 6x6 entries.
+
+    The probes decode within the window the probed entries give: the
+    largest m or n of a probed value m/(n+1) in lowest terms.  The values
+    are 0, 1/(k+1) and the cross distance 2, so with a cross-side probe
+    that is max(2, largest denominator - 1).  encode_metric sets the bit of
+    every representation of a value and no other, each representation's m
+    is a multiple of the reduced one's, and decode_metric reaches the
+    reduced position within the window; so on such a code the first set
+    bit it reads is the reduced one, here as at any wider window.  What a
+    wider window reads and this one does not is a stray bit at an n past
+    the window in a row m below the value's own."""
+
     def run():
         table = instance_table(built)
         code = encode_metric(table)
         probe = min(table.K, 6)
-        for i in range(probe):
-            for j in range(probe):
-                if decode_metric(code, i, j, window=96) != table.dist(i, j):
+        values = [[table.dist(i, j) for j in range(probe)] for i in range(probe)]
+        window = max(max(v.numerator, v.denominator - 1) for row in values for v in row)
+        for i, row in enumerate(values):
+            for j, value in enumerate(row):
+                if decode_metric(code, i, j, window=window) != value:
                     raise AssertionError(f"code round trip differs at ({i},{j})")
         return f"K={table.K} validated, {probe}x{probe} bits round-tripped"
 

@@ -1,7 +1,8 @@
 """Complexity guards: deterministic counts that grow as the algorithm says.
 
-Each guard runs a command at a few scales, counts its work through wrappers
-installed here, and bounds the ratio of counts between scales.  It counts,
+Each guard runs a command, counts its work through wrappers installed here,
+and bounds the ratio of counts between scales, or a count by what the
+algorithm needs.  It counts,
 never times, so a noisy host cannot fail it, and each bound follows from the
 algorithm, as the comment next to it says.
 
@@ -11,13 +12,22 @@ conjunct (`all i < len : φ`, φ reading s only at i), a walk step past an
 admitted stem reads that conjunct at the one new entry, so a point grown to
 depth n costs O(n) reads, not the O(n^2) of reading each candidate's whole
 stem.
+
+Each dense point grows once: the distance-oracle scans read the codes below
+40, and the codes there that name one point share one branch wherever the
+family can tell without asking the tree, so the branches grown to --budget
+are bounded by the distinct points plus the codes that it cannot tell.
 """
 
 import contextlib
 import io
 
-from clopen import dsl
+import pytest
+
+from clopen import dsl, verify
 from clopen.cli import main
+from clopen.coding import decode
+from clopen.instances import build_instance, builtin_instance
 
 BUDGETS = (128, 256, 512)
 # the real compile: monkeypatch undoes a patch only when the test ends, so
@@ -69,3 +79,47 @@ def test_dsl_walks_grow_linearly_in_the_budget(monkeypatch):
         # 1.73 here), where reading each candidate's whole stem makes them
         # quadratic, about 4 times per doubling (96,745, 370,601, 1,458,985)
         assert more_reads <= 2 * reads, (BUDGETS, counts)
+
+
+TREE_PAIRS = ["baire-split-0", "cantor-dsl-eq01", "cantor-eq01", "cantor-split-0",
+              "cantor-split-00"]
+ORACLE_CODES = 40  # check_distance_oracle compares the codes below 40
+
+
+def _unshared_bound(fam):
+    """The distinct points among the codes below 40, plus the codes there
+    whose stem ends in a nonzero least child of the rest, read off a fresh
+    family of a side."""
+    tree, stems = fam.tree, [decode(s) for s in range(ORACLE_CODES)]
+    distinct = sum(fam.is_least_code(s) for s in range(ORACLE_CODES))
+    nonzero = sum(1 for u in stems if u and u[-1] != 0 and tree.admits(u)
+                  and tree.least_child(u[:-1]) == u[-1])
+    return distinct, nonzero
+
+
+@pytest.mark.parametrize("name", TREE_PAIRS)
+def test_verify_grows_each_dense_point_once(monkeypatch, name):
+    families = []
+    real = verify.check_distance_oracle
+
+    def recording(fam, budget, name):
+        families.append((fam, budget))
+        return real(fam, budget, name)
+
+    monkeypatch.setattr(verify, "check_distance_oracle", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--instance", name, "--seed", "5"]) == 0
+    fresh = build_instance(builtin_instance(name)).sum_space
+    assert len(families) == 2
+    for (fam, budget), rep in zip(families, (fresh.part_a, fresh.part_c)):
+        grown = {id(point) for point, _ in fam._points.values()
+                 if len(point._prefix) >= budget}
+        distinct, nonzero = _unshared_bound(rep.fam)
+        # an inadmissible code shares code 0's branch, and an admitted stem
+        # ending in its rest's least child shares the rest's: at once when
+        # that child is 0, and when it is not only once a search has found
+        # it.  So the branches grown to the budget are one per distinct point
+        # (its least code's) and at most one per code ending in a nonzero
+        # least child; before sharing, cantor-split-0 side a grew 21 branches
+        # for 10 distinct points
+        assert len(grown) <= distinct + nonzero, (name, len(grown), distinct, nonzero)

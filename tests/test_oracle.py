@@ -12,13 +12,10 @@ finds too few distinct points below the enumeration cap, the library must
 raise `InsufficientDensePoints` and `encode` must exit 1.
 """
 
-import importlib.util
 import itertools
 import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -28,23 +25,9 @@ from clopen.coding import decode, encode
 from clopen.trees import (DensePointFamily, InsufficientDensePoints, cylinder_union_tree,
                           dense_pn_distance, enumerate_distinct, validate_pruned)
 
-ROOT = Path(__file__).resolve().parent.parent
 TABLE_SIZE = 16
 CAP = 2000
 ALPHABETS = (2, 3, 4, 5)
-
-
-@pytest.fixture(scope="module")
-def oracle():
-    spec = importlib.util.spec_from_file_location("bench_oracle", ROOT / "bench" / "oracle.py")
-    module = importlib.util.module_from_spec(spec)
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache files under bench/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = written
-    return module
 
 
 def _split(rng, m):

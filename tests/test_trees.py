@@ -10,7 +10,7 @@ import pytest
 
 from clopen.baire import Exact, branch, distance
 from clopen import trees
-from clopen.coding import encode
+from clopen.coding import decode, encode
 from clopen.instances import CATALOG, build_instance, build_tree, builtin_instance
 from clopen.trees import (ChildSearchExhausted, DensePointFamily,
                           DownwardClosureViolation, EmptyTreeViolation,
@@ -308,11 +308,17 @@ def _pairwise_samples(tree, count):
     return kept
 
 
-def _random_cylinders(rng):
+def _cylinder_prefixes(rng):
+    """Seeded cylinder prefixes over 2-5 symbols, and the child floor m - 1."""
     alphabet = rng.randint(2, 5)
     prefixes = [[rng.randrange(alphabet) for _ in range(rng.randint(1, 4))]
                 for _ in range(rng.randint(1, 4))]
-    return cylinder_union_tree(prefixes, "cylinders", child_floor=alphabet - 1)
+    return prefixes, alphabet - 1
+
+
+def _random_cylinders(rng):
+    prefixes, floor = _cylinder_prefixes(rng)
+    return cylinder_union_tree(prefixes, "cylinders", child_floor=floor)
 
 
 def _identity_rule_trees():
@@ -459,10 +465,12 @@ def test_a_second_branch_along_a_walked_path_asks_nothing():
     asked.clear()
     bounds.clear()
     second = fam.leftmost(encode((0, 0)))
+    # (0, 0) ends in the least child of (0,), which ends in the root's: the
+    # code shares the root's branch, and its stem length keeps the scan bound
+    assert second is first and fam._entry(encode((0, 0)))[1] == 2
     assert second.prefix(200) == (0,) * 200
     assert sum(asked.values()) == sum(bounds.values()) == 0
-    # the two codes keep separate branch objects, compared by their values
-    assert second is not first and dense_equal(fam, 0, encode((0, 0)))
+    assert dense_equal(fam, 0, encode((0, 0)))
 
 
 def test_least_child_of_a_walked_stem_asks_nothing():
@@ -587,6 +595,102 @@ def test_branches_switching_between_known_and_fresh_nodes_match_the_reference(ma
                 want = _grown(_reference_branch(twin, v), 300)
                 assert _grown(branch(tree._walk(v), stem=v), 300) == want, v
     assert max(asked.values()) == 1
+
+
+SHARE_CODES = 80
+
+
+def _sharing_trees():
+    """(id, tree factory, cylinder prefixes and floor or None): seeded
+    cylinder unions, the dsl-step tree and two catalog pair trees."""
+    cases = []
+    for seed in range(4):
+        prefixes, floor = _cylinder_prefixes(random.Random(seed))
+        cases.append((f"cylinders-{seed}", lambda p=prefixes, f=floor: cylinder_union_tree(
+            p, "cylinders", child_floor=f), (prefixes, floor)))
+    varied = dict(_varied_trees())
+    for label in ("dsl-step", "pairs-diagonal", "pairs-first-value-1"):
+        cases.append((label, varied[label], None))
+    return cases
+
+
+def _walked_codes(make, seed):
+    """A family whose codes below SHARE_CODES were each grown to 300 in a
+    seeded order, so some codes meet their rest's least child already
+    searched and some do not; the codes whose point another code holds too;
+    and the codes whose first 300 values differ from a plain reference walk
+    on a twin tree."""
+    tree, twin = validated(make(), 2), validated(make(), 2)
+    fam = DensePointFamily(tree)
+    codes = list(range(SHARE_CODES))
+    random.Random(seed).shuffle(codes)
+    wrong, refs = [], {}
+    for s in codes:
+        u = decode(s)
+        u = u if twin.admits(u) else ()
+        if u not in refs:
+            refs[u] = _grown(_reference_branch(twin, u), 300)
+        if _grown(fam.leftmost(s), 300) != refs[u]:
+            wrong.append(s)
+    holders = Counter(id(fam.leftmost(s)) for s in codes)
+    shared = [s for s in codes if holders[id(fam.leftmost(s))] > 1]
+    return fam, twin, shared, wrong
+
+
+def _oracle_distance(side, s, t, seq_of_code):
+    """The oracle's first-disagreement distance of the dense points s and t
+    of a cylinder side: an inadmissible code names the root's branch."""
+    u, v = (w if side.admits(w) else () for w in (seq_of_code(s), seq_of_code(t)))
+    length = max(len(u), len(v)) + side.max_len + 1
+    a, b = side.branch(u, length), side.branch(v, length)
+    return next((Fraction(1, k + 1) for k in range(length) if a[k] != b[k]), Fraction(0))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("make,cylinders", [pytest.param(make, cyl, id=label)
+                                            for label, make, cyl in _sharing_trees()])
+def test_shared_branches_match_the_reference_walk(make, cylinders, seed, oracle):
+    fam, _, shared, wrong = _walked_codes(make, seed)
+    assert shared and not wrong
+    if cylinders is not None:
+        side = oracle.CylinderSide(*cylinders)
+        for s in range(40):
+            for t in range(40):
+                assert dense_pn_distance(fam, s, t) == _oracle_distance(
+                    side, s, t, oracle.seq_of_code), (s, t)
+
+
+def test_a_stem_ending_in_a_searched_nonzero_least_child_shares_its_rest():
+    # (0,) is off the tree, so the root's least child is 1: (1,) names the
+    # root's point, but only a search of the root tells, so a fresh family
+    # grows (1,) its own branch and one that walked the root shares it
+    tree = cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)
+    fresh = DensePointFamily(validated(tree))
+    assert fresh.leftmost(encode((1,))) is not fresh.leftmost(0)
+    fam = DensePointFamily(validated(cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)))
+    root = fam.leftmost(0)
+    assert root.prefix(4) == (1, 0, 1, 0)
+    assert fam.leftmost(encode((1,))) is root and fam.leftmost(encode((1, 0))) is root
+    assert fam.leftmost(encode((1, 0, 1, 1))) is not root
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=label)
+                                  for label, make, _ in _sharing_trees() if label != "dsl-step"])
+def test_sharing_a_stem_that_ends_off_the_least_child_is_caught(monkeypatch, make):
+    # the mutant takes every last entry for its rest's least child, so an
+    # admitted stem ending in any other entry shares its rest's branch, which
+    # leaves the stem at its last position; a tree with no such stem below
+    # the codes cannot tell the mutant apart (dsl-step has one branch, so
+    # every stem ends in its rest's only child, and it is left out)
+    class Every:
+        def __eq__(self, entry):
+            return True
+
+    monkeypatch.setattr(PrunedTree, "_known_least", lambda self, prefix: Every())
+    _, twin, _, wrong = _walked_codes(make, 0)
+    off = {s for s in range(1, SHARE_CODES) if twin.admits(decode(s))
+           and decode(s)[-1] != twin.least_child(decode(s)[:-1])}
+    assert off <= set(wrong) and bool(off) == bool(wrong)
 
 
 def test_a_long_walk_keeps_no_prefix_tuples():

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 
 import pytest
 
+from clopen import verify
 from clopen.baire import BairePoint, first_disagreement
+from clopen.cli import main
+from clopen.coding import quad_code, quad_position
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
 from clopen.remetrize import ClosedRepresentation, SumSpace
 from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
-from clopen.verify import check_two_sided_continuity, run_instance_suite, side_sample_branches
+from clopen.verify import (check_interleaved_table, check_two_sided_continuity, instance_table,
+                           run_instance_suite, side_sample_branches)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -74,3 +80,55 @@ def test_continuity_reads_a_split_at_position_0_as_a_disagreement():
     assert first_disagreement(shifted(branches[0]), shifted(branches[1]), 4) == 1
     result = check_two_sided_continuity(sp)
     assert result.line() == "ok   continuity  128 modulus samples"
+
+
+# --- the interleave check's window --------------------------------------------
+
+def _probe_window(name):
+    """max(2, the largest reduced denominator of the probes - 1): the window
+    the interleave check derives from its table (2 or 3 on the catalog)."""
+    table = instance_table(build_instance(builtin_instance(name)))
+    probe = range(min(table.K, 6))
+    return max(2, max(table.dist(i, j).denominator for i in probe for j in probe) - 1)
+
+
+def _coding(monkeypatch, wrap):
+    """Make the interleave check read the code point wrap(real code point)."""
+    real = verify.encode_metric
+    monkeypatch.setattr(verify, "encode_metric", lambda table: wrap(real(table)))
+
+
+@pytest.mark.parametrize("offset,fails", [(0, True), (1, False)], ids=["inside", "past"])
+def test_a_bit_planted_within_the_derived_window_fails_the_check(monkeypatch, offset, fails):
+    # (0, 1) is a cross-side pair, d = 2 at (m, n) = (2, 0); a stray bit in
+    # the row m = 1 before it is read up to n = window, and not past it
+    window = _probe_window("cantor-split-0")
+    planted = quad_code(0, 1, 1, window + offset)
+    _coding(monkeypatch, lambda code: BairePoint(lambda t: 1 if t == planted else code(t)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["verify", "--instance", "cantor-split-0", "--seed", "5"])
+    line = next(x for x in out.getvalue().splitlines() if x.split()[1] == "interleave")
+    if fails:
+        assert status == 1
+        assert line == "FAIL interleave  AssertionError: code round trip differs at (0,1)"
+    else:
+        assert status == 0 and line.startswith("ok   interleave")
+
+
+@pytest.mark.parametrize("name", ["cantor-split-0", "cantor-split-00", "witness-first-bit"])
+def test_a_cross_side_probe_reads_window_plus_3_bits(monkeypatch, name):
+    # (0, 0), the whole m = 1 row up to the window, then (2, 0): 5 or 6
+    # reads here, and 96 + 3 = 99 at the fixed window this one replaces
+    reads = []
+
+    def counted(code):
+        def rule(t):
+            reads.append(quad_position(t))
+            return code(t)
+        return BairePoint(rule)
+
+    _coding(monkeypatch, counted)
+    assert check_interleaved_table(build_instance(builtin_instance(name))).passed
+    window = _probe_window(name)
+    assert sum(1 for quad in reads if quad[:2] == (0, 1)) == window + 3
