@@ -12,13 +12,12 @@ from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact,
                     first_disagreement, pair_points, slice_point)
 from .coding import (SeqCode, decode, encode, lh, pair_code, pair_count, pair_position,
                      quad_code)
-from .codes import (RationalMetricTable, decode_metric, encode_metric, interleave,
-                    render_code_file)
+from .codes import RationalMetricTable, decode_metric, encode_metric, render_code_file
 from .luzin import (LuzinScheme, ZeroDimPresentation, baire_closed_presentation,
                     cantor_presentation, discrete_presentation, rescale)
 from .remetrize import (ClosedRepresentation, SumSpace,
                         epsilon_code, extension_certificate, identity_representation,
-                        membership_in_a, open_ball_distance,
+                        interleave, membership_in_a, open_ball_distance,
                         sum_distance, witness_representation)
 from .trees import (DensePointFamily, PrunedTree, dense_equal, dense_pn_distance,
                     validate_pruned)

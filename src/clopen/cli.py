@@ -28,10 +28,10 @@ from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_
                         point_from_descriptor)
 from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
                     cantor_presentation, discrete_presentation)
-from .remetrize import epsilon_code
+from .remetrize import certified_ball_list, epsilon_code
 from .trees import InsufficientDensePoints, TreeError
-from .verify import (CheckResult, certified_ball_list, check_extension_certificates,
-                     check_tree_valid, instance_table, run_instance_suite)
+from .verify import (CheckResult, check_extension_certificates, check_tree_valid,
+                     run_instance_suite)
 from .witness import MATRIX_CATALOG, UseBoundViolation, WitnessClosure, WitnessSearchExhausted
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def cmd_remetrize(args) -> int:
         lines.append("presentation ambient (unchanged)")
         _emit(args, lines)
         return EXIT_OK
-    table = instance_table(built)
+    table = built.table()
     k = min(table.K, 24)
     lines.append(f"K {k}")
     lines += [entry_line(i, j, table.dist(i, j)) for i in range(k) for j in range(i, k)]
@@ -194,7 +194,7 @@ def cmd_encode(args) -> int:
                                     tail_rule=f"degenerate:{built.degenerate}", label=inst.id)
         _write(args, render_code_file(table, inst.id))
         return EXIT_OK
-    _write(args, render_code_file(instance_table(built), inst.id))
+    _write(args, render_code_file(built.table(), inst.id))
     return EXIT_OK
 
 

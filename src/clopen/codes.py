@@ -5,8 +5,8 @@ holds a 1 exactly at the positions coding a quadruple (i, j, m, n) with
 d(i, j) = m/(n+1) -- at every representation of the value, not just the
 reduced one, so a decoder that reads the reduced positions alone finds
 every value.  Completed, such a code names a complete separable metric
-space; the summed space of a re-metrized instance arrives here through the
-interleaving of its two dense families.
+space; the summed space of a re-metrized instance arrives here as the table
+remetrize.interleave builds on its two dense families.
 
 Files carry the reduced-fraction table for indices below K plus a tail-rule
 descriptor rather than raw code bits: the code is infinite and redundant,
@@ -23,8 +23,6 @@ from typing import Callable, Optional
 
 from .baire import BairePoint
 from .coding import quad_code, quad_position
-from .remetrize import CROSS_DISTANCE
-from .trees import DensePointFamily, dense_pn_distance, dense_pn_rows, enumerate_distinct
 
 
 class MalformedCode(Exception):
@@ -43,10 +41,10 @@ class RationalMetricTable:
 
     The first K indices are the serialized, axiom-validated prefix and
     tail_rule names how the rest is generated.  Past K, dist is what its
-    maker gives: interleave continues its two enumerations on demand (and
-    raises InsufficientDensePoints past the cap), the catalog tables are
-    closed formulas, and a degenerate instance's K 0 table has no entry, so
-    its dist raises MalformedCode on every pair.
+    maker gives: remetrize.interleave continues its two enumerations on
+    demand (and raises InsufficientDensePoints past the cap), the catalog
+    tables are closed formulas, and a degenerate instance's K 0 table has no
+    entry, so its dist raises MalformedCode on every pair.
     """
 
     dist: Callable[[int, int], Fraction]
@@ -207,49 +205,6 @@ def decode_metric(point: BairePoint, i: int, j: int, window: int) -> Fraction:
             if gcd(m, n + 1) == 1 and point(quad_code(i, j, m, n)):
                 return Fraction(m, n + 1)
     raise MalformedCode(f"no value witnessed for pair ({i},{j}) within window {window}")
-
-
-def interleave(fam_a: DensePointFamily, fam_c: DensePointFamily, count: int,
-               cap: int, label: str) -> RationalMetricTable:
-    """The summed space's metric on the interleaved distinct dense points.
-
-    Even indices enumerate the set side, odd indices the complement side,
-    both in increasing code order with duplicates removed, so all terms are
-    distinct; the cross distance is 2.  The table extends past its serialized
-    prefix by continuing the same enumerations on demand.  Every scan stops
-    at cap, the instance's enumeration_cap; the tail rule is interleave:label.
-
-    Below count, dist reads the table dense_pn_rows computed for each side,
-    so the axiom check, rows() and the code point read one value per entry;
-    d(u, v) comes from row u and d(v, u) from row v, so the symmetry check
-    still compares two computations.  Pairs at count or beyond are computed
-    on demand by dense_pn_distance and not kept.  The rows die with the
-    table.
-    """
-    sides = (fam_a, fam_c)
-    codes: tuple[list[int], list[int]] = (
-        enumerate_distinct(fam_a, (count + 1) // 2, cap=cap),
-        enumerate_distinct(fam_c, count // 2, cap=cap),
-    )
-    rows = (dense_pn_rows(fam_a, codes[0]), dense_pn_rows(fam_c, codes[1]))
-
-    def side_code(parity: int, idx: int) -> int:
-        known = codes[parity]
-        if len(known) <= idx:
-            known.extend(enumerate_distinct(sides[parity], idx + 1, cap=cap)[len(known):])
-        return known[idx]
-
-    def dist(u: int, v: int) -> Fraction:
-        parity = u % 2
-        if parity != v % 2:
-            return CROSS_DISTANCE
-        if u < count and v < count:
-            return rows[parity][u // 2][v // 2]
-        return dense_pn_distance(sides[parity], side_code(parity, u // 2),
-                                 side_code(parity, v // 2))
-
-    return RationalMetricTable(dist=dist, K=count, tail_rule=f"interleave:{label}",
-                               label=label)
 
 
 # --- file format --------------------------------------------------------------

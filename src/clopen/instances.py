@@ -17,9 +17,10 @@ from typing import Any, Callable, Container, Optional
 
 from . import dsl
 from .baire import BairePoint, eventually_periodic
+from .codes import RationalMetricTable, validate_metric_table
 from .coding import decode, lh
 from .dsl import ParseError
-from .remetrize import SumSpace, identity_representation, witness_representation
+from .remetrize import SumSpace, identity_representation, interleave, witness_representation
 from .trees import (CoverViolation, DensePointFamily, EmptyTreeViolation, PrunedTree,
                     constant_tree, cylinder_union_tree, full_baire_tree, full_cantor_tree,
                     iter_admissible, validate_pruned)
@@ -355,10 +356,18 @@ class BuiltInstance:
     sum_space: Optional[SumSpace]
     degenerate: Optional[str] = None
 
-    def families(self) -> tuple[DensePointFamily, DensePointFamily]:
+    def table(self) -> RationalMetricTable:
+        """The summed space's interleaved table at the instance's table_size
+        and enumeration_cap, checked against the metric axioms: the one table
+        `clopen encode` codes, `clopen remetrize` prints and the `interleave`
+        check round-trips.  A degenerate instance has none (ValueError)."""
         if self.sum_space is None:
             raise ValueError(f"degenerate instance {self.file.id} has no side families")
-        return self.sum_space.part_a.fam, self.sum_space.part_c.fam
+        bounds = self.file.bounds
+        table = interleave(self.sum_space, bounds["table_size"], bounds["enumeration_cap"],
+                           label=self.file.id)
+        validate_metric_table(table)
+        return table
 
 
 def _ambient_tree(desc: Any) -> PrunedTree:
@@ -481,8 +490,6 @@ CATALOG: dict[str, dict[str, Any]] = {
         {"rule": "empty"},
     ),
 }
-
-INTERLEAVE_CATALOG = ("cantor-split-0", "cantor-split-00", "baire-split-0", "cantor-eq01")
 
 
 def builtin_instance(name: str) -> InstanceFile:

@@ -20,9 +20,11 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .baire import BairePoint, disagreement_distance, exact_distance, pair_points, slice_point
+from .codes import RationalMetricTable
 from .coding import pair_code, pair_count, pair_position
 from .luzin import rescale
-from .trees import DensePointFamily, PrunedTree, dense_pn_distance, validate_pruned
+from .trees import (DensePointFamily, PrunedTree, dense_pn_distance, dense_pn_rows,
+                    enumerate_distinct, validate_pruned)
 from .witness import WitnessClosure, pair_tree
 
 Side = int  # 0 for the designated set, 1 for its complement
@@ -116,7 +118,7 @@ def sum_distance(sp: SumSpace, p: tuple[Side, int], q: tuple[Side, int]) -> Frac
     return dense_pn_distance(sp.side(p[0]).fam, p[1], q[1])
 
 
-def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
+def tag_of_index(t: int) -> tuple[Side, int]:
     """Decode an index of the pair-code layout, which the summed-space checks
     range over, into (side, family code).
 
@@ -125,6 +127,50 @@ def tag_of_index(sp: SumSpace, t: int) -> tuple[Side, int]:
     the set side.
     """
     return pair_position(t) or (0, 0)
+
+
+def interleaved_tag(sp: SumSpace, u: int, cap: int) -> tuple[Side, int]:
+    """The point at index u of the interleaved layout, as (side, family code).
+
+    Even indices are the set side's distinct dense points, odd indices the
+    complement side's, each side in increasing code order: index u is side
+    u % 2's (u // 2)-th least code below cap, the instance's
+    enumeration_cap.  A side with too few such codes raises
+    InsufficientDensePoints.
+    """
+    side, i = u % 2, u // 2
+    return side, enumerate_distinct(sp.side(side).fam, i + 1, cap=cap)[i]
+
+
+def interleave(sp: SumSpace, count: int, cap: int, label: str) -> RationalMetricTable:
+    """The summed space's metric on its interleaved dense points
+    (interleaved_tag), as a table serialized below count; the tail rule is
+    interleave:label.  The table extends past count on demand.
+
+    Below count, a same-side pair reads the table dense_pn_rows computed for
+    its side, so the axiom check, rows() and the code point read one value
+    per entry; d(u, v) comes from row u and d(v, u) from row v, so the
+    symmetry check still compares two computations.  The rows die with the
+    table.  A same-side pair at count or beyond is sum_distance of its two
+    points, computed on demand and not kept.  A cross-side pair is
+    CROSS_DISTANCE at any index, with no point enumerated.
+    """
+    # each side's points below count, its last index asked first, so a side
+    # short of points raises wanting all of them
+    codes = [[interleaved_tag(sp, u, cap)[1] for u in range(side, count, 2)[::-1]][::-1]
+             for side in (0, 1)]
+    rows = [dense_pn_rows(sp.side(side).fam, codes[side]) for side in (0, 1)]
+
+    def dist(u: int, v: int) -> Fraction:
+        side = u % 2
+        if side != v % 2:
+            return CROSS_DISTANCE
+        if u < count and v < count:
+            return rows[side][u // 2][v // 2]
+        return sum_distance(sp, interleaved_tag(sp, u, cap), interleaved_tag(sp, v, cap))
+
+    return RationalMetricTable(dist=dist, K=count, tail_rule=f"interleave:{label}",
+                               label=label)
 
 
 def epsilon_code(sp: SumSpace) -> BairePoint:
@@ -183,6 +229,28 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
                 f"sampled point {t} at new-distance < 1/{k_cert + 1} of {s} "
                 f"lands outside the ambient ball ({d} >= {radius})")
     return k_cert
+
+
+def certified_ball_list(sp: SumSpace, per_side: int) -> list[tuple[int, int, int, Fraction]]:
+    """(side, dense code, ambient center, radius) pairs with strict interiors.
+
+    The list is the instance's certified extension catalog: for each listed
+    pair the certificate must succeed.  Strictness of the interior is checked
+    here with exact arithmetic; pairs that are not strictly interior are not
+    certifiable and are left out.
+    """
+    out = []
+    for side in (0, 1):
+        rep = sp.side(side)
+        codes = enumerate_distinct(rep.fam, per_side, cap=20_000)
+        for s in codes:
+            x = rep.dense_image(s)
+            for center in range(4):
+                d0 = sp.ambient_distance(x, center)
+                for radius in (Fraction(1, 2), Fraction(1, 4)):
+                    if d0 < radius:
+                        out.append((side, s, center, radius))
+    return out
 
 
 def witness_representation(matrix, alphabet_bound: int) -> ClosedRepresentation:

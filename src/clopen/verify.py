@@ -14,15 +14,15 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
-from .codes import (RationalMetricTable, check_metric_axioms, decode_metric, encode_metric,
-                    interleave, validate_metric_table)
-from .coding import decode, encode
+from .codes import check_metric_axioms, decode_metric, encode_metric
+from .coding import encode, pair_position
 from .instances import BuiltInstance
 from .luzin import LuzinScheme, split_level
-from .remetrize import (SumSpace, extension_certificate, membership_in_a,
-                        epsilon_code, sum_distance, tag_of_index)
+from .remetrize import (SumSpace, certified_ball_list, extension_certificate, epsilon_code,
+                        interleave, interleaved_tag, membership_in_a, sum_distance,
+                        tag_of_index)
 from .trees import (DensePointFamily, PrunedTree, dense_equal, dense_pn_distance,
-                    enumerate_distinct, iter_admissible, validate_pruned)
+                    iter_admissible, validate_pruned)
 from .witness import WitnessClosure
 
 
@@ -116,7 +116,7 @@ def check_sum_metric_axioms(sp: SumSpace, count: int) -> CheckResult:
     once; d(i, j) and d(j, i) stay two sum_distance calls."""
 
     def run():
-        tags = [tag_of_index(sp, t) for t in range(count)]
+        tags = [tag_of_index(t) for t in range(count)]
 
         def dist(i: int, j: int) -> Fraction:
             return sum_distance(sp, tags[i], tags[j])
@@ -136,8 +136,8 @@ def check_clopen_sides(sp: SumSpace, count: int) -> CheckResult:
 
     def run():
         for t in range(count):
-            side, _ = tag_of_index(sp, t)
-            if membership_in_a(sp, tag_of_index(sp, t)) != (side == 0):
+            side, _ = tag_of_index(t)
+            if membership_in_a(sp, tag_of_index(t)) != (side == 0):
                 raise AssertionError(f"ball test misclassifies index {t}")
         return f"{count} dense indices"
 
@@ -157,34 +157,11 @@ def check_epsilon_code(sp: SumSpace) -> CheckResult:
                 raise AssertionError(f"set-side parameter wrong at {s}")
             if part1(s) != (1 if sp.part_c.fam.tree.node(s) else 0):
                 raise AssertionError(f"complement-side parameter wrong at {s}")
-            u = decode(s)
-            if not (len(u) == 2 and u[0] in (0, 1)) and eps(s) != 0:
+            if pair_position(s) is None and eps(s) != 0:
                 raise AssertionError(f"non-pair position {s} holds a 1")
         return f"codes below {code_bound}"
 
     return _result("epsilon-code", run)
-
-
-def certified_ball_list(sp: SumSpace, per_side: int) -> list[tuple[int, int, int, Fraction]]:
-    """(side, dense code, ambient center, radius) pairs with strict interiors.
-
-    The list is the instance's certified extension catalog: for each listed
-    pair the certificate must succeed.  Strictness of the interior is checked
-    here with exact arithmetic; pairs that are not strictly interior are not
-    certifiable and are left out.
-    """
-    out = []
-    for side in (0, 1):
-        rep = sp.side(side)
-        codes = enumerate_distinct(rep.fam, per_side, cap=20_000)
-        for s in codes:
-            x = rep.dense_image(s)
-            for center in range(4):
-                d0 = sp.ambient_distance(x, center)
-                for radius in (Fraction(1, 2), Fraction(1, 4)):
-                    if d0 < radius:
-                        out.append((side, s, center, radius))
-    return out
 
 
 def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None) -> CheckResult:
@@ -374,18 +351,6 @@ def check_witness_matrix(closure: WitnessClosure, base_points: list[BairePoint],
 
 # --- instance suite ---------------------------------------------------------------
 
-def instance_table(built: BuiltInstance) -> RationalMetricTable:
-    """The interleaved table at the instance's table_size and enumeration_cap,
-    checked against the metric axioms: the one path from dense families to
-    the table that `clopen encode` codes, `clopen remetrize` prints and the
-    `interleave` check round-trips."""
-    bounds = built.file.bounds
-    table = interleave(*built.families(), bounds["table_size"],
-                       bounds["enumeration_cap"], label=built.file.id)
-    validate_metric_table(table)
-    return table
-
-
 def check_interleaved_table(built: BuiltInstance) -> CheckResult:
     """The instance's table passes the axiom check, and its code point decodes
     back to the table on the first 6x6 entries.
@@ -402,7 +367,7 @@ def check_interleaved_table(built: BuiltInstance) -> CheckResult:
     the window in a row m below the value's own."""
 
     def run():
-        table = instance_table(built)
+        table = built.table()
         code = encode_metric(table)
         probe = min(table.K, 6)
         values = [[table.dist(i, j) for j in range(probe)] for i in range(probe)]
@@ -420,16 +385,12 @@ def check_code_matches_sum(built: BuiltInstance, matched: int) -> CheckResult:
     """Interleaved code distances equal summed-space distances on matched indices."""
 
     def run():
-        fam_a, fam_c = built.families()
-        cap = built.file.bounds["enumeration_cap"]
-        table = interleave(fam_a, fam_c, matched, cap, label=built.file.id)
-        codes_a = enumerate_distinct(fam_a, (matched + 1) // 2, cap)
-        codes_c = enumerate_distinct(fam_c, matched // 2, cap)
+        sp, cap = built.sum_space, built.file.bounds["enumeration_cap"]
+        table = interleave(sp, matched, cap, label=built.file.id)
+        tags = [interleaved_tag(sp, u, cap) for u in range(matched)]
         for u in range(matched):
             for v in range(matched):
-                tag_u = (u % 2, (codes_a if u % 2 == 0 else codes_c)[u // 2])
-                tag_v = (v % 2, (codes_a if v % 2 == 0 else codes_c)[v // 2])
-                if table.dist(u, v) != sum_distance(built.sum_space, tag_u, tag_v):
+                if table.dist(u, v) != sum_distance(sp, tags[u], tags[v]):
                     raise AssertionError(f"mismatch at matched indices ({u},{v})")
         return f"{matched}x{matched} matched indices agree"
 

@@ -14,22 +14,22 @@ from fractions import Fraction
 import pytest
 
 from clopen.baire import Exact, distance, eventually_periodic
-from clopen.codes import (catalog_table, decode_metric, encode_metric, interleave,
-                          render_code_file, validate_metric_table)
+from clopen.codes import (catalog_table, decode_metric, encode_metric, render_code_file,
+                          validate_metric_table)
 from clopen.coding import decode, encode, quad_code
-from clopen.instances import (INTERLEAVE_CATALOG, CATALOG, build_instance,
-                              build_tree, builtin_instance)
+from clopen.instances import CATALOG, build_instance, build_tree, builtin_instance
 from clopen.luzin import LuzinScheme, cantor_presentation
-from clopen.remetrize import OnBoundary, open_ball_distance
+from clopen.remetrize import OnBoundary, certified_ball_list, interleave, open_ball_distance
 from clopen.trees import (DensePointFamily, constant_tree, cylinder_union_tree,
                           dense_pn_distance, full_baire_tree, full_cantor_tree,
                           iter_admissible, validate_pruned)
-from clopen.verify import (certified_ball_list, check_clopen_sides,
-                           check_embedding_injective, check_extension_certificates,
-                           check_image_tree_pruned, check_luzin_scheme,
-                           check_sum_metric_axioms, check_witness_matrix, instance_table)
+from clopen.verify import (check_clopen_sides, check_embedding_injective,
+                           check_extension_certificates, check_image_tree_pruned,
+                           check_luzin_scheme, check_sum_metric_axioms, check_witness_matrix)
 from clopen.witness import WitnessClosure, diagonal_matrix, parity_matrix, \
     zero_tail_matrix
+
+INTERLEAVE_CATALOG = ("cantor-split-0", "cantor-split-00", "baire-split-0", "cantor-eq01")
 
 
 def report(number: int, summary: str):
@@ -38,7 +38,7 @@ def report(number: int, summary: str):
 
 def interleaved_table(built, count):
     """The instance's interleaved table with count entries, at its enumeration cap."""
-    return interleave(*built.families(), count, cap=built.file.bounds["enumeration_cap"],
+    return interleave(built.sum_space, count, cap=built.file.bounds["enumeration_cap"],
                       label=built.file.id)
 
 
@@ -221,7 +221,7 @@ def test_criterion_8_codes():
         for _ in range(2):
             inst = builtin_instance(name)
             built = build_instance(replace(inst, bounds={**inst.bounds, "table_size": 24}))
-            texts.append(render_code_file(instance_table(built), name))
+            texts.append(render_code_file(built.table(), name))
         assert texts[0] == texts[1]
 
     from clopen.verify import check_code_matches_sum

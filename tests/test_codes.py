@@ -7,15 +7,16 @@ import pytest
 from clopen.baire import BairePoint
 from clopen.codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable,
                           catalog_table, check_metric_axioms, decode_metric, encode_metric,
-                          interleave, parse_code_file, render_code_file, validate_metric_table)
+                          parse_code_file, render_code_file, validate_metric_table)
 from clopen import codes
 from clopen import coding
+from clopen import remetrize
 from clopen.cli import main
 from clopen.coding import decode, encode, quad_code
 from clopen.instances import CATALOG, DEFAULT_BOUNDS, build_instance, builtin_instance
-from clopen.remetrize import sum_distance
+from clopen.remetrize import interleave, sum_distance
 from clopen.trees import InsufficientDensePoints, dense_pn_distance, dense_pn_rows
-from clopen.verify import check_interleaved_table, instance_table
+from clopen.verify import check_interleaved_table
 
 CAP = DEFAULT_BOUNDS["enumeration_cap"]  # the catalog instances' enumeration cap
 
@@ -110,7 +111,7 @@ def _decode_table(name):
         return catalog_table("discrete", 8)
     if name == "harmonic":
         return catalog_table("harmonic", 12)
-    return instance_table(build_instance(builtin_instance(name)))
+    return build_instance(builtin_instance(name)).table()
 
 
 @pytest.mark.parametrize("name", ["discrete", "harmonic", *NON_DEGENERATE])
@@ -289,12 +290,13 @@ def test_triangle_dtype_edges_keep_the_first_violation(max_num, max_den, dtype):
 
 
 def _families(name="cantor-split-0"):
-    return build_instance(builtin_instance(name)).families()
+    sp = build_instance(builtin_instance(name)).sum_space
+    return sp, sp.part_a.fam, sp.part_c.fam
 
 
 def test_interleave_layout():
-    fam_a, fam_c = _families()
-    table = interleave(fam_a, fam_c, 12, cap=CAP, label="interleaved")
+    sp, fam_a, fam_c = _families()
+    table = interleave(sp, 12, cap=CAP, label="interleaved")
     for i in range(6):
         for j in range(6):
             assert table.dist(2 * i, 2 * j + 1) == 2
@@ -307,8 +309,8 @@ def test_interleave_layout():
 
 
 def test_interleave_extends_past_serialized_prefix():
-    fam_a, fam_c = _families()
-    table = interleave(fam_a, fam_c, 6, cap=CAP, label="interleaved")
+    sp, _, _ = _families()
+    table = interleave(sp, 6, cap=CAP, label="interleaved")
     assert table.dist(10, 12) != 0  # indices beyond K come from the tail rule
     assert table.dist(10, 11) == 2
 
@@ -318,12 +320,12 @@ def test_a_starved_side_raises_insufficient_dense_points():
     inst = builtin_instance("witness-first-bit")
     bounds = {**inst.bounds, "table_size": 40, "enumeration_cap": 2000}
     with pytest.raises(InsufficientDensePoints):
-        instance_table(build_instance(replace(inst, bounds=bounds)))
+        build_instance(replace(inst, bounds=bounds)).table()
 
 
 def test_code_file_round_trip():
-    fam_a, fam_c = _families()
-    table = interleave(fam_a, fam_c, 8, cap=CAP, label="roundtrip")
+    sp, _, _ = _families()
+    table = interleave(sp, 8, cap=CAP, label="roundtrip")
     text = render_code_file(table, "roundtrip")
     inst_id, k, entries, tail = parse_code_file(text)
     assert inst_id == "roundtrip" and k == 8 and tail == "interleave:roundtrip"
@@ -334,11 +336,12 @@ def test_code_file_round_trip():
 
 def test_interleaved_code_matches_sum_space():
     built = build_instance(builtin_instance("cantor-split-00"))
-    fam_a, fam_c = built.families()
+    sp = built.sum_space
+    fam_a, fam_c = sp.part_a.fam, sp.part_c.fam
     from clopen.trees import enumerate_distinct
     codes_a = enumerate_distinct(fam_a, 6, cap=CAP)
     codes_c = enumerate_distinct(fam_c, 6, cap=CAP)
-    table = interleave(fam_a, fam_c, 12, cap=CAP, label="interleaved")
+    table = interleave(sp, 12, cap=CAP, label="interleaved")
     for u in range(12):
         for v in range(12):
             tag_u = (u % 2, (codes_a if u % 2 == 0 else codes_c)[u // 2])
@@ -393,7 +396,7 @@ def test_malformed_code_files_name_their_line(text, message):
 
 def test_rendered_catalog_file_parses_to_its_table():
     built = build_instance(builtin_instance("cantor-split-0"))
-    table = interleave(*built.families(), 8, cap=CAP, label="cantor-split-0")
+    table = interleave(built.sum_space, 8, cap=CAP, label="cantor-split-0")
     text = render_code_file(table, "cantor-split-0")
     inst_id, k, entries, tail = parse_code_file(text)
     assert (inst_id, k, tail) == ("cantor-split-0", 8, "interleave:cantor-split-0")
@@ -444,7 +447,7 @@ def test_decode_metric_leaves_the_decode_cache_alone():
 
 
 def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
-    fam_a, fam_c = _families()
+    sp, fam_a, fam_c = _families()
     calls = {}
     kernel = []  # (family, codes, rows) of each dense_pn_rows call
 
@@ -458,9 +461,9 @@ def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
         kernel.append((fam, list(side_codes), rows))
         return rows
 
-    monkeypatch.setattr(codes, "dense_pn_distance", counted)
-    monkeypatch.setattr(codes, "dense_pn_rows", rows_counted)
-    table = interleave(fam_a, fam_c, 12, cap=CAP, label="once")
+    monkeypatch.setattr(remetrize, "dense_pn_distance", counted)
+    monkeypatch.setattr(remetrize, "dense_pn_rows", rows_counted)
+    table = interleave(sp, 12, cap=CAP, label="once")
     validate_metric_table(table)
     code = encode_metric(table)
     render_code_file(table, "once")
@@ -496,9 +499,9 @@ def test_interleaved_symmetry_compares_the_two_rows(monkeypatch):
             rows[1][2] = Fraction(1, 7)
         return rows
 
-    fam_a, fam_c = _families()
-    monkeypatch.setattr(codes, "dense_pn_rows", planted)
-    table = interleave(fam_a, fam_c, 12, cap=CAP, label="planted")
+    sp, fam_a, fam_c = _families()
+    monkeypatch.setattr(remetrize, "dense_pn_rows", planted)
+    table = interleave(sp, 12, cap=CAP, label="planted")
     assert table.dist(2, 4) == Fraction(1, 7) != table.dist(4, 2)
     with pytest.raises(MetricAxiomViolation) as exc:
         validate_metric_table(table)
@@ -506,8 +509,8 @@ def test_interleaved_symmetry_compares_the_two_rows(monkeypatch):
 
 
 def test_a_repeated_value_text_is_still_checked_on_its_line():
-    fam_a, fam_c = _families()
-    text = render_code_file(interleave(fam_a, fam_c, 4, cap=CAP, label="x"), "x")
+    sp, _, _ = _families()
+    text = render_code_file(interleave(sp, 4, cap=CAP, label="x"), "x")
     lines = text.splitlines()
     assert lines[3] == "0 0 0/1" and lines[4] == "0 1 2/1"
     # a second 0/1, off the diagonal
@@ -524,18 +527,18 @@ def test_a_repeated_value_text_is_still_checked_on_its_line():
 def test_instance_table_checks_the_metric_axioms(monkeypatch):
     # a symmetric entry of 3 on side a breaks the triangle through index 0,
     # since a side's distances are at most 1; encode, remetrize and the
-    # interleave check all read the table instance_table checked, so none of
+    # interleave check all read the table built.table() checked, so none of
     # them reads the planted value unchecked
     def planted(fam, side_codes):
         rows = dense_pn_rows(fam, side_codes)
-        if fam is built.families()[0]:
+        if fam is built.sum_space.part_a.fam:
             rows[1][2] = rows[2][1] = Fraction(3)
         return rows
 
     built = build_instance(builtin_instance("cantor-split-0"))
-    monkeypatch.setattr(codes, "dense_pn_rows", planted)
+    monkeypatch.setattr(remetrize, "dense_pn_rows", planted)
     with pytest.raises(MetricAxiomViolation) as exc:
-        instance_table(built)
+        built.table()
     assert exc.value.kind == "triangle"
     assert check_interleaved_table(built).detail.startswith("MetricAxiomViolation: triangle")
 
@@ -553,7 +556,7 @@ def test_a_table_the_axiom_check_rejects_ends_the_command_in_one_line(command, m
         return rows
 
     sides = []
-    monkeypatch.setattr(codes, "dense_pn_rows", planted)
+    monkeypatch.setattr(remetrize, "dense_pn_rows", planted)
     assert main([command, "--instance", "cantor-split-0"]) == 1
     assert capsys.readouterr() == (
         "", "verification failure: MetricAxiomViolation: triangle fails at (2, 4) via 0\n")

@@ -15,7 +15,7 @@ from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
 from clopen.remetrize import CertificateFailure, extension_certificate
-from clopen.verify import instance_table, run_instance_suite
+from clopen.verify import run_instance_suite
 
 MINIMAL = """
 {
@@ -278,10 +278,10 @@ def test_build_minimal_instance():
     built = build_instance(parse_instance(MINIMAL))
     assert built.sum_space is not None
     # even indices are points of the set, odd ones of its complement, in code order
-    table = instance_table(built)
+    table = built.table()
     assert table.dist(3, 6) == 2
     assert table.dist(2, 4) == Fraction(1, 2)  # 0, 1, 0, ... and 0, 0, 1, ... split at 1
-    fam_a, fam_c = built.families()
+    fam_a, fam_c = built.sum_space.part_a.fam, built.sum_space.part_c.fam
     assert fam_a.leftmost(0)(0) == 0
     assert fam_c.leftmost(0)(0) == 1
 
@@ -619,7 +619,7 @@ def test_a_file_built_twice_shares_its_parts_and_reports_alike(name):
     inst = builtin_instance(name)
     first, second = build_instance(inst), build_instance(inst)
     assert first.ambient_fam.tree is second.ambient_fam.tree is inst.parts[0]
-    reports = [(render_code_file(instance_table(built), built.file.id),
+    reports = [(render_code_file(built.table(), built.file.id),
                 [r.line() for r in run_instance_suite(built, axiom_count=20, seed=0)])
                for built in (first, second)]
     assert reports[0] == reports[1]

@@ -38,7 +38,6 @@ import clopen
 from clopen.cli import main
 from clopen.codes import FORMAT_LINE, decode_metric, encode_metric
 from clopen.instances import CATALOG, DEFAULT_BOUNDS, build_instance, parse_instance
-from clopen.verify import instance_table
 
 NON_DEGENERATE = [name for name in CATALOG if not name.startswith("degenerate")]
 
@@ -51,7 +50,7 @@ def _swapped(doc):
 
 
 def _table(doc):
-    return instance_table(build_instance(parse_instance(json.dumps(doc))))
+    return build_instance(parse_instance(json.dumps(doc))).table()
 
 
 def _cylinder_pair(seed):

@@ -534,3 +534,38 @@ def test_every_annotation_resolves_in_its_module():
                     except NameError as exc:
                         unresolved.append(f"{module.__name__}.{target.__qualname__}: {exc}")
     assert unresolved == []
+
+
+# --- layering --------------------------------------------------------------------
+
+# the library's modules, each importing only from modules before it
+LAYERS = ("coding", "baire", "trees", "dsl", "witness", "luzin", "codes", "remetrize",
+          "instances", "verify", "cli")
+
+
+def _imported_modules(tree):
+    """The package modules a module's relative imports name: x in
+    `from .x import ...`, and each name in `from . import x`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_imports_only_earlier_layers():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert sorted(LAYERS) == [p.stem for p in modules]
+    upward = [f"{path.stem} -> {name}" for path in modules
+              for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in LAYERS[:LAYERS.index(path.stem)]]
+    assert upward == [], "imports of a module at the same or a later layer"
+
+
+def test_imported_modules_are_found_in_every_spelling():
+    tree = ast.parse(
+        "import json\nfrom typing import Any\nfrom .baire import a\n"
+        "from . import dsl, trees as t\nfrom .. import up\n"
+        "def f():\n    from .codes import b\n")
+    assert list(_imported_modules(tree)) == ["baire", "dsl", "trees", "codes"]

@@ -4,14 +4,14 @@ import pytest
 
 from clopen.baire import Exact, distance, slice_point
 from clopen.coding import encode, pair_code
-from clopen.instances import build_instance, builtin_instance
+from clopen.instances import CATALOG, build_instance, builtin_instance
 from clopen.remetrize import (CertificateFailure, ClosedRepresentation, NotInterior,
                               OnBoundary, SumSpace, distance_to_sphere, epsilon_code,
-                              extension_certificate, membership_in_a,
-                              open_ball_distance, sum_distance, tag_of_index,
-                              witness_representation)
+                              certified_ball_list, extension_certificate, interleave,
+                              interleaved_tag, membership_in_a, open_ball_distance,
+                              sum_distance, tag_of_index, witness_representation)
 from clopen.trees import DensePointFamily, dense_pn_distance, full_cantor_tree, validate_pruned
-from clopen.verify import (certified_ball_list, check_clopen_sides, check_degenerate,
+from clopen.verify import (check_clopen_sides, check_degenerate,
                            check_extension_certificates, check_sum_metric_axioms,
                            check_two_sided_continuity, side_sample_branches)
 from clopen.witness import Pi02Matrix, first_value_matrix
@@ -52,14 +52,14 @@ def test_sum_distance_cases():
 
 
 def _pair_layout_distance(sp, t1, t2):
-    return sum_distance(sp, tag_of_index(sp, t1), tag_of_index(sp, t2))
+    return sum_distance(sp, tag_of_index(t1), tag_of_index(t2))
 
 
 def test_pair_code_indices_distances():
     sp = built("cantor-split-0").sum_space
     for s in range(12):
         for t in range(12):
-            assert tag_of_index(sp, pair_code(1, t)) == (1, t)
+            assert tag_of_index(pair_code(1, t)) == (1, t)
             assert _pair_layout_distance(sp, pair_code(0, s), pair_code(1, t)) == 2
     idx = pair_code(0, 3)
     assert _pair_layout_distance(sp, idx, idx) == 0
@@ -67,7 +67,7 @@ def test_pair_code_indices_distances():
 
 def test_non_pair_indices_fall_back_to_base_point():
     sp = built("cantor-split-0").sum_space
-    side, code = tag_of_index(sp, 0)
+    side, code = tag_of_index(0)
     assert side == 0 and code == 0
     assert _pair_layout_distance(sp, 0, pair_code(0, 0)) == 0
 
@@ -201,6 +201,35 @@ def test_degenerate_instances_keep_ambient():
             for j in range(30):
                 assert dense_pn_distance(side, i, j) == dense_pn_distance(b.ambient_fam, i, j)
         assert check_degenerate(b).passed
+
+
+TREE_PAIRS = [name for name, doc in CATALOG.items()
+              if doc["set"]["kind"] == "tree-pair" and not name.startswith("degenerate")]
+
+
+@pytest.mark.parametrize("name", TREE_PAIRS)
+def test_interleaved_table_is_the_sum_distance_of_its_tags(name):
+    # serialized below 8, so most of the 24x24 pairs read the tail past K
+    b = built(name)
+    sp, cap = b.sum_space, b.file.bounds["enumeration_cap"]
+    table = interleave(sp, 8, cap, label=name)
+    tags = [interleaved_tag(sp, u, cap) for u in range(24)]
+    for u in range(24):
+        for v in range(24):
+            assert table.dist(u, v) == sum_distance(sp, tags[u], tags[v]), (u, v)
+    # even indices on the set side, odd on its complement, each side's least
+    # codes (its distinct points) in increasing order, none skipped
+    assert [side for side, _ in tags] == [u % 2 for u in range(24)]
+    for side in (0, 1):
+        codes = [code for tag_side, code in tags if tag_side == side]
+        fam = sp.side(side).fam
+        assert codes == [s for s in range(codes[-1] + 1) if fam.is_least_code(s)]
+
+
+def test_a_degenerate_instance_has_no_table():
+    for name in ("degenerate-empty", "degenerate-full"):
+        with pytest.raises(ValueError, match=f"degenerate instance {name} has no side"):
+            built(name).table()
 
 
 def test_dense_images_distinct_across_sides():

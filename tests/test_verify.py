@@ -11,7 +11,7 @@ from clopen.coding import quad_code, quad_position
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
 from clopen.remetrize import ClosedRepresentation, SumSpace
 from clopen.trees import DensePointFamily, full_cantor_tree, validate_pruned
-from clopen.verify import (check_interleaved_table, check_two_sided_continuity, instance_table,
+from clopen.verify import (check_interleaved_table, check_two_sided_continuity,
                            run_instance_suite, side_sample_branches)
 
 
@@ -87,7 +87,7 @@ def test_continuity_reads_a_split_at_position_0_as_a_disagreement():
 def _probe_window(name):
     """max(2, the largest reduced denominator of the probes - 1): the window
     the interleave check derives from its table (2 or 3 on the catalog)."""
-    table = instance_table(build_instance(builtin_instance(name)))
+    table = build_instance(builtin_instance(name)).table()
     probe = range(min(table.K, 6))
     return max(2, max(table.dist(i, j).denominator for i in probe for j in probe) - 1)
 
