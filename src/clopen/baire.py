@@ -124,8 +124,8 @@ def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Optional[int
     None.  Only past the stored values does the scan query the points, one
     position at a time, so a point scanned against itself grows to the
     bound.  No rule is called at a position past the first disagreement or
-    at the bound or beyond: some rules (image embeddings past their depth)
-    raise there.
+    at the bound or beyond: some rules (an embedding past its last cell,
+    `CellSearchExhausted`) raise there.
     """
     pa, pb = a._prefix, b._prefix
     stored = min(len(pa), len(pb))

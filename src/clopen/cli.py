@@ -126,7 +126,7 @@ def cmd_embed(args) -> int:
         pres = baire_closed_presentation(build_instance(inst).ambient_fam, witness_bound=bound)
     else:
         raise UnknownCatalogName(args.space, kind="embedding space")
-    scheme = LuzinScheme(pres, max_depth=max(depth, 4))
+    scheme = LuzinScheme(pres)
     lines = [f"space {pres.name}", f"depth {depth}"]
     for i in range(args.count):
         image = scheme.embed(pres.dense_point(i))

@@ -91,14 +91,13 @@ class LuzinScheme:
     member lists and the embedding all read it.
     """
 
-    def __init__(self, presentation: ZeroDimPresentation, max_depth: int = 8):
+    def __init__(self, presentation: ZeroDimPresentation):
         self.presentation = presentation
-        self.max_depth = max_depth
         self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
         self._paths: dict[Any, list[Optional[int]]] = {}
         self._members: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # the ball radius below a parent of length n
-        self._radii = [Fraction(1, 2 ** (n + 2) + 1) for n in range(max_depth)]
+        # the ball radius below a parent of length n, built as levels are reached
+        self._radii: list[Fraction] = []
 
     def ball_stage(self, x: Any, cell: tuple[int, ...]) -> bool:
         """Membership in the undisjointified stage B_cell."""
@@ -109,18 +108,16 @@ class LuzinScheme:
         v = memo.get(key)
         if v is not None:
             return v
-        self._check_depth(len(cell))
         parent, k = cell[:-1], cell[-1]
+        radii = self._radii
+        while len(radii) <= len(parent):
+            radii.append(Fraction(1, 2 ** (len(radii) + 2) + 1))
         pres = self.presentation
         v = (self.ball_stage(x, parent)
-             and pres.ball_member(x, k, self._radii[len(parent)])
+             and pres.ball_member(x, k, radii[len(parent)])
              and self.ball_stage(pres.dense_point(k), parent))
         memo[key] = v
         return v
-
-    def _check_depth(self, depth: int) -> None:
-        if depth > self.max_depth:
-            raise ValueError(f"cell depth {depth} exceeds max depth {self.max_depth}")
 
     def _index(self, x: Any, level: int) -> Optional[int]:
         """x's cell index on a level; None from the first level without one."""
@@ -132,14 +129,12 @@ class LuzinScheme:
 
     def cell_member_seq(self, x: Any, cell: tuple[int, ...]) -> bool:
         """Membership in the disjointified cell A_cell: x's path starts with cell."""
-        self._check_depth(len(cell))
         return all(self._index(x, n) == k for n, k in enumerate(cell))
 
     def embed(self, x: Any) -> BairePoint:
         """The point reading off x's path, its cell index on each level."""
 
         def index(prefix: list[int]) -> int:
-            self._check_depth(len(prefix) + 1)
             i = self._index(x, len(prefix))
             if i is None:
                 raise CellSearchExhausted(len(prefix), self.presentation.witness_bound)
@@ -155,7 +150,6 @@ class LuzinScheme:
         cell's level, and stores the lists of all the parent's children
         within the bound.  A cell with an entry above the bound holds no point.
         """
-        self._check_depth(len(cell))
         memo = self._members
         found = memo.get(cell)
         if found is None:

@@ -404,7 +404,8 @@ def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> list[list[Fraction
 
     The values the points have stored are stacked in one array, relabelled
     to small ints so any natural fits, each row padded with a label no other
-    row holds.  Row u's first mismatch against every row is then one argmax.
+    row holds.  Row u's first mismatch against every row is then one argmax,
+    and 1/(k+1) is built once for each position k that some row reads.
     A mismatch inside both points' stored values is their first
     disagreement.  One at or past the end of either goes to
     first_disagreement up to the longer stem, which grows the shorter
@@ -424,13 +425,18 @@ def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> list[list[Fraction
     table[:] = -1 - np.arange(len(codes), dtype=np.intp)[:, None]
     for u, vals in enumerate(stored):
         table[u, :len(vals)] = vals
-    reciprocals = [disagreement_distance(k) for k in range(width)]
+    firsts = np.empty((len(codes), len(codes)), dtype=np.intp)
+    for u in range(len(codes)):
+        firsts[u] = (table != table[u]).argmax(axis=1)
+        firsts[u, u] = width - 1  # the diagonal, sent to first_disagreement
+    late = firsts >= np.minimum(lengths[:, None], lengths)
+    read = np.zeros(width, dtype=bool)
+    read[firsts[~late]] = True
+    reciprocals = [disagreement_distance(k) if r else None for k, r in enumerate(read.tolist())]
     rows = []
     for u, (a, m) in enumerate(entries):
-        firsts = (table != table[u]).argmax(axis=1)
-        firsts[u] = width - 1  # the diagonal, sent to first_disagreement
-        row = [reciprocals[k] for k in firsts.tolist()]
-        for v in np.flatnonzero(firsts >= np.minimum(lengths, lengths[u])).tolist():
+        row = [reciprocals[k] for k in firsts[u].tolist()]
+        for v in np.flatnonzero(late[u]).tolist():
             b, n = entries[v]
             row[v] = disagreement_distance(first_disagreement(a, b, m if m > n else n))
         rows.append(row)

@@ -42,3 +42,21 @@ def verify_report():
         return runs[name, budget]
 
     return report
+
+
+def _in_cell_by_disjointification(sch, x, cell):
+    """x in A_cell by its definition: (B_cell minus the earlier B_(parent,i))
+    intersected with A_parent."""
+    if not cell:
+        return True
+    parent, k = cell[:-1], cell[-1]
+    return (_in_cell_by_disjointification(sch, x, parent)
+            and sch.ball_stage(x, cell)
+            and not any(sch.ball_stage(x, parent + (i,)) for i in range(k)))
+
+
+@pytest.fixture(scope="session")
+def in_cell_by_disjointification():
+    """in_cell(sch, x, cell): x in the Luzin cell A_cell of the scheme by the
+    definition, read from plain ball stages, not from the scheme's paths."""
+    return _in_cell_by_disjointification

@@ -150,14 +150,25 @@ def test_criterion_5_topology_extension():
 
 # --- criterion 6 ----------------------------------------------------------------
 
-def test_criterion_6_luzin_scheme():
+def test_criterion_6_luzin_scheme(in_cell_by_disjointification):
     scheme = LuzinScheme(cantor_presentation(witness_bound=32))
     for result in (check_luzin_scheme(scheme, 4, 30),
                    check_embedding_injective(scheme, 30),
                    check_image_tree_pruned(scheme, 4)):
         assert result.passed, result.detail
-    report(6, "scheme properties to depth 4 on 30 dense points; embedding "
-              "injective; image tree pruned")
+    # disjointness and refinement by the definition, on a second scheme's
+    # plain ball stages: on every level, the probe's path index is the only
+    # child index within the bound whose cell holds the probe
+    plain = LuzinScheme(cantor_presentation(witness_bound=32))
+    for i in range(30):
+        x = plain.presentation.dense_point(i)
+        path = scheme.embed(scheme.presentation.dense_point(i)).prefix(4)
+        for n in range(4):
+            hits = [k for k in range(33)
+                    if in_cell_by_disjointification(plain, x, path[:n] + (k,))]
+            assert hits == [path[n]], (i, path, n, hits)
+    report(6, "scheme properties to depth 4 on 30 dense points, each in exactly "
+              "one child cell by the definition; embedding injective; image tree pruned")
 
 
 # --- criterion 7 ----------------------------------------------------------------

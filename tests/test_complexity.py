@@ -17,6 +17,9 @@ Each dense point grows once: the distance-oracle scans read the codes below
 40, and the codes there that name one point share one branch wherever the
 family can tell without asking the tree, so the branches grown to --budget
 are bounded by the distinct points plus the codes that it cannot tell.
+
+The Luzin check reads each probe's cells off its path, through its
+embedding, and asks no cell membership of a probe.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ from clopen import dsl, verify
 from clopen.cli import main
 from clopen.coding import decode
 from clopen.instances import build_instance, builtin_instance
+from clopen.luzin import LuzinScheme, cantor_presentation
 
 BUDGETS = (128, 256, 512)
 # the real compile: monkeypatch undoes a patch only when the test ends, so
@@ -123,3 +127,21 @@ def test_verify_grows_each_dense_point_once(monkeypatch, name):
         # least child; before sharing, cantor-split-0 side a grew 21 branches
         # for 10 distinct points
         assert len(grown) <= distinct + nonzero, (name, len(grown), distinct, nonzero)
+
+
+def test_luzin_check_asks_no_cell_membership(monkeypatch):
+    calls = [0]
+    real = LuzinScheme.cell_member_seq
+
+    def counting(self, x, cell):
+        calls[0] += 1
+        return real(self, x, cell)
+
+    monkeypatch.setattr(LuzinScheme, "cell_member_seq", counting)
+    scheme = LuzinScheme(cantor_presentation(witness_bound=32))
+    result = verify.check_luzin_scheme(scheme, 3, 30)
+    assert result.passed, result.detail
+    # a probe has one path, and its embedding reads it, so the check asks no
+    # membership; asking the root cell and then each of the witness_bound + 1
+    # = 33 children on each of the 3 levels made 30 * (1 + 3 * 33) = 3,000 calls
+    assert calls[0] == 0

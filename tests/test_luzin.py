@@ -17,7 +17,7 @@ from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
 
 
 def small_scheme(bound=24):
-    return LuzinScheme(cantor_presentation(witness_bound=bound), max_depth=6)
+    return LuzinScheme(cantor_presentation(witness_bound=bound))
 
 
 def test_rescale_values():
@@ -147,7 +147,7 @@ def test_luzin_properties_and_pruned_image():
 
 
 def test_cell_search_exhausted_with_tiny_bound():
-    sch = LuzinScheme(cantor_presentation(witness_bound=2), max_depth=6)
+    sch = LuzinScheme(cantor_presentation(witness_bound=2))
     x = eventually_periodic((1, 1, 1), (0,))  # its minimal depth-1 center is 7
     with pytest.raises(CellSearchExhausted) as exc:
         sch.embed(x)(0)
@@ -156,7 +156,7 @@ def test_cell_search_exhausted_with_tiny_bound():
 
 
 def test_cell_search_exhausted_at_the_first_level_without_a_cell():
-    sch = LuzinScheme(cantor_presentation(witness_bound=15), max_depth=6)
+    sch = LuzinScheme(cantor_presentation(witness_bound=15))
     # the depth-1 center 15 shares x's first four bits; the first index
     # sharing its first eight is 31, past the bound
     f = sch.embed(eventually_periodic((1,) * 5, (0,)))
@@ -168,10 +168,23 @@ def test_cell_search_exhausted_at_the_first_level_without_a_cell():
         assert str(exc.value) == "no child cell contains the point at depth 1 (bound 15)"
 
 
+def test_check_reads_probes_at_any_depth():
+    # the level radii are built as levels are reached, so no depth is out of range
+    result = check_luzin_scheme(LuzinScheme(cantor_presentation(witness_bound=32)), 9, 6)
+    assert result.passed, result.detail
+
+
+def test_check_names_the_probe_search_that_ran_out():
+    # probe 31 is the point above: its depth-1 ball indices lie past the bound 15
+    result = check_luzin_scheme(LuzinScheme(cantor_presentation(witness_bound=15)), 2, 32)
+    assert result.line() == ("FAIL luzin:cantor  CellSearchExhausted: no child cell "
+                             "contains the point at depth 1 (bound 15)")
+
+
 def test_a_cell_past_the_witness_bound_holds_no_point():
     # x's least depth-1 ball index is 7, past the bound 2: x lies in the ball
     # stage B_(7,), yet neither the cell (7,) nor any other depth-1 cell holds it
-    sch = LuzinScheme(cantor_presentation(witness_bound=2), max_depth=6)
+    sch = LuzinScheme(cantor_presentation(witness_bound=2))
     x = eventually_periodic((1, 1, 1), (0,))
     assert sch.ball_stage(x, (7,))
     assert not any(sch.ball_stage(x, (i,)) for i in range(7))
@@ -187,25 +200,15 @@ def test_branches_and_embeddings_freed_by_reference_counting():
     fam = DensePointFamily(tree)
     for s in range(24):
         fam.leftmost(s).prefix(10)
-    scheme = LuzinScheme(cantor_presentation(witness_bound=8), max_depth=6)
+    scheme = LuzinScheme(cantor_presentation(witness_bound=8))
     scheme.embed(scheme.presentation.dense_point(5)).prefix(3)
     del tree, fam, scheme
     # no reference cycle was built, so the collector finds nothing
     assert gc.collect() == 0
 
 
-def test_max_depth_guard():
-    sch = LuzinScheme(cantor_presentation(witness_bound=64), max_depth=2)
-    with pytest.raises(ValueError):
-        sch.cell_member_seq(sch.presentation.dense_point(0), (0, 0, 0))
-    f = sch.embed(sch.presentation.dense_point(5))
-    assert f.prefix(2) == (5, 5)
-    with pytest.raises(ValueError, match="cell depth 3 exceeds max depth 2"):
-        f(2)
-
-
 def test_discrete_embedding_is_the_identity_stream():
-    sch = LuzinScheme(discrete_presentation(4), max_depth=6)
+    sch = LuzinScheme(discrete_presentation(4))
     for k in range(4):
         assert sch.embed(k).prefix(4) == (k,) * 4
 
@@ -217,7 +220,7 @@ def test_baire_closed_presentation_exactness():
     pres = baire_closed_presentation(fam)
     assert pres.dist(encode((0,)), encode((1,))) == Fraction(1, 2)
     assert pres.dist(encode((0,)), encode((0, 0))) == 0
-    sch = LuzinScheme(pres, max_depth=4)
+    sch = LuzinScheme(pres)
     assert sch.image_tree().admits(())
 
 
@@ -231,30 +234,19 @@ def _baire_split_0_closed(witness_bound):
     return baire_closed_presentation(_baire_split_0_family(), witness_bound=witness_bound)
 
 
-def _in_cell_by_disjointification(sch, x, cell):
-    """x in A_cell by its definition: (B_cell minus the earlier B_(parent,i))
-    intersected with A_parent."""
-    if not cell:
-        return True
-    parent, k = cell[:-1], cell[-1]
-    return (_in_cell_by_disjointification(sch, x, parent)
-            and sch.ball_stage(x, cell)
-            and not any(sch.ball_stage(x, parent + (i,)) for i in range(k)))
-
-
 @pytest.mark.parametrize("make", [lambda: cantor_presentation(witness_bound=8),
                                   lambda: discrete_presentation(4),
                                   lambda: _baire_split_0_closed(8)],
                          ids=["cantor", "discrete", "baire-closed"])
-def test_members_match_the_brute_force_scan(make):
-    sch, brute = LuzinScheme(make(), max_depth=3), LuzinScheme(make(), max_depth=3)
+def test_members_match_the_brute_force_scan(make, in_cell_by_disjointification):
+    sch, brute = LuzinScheme(make()), LuzinScheme(make())
     pres = brute.presentation
     bound = pres.witness_bound
     cells = [()]
     image = sch.image_tree()
     for cell in cells:
         want = tuple(i for i in range(bound + 1)
-                     if _in_cell_by_disjointification(brute, pres.dense_point(i), cell))
+                     if in_cell_by_disjointification(brute, pres.dense_point(i), cell))
         assert sch.members(cell) == want
         assert all(sch.cell_member_seq(pres.dense_point(i), cell) == (i in want)
                    for i in range(bound + 1))
@@ -262,8 +254,6 @@ def test_members_match_the_brute_force_scan(make):
         if len(cell) < 3:
             cells.extend(cell + (k,) for k in range(bound + 1))
     assert len(cells) == sum((bound + 1) ** n for n in range(4))
-    with pytest.raises(ValueError):
-        sch.members((0, 0, 0, 0))
 
 
 def test_root_children_are_listed_in_one_pass_over_the_root():
@@ -327,7 +317,7 @@ def _baire_closed_raw(pres):
     ids=["cantor", "discrete", "baire-closed"])
 def test_ball_stage_matches_the_plain_rescaled_comparison(make, raw):
     pres = make()
-    sch = LuzinScheme(pres, max_depth=3)
+    sch = LuzinScheme(pres)
     want = _ball_stage_by_definition(raw(pres), pres.dense_point)
     bound = pres.witness_bound
     points = [pres.dense_point(i) for i in range(bound + 1)]

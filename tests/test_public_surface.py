@@ -56,6 +56,8 @@ WITHOUT_CALLERS = {
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
     "verify.check_dense_metric_axioms":
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
+    "luzin.LuzinScheme.cell_member_seq":
+        "bench/layertrace.py hooks it by name (ROADMAP item 1)",
 }
 
 # every memo decorator in src/ (functools.lru_cache or functools.cache), keyed
@@ -64,13 +66,13 @@ WITHOUT_CALLERS = {
 # memo, or a listed one that is no longer defined, fails the guard
 CACHES = {
     "coding.decode":
-        "24,445 hits against 446 misses: trees, codes and verify decode the same "
+        "22,725 hits against 446 misses: trees and instances decode the same "
         "small codes over and over",
     "baire._reciprocal":
-        "22,239 hits against 6,142 misses: first disagreements and distance "
+        "22,335 hits against 18 misses: first disagreements and distance "
         "thresholds sit at a few small positions, so 1/(k+1) and 1/budget are a "
-        "handful of shared Fractions; the misses are dense_pn_rows reading 1/(k+1) "
-        "for every stored position, more than the cache holds",
+        "handful of shared Fractions; dense_pn_rows asks only the positions its "
+        "rows read",
     "cli.build_parser":
         "7 hits against 1 miss: argparse objects form reference cycles, so a "
         "parser per main call would leave them to the cyclic collector",
