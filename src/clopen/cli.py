@@ -46,14 +46,19 @@ def _bounds(args, bounds: dict[str, int]) -> dict[str, int]:
     return merge_bounds(bounds, overrides)
 
 
-def _load_instance(args) -> InstanceFile:
+def _read_instance(args) -> InstanceFile:
+    """The instance --instance names, under its own bounds."""
     if args.instance is None:
         raise UnknownCatalogName("<missing --instance>")
     path = Path(args.instance)
     if path.exists():
-        inst = parse_instance(path.read_text(encoding="utf-8"))
-    else:
-        inst = builtin_instance(args.instance)
+        return parse_instance(path.read_text(encoding="utf-8"))
+    return builtin_instance(args.instance)
+
+
+def _load_instance(args) -> InstanceFile:
+    """The instance --instance names, under its bounds with the explicit flags applied."""
+    inst = _read_instance(args)
     inst.bounds = _bounds(args, inst.bounds)
     return inst
 
@@ -112,8 +117,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    inst = _load_instance(args) if args.space == "baire-closed" else None
-    bounds = inst.bounds if inst is not None else _bounds(args, DEFAULT_BOUNDS)
+    # --depth is only the printed prefix length: the ambient tree is validated
+    # at the file's own depth, since the embedding reads past it on demand
+    inst = _read_instance(args) if args.space == "baire-closed" else None
+    bounds = _bounds(args, inst.bounds if inst is not None else DEFAULT_BOUNDS)
     depth, bound = bounds["depth"], bounds["witness_bound"]
     if args.space == "cantor":
         pres = cantor_presentation(witness_bound=bound)

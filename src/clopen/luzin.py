@@ -15,11 +15,15 @@ Cells on one level are pairwise disjoint, refine their parents, and have
 diameter below 2^-level, so reading off the unique cell indices of a point
 embeds the space into Baire space.  A point's cell index below A_s is its
 least ball index, the least k with the point in B_(s,k), so the scheme keeps
-one path of least indices per point.  Indices are searched up to a
-witness bound, the honest computable stand-in for an existential the source
-construction leaves at limit level two: a point with no ball index within the
-bound has no cell on that level, and a cell with an entry above the bound
-holds no point.
+one path of least indices per point.  That path never descends: an index k
+below the point's index p on one level fails on the next level too, since
+either the point is at least the old radius from r_k, and radii shrink, or
+r_k lies outside the old stage, which every longer stage requires.  So the
+search on each level starts at the parent's index.  Indices are searched up
+to a witness bound, the honest computable stand-in for an existential the
+source construction leaves at limit level two: a point with no ball index
+within the bound has no cell on that level, and a cell with an entry above
+the bound holds no point.
 
 Ball memberships at fixed radii are clopen only for ultrametric distances,
 which is why the catalog keeps to two-symbol sequence spaces, closed subsets
@@ -120,10 +124,17 @@ class LuzinScheme:
         return v
 
     def _index(self, x: Any, level: int) -> Optional[int]:
-        """x's cell index on a level; None from the first level without one."""
+        """x's cell index on a level; None from the first level without one.
+
+        The search on level L + 1 starts at the level-L index p, since no
+        i < p can qualify there.  On level L, i failed because d(x, r_i) is
+        at least that level's radius, which exceeds the next one, or because
+        r_i is not in B_(path[:L]), which B_(path[:L+1] + (i,)) requires.
+        """
         path = self._paths.setdefault(x, [])
         while len(path) <= level and (not path or path[-1] is not None):
-            path.append(next((i for i in range(self.presentation.witness_bound + 1)
+            path.append(next((i for i in range(path[-1] if path else 0,
+                                               self.presentation.witness_bound + 1)
                               if self.ball_stage(x, (*path, i))), None))
         return path[level] if level < len(path) else None
 

@@ -285,6 +285,10 @@ def check_luzin_scheme(scheme: LuzinScheme, depth: int, dense_count: int) -> Che
 
 
 def check_embedding_injective(scheme: LuzinScheme, dense_count: int) -> CheckResult:
+    """The embedding separates the dense probes: two at distance delta > 0
+    have images that disagree within split_level(delta) + 1 entries, since no
+    cell that deep holds two points delta apart.  Probes at distance 0 name
+    one point and are skipped."""
     pres = scheme.presentation
 
     def run():
@@ -302,6 +306,9 @@ def check_embedding_injective(scheme: LuzinScheme, dense_count: int) -> CheckRes
 
 
 def check_image_tree_pruned(scheme: LuzinScheme, depth: int) -> CheckResult:
+    """The image tree is pruned below depth: every cell of length below depth
+    that holds a dense point within the witness bound has a child cell that
+    holds one too: no image node above depth is a dead end."""
     tree = scheme.image_tree()
 
     def run():

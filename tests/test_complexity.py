@@ -19,11 +19,14 @@ family can tell without asking the tree, so the branches grown to --budget
 are bounded by the distinct points plus the codes that it cannot tell.
 
 The Luzin check reads each probe's cells off its path, through its
-embedding, and asks no cell membership of a probe.
+embedding, and asks no cell membership of a probe.  A probe's search on each
+level starts at its index on the level above, since no smaller index can
+qualify there.
 """
 
 import contextlib
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +34,7 @@ from clopen import dsl, verify
 from clopen.cli import main
 from clopen.coding import decode
 from clopen.instances import build_instance, builtin_instance
-from clopen.luzin import LuzinScheme, cantor_presentation
+from clopen.luzin import LuzinScheme, baire_closed_presentation, cantor_presentation
 
 BUDGETS = (128, 256, 512)
 # the real compile: monkeypatch undoes a patch only when the test ends, so
@@ -145,3 +148,22 @@ def test_luzin_check_asks_no_cell_membership(monkeypatch):
     # membership; asking the root cell and then each of the witness_bound + 1
     # = 33 children on each of the 3 levels made 30 * (1 + 3 * 33) = 3,000 calls
     assert calls[0] == 0
+
+
+def test_baire_closed_trio_searches_each_level_from_the_parent_index():
+    pres = baire_closed_presentation(build_instance(builtin_instance("baire-split-0")).ambient_fam)
+    calls = [0]
+
+    def counted(x, i, dist_to_dense=pres.dist_to_dense):
+        calls[0] += 1
+        return dist_to_dense(x, i)
+
+    scheme = LuzinScheme(replace(pres, dist_to_dense=counted))
+    for result in (verify.check_luzin_scheme(scheme, 4, 16),
+                   verify.check_embedding_injective(scheme, 16),
+                   verify.check_image_tree_pruned(scheme, 4)):
+        assert result.passed, result.detail
+    # the trio the embed-luzin bench runs on the baire-split-0 ambient: no
+    # index below a point's index on one level qualifies on the next, so each
+    # level's search starts there; searching from 0 on every level made 3,110
+    assert calls[0] <= 1068

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from clopen import dsl, instances
+from clopen import cli, dsl, instances
 from clopen.cli import build_parser, main
 from clopen.codes import parse_code_file, render_code_file
 from clopen.coding import pair
@@ -533,6 +533,34 @@ def test_cli_embed_baire_closed_reads_instance_bounds(tmp_path):
     # explicit flags still override the instance's bounds
     assert main(args + ["--depth", "3"]) == 0
     assert out.read_text().splitlines()[1:] == ["depth 3", "embed 0 -> 0 0 0"]
+
+
+def test_cli_embed_validates_the_ambient_at_the_files_depth(monkeypatch, tmp_path):
+    # --depth is the printed prefix length only: baire-split-0's ambient, child
+    # bound 4, is validated at the file's depth 4, and the embedding reads past
+    # it on demand.  Validating to --depth 7 stored about 98k stems, and at
+    # --depth 10 it passed 3.5 GB and ended in a MemoryError
+    depths, built = [], []
+    real_validate, real_build = instances.validate_pruned, cli.build_instance
+
+    def validating(tree, depth):
+        depths.append(depth)
+        return real_validate(tree, depth)
+
+    def building(inst):
+        built.append(real_build(inst))
+        return built[-1]
+
+    monkeypatch.setattr(instances, "validate_pruned", validating)
+    monkeypatch.setattr(cli, "build_instance", building)
+    out = tmp_path / "embed.txt"
+    assert main(["embed", "--space", "baire-closed", "--instance", "baire-split-0",
+                 "--depth", "7", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "depth 7" and len(lines) == 10
+    assert all(len(line.split("-> ")[1].split()) == 7 for line in lines[2:])
+    assert set(depths) == {4}
+    assert len(built[0].ambient_fam.tree._cache) <= 781
 
 
 def _catalog_doc(name, **bounds):

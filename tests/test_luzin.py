@@ -10,8 +10,8 @@ from clopen.baire import eventually_periodic, exact_distance
 from clopen.coding import encode
 from clopen.luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
                           cantor_presentation, discrete_presentation, rescale, split_level)
-from clopen.trees import (DensePointFamily, dense_pn_distance, full_cantor_tree,
-                          validate_pruned)
+from clopen.trees import (DensePointFamily, cylinder_union_tree, dense_pn_distance,
+                          full_cantor_tree, validate_pruned)
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
                            check_luzin_scheme)
 
@@ -348,9 +348,71 @@ def test_cantor_trio_distance_calls_stay_per_dense_index():
     assert check_luzin_scheme(sch, 3, 30).passed
     assert check_embedding_injective(sch, 30).passed
     assert check_image_tree_pruned(sch, 3).passed
-    # 1,395 with one cell path per handle; 3,264 with a memo per (handle, cell),
+    # 627 with each level's search starting at the parent's index; 1,395
+    # searching from 0 on every level, 3,264 with a memo per (handle, cell),
     # and fresh handles on every call made 75,197
-    assert calls[0] <= 1500
+    assert calls[0] <= 627
+
+
+def _path_from_zero(sch, x, depth):
+    """x's path to depth by the least index within the bound, searched from 0
+    on every level, up to the first level with none."""
+    path, bound = (), sch.presentation.witness_bound
+    while len(path) < depth:
+        i = next((i for i in range(bound + 1) if sch.ball_stage(x, (*path, i))), None)
+        if i is None:
+            break
+        path += (i,)
+    return path
+
+
+def _embedded_path(sch, x, depth):
+    """x's path to depth as its embedding reads it, up to the first level
+    without a cell."""
+    image = sch.embed(x)
+    path = ()
+    try:
+        while len(path) < depth:
+            path += (image(len(path)),)
+    except CellSearchExhausted:
+        pass
+    return path
+
+
+def _closed_presentation(tree, depth, witness_bound=16):
+    validate_pruned(tree, depth)
+    return baire_closed_presentation(DensePointFamily(tree), witness_bound=witness_bound)
+
+
+def _baire_split_0_ambient(depth):
+    from clopen.instances import builtin_instance
+
+    return _closed_presentation(builtin_instance("baire-split-0").parts[0], depth)
+
+
+def _cantor_cylinders(depth):
+    return _closed_presentation(cylinder_union_tree([[1], [0, 1]], "cylinders", child_floor=1),
+                                depth)
+
+
+@pytest.mark.parametrize("make, depth", [
+    *(pytest.param(lambda b=b: cantor_presentation(witness_bound=b), 5, id=f"cantor-{b}")
+      for b in range(1, 34)),
+    *(pytest.param(lambda n=n: discrete_presentation(n), 5, id=f"discrete-{n}")
+      for n in range(1, 7)),
+    *(pytest.param(lambda d=d, make=make: make(d), d, id=f"{make.__name__[1:]}-depth-{d}")
+      for make in (_baire_split_0_ambient, _cantor_cylinders) for d in range(2, 6))])
+def test_paths_match_a_search_from_zero_on_every_level(make, depth):
+    # each level's search starts at the parent's index; a search from 0 on a
+    # fresh scheme's stages gives the same least indices
+    sch, fresh = LuzinScheme(make()), LuzinScheme(make())
+    pres = sch.presentation
+    probes = [pres.dense_point(i) for i in range(pres.witness_bound + 3)]
+    if pres.name == "cantor":
+        probes += [eventually_periodic(pre, period) for pre, period in
+                   (((), (1,)), ((1, 0), (0, 1)), ((0, 0, 1), (1, 1, 0)))]
+    for x in probes:
+        assert _embedded_path(sch, x, depth) == _path_from_zero(fresh, x, depth), x
 
 
 def test_split_level_matches_the_halving_loop():
