@@ -96,22 +96,24 @@ def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> N
     That violation has i < k: d(i, i) = 0 breaks no triangle, and a violation
     at (i, j, k) with i > k mirrors, by symmetry, one at (k, j, i), which
     comes earlier.  So a row i need only be checked against columns k >= i,
-    or, a block of rows at a time, k >= the block's first row."""
+    or, a block of rows at a time, k >= the block's first row.  The arrays
+    run whenever _triangle_dtype finds a dtype, and the exact loop otherwise."""
     max_num = max((max(row) for row in num), default=0)
     max_den = max((max(row) for row in den), default=0)
-    if max_num <= 1 << 10 and max_den <= 1 << 15 and count >= 8:
-        _triangle_numpy(num, den, count)
-    else:
+    if _triangle_dtype(max_num, max_den) is None:
         _triangle_exact(num, den, count)
+    else:
+        _triangle_numpy(num, den, count)
 
 
 def _triangle_dtype(max_num: int, max_den: int):
     """The narrowest of int16, int32 and int64 that holds 2 * max_num * max_den^2,
-    the largest value any product or sum of the triangle check reaches."""
+    the largest value any product or sum of the triangle check reaches, or
+    None when int64 does not."""
     import numpy as np
 
     bound = 2 * max_num * max_den * max_den
-    return next(dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= bound)
+    return next((dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= bound), None)
 
 
 def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int) -> None:

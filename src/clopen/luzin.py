@@ -92,14 +92,13 @@ class LuzinScheme:
 
     Each point handle has one path, its cell index on each level: the least
     i <= witness_bound with the point in B_(path + (i,)).  Cell membership,
-    member lists and the embedding all read it.
+    the embedding and the image tree all read it.
     """
 
     def __init__(self, presentation: ZeroDimPresentation):
         self.presentation = presentation
         self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
         self._paths: dict[Any, list[Optional[int]]] = {}
-        self._members: dict[tuple[int, ...], tuple[int, ...]] = {}
         # the ball radius below a parent of length n, built as levels are reached
         self._radii: list[Fraction] = []
 
@@ -153,39 +152,24 @@ class LuzinScheme:
 
         return branch(index)
 
-    def members(self, cell: tuple[int, ...]) -> tuple[int, ...]:
-        """The dense indices i <= witness_bound whose points lie in A_cell, ascending.
-
-        A_cell lies inside A_parent, so the first request under a parent goes
-        once through the parent's list, reads each member's index on the
-        cell's level, and stores the lists of all the parent's children
-        within the bound.  A cell with an entry above the bound holds no point.
-        """
-        memo = self._members
-        found = memo.get(cell)
-        if found is None:
-            pres = self.presentation
-            bound = pres.witness_bound
-            if not cell:
-                found = memo[cell] = tuple(range(bound + 1))
-            elif not 0 <= cell[-1] <= bound:
-                found = ()
-            else:
-                parent, level = cell[:-1], len(cell) - 1
-                children: dict[Optional[int], list[int]] = {}
-                for i in self.members(parent):
-                    children.setdefault(self._index(pres.dense_point(i), level), []).append(i)
-                for k in range(bound + 1):
-                    memo[(*parent, k)] = tuple(children.get(k, ()))
-                found = memo[cell]
-        return found
-
     def image_tree(self) -> PrunedTree:
-        """The tree of the embedded image: a node is a cell with a dense member
-        within the witness bound."""
-        bound = self.presentation.witness_bound
-        return PrunedTree(lambda cell: bool(self.members(cell)), lambda cell: bound,
-                          label=f"image[{self.presentation.name}]")
+        """The tree of the embedded image: a cell of length n is a node when it
+        is the length-n prefix of the path of a dense point i <= witness_bound.
+        Each level's prefixes are collected once, the first time a cell of
+        that length is asked; a cell with an entry above the bound is none."""
+        pres = self.presentation
+        bound = pres.witness_bound
+        levels = [{()} if bound >= 0 else set()]
+
+        def admits(cell: tuple[int, ...]) -> bool:
+            while len(levels) <= len(cell):
+                n = len(levels)
+                handles = map(pres.dense_point, range(bound + 1))
+                levels.append({tuple(self._paths[x][:n]) for x in handles
+                               if self._index(x, n - 1) is not None})
+            return cell in levels[len(cell)]
+
+        return PrunedTree(admits, lambda cell: bound, label=f"image[{pres.name}]")
 
 
 def split_level(delta: Fraction) -> int:

@@ -38,17 +38,14 @@ every stem tuple along them would hold memory quadratic in the depth.
 The stems of a point are its shortest stem and that stem's extensions along
 it, and codes grow under extension, so a code is the least code of its point
 exactly when it is admissible and its stem is empty or does not end in the
-least child of the rest.  A family keeps one memo, code -> (branch, stem
-length).  An inadmissible code shares code 0's branch, and a code whose stem
-ends in the least child of the rest shares the branch of the rest's code,
-told without a predicate call or child search: when that child is 0, or
-when the rest's trie node records it.  Only a stem ending in a nonzero least
-child that no search has found yet grows a second branch for its point.
-Equality and the distance are decided exactly from the first position where
-two branches differ, and unequal branches provably disagree within the
-longer of the two stems; dense_pn_distance turns that position k into the
-distance 1/(k+1), and the order relations d < q and d <= q are read off
-that exact value.
+least child of the rest.  A family keeps one memo, code -> (branch, least
+stem length), by that rule: an inadmissible code takes code 0's entry, a
+code whose stem ends in the least child of the rest takes the rest's code's
+entry, and only a least code grows a branch.  So two codes name one point
+exactly when they hold one entry.  Two distinct points first differ within
+the longer of their least stems; dense_pn_distance turns that position k
+into the distance 1/(k+1), and the order relations d < q and d <= q are
+read off that exact value.
 """
 
 from __future__ import annotations
@@ -175,12 +172,6 @@ class PrunedTree:
                 break
             node = node.children.get(x)
         return node
-
-    def _known_least(self, prefix: tuple[int, ...]) -> Optional[int]:
-        """The least child entry of prefix if a search has found it, else None;
-        it searches nothing and makes no trie node."""
-        node = self._walked_node(prefix)
-        return None if node is None or node.least is None else node.least.entry
 
     def node(self, s: int) -> bool:
         """Code-level node predicate (the 0/1 parameter of the closed set)."""
@@ -320,8 +311,8 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
 class DensePointFamily:
     """The family of leftmost branches indexed by sequence codes.
 
-    Codes that name one point share one branch object wherever _entry can
-    tell without asking the tree (see there), so the point grows once."""
+    Every code of a point holds its least code's entry, so the point grows
+    once and two codes name one point exactly when they hold one entry."""
 
     def __init__(self, tree: PrunedTree):
         if tree.depth_validated < 1:
@@ -341,25 +332,20 @@ class DensePointFamily:
         return self.tree.admits(u) and (not u or u[-1] != self.tree.least_child(u[:-1]))
 
     def _entry(self, s: int) -> tuple[BairePoint, int]:
-        """The dense point with index s and the length of the stem it names.
+        """The dense point with index s and the length of its least code's stem.
 
-        An inadmissible s shares code 0's entry.  An admitted stem u that
-        ends in the least child of the rest names the rest's point, so s
-        shares the branch of encode(u[:-1])'s entry; it keeps its own stem
-        length, so _split's scan bound, and every distance, is unchanged.
-        Whether u ends in that child is told with no predicate call, child
-        search or new trie node: a last entry 0 does, since the child search
-        starts at 0 and u is admitted, and a nonzero one does when the rest's
-        trie node records it as its least child.  The rest's entry, made if
-        the family lacks it, asks admits about the rest, which downward
-        closure admits.  Any other s grows a branch of its own."""
+        By is_least_code's rule: an inadmissible s takes code 0's entry, an
+        admitted stem ending in the least child of the rest takes the rest's
+        code's entry, and only a least code grows a branch.  The rest's
+        entry, made if the family lacks it, asks admits about the rest,
+        which downward closure admits."""
         e = self._points.get(s)
         if e is None:
             u, tree = decode(s), self.tree
             if not tree.admits(u):
                 e = self._entry(0)
-            elif u and (u[-1] == 0 or tree._known_least(u[:-1]) == u[-1]):
-                e = (self._entry(encode(u[:-1]))[0], len(u))
+            elif u and u[-1] == tree.least_child(u[:-1]):
+                e = self._entry(encode(u[:-1]))
             else:
                 hint = tree.hint(u) if tree.hint is not None else None
                 e = (branch(tree._walk(u), stem=u, tail_hint=hint), len(u))
@@ -373,8 +359,9 @@ class DensePointFamily:
 
 def _split(fam: DensePointFamily, s: int, t: int) -> Optional[int]:
     """The first position where the dense points s and t differ, or None
-    when they are equal: the scan up to the longer stem is total.  The
-    family's memo is read first; _entry makes an entry it lacks."""
+    when they are equal: distinct points first differ within the longer of
+    their least stems.  The family's memo is read first; _entry makes an
+    entry it lacks."""
     points = fam._points
     a, m = points.get(s) or fam._entry(s)
     b, n = points.get(t) or fam._entry(t)
@@ -382,13 +369,10 @@ def _split(fam: DensePointFamily, s: int, t: int) -> Optional[int]:
 
 
 def dense_equal(fam: DensePointFamily, s: int, t: int) -> bool:
-    """Exact equality of the dense points with indices s and t.
-
-    Inadmissible indices name the root's branch (code 0); for admissible ones
-    the branches are equal exactly when one coded stem is a prefix of the
-    other and the longer stem lies on the shorter stem's leftmost branch.
-    """
-    return _split(fam, s, t) is None
+    """Exact equality of the dense points with indices s and t: every code
+    holds its point's least code's entry, and distinct least codes name
+    distinct points."""
+    return fam._entry(s) is fam._entry(t)
 
 
 def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:

@@ -289,6 +289,34 @@ def test_triangle_dtype_edges_keep_the_first_violation(max_num, max_den, dtype):
         assert (exc.value.kind, exc.value.where, str(exc.value)) == want, check
 
 
+# (denominator D, the path the axiom check takes): a table of 5 points, below
+# one numpy block, with every distance over D, so 2 * 3 * D^2 bounds the
+# check's products; past 2^15 it fits int64, past 2^31 it does not
+PATH_CASES = [((1 << 15) + 3, "numpy"), ((1 << 31) + 3, "exact")]
+
+
+@pytest.mark.parametrize("den,path", PATH_CASES)
+def test_triangle_path_is_chosen_by_the_dtype_alone(monkeypatch, den, path):
+    taken = []
+    for name in ("numpy", "exact"):
+        real = getattr(codes, f"_triangle_{name}")
+        monkeypatch.setattr(codes, f"_triangle_{name}",
+                            lambda *args, name=name, real=real: taken.append(name) or real(*args))
+
+    # every pair at 3/D but d(1, 2) = d(2, 3) = 1/D, so d(1, 3) > d(1, 2) + d(2, 3)
+    def dist(i, j):
+        if i == j:
+            return Fraction(0)
+        return Fraction(1 if {i, j} in ({1, 2}, {2, 3}) else 3, den)
+
+    with pytest.raises(MetricAxiomViolation) as exc:
+        check_metric_axioms(dist, 5)
+    assert taken == [path]
+    assert (exc.value.kind, exc.value.where, str(exc.value)) == \
+        _triangle_outcome(codes._triangle_exact, dist, 5) == \
+        ("triangle", (1, 3), "triangle fails at (1, 3) via 2")
+
+
 def _families(name="cantor-split-0"):
     sp = build_instance(builtin_instance(name)).sum_space
     return sp, sp.part_a.fam, sp.part_c.fam

@@ -14,9 +14,8 @@ depth n costs O(n) reads, not the O(n^2) of reading each candidate's whole
 stem.
 
 Each dense point grows once: the distance-oracle scans read the codes below
-40, and the codes there that name one point share one branch wherever the
-family can tell without asking the tree, so the branches grown to --budget
-are bounded by the distinct points plus the codes that it cannot tell.
+40, and every code there holds its least code's entry, so the branches grown
+to --budget are the distinct points among them.
 
 The Luzin check reads each probe's cells off its path, through its
 embedding, and asks no cell membership of a probe.  A probe's search on each
@@ -32,7 +31,6 @@ import pytest
 
 from clopen import dsl, verify
 from clopen.cli import main
-from clopen.coding import decode
 from clopen.instances import build_instance, builtin_instance
 from clopen.luzin import LuzinScheme, baire_closed_presentation, cantor_presentation
 
@@ -93,15 +91,10 @@ TREE_PAIRS = ["baire-split-0", "cantor-dsl-eq01", "cantor-eq01", "cantor-split-0
 ORACLE_CODES = 40  # check_distance_oracle compares the codes below 40
 
 
-def _unshared_bound(fam):
-    """The distinct points among the codes below 40, plus the codes there
-    whose stem ends in a nonzero least child of the rest, read off a fresh
-    family of a side."""
-    tree, stems = fam.tree, [decode(s) for s in range(ORACLE_CODES)]
-    distinct = sum(fam.is_least_code(s) for s in range(ORACLE_CODES))
-    nonzero = sum(1 for u in stems if u and u[-1] != 0 and tree.admits(u)
-                  and tree.least_child(u[:-1]) == u[-1])
-    return distinct, nonzero
+def _distinct_points(fam):
+    """The distinct points among the codes below 40: their least codes, read
+    off a fresh family of a side."""
+    return sum(fam.is_least_code(s) for s in range(ORACLE_CODES))
 
 
 @pytest.mark.parametrize("name", TREE_PAIRS)
@@ -121,15 +114,11 @@ def test_verify_grows_each_dense_point_once(monkeypatch, name):
     for (fam, budget), rep in zip(families, (fresh.part_a, fresh.part_c)):
         grown = {id(point) for point, _ in fam._points.values()
                  if len(point._prefix) >= budget}
-        distinct, nonzero = _unshared_bound(rep.fam)
-        # an inadmissible code shares code 0's branch, and an admitted stem
-        # ending in its rest's least child shares the rest's: at once when
-        # that child is 0, and when it is not only once a search has found
-        # it.  So the branches grown to the budget are one per distinct point
-        # (its least code's) and at most one per code ending in a nonzero
-        # least child; before sharing, cantor-split-0 side a grew 21 branches
-        # for 10 distinct points
-        assert len(grown) <= distinct + nonzero, (name, len(grown), distinct, nonzero)
+        distinct = _distinct_points(rep.fam)
+        # every code holds its least code's entry, so the branches grown to
+        # the budget are one per distinct point; before sharing,
+        # cantor-split-0 side a grew 21 branches for 10 distinct points
+        assert len(grown) == distinct, (name, len(grown), distinct)
 
 
 def test_luzin_check_asks_no_cell_membership(monkeypatch):

@@ -108,14 +108,13 @@ def test_known_empty_cell():
     for i in range(24):
         assert not sch.cell_member_seq(sch.presentation.dense_point(i), (16,))
     assert not sch.image_tree().admits((16,))
-    assert sch.members((16,)) == ()
 
 
 def test_image_node_basics():
     sch = small_scheme()
-    assert sch.image_tree().admits(())
-    assert sch.members(())[0] == 0
-    assert sch.image_tree().admits((0,))
+    image = sch.image_tree()
+    assert image.admits(()) and image.admits((0,))
+    assert sch.cell_member_seq(sch.presentation.dense_point(0), (0,))
 
 
 def test_embed_separates_points_differing_at_zero():
@@ -189,7 +188,6 @@ def test_a_cell_past_the_witness_bound_holds_no_point():
     assert sch.ball_stage(x, (7,))
     assert not any(sch.ball_stage(x, (i,)) for i in range(7))
     assert not any(sch.cell_member_seq(x, (i,)) for i in range(12))
-    assert sch.members((7,)) == ()
     assert not sch.image_tree().admits((7,))
 
 
@@ -247,7 +245,6 @@ def test_members_match_the_brute_force_scan(make, in_cell_by_disjointification):
     for cell in cells:
         want = tuple(i for i in range(bound + 1)
                      if in_cell_by_disjointification(brute, pres.dense_point(i), cell))
-        assert sch.members(cell) == want
         assert all(sch.cell_member_seq(pres.dense_point(i), cell) == (i in want)
                    for i in range(bound + 1))
         assert image.admits(cell) == bool(want)
@@ -265,17 +262,18 @@ def test_root_children_are_listed_in_one_pass_over_the_root():
         return dense_point(i)
 
     sch = LuzinScheme(replace(pres, dense_point=counted))
-    lists = [sch.members((k,)) for k in range(65)]
-    # one handle per root member for its index, and one per found ball for its
-    # centre (ball_stage checks that r_k lies in the parent's stage); filtering
-    # the root once per child made 65 * 65 + 65 = 4,290 calls
+    image = sch.image_tree()
+    nodes = [k for k in range(65) if image.admits((k,))]
+    # one handle per dense point for its level-1 index, and one per found
+    # ball for its centre (ball_stage checks that r_k lies in the parent's
+    # stage); filtering the root once per child made 65 * 65 + 65 = 4,290
     made = calls[0]
     assert made <= 2 * 65
-    assert sorted(i for found in lists for i in found) == list(range(65))
-    assert all(list(found) == sorted(found) for found in lists)
-    # a cell past the bound holds no point and starts no second pass
-    assert sch.members((65,)) == () and calls[0] == made
-    assert sch.members((3, 200)) == ()
+    assert nodes == sorted({sch.embed(pres.dense_point(i))(0) for i in range(65)})
+    # a cell past the bound is no node, and asks nothing more of its level
+    made = calls[0]
+    assert not image.admits((65,)) and calls[0] == made
+    assert not image.admits((3, 200))
 
 
 def _ball_stage_by_definition(raw, dense_point):

@@ -130,7 +130,9 @@ def test_leftmost_searches_each_position_once():
     assert point.prefix(12) == stem + (0,) * 9
     assert point.prefix(12) == stem + (0,) * 9
     assert [point(n) for n in range(12)] == list(stem + (0,) * 9)
-    assert len(searched) == 12 - len(stem)
+    # the family searches the rest (1, 0) once to tell that (1, 0, 1) is a
+    # least code, and the walk searches each position past the stem once
+    assert searched == [stem[:-1]] + [stem + (0,) * k for k in range(12 - len(stem))]
 
 
 def test_child_search_exhausted_beyond_contract():
@@ -466,8 +468,8 @@ def test_a_second_branch_along_a_walked_path_asks_nothing():
     bounds.clear()
     second = fam.leftmost(encode((0, 0)))
     # (0, 0) ends in the least child of (0,), which ends in the root's: the
-    # code shares the root's branch, and its stem length keeps the scan bound
-    assert second is first and fam._entry(encode((0, 0)))[1] == 2
+    # code holds the root's entry itself, least stem length 0 included
+    assert second is first and fam._entry(encode((0, 0))) is fam._entry(0)
     assert second.prefix(200) == (0,) * 200
     assert sum(asked.values()) == sum(bounds.values()) == 0
     assert dense_equal(fam, 0, encode((0, 0)))
@@ -616,10 +618,9 @@ def _sharing_trees():
 
 def _walked_codes(make, seed):
     """A family whose codes below SHARE_CODES were each grown to 300 in a
-    seeded order, so some codes meet their rest's least child already
-    searched and some do not; the codes whose point another code holds too;
-    and the codes whose first 300 values differ from a plain reference walk
-    on a twin tree."""
+    seeded order; the codes whose point another code holds too; and the
+    codes whose first 300 values differ from a plain reference walk on a
+    twin tree."""
     tree, twin = validated(make(), 2), validated(make(), 2)
     fam = DensePointFamily(tree)
     codes = list(range(SHARE_CODES))
@@ -660,36 +661,57 @@ def test_shared_branches_match_the_reference_walk(make, cylinders, seed, oracle)
                     side, s, t, oracle.seq_of_code), (s, t)
 
 
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("make", [pytest.param(make, id=label)
+                                  for label, make, _ in _sharing_trees()])
+def test_every_code_holds_its_least_codes_entry(make, seed):
+    fam, twin, _, _ = _walked_codes(make, seed)
+    lines = {}
+    for s in range(SHARE_CODES):
+        u = decode(s)
+        u = u if twin.admits(u) else ()
+        lines[s] = _grown(_reference_branch(twin, u), 300)
+        # the least code of s's point, by dropping last entries that the
+        # reference walk takes from the rest
+        while u and _reference_branch(twin, u[:-1])(len(u) - 1) == u[-1]:
+            u = u[:-1]
+        assert fam._entry(s) is fam._entry(encode(u)), s
+    for s in range(SHARE_CODES):
+        for t in range(SHARE_CODES):
+            assert dense_equal(fam, s, t) == (lines[s] == lines[t]), (s, t)
+
+
 def test_a_stem_ending_in_a_searched_nonzero_least_child_shares_its_rest():
     # (0,) is off the tree, so the root's least child is 1: (1,) names the
-    # root's point, but only a search of the root tells, so a fresh family
-    # grows (1,) its own branch and one that walked the root shares it
-    tree = cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)
-    fresh = DensePointFamily(validated(tree))
-    assert fresh.leftmost(encode((1,))) is not fresh.leftmost(0)
-    fam = DensePointFamily(validated(cylinder_union_tree([[1, 0, 1]], "tree", child_floor=1)))
-    root = fam.leftmost(0)
-    assert root.prefix(4) == (1, 0, 1, 0)
-    assert fam.leftmost(encode((1,))) is root and fam.leftmost(encode((1, 0))) is root
-    assert fam.leftmost(encode((1, 0, 1, 1))) is not root
+    # root's point, and the family searches the root to tell, so (1,) takes
+    # the root's entry whether it or the root is asked first
+    for first in (encode((1,)), 0):
+        fam = DensePointFamily(validated(cylinder_union_tree([[1, 0, 1]], "tree",
+                                                             child_floor=1)))
+        fam.leftmost(first)
+        root = fam.leftmost(0)
+        assert root.prefix(4) == (1, 0, 1, 0)
+        assert fam._entry(encode((1,))) is fam._entry(encode((1, 0))) is fam._entry(0)
+        assert fam.leftmost(encode((1, 0, 1, 1))) is not root
 
 
 @pytest.mark.parametrize("make", [pytest.param(make, id=label)
                                   for label, make, _ in _sharing_trees() if label != "dsl-step"])
 def test_sharing_a_stem_that_ends_off_the_least_child_is_caught(monkeypatch, make):
-    # the mutant takes every last entry for its rest's least child, so an
-    # admitted stem ending in any other entry shares its rest's branch, which
-    # leaves the stem at its last position; a tree with no such stem below
-    # the codes cannot tell the mutant apart (dsl-step has one branch, so
-    # every stem ends in its rest's only child, and it is left out)
+    # the mutant's least child equals every entry, so an admitted stem
+    # ending in any other entry takes its rest's entry, which leaves the stem
+    # at its last position; a tree with no such stem below the codes cannot
+    # tell the mutant apart (dsl-step has one branch, so every stem ends in
+    # its rest's only child, and it is left out)
     class Every:
         def __eq__(self, entry):
             return True
 
-    monkeypatch.setattr(PrunedTree, "_known_least", lambda self, prefix: Every())
+    least_child = PrunedTree.least_child
+    monkeypatch.setattr(PrunedTree, "least_child", lambda self, prefix: Every())
     _, twin, _, wrong = _walked_codes(make, 0)
     off = {s for s in range(1, SHARE_CODES) if twin.admits(decode(s))
-           and decode(s)[-1] != twin.least_child(decode(s)[:-1])}
+           and decode(s)[-1] != least_child(twin, decode(s)[:-1])}
     assert off <= set(wrong) and bool(off) == bool(wrong)
 
 
