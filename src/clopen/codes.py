@@ -100,10 +100,11 @@ def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> N
     run whenever _triangle_dtype finds a dtype, and the exact loop otherwise."""
     max_num = max((max(row) for row in num), default=0)
     max_den = max((max(row) for row in den), default=0)
-    if _triangle_dtype(max_num, max_den) is None:
+    dtype = _triangle_dtype(max_num, max_den)
+    if dtype is None:
         _triangle_exact(num, den, count)
     else:
-        _triangle_numpy(num, den, count)
+        _triangle_numpy(num, den, count, dtype)
 
 
 def _triangle_dtype(max_num: int, max_den: int):
@@ -116,18 +117,16 @@ def _triangle_dtype(max_num: int, max_den: int):
     return next((dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= bound), None)
 
 
-def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int) -> None:
-    """The integer check below on arrays of _triangle_dtype, so no product
+def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int, dtype) -> None:
+    """The integer check below on arrays of dtype, the one _triangle_dtype
+    finds for the table's largest numerator and denominator, so no product
     wraps, TRIANGLE_BLOCK values of i at a time against the columns k >= the
     block's first row: memory is O(TRIANGLE_BLOCK * count^2), and blocks run
     in ascending i, so the first violation is the one the exact loop finds.
     A block is searched for its violation only when it holds one."""
     import numpy as np
 
-    p = np.array(num, dtype=np.int64)
-    q = np.array(den, dtype=np.int64)
-    dtype = _triangle_dtype(int(p.max(initial=0)), int(q.max(initial=0)))
-    p, q = p.astype(dtype), q.astype(dtype)
+    p, q = np.array(num, dtype=dtype), np.array(den, dtype=dtype)
     # three block-sized buffers, reshaped and written in place by every block
     size = min(count, TRIANGLE_BLOCK) * count * count
     bufs = [np.empty(size, dtype=dtype) for _ in range(3)]

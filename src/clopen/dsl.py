@@ -13,6 +13,12 @@ Quantifier bodies extend as far right as possible; parenthesize when mixing.
 Unbounded quantification is not expressible: the grammar requires the
 "< bound" part, which keeps every predicate decidable.
 
+Each instance field binds a fixed tuple of names, such as a tree node's
+(s, len).  parse_field's sort_of checks, once, that the field's expression
+reads no other name, and compile(e, names) turns it into a function that
+takes those names positionally, in that order.  evaluate(e, env) is
+compile(e, tuple(env))(*env.values()).
+
 A node predicate that bounds its stem's entries one by one, such as
 `all i < len : s(i) <= 1`, would read the whole stem at each child a walk
 asks about.  position_step recognises such position-local conjuncts by a
@@ -268,61 +274,43 @@ def _need(e: Expr, want: str, variables: frozenset[str], sequences: frozenset[st
         raise ParseError(0, 0, f"expected a {want} expression, found a {got} one")
 
 
-Env = Mapping[str, Union[int, Callable[[int], int]]]
-Compiled = Callable[[Env], Union[bool, int]]
+Compiled = Callable[..., Union[bool, int]]
 
 # the strict binary operators; "and"/"or" short-circuit and are built apart
 _STRICT_OPS = {"+": ast.Add(), "*": ast.Mult(), "<": ast.Lt(), "<=": ast.LtE(),
                ">": ast.Gt(), ">=": ast.GtE(), "==": ast.Eq(), "!=": ast.NotEq()}
 
-
-def _variable(env: Env, name: str):
-    v = env.get(name)
-    return v if isinstance(v, int) else None
-
-
-def _sequence(env: Env, name: str):
-    f = env.get(name)
-    return f if callable(f) else None
-
-
-def _unbound(kind: str, name: str):
-    raise EvalError(f"unbound {kind} {name!r}")
-
-
-# the only globals generated code sees; its locals are v<i> (a name the
-# environment binds) and q<i> (a quantifier variable), so no DSL name is ever
-# a Python name
-_GLOBALS = {"__builtins__": {}, "all": all, "any": any, "range": range, "bool": bool,
-            "_variable": _variable, "_sequence": _sequence, "_unbound": _unbound}
+# the only globals generated code sees; its parameters are v<i> (the i-th
+# name it is compiled with) and its locals q<i> (a quantifier variable), so no
+# DSL name is ever a Python name
+_GLOBALS = {"__builtins__": {}, "all": all, "any": any, "range": range, "bool": bool}
 
 
 class _Builder:
-    """The Python expression of a DSL expression.  A name no quantifier binds
-    is looked up in the environment once per call, into a local v<i>, and its
-    read checks that lookup, so an unbound name raises only when read."""
+    """The Python expression of a DSL expression over the given names.  Each
+    read of a name is bound here, once: to its quantifier's local, else to
+    the parameter of its place among the names, else it is an EvalError."""
 
-    def __init__(self):
-        self.lookups: dict[tuple[str, str], str] = {}  # (kind, DSL name) -> local
+    def __init__(self, names: tuple[str, ...]):
+        self.params = {name: f"v{i}" for i, name in enumerate(names)}
         self.quantifiers = 0
 
-    def free(self, kind: str, name: str) -> ast.expr:
-        local = self.lookups.setdefault((kind, name), f"v{len(self.lookups)}")
-        unbound = _call("_unbound", ast.Constant(kind), ast.Constant(name))
-        return ast.IfExp(ast.Compare(_load(local), [ast.IsNot()], [ast.Constant(None)]),
-                         _load(local), unbound)
+    def read(self, kind: str, name: str, scope: dict[str, str]) -> ast.Name:
+        if kind == "variable":
+            local = scope.get(name) or self.params.get(name)
+        else:  # a quantifier variable is a number, so it names no sequence
+            local = None if name in scope else self.params.get(name)
+        if local is None:
+            raise EvalError(f"unbound {kind} {name!r}")
+        return _load(local)
 
     def build(self, e: Expr, scope: dict[str, str]) -> ast.expr:
         if isinstance(e, Num):
             return ast.Constant(e.value)
         if isinstance(e, Var):
-            local = scope.get(e.name)
-            return _load(local) if local else self.free("variable", e.name)
+            return self.read("variable", e.name, scope)
         if isinstance(e, Access):
-            # a quantifier variable is a number, so it names no sequence
-            f = (_call("_unbound", ast.Constant("sequence"), ast.Constant(e.name))
-                 if e.name in scope else self.free("sequence", e.name))
-            return ast.Call(f, [self.build(e.arg, scope)], [])
+            return ast.Call(self.read("sequence", e.name, scope), [self.build(e.arg, scope)], [])
         if isinstance(e, Not):
             return ast.UnaryOp(ast.Not(), self.build(e.body, scope))
         if isinstance(e, Quant):
@@ -352,26 +340,27 @@ def _call(name: str, *args: ast.expr) -> ast.Call:
     return ast.Call(_load(name), list(args), [])
 
 
-def compile(e: Expr) -> Compiled:
-    """The expression as a function of an environment, built once.
+def compile(e: Expr, names: tuple[str, ...]) -> Compiled:
+    """The expression as a function of the given names, built once.
 
-    e becomes one Python expression tree, `lambda env: ...`, with a quantifier
-    as all()/any() over a generator and and/or as `bool(l) and bool(r)`, and
-    the built-in compiler turns that into one code object; no source text is
-    written or parsed.  Calling the function is evaluating e: and/or
-    short-circuit, a quantifier stops at its first witness or counterexample,
-    and a name the environment does not bind raises EvalError when it is read.
+    The function takes the names positionally, in their order: a variable's
+    value is a number, a sequence's a function from numbers to numbers.  A
+    read of a name that neither a quantifier nor names binds, or an access
+    on a quantifier variable, raises EvalError here, whether or not a run
+    would reach it; parse_field's sort_of has already ruled both out for
+    every instance field.  compile binds names, not kinds: that a variable
+    names a number and an access a sequence is sort_of's check alone.
+
+    e becomes one Python expression tree, `lambda v0, v1, ...: ...`, with a
+    quantifier as all()/any() over a generator and and/or as
+    `bool(l) and bool(r)`, and the built-in compiler turns that into one code
+    object; no source text is written or parsed.  Calling the function is
+    evaluating e: and/or short-circuit, and a quantifier stops at its first
+    witness or counterexample.
     """
-    builder = _Builder()
-    body = builder.build(e, {})
-    if builder.lookups:  # (v0 := lookup, ..., body)[-1]
-        hoisted = [ast.NamedExpr(ast.Name(local, ast.Store()),
-                                 _call("_variable" if kind == "variable" else "_sequence",
-                                       _load("env"), ast.Constant(name)))
-                   for (kind, name), local in builder.lookups.items()]
-        body = ast.Subscript(ast.Tuple([*hoisted, body], ast.Load()), ast.Constant(-1),
-                             ast.Load())
-    args = ast.arguments([], [ast.arg("env")], None, [], [], None, [])
+    body = _Builder(names).build(e, {})
+    params = [ast.arg(f"v{i}") for i in range(len(names))]
+    args = ast.arguments(params, [], None, [], [], None, [])
     tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
     return eval(builtins.compile(tree, "<dsl>", "eval"), _GLOBALS)
 
@@ -432,10 +421,11 @@ def _reads_only_at(e: Expr, var: str, sequence: str, length: str) -> bool:
             and _reads_only_at(e.right, var, sequence, length))
 
 
-def evaluate(e: Expr, env: Env):
-    """The value of e in env: compile(e)(env).  Hot paths compile once and
-    keep the function."""
-    return compile(e)(env)
+def evaluate(e: Expr, env: Mapping[str, Union[int, Callable[[int], int]]]):
+    """The value of e with env's names bound:
+    compile(e, tuple(env))(*env.values()).  Hot paths compile once and keep
+    the function."""
+    return compile(e, tuple(env))(*env.values())
 
 
 def parse(text: str) -> Expr:

@@ -97,23 +97,27 @@ def _nat(desc: dict[str, Any], fld: str, path: str, need: str, default: Any = No
     return value
 
 
-# what each expression field may read: its sort, its variables, its sequences
+# what each expression field may read: its sort, its names in the order its
+# compiled function takes them, and which of those names are sequences
 _EXPR_FIELDS = {
-    "node": ("bool", frozenset({"len"}), frozenset({"s"})),   # tree node
-    "r": ("bool", frozenset({"n", "m"}), frozenset({"a"})),   # matrix
-    "use_bound": ("nat", frozenset({"n", "m"}), frozenset()),  # matrix
-    "rule": ("nat", frozenset({"n"}), frozenset()),            # point
+    "node": ("bool", ("s", "len"), frozenset({"s"})),      # tree node
+    "r": ("bool", ("a", "n", "m"), frozenset({"a"})),      # matrix
+    "use_bound": ("nat", ("n", "m"), frozenset()),         # matrix
+    "rule": ("nat", ("n",), frozenset()),                  # point
 }
 
 
-def _expr(fld: str, text: Any, path: str, build: Callable[[dsl.Expr], Any]) -> Any:
-    """build(e), for e the parsed expression of a field, of the field's sort
-    and reading only the names the field binds.  An expression nested past
-    the recursion limit is a ParseError naming the field."""
+def _expr(fld: str, text: Any, path: str,
+          build: Callable[[dsl.Expr, tuple[str, ...]], Any]) -> Any:
+    """build(e, names): e is the field's parsed expression, of the field's
+    sort and reading only the field's names, and names lists them in the
+    order the field's function takes them.  An expression nested past the
+    recursion limit is a ParseError naming the field."""
     if not isinstance(text, str):
         raise _err(f"{path}: {fld!r} must be an expression string")
+    sort, names, sequences = _EXPR_FIELDS[fld]
     try:
-        return build(dsl.parse_field(text, *_EXPR_FIELDS[fld]))
+        return build(dsl.parse_field(text, sort, frozenset(names) - sequences, sequences), names)
     except RecursionError:
         raise _err(f"{path}: {fld!r} is nested too deeply") from None
 
@@ -241,25 +245,25 @@ def build_tree(desc: Any, path: str, label: str) -> PrunedTree:
 _Verdict = Callable[[tuple[int, ...]], bool]  # a verdict on stems
 
 
-def _node_verdicts(node: dsl.Expr) -> tuple[_Verdict, Optional[_Verdict]]:
-    """The node predicate on stems and, when the node has a position-local
-    conjunct, its verdict on a child of an admitted stem, which reads that
-    conjunct at the child's last entry only (dsl.position_step)."""
-    step = dsl.position_step(node, "s", "len")
-    return (_on_stems(dsl.compile(node), ()),
-            None if step is None else _on_stems(dsl.compile(step[0]), step[1]))
+def _node_verdicts(node: dsl.Expr, names: tuple[str, str]) -> tuple[_Verdict, Optional[_Verdict]]:
+    """The node predicate on stems, over names (the sequence, then the
+    length), and, when the node has a position-local conjunct, its verdict on
+    a child of an admitted stem, which reads that conjunct at the child's
+    last entry only (dsl.position_step)."""
+    step = dsl.position_step(node, *names)
+    return (_on_stems(dsl.compile(node, names), 0),
+            None if step is None else _on_stems(dsl.compile(step[0], names + step[1]),
+                                                len(step[1])))
 
 
-def _on_stems(fn: dsl.Compiled, positions: tuple[str, ...]) -> _Verdict:
-    """fn as a predicate on stems u: s reads u (0 past its ends), len is
-    len(u) and each of positions names u's last position."""
+def _on_stems(fn: dsl.Compiled, positions: int) -> _Verdict:
+    """fn as a predicate on stems u: its first argument, s, reads u (0 past
+    its ends), its second, len, is len(u), and each of its next positions
+    arguments is u's last position."""
 
     def verdict(u: tuple[int, ...]) -> bool:
         n = len(u)
-        env = {"s": (lambda i: u[i] if 0 <= i < n else 0), "len": n}
-        for name in positions:
-            env[name] = n - 1
-        return bool(fn(env))
+        return fn(lambda i: u[i] if 0 <= i < n else 0, n, *(n - 1,) * positions)
 
     return verdict
 
@@ -312,8 +316,7 @@ def point_from_descriptor(desc: dict[str, Any]):
         raise _err("a point descriptor must be a JSON object")
     _only(desc, ("rule",) if "rule" in desc else ("pre", "period"), "point: ")
     if "rule" in desc:
-        rule = _expr("rule", desc["rule"], "point", dsl.compile)
-        return BairePoint(lambda n: int(rule({"n": n})))
+        return BairePoint(_expr("rule", desc["rule"], "point", dsl.compile))
     pre, period = desc.get("pre", []), desc.get("period")
     ok = (isinstance(pre, list) and isinstance(period, list) and period
           and all(map(_is_nat, pre + period)))
@@ -335,15 +338,8 @@ def build_matrix(desc: Any, path: str) -> Pi02Matrix:
         if not _is_name(desc.get("name"), MATRIX_CATALOG):
             raise UnknownCatalogName(str(desc.get("name")), kind="matrix")
         return MATRIX_CATALOG[desc["name"]]()
-    r_fn, use_fn = (_expr(fld, desc.get(fld), path, dsl.compile) for fld in ("r", "use_bound"))
+    r, use_bound = (_expr(fld, desc.get(fld), path, dsl.compile) for fld in ("r", "use_bound"))
     budget = _nat(desc, "per_n_budget", path, "dsl matrices need a natural 'per_n_budget'")
-
-    def r(a, n: int, m: int) -> bool:
-        return bool(r_fn({"a": a, "n": n, "m": m}))
-
-    def use_bound(n: int, m: int) -> int:
-        return int(use_fn({"n": n, "m": m}))
-
     return Pi02Matrix(r=r, use_bound=use_bound, per_n_budget=budget, label="dsl-matrix")
 
 

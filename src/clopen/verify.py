@@ -136,8 +136,8 @@ def check_clopen_sides(sp: SumSpace, count: int) -> CheckResult:
 
     def run():
         for t in range(count):
-            side, _ = tag_of_index(t)
-            if membership_in_a(sp, tag_of_index(t)) != (side == 0):
+            tag = tag_of_index(t)
+            if membership_in_a(sp, tag) != (tag[0] == 0):
                 raise AssertionError(f"ball test misclassifies index {t}")
         return f"{count} dense indices"
 

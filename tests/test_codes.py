@@ -207,6 +207,12 @@ def test_axiom_check_reads_each_value_as_its_reduced_pair(kind):
         lambda i, j: Fraction(0) if i == j else Fraction(2, 4) if i < j else Fraction(3, 6), 4)
 
 
+def _numpy_check(num, den, count):
+    """codes._triangle_numpy at the dtype _check_triangle chooses for the table."""
+    codes._triangle_numpy(num, den, count, codes._triangle_dtype(max(map(max, num)),
+                                                                 max(map(max, den))))
+
+
 def _triangle_outcome(check, dist, count):
     num = [[dist(i, j).numerator for j in range(count)] for i in range(count)]
     den = [[dist(i, j).denominator for j in range(count)] for i in range(count)]
@@ -228,7 +234,7 @@ def test_blocked_triangle_check_matches_the_exact_loop(count):
 
         want = _triangle_outcome(codes._triangle_exact, dist, count)
         assert (want is None) == (pair is None)
-        assert _triangle_outcome(codes._triangle_numpy, dist, count) == want
+        assert _triangle_outcome(_numpy_check, dist, count) == want
 
 
 @pytest.mark.parametrize("count", [8, 9, 13, 33, 40])
@@ -256,7 +262,7 @@ def test_triangle_check_matches_the_exact_loop_on_random_tables(count):
             return Fraction(0) if i == j else table[min(i, j), max(i, j)]
 
         want = _triangle_outcome(codes._triangle_exact, dist, count)
-        assert _triangle_outcome(codes._triangle_numpy, dist, count) == want
+        assert _triangle_outcome(_numpy_check, dist, count) == want
         outcomes.add(want is None)
     assert outcomes == {True, False}  # both metrics and violations were drawn
 
@@ -283,7 +289,7 @@ def test_triangle_dtype_edges_keep_the_first_violation(max_num, max_den, dtype):
     for i, j in ((3, 4), (4, 5)):
         num[i][j] = num[j][i] = 1
     want = ("triangle", (3, 5), "triangle fails at (3, 5) via 4")
-    for check in (codes._triangle_exact, codes._triangle_numpy):
+    for check in (codes._triangle_exact, _numpy_check):
         with pytest.raises(MetricAxiomViolation) as exc:
             check(num, den, count)
         assert (exc.value.kind, exc.value.where, str(exc.value)) == want, check

@@ -47,18 +47,17 @@ def _verify_counts(monkeypatch, name, budget):
     reads of s they make."""
     counts = [0, 0]
 
-    def counting(e):
-        fn = COMPILE(e)
+    def counting(e, names):
+        fn = COMPILE(e, names)
 
-        def verdict(env):
+        def verdict(s, *rest):  # a node function's sequence is its first argument
             counts[0] += 1
-            s = env["s"]
 
             def read(i):
                 counts[1] += 1
                 return s(i)
 
-            return fn({**env, "s": read})
+            return fn(read, *rest)
 
         return verdict
 

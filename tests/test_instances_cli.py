@@ -614,7 +614,7 @@ def test_each_dsl_field_is_compiled_once_per_command(catalog_file, monkeypatch, 
     # build_instance compiles none
     calls = []
     compile_ = dsl.compile
-    monkeypatch.setattr(dsl, "compile", lambda e: calls.append(e) or compile_(e))
+    monkeypatch.setattr(dsl, "compile", lambda e, names: calls.append(e) or compile_(e, names))
     instance = (_write(tmp_path, _catalog_doc("cantor-dsl-eq01")) if catalog_file
                 else "cantor-dsl-eq01")
     assert main(["verify", "--instance", instance]) == 0

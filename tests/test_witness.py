@@ -230,3 +230,40 @@ def test_extending_a_pair_tree_branch_calls_the_matrix_linearly_often():
         stem += (tree.least_child(stem),)
     assert stem[pair_code(0, 0)] == 0
     assert len(calls) <= 8 * 256
+
+
+# catalog matrices and their dsl spellings: (name, r, use_bound, per_n_budget)
+DSL_TWINS = [
+    ("diagonal", "a(n) == m", "n + 1", 16),
+    ("zero-tail", "a(n + m) == 0", "n + m + 1", 128),
+    ("first-value-0", "a(0) == 0", "1", 4),
+    ("first-value-1", "a(0) == 1", "1", 4),
+]
+
+
+def _witness_outcome(matrix, a, levels):
+    closure = WitnessClosure(matrix)
+    try:
+        return closure.witness_point(a).prefix(levels), closure.continuity_modulus(a, levels)
+    except WitnessSearchExhausted as exc:
+        return "exhausted", exc.n
+
+
+@pytest.mark.parametrize("name,r,use_bound,budget", DSL_TWINS, ids=[t[0] for t in DSL_TWINS])
+def test_a_dsl_matrix_behaves_like_its_catalog_twin(name, r, use_bound, budget):
+    catalog = build_matrix({"rule": "catalog", "name": name}, "set.a")
+    spelled = build_matrix({"rule": "dsl", "r": r, "use_bound": use_bound,
+                            "per_n_budget": budget}, "set.a")
+    for a in (eventually_periodic((), (0,)), eventually_periodic((1,), (0,)),
+              eventually_periodic((1, 0), (0, 1)), eventually_periodic((0, 2, 1), (1, 0, 0))):
+        assert _witness_outcome(spelled, a, 8) == _witness_outcome(catalog, a, 8), a
+    # every stem to length 12 within the child bounds: 100 to 2,084 of them
+    trees = [pair_tree(matrix, 1) for matrix in (catalog, spelled)]
+    stems, verdicts = [()], set()
+    for stem in stems:
+        want = trees[0].admits(stem)
+        assert trees[1].admits(stem) == want, stem
+        verdicts.add(want)
+        if len(stem) < 12:
+            stems += [stem + (v,) for v in range(trees[0].child_bound(stem) + 1)]
+    assert verdicts == {True, False} and len(stems) >= 100
