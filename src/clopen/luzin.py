@@ -13,17 +13,19 @@ to every finite sequence of dense indices a cell:
 
 Cells on one level are pairwise disjoint, refine their parents, and have
 diameter below 2^-level, so reading off the unique cell indices of a point
-embeds the space into Baire space.  A point's cell index below A_s is its
-least ball index, the least k with the point in B_(s,k), so the scheme keeps
-one path of least indices per point.  That path never descends: an index k
-below the point's index p on one level fails on the next level too, since
-either the point is at least the old radius from r_k, and radii shrink, or
-r_k lies outside the old stage, which every longer stage requires.  So the
-search on each level starts at the parent's index.  Indices are searched up
-to a witness bound, the honest computable stand-in for an existential the
-source construction leaves at limit level two: a point with no ball index
-within the bound has no cell on that level, and a cell with an entry above
-the bound holds no point.
+embeds the space into Baire space.  On an ultrametric the proviso holds:
+if x lies in B_s and within the radius of level n = len(s) of r_k, then
+for each m < n, d(r_k, r_s[m]) <= max(d(r_k, x), d(x, r_s[m])) is below
+the level-m radius, so r_k lies in B_s.  So x's cell index below A_s is
+its least ball index, the least k with d(x, r_k) below the level radius,
+and the scheme keeps one path of least ball indices per point.  That path
+never descends: an index below the point's index on one level is at least
+that level's radius from the point, and radii shrink, so the next level's
+search starts at the point's index.  Indices are searched up to a witness
+bound, the honest computable stand-in for an existential the source
+construction leaves at limit level two: a point with no ball index within
+the bound has no cell on that level, and a cell with an entry above the
+bound holds no point.
 
 Ball memberships at fixed radii are clopen only for ultrametric distances,
 which is why the catalog keeps to two-symbol sequence spaces, closed subsets
@@ -70,9 +72,11 @@ class ZeroDimPresentation:
 
     dense_point    -- index -> point handle; handles must be hashable, and the
                       same index must give the same handle on every call, so
-                      the scheme's memos keyed by handle are hit again
-    dist           -- exact distance on dense indices
-    dist_to_dense  -- exact distance from a point handle to r_i
+                      the scheme's path memo keyed by handle is hit again
+    dist           -- exact distance on dense indices, an ultrametric, which
+                      makes a cell index a least ball index (module docstring)
+    dist_to_dense  -- exact distance from a point handle to r_i, equal to
+                      dist on dense handles
     witness_bound  -- scan ceiling for dense witnesses in a cell
     """
 
@@ -87,54 +91,43 @@ class ZeroDimPresentation:
         return self.dist_to_dense(x, i) < radius
 
 
+def _radius(level: int) -> Fraction:
+    """The ball radius of a level's cells, 1/(2^(level+2) + 1)."""
+    return Fraction(1, 2 ** (level + 2) + 1)
+
+
 class LuzinScheme:
     """The refining clopen cell family over a presentation.
 
     Each point handle has one path, its cell index on each level: the least
-    i <= witness_bound with the point in B_(path + (i,)).  Cell membership,
-    the embedding and the image tree all read it.
+    i <= witness_bound with the point in the level's ball around r_i.
+    Cell membership, the embedding and the image tree all read it.
     """
 
     def __init__(self, presentation: ZeroDimPresentation):
         self.presentation = presentation
-        self._ball: dict[tuple[Any, tuple[int, ...]], bool] = {}
         self._paths: dict[Any, list[Optional[int]]] = {}
-        # the ball radius below a parent of length n, built as levels are reached
-        self._radii: list[Fraction] = []
 
     def ball_stage(self, x: Any, cell: tuple[int, ...]) -> bool:
-        """Membership in the undisjointified stage B_cell."""
-        if not cell:
-            return True
-        key = (x, cell)
-        memo = self._ball
-        v = memo.get(key)
-        if v is not None:
-            return v
-        parent, k = cell[:-1], cell[-1]
-        radii = self._radii
-        while len(radii) <= len(parent):
-            radii.append(Fraction(1, 2 ** (len(radii) + 2) + 1))
+        """Membership in the undisjointified stage B_cell: x lies in each
+        level's ball around that level's entry.  The definition's proviso,
+        r_k in B_(cell[:n]), then holds on an ultrametric."""
         pres = self.presentation
-        v = (self.ball_stage(x, parent)
-             and pres.ball_member(x, k, radii[len(parent)])
-             and self.ball_stage(pres.dense_point(k), parent))
-        memo[key] = v
-        return v
+        return all(pres.ball_member(x, k, _radius(n)) for n, k in enumerate(cell))
 
     def _index(self, x: Any, level: int) -> Optional[int]:
         """x's cell index on a level; None from the first level without one.
 
-        The search on level L + 1 starts at the level-L index p, since no
-        i < p can qualify there.  On level L, i failed because d(x, r_i) is
-        at least that level's radius, which exceeds the next one, or because
-        r_i is not in B_(path[:L]), which B_(path[:L+1] + (i,)) requires.
+        The index on level L is the least i with d(x, r_i) below radius_L,
+        searched from the level-(L-1) index p: every i < p is at least
+        radius_(L-1) > radius_L from x.
         """
         path = self._paths.setdefault(x, [])
+        pres = self.presentation
         while len(path) <= level and (not path or path[-1] is not None):
-            path.append(next((i for i in range(path[-1] if path else 0,
-                                               self.presentation.witness_bound + 1)
-                              if self.ball_stage(x, (*path, i))), None))
+            radius = _radius(len(path))
+            path.append(next((i for i in range(path[-1] if path else 0, pres.witness_bound + 1)
+                              if pres.ball_member(x, i, radius)), None))
         return path[level] if level < len(path) else None
 
     def cell_member_seq(self, x: Any, cell: tuple[int, ...]) -> bool:

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,19 +45,48 @@ def verify_report():
     return report
 
 
-def _in_cell_by_disjointification(sch, x, cell):
+def _ball_stage_by_definition(raw, dense_point):
+    """stage(x, cell): x in B_cell by the recursive definition over the raw
+    distance, proviso included: x in B_parent, the raw distance d from x to
+    r_k rescaled by plain d/(1+d) below the level radius 1/(2^(l+2) + 1) of
+    the parent's length l, and r_k in B_parent."""
+    memo = {}
+
+    def stage(x, cell):
+        if not cell:
+            return True
+        if (x, cell) not in memo:
+            parent, k = cell[:-1], cell[-1]
+            d = Fraction(raw(x, k))
+            memo[x, cell] = (stage(x, parent)
+                             and d / (1 + d) < Fraction(1, 2 ** (len(parent) + 2) + 1)
+                             and stage(dense_point(k), parent))
+        return memo[x, cell]
+
+    return stage
+
+
+@pytest.fixture(scope="session")
+def ball_stage_by_definition():
+    """ball_stage_by_definition(raw, dense_point) -> stage: the Luzin ball
+    stages of a presentation by their definition, read from its raw
+    distance, not from a scheme."""
+    return _ball_stage_by_definition
+
+
+def _in_cell_by_disjointification(stage, x, cell):
     """x in A_cell by its definition: (B_cell minus the earlier B_(parent,i))
     intersected with A_parent."""
     if not cell:
         return True
     parent, k = cell[:-1], cell[-1]
-    return (_in_cell_by_disjointification(sch, x, parent)
-            and sch.ball_stage(x, cell)
-            and not any(sch.ball_stage(x, parent + (i,)) for i in range(k)))
+    return (_in_cell_by_disjointification(stage, x, parent)
+            and stage(x, cell)
+            and not any(stage(x, parent + (i,)) for i in range(k)))
 
 
 @pytest.fixture(scope="session")
 def in_cell_by_disjointification():
-    """in_cell(sch, x, cell): x in the Luzin cell A_cell of the scheme by the
-    definition, read from plain ball stages, not from the scheme's paths."""
+    """in_cell(stage, x, cell): x in the Luzin cell A_cell by the definition,
+    read from the ball stages `stage` decides, not from a scheme's paths."""
     return _in_cell_by_disjointification

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import Exact, distance, eventually_periodic
+from clopen.baire import Exact, distance, eventually_periodic, exact_distance
 from clopen.codes import (catalog_table, decode_metric, encode_metric, render_code_file,
                           validate_metric_table)
 from clopen.coding import decode, encode, quad_code
@@ -150,22 +150,24 @@ def test_criterion_5_topology_extension():
 
 # --- criterion 6 ----------------------------------------------------------------
 
-def test_criterion_6_luzin_scheme(in_cell_by_disjointification):
+def test_criterion_6_luzin_scheme(ball_stage_by_definition, in_cell_by_disjointification):
     scheme = LuzinScheme(cantor_presentation(witness_bound=32))
     for result in (check_luzin_scheme(scheme, 4, 30),
                    check_embedding_injective(scheme, 30),
                    check_image_tree_pruned(scheme, 4)):
         assert result.passed, result.detail
-    # disjointness and refinement by the definition, on a second scheme's
-    # plain ball stages: on every level, the probe's path index is the only
+    # disjointness and refinement by the definition, on ball stages read from
+    # the raw distance: on every level, the probe's path index is the only
     # child index within the bound whose cell holds the probe
-    plain = LuzinScheme(cantor_presentation(witness_bound=32))
+    pres = scheme.presentation
+    stage = ball_stage_by_definition(lambda x, k: exact_distance(x, pres.dense_point(k)),
+                                     pres.dense_point)
     for i in range(30):
-        x = plain.presentation.dense_point(i)
-        path = scheme.embed(scheme.presentation.dense_point(i)).prefix(4)
+        x = pres.dense_point(i)
+        path = scheme.embed(x).prefix(4)
         for n in range(4):
             hits = [k for k in range(33)
-                    if in_cell_by_disjointification(plain, x, path[:n] + (k,))]
+                    if in_cell_by_disjointification(stage, x, path[:n] + (k,))]
             assert hits == [path[n]], (i, path, n, hits)
     report(6, "scheme properties to depth 4 on 30 dense points, each in exactly "
               "one child cell by the definition; embedding injective; image tree pruned")

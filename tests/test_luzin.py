@@ -2,14 +2,18 @@ import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import gcd
 
 import pytest
 
 from clopen.baire import eventually_periodic, exact_distance
+from clopen.codes import catalog_table
 from clopen.coding import encode
-from clopen.luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
-                          cantor_presentation, discrete_presentation, rescale, split_level)
+from clopen.luzin import (CellSearchExhausted, LuzinScheme, ZeroDimPresentation,
+                          baire_closed_presentation, cantor_presentation,
+                          discrete_presentation, rescale, split_level)
 from clopen.trees import (DensePointFamily, cylinder_union_tree, dense_pn_distance,
                           full_cantor_tree, validate_pruned)
 from clopen.verify import (check_embedding_injective, check_image_tree_pruned,
@@ -168,7 +172,7 @@ def test_cell_search_exhausted_at_the_first_level_without_a_cell():
 
 
 def test_check_reads_probes_at_any_depth():
-    # the level radii are built as levels are reached, so no depth is out of range
+    # each level's radius is built by its search, so no depth is out of range
     result = check_luzin_scheme(LuzinScheme(cantor_presentation(witness_bound=32)), 9, 6)
     assert result.passed, result.detail
 
@@ -232,19 +236,40 @@ def _baire_split_0_closed(witness_bound):
     return baire_closed_presentation(_baire_split_0_family(), witness_bound=witness_bound)
 
 
-@pytest.mark.parametrize("make", [lambda: cantor_presentation(witness_bound=8),
-                                  lambda: discrete_presentation(4),
-                                  lambda: _baire_split_0_closed(8)],
-                         ids=["cantor", "discrete", "baire-closed"])
-def test_members_match_the_brute_force_scan(make, in_cell_by_disjointification):
-    sch, brute = LuzinScheme(make()), LuzinScheme(make())
-    pres = brute.presentation
+# presentations with the raw distance from a handle to r_i that they rescale,
+# which the stage definition reads in place of the scheme
+
+def _cantor(witness_bound):
+    pres = cantor_presentation(witness_bound=witness_bound)
+    return pres, lambda x, i: exact_distance(x, pres.dense_point(i))
+
+
+def _discrete(n):
+    return discrete_presentation(n), lambda x, i: 0 if x == i % n else 1
+
+
+def _closed(fam, witness_bound):
+    return (baire_closed_presentation(fam, witness_bound=witness_bound),
+            partial(dense_pn_distance, fam))
+
+
+SMALL_PRESENTATIONS = pytest.mark.parametrize(
+    "make", [lambda: _cantor(8), lambda: _discrete(4),
+             lambda: _closed(_baire_split_0_family(), 8)],
+    ids=["cantor", "discrete", "baire-closed"])
+
+
+@SMALL_PRESENTATIONS
+def test_members_match_the_brute_force_scan(make, ball_stage_by_definition,
+                                            in_cell_by_disjointification):
+    pres, raw = make()
+    sch, stage = LuzinScheme(pres), ball_stage_by_definition(raw, pres.dense_point)
     bound = pres.witness_bound
     cells = [()]
     image = sch.image_tree()
     for cell in cells:
         want = tuple(i for i in range(bound + 1)
-                     if in_cell_by_disjointification(brute, pres.dense_point(i), cell))
+                     if in_cell_by_disjointification(stage, pres.dense_point(i), cell))
         assert all(sch.cell_member_seq(pres.dense_point(i), cell) == (i in want)
                    for i in range(bound + 1))
         assert image.admits(cell) == bool(want)
@@ -264,11 +289,11 @@ def test_root_children_are_listed_in_one_pass_over_the_root():
     sch = LuzinScheme(replace(pres, dense_point=counted))
     image = sch.image_tree()
     nodes = [k for k in range(65) if image.admits((k,))]
-    # one handle per dense point for its level-1 index, and one per found
-    # ball for its centre (ball_stage checks that r_k lies in the parent's
-    # stage); filtering the root once per child made 65 * 65 + 65 = 4,290
+    # one handle per dense point, for its level-1 index; checking that each
+    # found ball's centre lies in the parent's stage made 2 * 65, and
+    # filtering the root once per child made 65 * 65 + 65 = 4,290
     made = calls[0]
-    assert made <= 2 * 65
+    assert made <= 65
     assert nodes == sorted({sch.embed(pres.dense_point(i))(0) for i in range(65)})
     # a cell past the bound is no node, and asks nothing more of its level
     made = calls[0]
@@ -276,47 +301,11 @@ def test_root_children_are_listed_in_one_pass_over_the_root():
     assert not image.admits((3, 200))
 
 
-def _ball_stage_by_definition(raw, dense_point):
-    """B_cell from the raw distance, rescaled by plain d/(1+d) and compared
-    with the level radius 1/(2^(l+2) + 1) of the parent's length l."""
-    memo = {}
-
-    def stage(x, cell):
-        if not cell:
-            return True
-        if (x, cell) not in memo:
-            parent, k = cell[:-1], cell[-1]
-            d = Fraction(raw(x, k))
-            memo[x, cell] = (stage(x, parent)
-                             and d / (1 + d) < Fraction(1, 2 ** (len(parent) + 2) + 1)
-                             and stage(dense_point(k), parent))
-        return memo[x, cell]
-
-    return stage
-
-
-def _cantor_raw(pres):
-    return lambda x, i: exact_distance(x, pres.dense_point(i))
-
-
-def _discrete_raw(pres):
-    return lambda x, i: 0 if x == i % 4 else 1
-
-
-def _baire_closed_raw(pres):
-    fam = _baire_split_0_family()
-    return lambda x, i: dense_pn_distance(fam, x, i)
-
-
-@pytest.mark.parametrize("make, raw", [
-    (lambda: cantor_presentation(witness_bound=8), _cantor_raw),
-    (lambda: discrete_presentation(4), _discrete_raw),
-    (lambda: _baire_split_0_closed(8), _baire_closed_raw)],
-    ids=["cantor", "discrete", "baire-closed"])
-def test_ball_stage_matches_the_plain_rescaled_comparison(make, raw):
-    pres = make()
+@SMALL_PRESENTATIONS
+def test_ball_stage_matches_the_plain_rescaled_comparison(make, ball_stage_by_definition):
+    pres, raw = make()
     sch = LuzinScheme(pres)
-    want = _ball_stage_by_definition(raw(pres), pres.dense_point)
+    want = ball_stage_by_definition(raw, pres.dense_point)
     bound = pres.witness_bound
     points = [pres.dense_point(i) for i in range(bound + 1)]
     cells = [()]
@@ -347,17 +336,18 @@ def test_cantor_trio_distance_calls_stay_per_dense_index():
     assert check_embedding_injective(sch, 30).passed
     assert check_image_tree_pruned(sch, 3).passed
     # 627 with each level's search starting at the parent's index; 1,395
-    # searching from 0 on every level, 3,264 with a memo per (handle, cell),
-    # and fresh handles on every call made 75,197
+    # searching from 0 on every level, 3,264 with cell and ball-stage memos
+    # per (handle, cell) in place of paths, and fresh handles on every call
+    # made 75,197
     assert calls[0] <= 627
 
 
-def _path_from_zero(sch, x, depth):
-    """x's path to depth by the least index within the bound, searched from 0
-    on every level, up to the first level with none."""
-    path, bound = (), sch.presentation.witness_bound
+def _path_from_zero(stage, x, depth, bound):
+    """x's path to depth by the least index within the bound whose stage
+    holds x, searched from 0 on every level, up to the first level with none."""
+    path = ()
     while len(path) < depth:
-        i = next((i for i in range(bound + 1) if sch.ball_stage(x, (*path, i))), None)
+        i = next((i for i in range(bound + 1) if stage(x, (*path, i))), None)
         if i is None:
             break
         path += (i,)
@@ -379,7 +369,7 @@ def _embedded_path(sch, x, depth):
 
 def _closed_presentation(tree, depth, witness_bound=16):
     validate_pruned(tree, depth)
-    return baire_closed_presentation(DensePointFamily(tree), witness_bound=witness_bound)
+    return _closed(DensePointFamily(tree), witness_bound)
 
 
 def _baire_split_0_ambient(depth):
@@ -393,24 +383,57 @@ def _cantor_cylinders(depth):
                                 depth)
 
 
+# cantor probes that are no dense handle, so the bench never asks their
+# paths: every prefix of length <= 3 before each period
+CANTOR_PROBES = [eventually_periodic(pre, period)
+                 for n in range(4) for pre in product((0, 1), repeat=n)
+                 for period in ((0,), (1,), (0, 1), (1, 0), (1, 1, 0), (0, 0, 1))]
+
+
 @pytest.mark.parametrize("make, depth", [
-    *(pytest.param(lambda b=b: cantor_presentation(witness_bound=b), 5, id=f"cantor-{b}")
-      for b in range(1, 34)),
-    *(pytest.param(lambda n=n: discrete_presentation(n), 5, id=f"discrete-{n}")
-      for n in range(1, 7)),
+    *(pytest.param(lambda b=b: _cantor(b), 5, id=f"cantor-{b}") for b in range(1, 34)),
+    *(pytest.param(lambda n=n: _discrete(n), 5, id=f"discrete-{n}") for n in range(1, 7)),
     *(pytest.param(lambda d=d, make=make: make(d), d, id=f"{make.__name__[1:]}-depth-{d}")
       for make in (_baire_split_0_ambient, _cantor_cylinders) for d in range(2, 6))])
-def test_paths_match_a_search_from_zero_on_every_level(make, depth):
-    # each level's search starts at the parent's index; a search from 0 on a
-    # fresh scheme's stages gives the same least indices
-    sch, fresh = LuzinScheme(make()), LuzinScheme(make())
-    pres = sch.presentation
-    probes = [pres.dense_point(i) for i in range(pres.witness_bound + 3)]
-    if pres.name == "cantor":
-        probes += [eventually_periodic(pre, period) for pre, period in
-                   (((), (1,)), ((1, 0), (0, 1)), ((0, 0, 1), (1, 1, 0)))]
+def test_paths_match_a_search_from_zero_on_every_level(make, depth, ball_stage_by_definition):
+    # each level's search is a least ball index from the parent's index; a
+    # search from 0 on the stages by their definition gives the same indices
+    pres, raw = make()
+    sch, stage = LuzinScheme(pres), ball_stage_by_definition(raw, pres.dense_point)
+    bound = pres.witness_bound
+    probes = [pres.dense_point(i) for i in range(bound + 3)]
+    if pres.name == "cantor" and bound in (1, 8, 33):
+        probes += CANTOR_PROBES
     for x in probes:
-        assert _embedded_path(sch, x, depth) == _path_from_zero(fresh, x, depth), x
+        assert _embedded_path(sch, x, depth) == _path_from_zero(stage, x, depth, bound), x
+
+
+def _is_ultrametric_presentation(pres, n=24):
+    """On the first n dense indices, dist satisfies the strong triangle
+    inequality and dist_to_dense of a dense handle equals dist."""
+    d = [[pres.dist(i, j) for j in range(n)] for i in range(n)]
+    return (all(pres.dist_to_dense(pres.dense_point(i), j) == d[i][j]
+                for i in range(n) for j in range(n))
+            and all(d[i][k] <= max(d[i][j], d[j][k])
+                    for i, j, k in product(range(n), repeat=3)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cantor_presentation(witness_bound=32),
+    *(lambda n=n: discrete_presentation(n) for n in range(1, 7)),
+    lambda: _baire_split_0_closed(64),
+    lambda: _cantor_cylinders(4)[0]],
+    ids=["cantor", *(f"discrete-{n}" for n in range(1, 7)), "baire-closed", "cylinders"])
+def test_presentations_are_ultrametric(make):
+    # a cell index is a least ball index only on an ultrametric
+    assert _is_ultrametric_presentation(make())
+
+
+def test_a_non_ultrametric_presentation_fails_the_contract():
+    dist = rescale(catalog_table("harmonic", 24).dist)
+    pres = ZeroDimPresentation("harmonic", lambda i: i, dist, dist_to_dense=dist,
+                               witness_bound=24)
+    assert not _is_ultrametric_presentation(pres)
 
 
 def test_split_level_matches_the_halving_loop():

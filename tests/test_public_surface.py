@@ -58,6 +58,8 @@ WITHOUT_CALLERS = {
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
     "luzin.LuzinScheme.cell_member_seq":
         "bench/layertrace.py hooks it by name (ROADMAP item 1)",
+    "luzin.LuzinScheme.ball_stage":
+        "bench/layertrace.py hooks it by name (ROADMAP item 1)",
 }
 
 # every memo decorator in src/ (functools.lru_cache or functools.cache), keyed
