@@ -29,7 +29,7 @@ from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_
 from .luzin import (CellSearchExhausted, LuzinScheme, baire_closed_presentation,
                     cantor_presentation, discrete_presentation)
 from .remetrize import certified_ball_list, epsilon_code
-from .trees import InsufficientDensePoints, TreeError
+from .trees import InsufficientDensePoints, TreeError, ValidationCapExceeded
 from .verify import (CheckResult, check_extension_certificates, check_tree_valid,
                      run_instance_suite)
 from .witness import MATRIX_CATALOG, UseBoundViolation, WitnessClosure, WitnessSearchExhausted
@@ -313,8 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    # OSError and UnicodeDecodeError: an unreadable --instance or unwritable --out path
-    except (ParseError, UnknownCatalogName, OSError, UnicodeDecodeError) as exc:
+    # OSError and UnicodeDecodeError: an unreadable --instance or unwritable --out path;
+    # ValidationCapExceeded: a --depth or bounds.depth too deep to validate
+    except (ParseError, UnknownCatalogName, ValidationCapExceeded, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TreeError, UseBoundViolation) as exc:  # the instance breaks its own contract

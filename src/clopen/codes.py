@@ -63,14 +63,22 @@ def check_metric_axioms(dist: Callable[[int, int], Fraction], count: int,
     equal decides which index pairs name the same point (identity on indices
     by default); identity of indiscernibles is checked relative to it.  Each
     value is read once, as its reduced ratio (numerator, denominator), so
-    equal values are equal pairs of ints, and the triangle inequality runs
-    over integer cross-products: the whole check is exact.  Both d(i, j) and
-    d(j, i) are asked for, so symmetry compares two separate answers' ratios.
+    equal values are equal pairs of ints, each labelled by a small int.  Both
+    d(i, j) and d(j, i) are asked for, so symmetry compares two separate
+    answers' ratios.  No triangle fails on an ultrametric, d(i, k) <=
+    max(d(i, j), d(j, k)), and _ultrametric decides that in one O(count^2)
+    row pass over the labels: each v >= 2, with p its nearest earlier index,
+    has d(v, u) = max(d(v, p), d(p, u)) for every u < v.  That is necessary
+    on an ultrametric, as d(v, p) <= d(v, u), and sufficient by induction
+    over v.  Every table remetrize.interleave builds is one, each side's
+    first-disagreement distances at most 1 and the sides 2 apart.  Any other
+    table goes to the exact loop over integer cross-products, which reports
+    the first violation (i, k) via j.  The whole check is exact.
     """
-    num = [[0] * count for _ in range(count)]
-    den = [[1] * count for _ in range(count)]
+    labels: dict[tuple[int, int], int] = {}  # each distinct ratio: its label
+    table = [[0] * count for _ in range(count)]
     for i in range(count):
-        num_i, den_i = num[i], den[i]
+        row = table[i]
         for j in range(i, count):
             d = dist(i, j)
             p, q = ratio = d.as_integer_ratio()
@@ -81,72 +89,40 @@ def check_metric_axioms(dist: Callable[[int, int], Fraction], count: int,
                                            f"value {d}")
             if i != j and dist(j, i).as_integer_ratio() != ratio:
                 raise MetricAxiomViolation("symmetry", (i, j))
-            num_i[j] = num[j][i] = p
-            den_i[j] = den[j][i] = q
-    _check_triangle(num, den, count)
+            row[j] = table[j][i] = labels.setdefault(ratio, len(labels))
+    ratios = list(labels)
+    if not _ultrametric(table, ratios):
+        _triangle_exact([[ratios[v][0] for v in row] for row in table],
+                        [[ratios[v][1] for v in row] for row in table], count)
 
 
-TRIANGLE_BLOCK = 8
+def _ultrametric(table: list[list[int]], ratios: list[tuple[int, int]]) -> bool:
+    """Whether a symmetric, nonnegative table, 0 on its diagonal, whose entries
+    label the values ratios[label], is an ultrametric: d(u, w) <= max(d(u, v),
+    d(v, w)) on every triple.  The values are ranked exactly, and only ranks
+    are compared, so nothing can overflow.
 
-
-def _check_triangle(num: list[list[int]], den: list[list[int]], count: int) -> None:
-    """The triangle inequality on a symmetric, nonnegative table that is 0 on
-    its diagonal, reporting the first violation (i, j, k) in index order.
-
-    That violation has i < k: d(i, i) = 0 breaks no triangle, and a violation
-    at (i, j, k) with i > k mirrors, by symmetry, one at (k, j, i), which
-    comes earlier.  So a row i need only be checked against columns k >= i,
-    or, a block of rows at a time, k >= the block's first row.  The arrays
-    run whenever _triangle_dtype finds a dtype, and the exact loop otherwise."""
-    max_num = max((max(row) for row in num), default=0)
-    max_den = max((max(row) for row in den), default=0)
-    dtype = _triangle_dtype(max_num, max_den)
-    if dtype is None:
-        _triangle_exact(num, den, count)
-    else:
-        _triangle_numpy(num, den, count, dtype)
-
-
-def _triangle_dtype(max_num: int, max_den: int):
-    """The narrowest of int16, int32 and int64 that holds 2 * max_num * max_den^2,
-    the largest value any product or sum of the triangle check reaches, or
-    None when int64 does not."""
+    The rule: for each v >= 2, with p its nearest earlier index (the least
+    d(v, p) over p < v), d(v, u) = max(d(v, p), d(p, u)) for every u < v.
+    Necessary: on an ultrametric, d(p, u) <= max(d(p, v), d(v, u)) = d(v, u)
+    as d(v, p) <= d(v, u), so max(d(v, p), d(p, u)) <= d(v, u) <= it.
+    Sufficient, by induction over v: if the indices below v form an
+    ultrametric, then for u, w < v, d(u, w) <= max(d(u, p), d(p, w)) <=
+    max(d(v, u), d(v, w)), and d(v, u) <= max(d(v, w), d(w, u)), since
+    d(v, p) <= d(v, w) and d(p, u) <= max(d(p, w), d(w, u)) with d(p, w) <=
+    d(v, w).  Indices 0 and 1 alone form one.  One numpy row operation per v.
+    """
     import numpy as np
 
-    bound = 2 * max_num * max_den * max_den
-    return next((dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= bound), None)
-
-
-def _triangle_numpy(num: list[list[int]], den: list[list[int]], count: int, dtype) -> None:
-    """The integer check below on arrays of dtype, the one _triangle_dtype
-    finds for the table's largest numerator and denominator, so no product
-    wraps, TRIANGLE_BLOCK values of i at a time against the columns k >= the
-    block's first row: memory is O(TRIANGLE_BLOCK * count^2), and blocks run
-    in ascending i, so the first violation is the one the exact loop finds.
-    A block is searched for its violation only when it holds one."""
-    import numpy as np
-
-    p, q = np.array(num, dtype=dtype), np.array(den, dtype=dtype)
-    # three block-sized buffers, reshaped and written in place by every block
-    size = min(count, TRIANGLE_BLOCK) * count * count
-    bufs = [np.empty(size, dtype=dtype) for _ in range(3)]
-    for lo in range(0, count, TRIANGLE_BLOCK):
-        p_ij, q_ij = p[lo:lo + TRIANGLE_BLOCK], q[lo:lo + TRIANGLE_BLOCK]
-        p_ik, q_ik = p_ij[:, lo:], q_ij[:, lo:]
-        p_jk, q_jk = p[:, lo:], q[:, lo:]
-        rows, width = len(p_ij), count - lo
-        lhs, rhs, tmp = (buf[:rows * count * width].reshape(rows, count, width) for buf in bufs)
-        # lhs[i,j,k] = p[i,k] q[i,j] q[j,k], rhs[i,j,k] = (p[i,j] q[j,k] + p[j,k] q[i,j]) q[i,k]
-        np.multiply(p_ik[:, None, :], q_ij[:, :, None], out=lhs)
-        lhs *= q_jk
-        np.multiply(p_ij[:, :, None], q_jk, out=rhs)
-        np.multiply(p_jk, q_ij[:, :, None], out=tmp)
-        rhs += tmp
-        rhs *= q_ik[:, None, :]
-        bad = lhs > rhs
-        if bad.any():
-            i, j, k = (int(v) for v in np.argwhere(bad)[0])
-            raise MetricAxiomViolation("triangle", (lo + i, lo + k), f"via {j}")
+    # the inverse of the labels sorted by value: each label's rank
+    rank = np.argsort(sorted(range(len(ratios)), key=lambda label: Fraction(*ratios[label])))
+    d = rank[np.array(table, dtype=np.intp)]
+    for v in range(2, len(table)):
+        row = d[v, :v]
+        p = row.argmin()
+        if not np.array_equal(row, np.maximum(row[p], d[p, :v])):
+            return False
+    return True
 
 
 def _triangle_exact(num: list[list[int]], den: list[list[int]], count: int) -> None:

@@ -100,6 +100,13 @@ class InsufficientDensePoints(Exception):
         super().__init__(f"found {found} distinct dense points of {wanted} wanted (codes < {cap})")
 
 
+class ValidationCapExceeded(Exception):
+    """Validating a tree to a depth would inspect more than VALIDATION_CAP stems."""
+
+
+VALIDATION_CAP = 50_000  # stems per tree; a catalog instance inspects at most 156
+
+
 @dataclass
 class ValidationReport:
     admissible: int
@@ -275,7 +282,9 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
     All sequences of length < depth with entries within the child bounds are
     inspected, admissible or not; prunedness is certified for the admissible
     ones and downward closure for the rest.  Beyond the validated depth the
-    prunedness contract is the caller's assertion.
+    prunedness contract is the caller's assertion.  The inspected stems grow
+    as (child bound + 1)^depth, and each verdict is kept, so the validation
+    stops with ValidationCapExceeded past VALIDATION_CAP of them.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -285,6 +294,9 @@ def validate_pruned(tree: PrunedTree, depth: int) -> ValidationReport:
     while stack:
         u = stack.pop()
         inspected += 1
+        if inspected > VALIDATION_CAP:
+            raise ValidationCapExceeded(f"validating tree {tree.label} to depth {depth} "
+                                        f"inspects more than the cap of {VALIDATION_CAP} stems")
         adm = tree.admits(u)
         if adm:
             admissible += 1

@@ -207,17 +207,22 @@ def test_axiom_check_reads_each_value_as_its_reduced_pair(kind):
         lambda i, j: Fraction(0) if i == j else Fraction(2, 4) if i < j else Fraction(3, 6), 4)
 
 
-def _numpy_check(num, den, count):
-    """codes._triangle_numpy at the dtype _check_triangle chooses for the table."""
-    codes._triangle_numpy(num, den, count, codes._triangle_dtype(max(map(max, num)),
-                                                                 max(map(max, den))))
-
-
-def _triangle_outcome(check, dist, count):
+def _triangle_outcome(dist, count):
+    """The exact loop's verdict on a symmetric, nonnegative table that is 0 on
+    its diagonal: None, or (kind, where, message) of its first violation."""
     num = [[dist(i, j).numerator for j in range(count)] for i in range(count)]
     den = [[dist(i, j).denominator for j in range(count)] for i in range(count)]
     try:
-        check(num, den, count)
+        codes._triangle_exact(num, den, count)
+    except MetricAxiomViolation as exc:
+        return exc.kind, exc.where, str(exc)
+    return None
+
+
+def _check_outcome(dist, count):
+    """check_metric_axioms' verdict on the same table, in the same form."""
+    try:
+        check_metric_axioms(dist, count)
     except MetricAxiomViolation as exc:
         return exc.kind, exc.where, str(exc)
     return None
@@ -226,23 +231,25 @@ def _triangle_outcome(check, dist, count):
 @pytest.mark.parametrize("count", [8, 33, 70])
 def test_blocked_triangle_check_matches_the_exact_loop(count):
     base = lambda i, j: Fraction(0) if i == j else Fraction(1, ((i ^ j) & -(i ^ j)).bit_length() + 1)
-    # a stretched pair's first violation has i = its smaller index: the first
-    # block, and at count 70 the last, partial block (i = 67)
+    # base is an ultrametric, so the row pass ends the check; a stretched
+    # pair breaks it, and the first violation has i = its smaller index,
+    # near the start or at the end of the index range
     for pair in (None, (1, count - 1), (count - 3, count - 1)):
         def dist(i, j, pair=pair):
             return Fraction(2) if pair is not None and {i, j} == set(pair) else base(i, j)
 
-        want = _triangle_outcome(codes._triangle_exact, dist, count)
+        want = _triangle_outcome(dist, count)
         assert (want is None) == (pair is None)
-        assert _triangle_outcome(_numpy_check, dist, count) == want
+        assert _check_outcome(dist, count) == want
 
 
 @pytest.mark.parametrize("count", [8, 9, 13, 33, 40])
 def test_triangle_check_matches_the_exact_loop_on_random_tables(count):
     # symmetric, nonnegative, 0 on the diagonal: the tables the axiom check
-    # hands on.  Values in [1/2, 1] make a metric; planted pairs far above 1
-    # or far below 1/2 break triangles.  The last two cases plant only one
-    # pair, among the last three indices: in the partial last block at count 13
+    # reaches its triangle with.  Values in [1/2, 1] make a metric that is
+    # rarely an ultrametric; planted pairs far above 1 or far below 1/2 break
+    # triangles.  The last two cases plant only one pair, among the last three
+    # indices
     rng = random.Random(1400 + count)
     outcomes = set()
     for case in range(8):
@@ -261,66 +268,134 @@ def test_triangle_check_matches_the_exact_loop_on_random_tables(count):
         def dist(i, j, table=table):
             return Fraction(0) if i == j else table[min(i, j), max(i, j)]
 
-        want = _triangle_outcome(codes._triangle_exact, dist, count)
-        assert _triangle_outcome(_numpy_check, dist, count) == want
+        want = _triangle_outcome(dist, count)
+        assert _check_outcome(dist, count) == want
         outcomes.add(want is None)
     assert outcomes == {True, False}  # both metrics and violations were drawn
 
 
-# (max numerator M, max denominator D, the dtype holding 2 M D^2): the largest
-# bound that fits int16, then one past it; the same at int32, with D = 2
-DTYPE_EDGES = [
-    (16383, 1, "int16"),  # 2 M D^2 = 32766, iinfo(int16).max - 1: no bound is odd
-    (16384, 1, "int32"),  # 32768, one past it
-    ((1 << 28) - 1, 2, "int32"),  # 2^31 - 8: D = 2 puts the bound in steps of 8
-    (1 << 28, 2, "int64"),  # 2^31, one past iinfo(int32).max
-]
+# (max numerator M, max denominator D) where 2 M D^2, the largest value the
+# exact loop's cross-products reach on the table below, crosses the range of
+# a fixed-width integer: the largest that fits int16, one past it, and the
+# same at int32 with D = 2; each id names the narrowest numpy integer type
+# that holds 2 M D^2
+TRIANGLE_EDGES = {"16383-1-int16": (16383, 1), "16384-1-int32": (16384, 1),
+                  "268435455-2-int32": ((1 << 28) - 1, 2), "268435456-2-int64": (1 << 28, 2)}
 
 
-@pytest.mark.parametrize("max_num,max_den,dtype", DTYPE_EDGES)
-def test_triangle_dtype_edges_keep_the_first_violation(max_num, max_den, dtype):
-    # every distinct pair at M/D, so (i, j, k) = (0, 1, 2) reaches 2 M D^2, which
-    # wraps negative one dtype too narrow and reads as a violation at i = 0;
-    # the one true violation is d(3, 5) = M/D > d(3, 4) + d(4, 5) = 2/D
-    assert codes._triangle_dtype(max_num, max_den).__name__ == dtype
+@pytest.mark.parametrize("max_num,max_den", TRIANGLE_EDGES.values(), ids=TRIANGLE_EDGES)
+def test_triangle_dtype_edges_keep_the_first_violation(max_num, max_den):
+    # every distinct pair at M/D, so the exact loop's (i, j, k) = (0, 1, 2)
+    # reaches 2 M D^2; the one true violation is d(3, 5) = M/D > d(3, 4) +
+    # d(4, 5) = 2/D.  check_metric_axioms reads the reduced values
     count = 12
     num = [[0 if i == j else max_num for j in range(count)] for i in range(count)]
     den = [[1 if i == j else max_den for j in range(count)] for i in range(count)]
     for i, j in ((3, 4), (4, 5)):
         num[i][j] = num[j][i] = 1
     want = ("triangle", (3, 5), "triangle fails at (3, 5) via 4")
-    for check in (codes._triangle_exact, _numpy_check):
-        with pytest.raises(MetricAxiomViolation) as exc:
-            check(num, den, count)
-        assert (exc.value.kind, exc.value.where, str(exc.value)) == want, check
-
-
-# (denominator D, the path the axiom check takes): a table of 5 points, below
-# one numpy block, with every distance over D, so 2 * 3 * D^2 bounds the
-# check's products; past 2^15 it fits int64, past 2^31 it does not
-PATH_CASES = [((1 << 15) + 3, "numpy"), ((1 << 31) + 3, "exact")]
-
-
-@pytest.mark.parametrize("den,path", PATH_CASES)
-def test_triangle_path_is_chosen_by_the_dtype_alone(monkeypatch, den, path):
-    taken = []
-    for name in ("numpy", "exact"):
-        real = getattr(codes, f"_triangle_{name}")
-        monkeypatch.setattr(codes, f"_triangle_{name}",
-                            lambda *args, name=name, real=real: taken.append(name) or real(*args))
-
-    # every pair at 3/D but d(1, 2) = d(2, 3) = 1/D, so d(1, 3) > d(1, 2) + d(2, 3)
-    def dist(i, j):
-        if i == j:
-            return Fraction(0)
-        return Fraction(1 if {i, j} in ({1, 2}, {2, 3}) else 3, den)
-
     with pytest.raises(MetricAxiomViolation) as exc:
-        check_metric_axioms(dist, 5)
-    assert taken == [path]
-    assert (exc.value.kind, exc.value.where, str(exc.value)) == \
-        _triangle_outcome(codes._triangle_exact, dist, 5) == \
-        ("triangle", (1, 3), "triangle fails at (1, 3) via 2")
+        codes._triangle_exact(num, den, count)
+    assert (exc.value.kind, exc.value.where, str(exc.value)) == want
+    assert _check_outcome(lambda i, j: Fraction(num[i][j], den[i][j]), count) == want
+
+
+def _path_table(kind):
+    """A table of 5 points.  ultrametric: every pair at 3/D, D past 2^31, but
+    d(1, 2) = 1/D.  violation: also d(2, 3) = 1/D, so d(1, 3) > d(1, 2) +
+    d(2, 3).  metric: the harmonic distances, a metric that is no
+    ultrametric."""
+    if kind == "metric":
+        return catalog_table("harmonic", 5).dist
+    den = (1 << 31) + 3
+    near = ({1, 2},) if kind == "ultrametric" else ({1, 2}, {2, 3})
+    return lambda i, j: Fraction(0) if i == j else Fraction(1 if {i, j} in near else 3, den)
+
+
+# (table, the functions the axiom check calls, in order, with their outcome)
+PATH_CASES = [
+    ("ultrametric", [("ultrametric", True)]),
+    ("metric", [("ultrametric", False), ("exact", None)]),
+    ("violation", [("ultrametric", False), ("exact", "triangle fails at (1, 3) via 2")]),
+]
+
+
+@pytest.mark.parametrize("kind,path", PATH_CASES, ids=[kind for kind, _ in PATH_CASES])
+def test_triangle_path_is_chosen_by_the_ultrametric_rule(monkeypatch, kind, path):
+    dist = _path_table(kind)
+    want = _triangle_outcome(dist, 5)
+    taken = []
+    for name in ("_ultrametric", "_triangle_exact"):
+        def recording(*args, name=name.rsplit("_", 1)[1], real=getattr(codes, name)):
+            try:
+                result = real(*args)
+            except MetricAxiomViolation as exc:
+                taken.append((name, str(exc)))
+                raise
+            taken.append((name, result))
+            return result
+
+        monkeypatch.setattr(codes, name, recording)
+    assert _check_outcome(dist, 5) == want
+    assert taken == path
+
+
+def _labelled(dist, count):
+    """The arguments of codes._ultrametric for a table: its entries as labels
+    of its distinct values, and those values as reduced ratios."""
+    ratios = sorted({dist(i, j).as_integer_ratio() for i in range(count) for j in range(count)})
+    label = {ratio: n for n, ratio in enumerate(ratios)}
+    return [[label[dist(i, j).as_integer_ratio()] for j in range(count)]
+            for i in range(count)], ratios
+
+
+def _strong_triangle(dist, count):
+    """The strong triangle inequality on every triple, by brute force."""
+    return all(dist(i, k) <= max(dist(i, j), dist(j, k))
+               for i in range(count) for j in range(count) for k in range(count))
+
+
+def _first_disagreement_table(rng, count):
+    """d(u, v) = 1/(k+1) at the first disagreement k of two random words over
+    a small alphabet, 0 when the words are equal: an ultrametric, with ties,
+    and with zeros between distinct indices when two indices draw one word."""
+    words = [tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))) for _ in range(count)]
+
+    def dist(u, v):
+        a, b = words[u], words[v]
+        k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+        if k is None:
+            return Fraction(0) if len(a) == len(b) else Fraction(1, min(len(a), len(b)) + 1)
+        return Fraction(1, k + 1)
+
+    return dist
+
+
+def test_ultrametric_row_pass_matches_the_strong_triangle_by_brute_force():
+    rng = random.Random(3600)
+    seen = {True: 0, False: 0}
+    for case in range(600):
+        count = rng.randint(0, 9)
+        if case % 3 == 0:
+            # few distinct values, zeros among them: ties everywhere, and a
+            # table that is an ultrametric now and then
+            values = [Fraction(v, rng.randint(1, 3)) for v in range(rng.randint(1, 3))]
+            drawn = {(i, j): rng.choice(values) for i in range(count) for j in range(i + 1, count)}
+            dist = lambda i, j, t=drawn: Fraction(0) if i == j else t[min(i, j), max(i, j)]
+        else:
+            base = _first_disagreement_table(rng, count)
+            perm = rng.sample(range(count), count)  # an index permutation of it
+            dist = lambda i, j, base=base, perm=perm: base(perm[i], perm[j])
+            if case % 3 == 2 and count >= 2:
+                # one planted pair, still symmetric, perhaps at 0
+                pair = frozenset(rng.sample(range(count), 2))
+                value = Fraction(rng.randint(0, 4), rng.randint(1, 4))
+                dist = lambda u, v, d=dist, pair=pair, value=value: \
+                    value if {u, v} == pair else d(u, v)
+        want = _strong_triangle(dist, count)
+        assert codes._ultrametric(*_labelled(dist, count)) == want, (case, count)
+        seen[want] += 1
+    assert min(seen.values()) > 100, seen  # both verdicts were drawn often
 
 
 def _families(name="cantor-split-0"):

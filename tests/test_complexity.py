@@ -21,17 +21,24 @@ The Luzin check reads each probe's cells off its path, through its
 embedding, and asks no cell membership of a probe.  A probe's search on each
 level starts at its index on the level above, since no smaller index can
 qualify there.
+
+The metric axiom check reads each of a table's K^2 entries once and decides
+the triangle inequality on an ultrametric by one row pass, so an instance
+table, which is always an ultrametric, never reaches the K^3 exact loop.
 """
 
 import contextlib
+import copy
 import io
+import json
 from dataclasses import replace
 
 import pytest
 
-from clopen import dsl, verify
+from clopen import codes, dsl, verify
 from clopen.cli import main
-from clopen.instances import build_instance, builtin_instance
+from clopen.codes import catalog_table, validate_metric_table
+from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
 from clopen.luzin import LuzinScheme, baire_closed_presentation, cantor_presentation
 
 BUDGETS = (128, 256, 512)
@@ -178,3 +185,43 @@ def test_baire_closed_trio_searches_each_level_from_the_parent_index():
     # index below a point's index on one level qualifies on the next, so each
     # level's search starts there; searching from 0 on every level made 3,110
     assert calls[0] <= 1068
+
+
+def _axiom_check_counts(monkeypatch, table):
+    """(dist reads, exact-loop calls) of the axiom check while table() runs."""
+    counts = [0, 0]
+    check, exact = codes.check_metric_axioms, codes._triangle_exact
+
+    def checking(dist, count, equal=None):
+        def read(i, j):
+            counts[0] += 1
+            return dist(i, j)
+
+        return check(read, count, equal)
+
+    def exact_loop(*args):
+        counts[1] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(codes, "check_metric_axioms", checking)
+    monkeypatch.setattr(codes, "_triangle_exact", exact_loop)
+    table()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name", TREE_PAIRS)
+def test_axiom_check_reads_each_entry_once_and_runs_no_cubic_loop(monkeypatch, name):
+    for k in (32, 64, 128):
+        doc = copy.deepcopy(CATALOG[name])
+        doc["bounds"] = {**doc.get("bounds", {}), "table_size": k}
+        built = build_instance(parse_instance(json.dumps(doc)))
+        # d(i, j) for i <= j and d(j, i) for i < j: K^2 reads, so doubling
+        # the table size quadruples them; the table is an ultrametric, so the
+        # row pass decides its triangles and the K^3 exact loop never runs
+        assert _axiom_check_counts(monkeypatch, built.table) == (k * k, 0), (name, k)
+
+
+def test_axiom_check_sends_a_table_that_is_no_ultrametric_to_the_exact_loop(monkeypatch):
+    # the harmonic distances are a metric but no ultrametric
+    table = catalog_table("harmonic", 12)
+    assert _axiom_check_counts(monkeypatch, lambda: validate_metric_table(table)) == (144, 1)

@@ -288,6 +288,7 @@ FIXED_CASES = [
     (["witness", "--matrix", "zero-tail", "--period", "-1"], None, 2),
     (["witness", "--matrix", "zero-tail", "--preperiod", "0", "-2"], None, 2),
     (["validate"], "huge-depth", 2),
+    (["validate", "--instance", "baire-split-0", "--depth", "12"], None, 2),
     (["validate"], "huge-numeral", 2),
     (["validate"], "deep-nesting", 2),
     (["validate"], "superscript-numeral", 2),

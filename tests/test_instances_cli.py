@@ -1,12 +1,17 @@
 import copy
 import gc
 import json
+import os
+import resource
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import clopen
 from clopen import cli, dsl, instances
 from clopen.cli import build_parser, main
 from clopen.codes import parse_code_file, render_code_file
@@ -15,6 +20,7 @@ from clopen.dsl import ParseError
 from clopen.instances import (CATALOG, DEFAULT_BOUNDS, UnknownCatalogName, build_instance,
                               builtin_instance, parse_instance)
 from clopen.remetrize import CertificateFailure, extension_certificate
+from clopen.trees import VALIDATION_CAP
 from clopen.verify import run_instance_suite
 
 MINIMAL = """
@@ -561,6 +567,26 @@ def test_cli_embed_validates_the_ambient_at_the_files_depth(monkeypatch, tmp_pat
     assert all(len(line.split("-> ")[1].split()) == 7 for line in lines[2:])
     assert set(depths) == {4}
     assert len(built[0].ambient_fam.tree._cache) <= 781
+
+
+def test_a_depth_past_the_validation_cap_exits_2_at_once():
+    # baire-split-0's ambient has child bound 4, so validating it to depth 12
+    # inspects 5^11 + ... + 1, about 61 million stems, and keeping each verdict
+    # ended in a MemoryError under a 2 GB address-space limit; the validation
+    # stops at VALIDATION_CAP inspected stems instead
+    src = str(Path(clopen.__file__).resolve().parent.parent)
+    path = Path(__file__).resolve().parent.parent / "instances" / "baire-split-0.json"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = subprocess.run([sys.executable, "-m", "clopen.cli", "validate", "--instance",
+                          str(path), "--depth", "12"], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: validating tree ambient to depth 12 inspects more than "
+                          f"the cap of {VALIDATION_CAP} stems\n")
+    # CPU time, which a busy host does not stretch as it does wall time
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 1.0, cpu
 
 
 def _catalog_doc(name, **bounds):

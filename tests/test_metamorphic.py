@@ -16,7 +16,9 @@ file `clopen encode` writes is the same at the instance's enumeration_cap
 and at twice it, and the `clopen verify` report at scan budget 256 and at
 512.  `clopen embed` prints the same cell indices at witness bounds 16, 64
 and 256, on the two-symbol space and on a closed subset of Baire space:
-every printed index lies within the smallest bound.
+every printed index lies within the smallest bound.  A dsl pi02-pair prints
+the same `encode`, `remetrize` and `verify` output at every per_n_budget
+that holds each level's least witness, and a budget below one exits 1.
 
 No hash-order dependence.  The code file is the same under two values of
 PYTHONHASHSEED, each in a fresh interpreter.
@@ -136,6 +138,47 @@ def test_doubling_the_scan_budget_leaves_the_verify_report_alone(name, verify_re
 def test_a_wider_witness_bound_leaves_the_embedding_alone(space):
     runs = [_run(["embed", *space, "--witness-bound", str(bound)]) for bound in (16, 64, 256)]
     assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0
+
+
+def _pi02_twins(r, use_bound, budget):
+    """A pi02-pair over the two-symbol space whose sides are the dsl matrix r
+    at v = 0 and at v = 1, each searching witnesses up to the budget."""
+    def side(v):
+        return {"rule": "dsl", "r": r.replace("v", str(v)), "use_bound": use_bound,
+                "per_n_budget": budget}
+
+    return {"format": "instance/1", "id": "pi02-twins", "ambient": {"kind": "cantor"},
+            "set": {"kind": "pi02-pair", "a": side(0), "complement": side(1),
+                    "alphabet_bound": 1},
+            "bounds": {"table_size": 2, "enumeration_cap": 2000}}
+
+
+# (matrix, use bound, the budgets that hold every least witness, the largest
+# budget that does not, or None): the least witness of each level is 0, then
+# a(n) <= 1, then a(n) + 2 <= 3
+PI02_TWINS = [
+    ("a(0) == v", "1", (4, 8, 16), None),
+    ("a(n) == m and a(0) == v", "n + 1", (4, 8, 16), None),
+    ("m == a(n) + 2 and a(0) == v", "n + 1", (3, 4, 8), 2),
+]
+
+
+@pytest.mark.parametrize("r,use_bound,budgets,short", PI02_TWINS,
+                         ids=[r for r, *_ in PI02_TWINS])
+@pytest.mark.parametrize("command", [["encode"], ["remetrize"], ["verify", "--seed", "5"]],
+                         ids=lambda command: command[0])
+def test_a_larger_per_n_budget_leaves_the_output_alone(tmp_path, command, r, use_bound,
+                                                       budgets, short):
+    def run(budget):
+        path = tmp_path / f"budget-{budget}.json"
+        path.write_text(json.dumps(_pi02_twins(r, use_bound, budget)), encoding="utf-8")
+        return _run(command + ["--instance", str(path)])
+
+    runs = [run(budget) for budget in budgets]
+    assert runs[0][0] == 0 and all(each == runs[0] for each in runs)
+    if short is not None:
+        # a witness past the budget leaves a pair-tree node without a child
+        assert run(short)[0] == 1
 
 
 def test_encode_does_not_depend_on_the_hash_seed():

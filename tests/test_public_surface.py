@@ -14,6 +14,10 @@ A caller is an `ast` reference, never a word in a comment or a string:
   bound by `except <builtin exception> as name` (`exc.code` on a caught
   `SystemExit` calls no method of the library).
 
+Every private top-level function and private method (a dunder aside) is read
+by name in `src/` or `bench/` outside its own lines: its name loaded, or read
+as an attribute.  Tests do not count, so a deletion leaves no helper behind.
+
 Likewise every defaulted parameter of a public function or method, of the
 `__init__` of a public module-level class, and every defaulted field of a
 public module-level dataclass (a `default_factory` container is not a
@@ -87,10 +91,12 @@ CACHES = {
 SETTINGS_NOT_USED_BOTH_WAYS: dict[str, str] = {}
 
 
-def _public_defs(nodes):
-    """(name, node, first line) of each public function among the nodes."""
+def _defs(nodes, private=False):
+    """(name, node, first line) of each public function among the nodes, or
+    each private one; a dunder, which Python calls by protocol, is neither."""
     for node in nodes:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("_") == private
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
             yield node.name, node, min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
@@ -109,17 +115,18 @@ def _nodes(of_type=ast.AST):
             if isinstance(node, of_type) and hasattr(node, "lineno")]
 
 
-def _definitions():
+def _definitions(private=False):
     """(key, kind, module path, name, first line, last line, node) of each
-    public top-level function and each public method of a top-level class."""
+    public top-level function and each public method of a top-level class,
+    or each private one."""
     for path, tree in _parsed().items():
         if path.parent != PACKAGE:
             continue
-        for name, node, first in _public_defs(tree.body):
+        for name, node, first in _defs(tree.body, private):
             yield f"{path.stem}.{name}", "function", path, name, first, node.end_lineno, node
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
-                for name, node, first in _public_defs(cls.body):
+                for name, node, first in _defs(cls.body, private):
                     yield (f"{path.stem}.{cls.name}.{name}", "method", path, name,
                            first, node.end_lineno, node)
 
@@ -247,6 +254,29 @@ def test_every_name_kept_without_callers_is_defined_and_has_a_reason():
     defined = {key for key, *_ in _definitions()}
     assert sorted(set(WITHOUT_CALLERS) - defined) == []
     assert all(reason.strip() for reason in WITHOUT_CALLERS.values())
+
+
+def _reads(name, nodes):
+    """Whether any node reads the name: loads it, or reads it as an attribute."""
+    return any(isinstance(getattr(node, "ctx", None), ast.Load)
+               and name == (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+               for node in nodes)
+
+
+def test_every_private_definition_is_read_outside_its_own_body():
+    # a private top-level function or method is read by name somewhere in
+    # src/ or bench/ outside its own lines; tests do not count, so a helper
+    # left behind by a deletion fails here
+    unread = [key for key, _, module, name, first, last, _ in _definitions(private=True)
+              if not _reads(name, (node for _, node in _outside(module, first, last)))]
+    assert unread == [], "private functions and methods that nothing reads"
+
+
+def test_private_reads_are_found_in_every_spelling():
+    tree = ast.parse("f = _a\ng = obj._b\nobj._c = 1\n_d = 2\ndel obj._e\n_f()\n")
+    nodes = list(ast.walk(tree))
+    assert [name for name in ("_a", "_b", "_c", "_d", "_e", "_f") if _reads(name, nodes)] == \
+        ["_a", "_b", "_f"]
 
 
 # --- settings ------------------------------------------------------------------
