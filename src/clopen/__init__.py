@@ -7,8 +7,7 @@ makes a designated set clopen while extending the topology, and bit-exact
 codes of the resulting rational metrics.
 """
 
-from .baire import (BairePoint, BelowThreshold, DistanceResult, Exact,
-                    disagreement_distance, distance, eventually_periodic, exact_distance,
+from .baire import (BairePoint, disagreement_distance, eventually_periodic, exact_distance,
                     first_disagreement, pair_points, slice_point)
 from .coding import (SeqCode, decode, encode, lh, pair_code, pair_count, pair_position,
                      quad_code)

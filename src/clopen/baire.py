@@ -4,20 +4,19 @@ A point is a total rule position -> natural together with the prefix of
 values computed so far, so a repeated query is one list index; points that
 grow by a choice rule are built by branch.  Equality of points is only
 semi-decidable; every comparison takes an explicit depth budget, scanned by
-first_disagreement for a position k (None within the budget).
-disagreement_distance is the one place k becomes the distance 1/(k+1), and
-distance reports Exact(1/(k+1)) or BelowThreshold instead of guessing equality.
+first_disagreement for a position k, or None when the points agree below the
+budget, which never claims they are equal.  disagreement_distance is the one
+place k becomes the distance 1/(k+1).
 Points that are known to be eventually periodic carry a tail hint, which
 makes their pairwise distance exactly computable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .coding import pair_code, pair_position
 
@@ -96,23 +95,6 @@ def eventually_periodic(pre: Sequence[int], period: Sequence[int]) -> BairePoint
     return BairePoint(rule, tail_hint=(np, q))
 
 
-@dataclass(frozen=True)
-class Exact:
-    """A decided distance: the least disagreement was found."""
-
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class BelowThreshold:
-    """No disagreement within the budget; the true distance is < threshold."""
-
-    threshold: Fraction
-
-
-DistanceResult = Union[Exact, BelowThreshold]
-
-
 def first_disagreement(a: BairePoint, b: BairePoint, bound: int) -> Optional[int]:
     """The least k < bound with a(k) != b(k), or None when the points agree
     below the bound; k may be 0, so callers test the result against None.
@@ -158,20 +140,6 @@ def disagreement_distance(k: Optional[int]) -> Fraction:
     or 0 for None (no disagreement).  The values are shared Fraction
     constants, 1/(k+1) from a small bounded cache."""
     return _ZERO if k is None else _reciprocal(k + 1)
-
-
-def distance(a: BairePoint, b: BairePoint, budget: int) -> DistanceResult:
-    """First-disagreement distance, scanned up to the budget.
-
-    Exact(1/(k+1)) for the least k < budget with a(k) != b(k); otherwise
-    BelowThreshold(1/budget): a first disagreement at k >= budget, if any,
-    puts the distance at 1/(k+1) <= 1/(budget+1) < 1/budget.  Equality is
-    never decided.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    k = first_disagreement(a, b, budget)
-    return BelowThreshold(_reciprocal(budget)) if k is None else Exact(disagreement_distance(k))
 
 
 def exact_distance(a: BairePoint, b: BairePoint) -> Fraction:

@@ -181,8 +181,9 @@ def cmd_remetrize(args) -> int:
     bits = "".join(str(eps(t)) for t in range(args.epsilon_prefix))
     lines.append(f"epsilon {bits}")
     if built.sum_space.certifiable:
-        certified = certified_ball_list(built.sum_space, per_side=3)
-        result = check_extension_certificates(built.sum_space, certified)
+        cap = built.file.bounds["enumeration_cap"]
+        certified = certified_ball_list(built.sum_space, 3, cap)
+        result = check_extension_certificates(built.sum_space, cap, certified)
         lines.append(f"certificates {len(certified)} {'ok' if result.passed else 'FAIL'}")
         if not result.passed:
             lines.append(f"certificate-failure {result.detail}")

@@ -16,8 +16,8 @@ Unbounded quantification is not expressible: the grammar requires the
 Each instance field binds a fixed tuple of names, such as a tree node's
 (s, len).  parse_field's sort_of checks, once, that the field's expression
 reads no other name, and compile(e, names) turns it into a function that
-takes those names positionally, in that order.  evaluate(e, env) is
-compile(e, tuple(env))(*env.values()).
+takes those names positionally, in that order.  Callers compile a field once
+and keep the function.
 
 A node predicate that bounds its stem's entries one by one, such as
 `all i < len : s(i) <= 1`, would read the whole stem at each child a walk
@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Optional, Union
 
 KEYWORDS = {"all", "some", "and", "or", "not"}
 _SYMBOLS = ("<=", ">=", "==", "!=", "<", ">", "+", "*", "(", ")", ":", ",")
@@ -419,13 +419,6 @@ def _reads_only_at(e: Expr, var: str, sequence: str, length: str) -> bool:
                 and _reads_only_at(e.body, var, sequence, length))
     return (_reads_only_at(e.left, var, sequence, length)
             and _reads_only_at(e.right, var, sequence, length))
-
-
-def evaluate(e: Expr, env: Mapping[str, Union[int, Callable[[int], int]]]):
-    """The value of e with env's names bound:
-    compile(e, tuple(env))(*env.values()).  Hot paths compile once and keep
-    the function."""
-    return compile(e, tuple(env))(*env.values())
 
 
 def parse(text: str) -> Expr:

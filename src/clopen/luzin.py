@@ -100,20 +100,13 @@ class LuzinScheme:
     """The refining clopen cell family over a presentation.
 
     Each point handle has one path, its cell index on each level: the least
-    i <= witness_bound with the point in the level's ball around r_i.
-    Cell membership, the embedding and the image tree all read it.
+    i <= witness_bound with the point in the level's ball around r_i.  A cell
+    holds the points whose paths start with it; embed and image_tree read them.
     """
 
     def __init__(self, presentation: ZeroDimPresentation):
         self.presentation = presentation
         self._paths: dict[Any, list[Optional[int]]] = {}
-
-    def ball_stage(self, x: Any, cell: tuple[int, ...]) -> bool:
-        """Membership in the undisjointified stage B_cell: x lies in each
-        level's ball around that level's entry.  The definition's proviso,
-        r_k in B_(cell[:n]), then holds on an ultrametric."""
-        pres = self.presentation
-        return all(pres.ball_member(x, k, _radius(n)) for n, k in enumerate(cell))
 
     def _index(self, x: Any, level: int) -> Optional[int]:
         """x's cell index on a level; None from the first level without one.
@@ -129,10 +122,6 @@ class LuzinScheme:
             path.append(next((i for i in range(path[-1] if path else 0, pres.witness_bound + 1)
                               if pres.ball_member(x, i, radius)), None))
         return path[level] if level < len(path) else None
-
-    def cell_member_seq(self, x: Any, cell: tuple[int, ...]) -> bool:
-        """Membership in the disjointified cell A_cell: x's path starts with cell."""
-        return all(self._index(x, n) == k for n, k in enumerate(cell))
 
     def embed(self, x: Any) -> BairePoint:
         """The point reading off x's path, its cell index on each level."""

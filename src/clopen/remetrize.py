@@ -155,9 +155,8 @@ def interleave(sp: SumSpace, count: int, cap: int, label: str) -> RationalMetric
     points, computed on demand and not kept.  A cross-side pair is
     CROSS_DISTANCE at any index, with no point enumerated.
     """
-    # each side's points below count, its last index asked first, so a side
-    # short of points raises wanting all of them
-    codes = [[interleaved_tag(sp, u, cap)[1] for u in range(side, count, 2)[::-1]][::-1]
+    # one call per side, so a side short of points raises wanting all of them
+    codes = [enumerate_distinct(sp.side(side).fam, len(range(side, count, 2)), cap)
              for side in (0, 1)]
     rows = [dense_pn_rows(sp.side(side).fam, codes[side]) for side in (0, 1)]
 
@@ -231,18 +230,20 @@ def extension_certificate(sp: SumSpace, side: Side, s: int,
     return k_cert
 
 
-def certified_ball_list(sp: SumSpace, per_side: int) -> list[tuple[int, int, int, Fraction]]:
+def certified_ball_list(sp: SumSpace, per_side: int,
+                        cap: int) -> list[tuple[int, int, int, Fraction]]:
     """(side, dense code, ambient center, radius) pairs with strict interiors.
 
-    The list is the instance's certified extension catalog: for each listed
-    pair the certificate must succeed.  Strictness of the interior is checked
-    here with exact arithmetic; pairs that are not strictly interior are not
-    certifiable and are left out.
+    The list is the instance's certified extension catalog, over each side's
+    first per_side least codes below cap, the instance's enumeration_cap: for
+    each listed pair the certificate must succeed.  Strictness of the interior
+    is checked here with exact arithmetic; pairs that are not strictly
+    interior are not certifiable and are left out.
     """
     out = []
     for side in (0, 1):
         rep = sp.side(side)
-        codes = enumerate_distinct(rep.fam, per_side, cap=20_000)
+        codes = enumerate_distinct(rep.fam, per_side, cap)
         for s in codes:
             x = rep.dense_image(s)
             for center in range(4):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional
 
-from .baire import BairePoint, BelowThreshold, Exact, distance, first_disagreement, slice_point
+from .baire import BairePoint, disagreement_distance, first_disagreement, slice_point
 from .codes import check_metric_axioms, decode_metric, encode_metric
 from .coding import encode, pair_position
 from .instances import BuiltInstance
@@ -76,37 +76,26 @@ def check_dense_family(fam: DensePointFamily, stem_len: int, prefix_depth: int,
 
 
 def check_distance_oracle(fam: DensePointFamily, budget: int, name: str) -> CheckResult:
-    """The exact dense-family distance agrees with the budgeted scan oracle:
-    it equals a decided scan's value and lies below an undecided scan's
-    threshold.  The order relations d < q and d <= q are read off this value,
-    so checking it checks them."""
+    """The exact dense-family distance agrees with a scan of the two leftmost
+    branches to the budget: it is 1/(k+1) for a first disagreement at k, and
+    below 1/budget, 1/(k+1) for some k >= budget or 0, for none.  The order
+    relations d < q and d <= q are read off it, so checking it checks them."""
     code_bound = 40
 
     def run():
+        threshold = Fraction(1, budget)
         for s in range(code_bound):
             for t in range(s, code_bound):
                 d = dense_pn_distance(fam, s, t)
-                res = distance(fam.leftmost(s), fam.leftmost(t), budget)
-                if isinstance(res, Exact):
-                    if res.value != d:
-                        raise AssertionError(f"({s},{t}): scan {res.value} != exact {d}")
-                elif isinstance(res, BelowThreshold):
-                    if not d < res.threshold:
+                k = first_disagreement(fam.leftmost(s), fam.leftmost(t), budget)
+                if k is None:
+                    if not d < threshold:
                         raise AssertionError(f"({s},{t}): exact {d} not below threshold")
+                elif (scan := disagreement_distance(k)) != d:
+                    raise AssertionError(f"({s},{t}): scan {scan} != exact {d}")
         return f"{code_bound}x{code_bound} index pairs"
 
     return _result(name, run)
-
-
-def check_dense_metric_axioms(fam: DensePointFamily, code_bound: int) -> CheckResult:
-    """Metric axioms for the branch distance on dense indices, exhaustively."""
-
-    def run():
-        check_metric_axioms(lambda i, j: dense_pn_distance(fam, i, j), code_bound,
-                            equal=lambda i, j: dense_equal(fam, i, j))
-        return f"triples below {code_bound}"
-
-    return _result(f"dense-metric:{fam.tree.label}", run)
 
 
 # --- summed-space checks --------------------------------------------------------
@@ -164,12 +153,13 @@ def check_epsilon_code(sp: SumSpace) -> CheckResult:
     return _result("epsilon-code", run)
 
 
-def check_extension_certificates(sp: SumSpace, certified: Optional[list] = None) -> CheckResult:
+def check_extension_certificates(sp: SumSpace, cap: int,
+                                 certified: Optional[list] = None) -> CheckResult:
     """Every listed ball passes its certificate.  Without a list the check builds
-    the catalog itself (four points a side): a side short of points fails here."""
+    the catalog itself (four points a side below cap): a short side fails here."""
 
     def run():
-        balls = certified if certified is not None else certified_ball_list(sp, per_side=4)
+        balls = certified if certified is not None else certified_ball_list(sp, 4, cap)
         for side, s, center, radius in balls:
             extension_certificate(sp, side, s, center, radius)
         return f"{len(balls)} certified balls"
@@ -422,7 +412,7 @@ def run_instance_suite(built: BuiltInstance, *, axiom_count: int,
     results.append(check_clopen_sides(sp, axiom_count))
     results.append(check_epsilon_code(sp))
     if sp.certifiable:
-        results.append(check_extension_certificates(sp))
+        results.append(check_extension_certificates(sp, bounds["enumeration_cap"]))
     results.append(check_two_sided_continuity(sp))
     results.append(check_interleaved_table(built))
     results.append(check_code_matches_sum(built, matched=min(8, bounds["table_size"])))

@@ -12,10 +12,9 @@ from clopen.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="session")
-def oracle():
-    """bench/oracle.py, the independent oracle for cylinder tree-pairs."""
-    spec = importlib.util.spec_from_file_location("bench_oracle", ROOT / "bench" / "oracle.py")
+def _bench_module(name):
+    """bench/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     written = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache files under bench/
@@ -24,6 +23,18 @@ def oracle():
     finally:
         sys.dont_write_bytecode = written
     return module
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """bench/oracle.py, the independent oracle for cylinder tree-pairs."""
+    return _bench_module("oracle")
+
+
+@pytest.fixture(scope="session")
+def layertrace():
+    """bench/layertrace.py, the tracer of the benchmark's traced runs."""
+    return _bench_module("layertrace")
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import Exact, distance, eventually_periodic, exact_distance
+from clopen.baire import (disagreement_distance, eventually_periodic, exact_distance,
+                          first_disagreement)
 from clopen.codes import (catalog_table, decode_metric, encode_metric, render_code_file,
                           validate_metric_table)
 from clopen.coding import decode, encode, quad_code
@@ -92,11 +93,11 @@ def test_criterion_2_dense_families():
         for s in range(200):
             for t in range(200):
                 d = dense_pn_distance(fam, s, t)
-                res = distance(fam.leftmost(s), fam.leftmost(t), budget)
-                if isinstance(res, Exact):
-                    assert res.value == d
-                else:
+                k = first_disagreement(fam.leftmost(s), fam.leftmost(t), budget)
+                if k is None:
                     assert d == 0
+                else:
+                    assert disagreement_distance(k) == d
                 pairs_checked += 1
     report(2, f"{len(trees)} trees, {pairs_checked} index pairs against the scan oracle")
 
@@ -138,9 +139,10 @@ def test_criterion_5_topology_extension():
         sp = built.sum_space
         if not sp.certifiable:
             continue
-        certified = certified_ball_list(sp, per_side=6)
+        cap = built.file.bounds["enumeration_cap"]
+        certified = certified_ball_list(sp, 6, cap)
         assert certified, f"{name}: empty certified list"
-        result = check_extension_certificates(sp, certified)
+        result = check_extension_certificates(sp, cap, certified)
         assert result.passed, f"{name}: {result.detail}"
         certified_total += len(certified)
     assert certified_total > 0

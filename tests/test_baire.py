@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import (BairePoint, BelowThreshold, Exact, branch, disagreement_distance,
-                          distance, eventually_periodic, exact_distance,
-                          first_disagreement, pair_points, slice_point)
+from clopen.baire import (BairePoint, branch, disagreement_distance, eventually_periodic,
+                          exact_distance, first_disagreement, pair_points, slice_point)
 from clopen.coding import encode, pair_code
 
 
@@ -69,19 +68,20 @@ def test_constant_point():
 def test_distance_examples():
     a = eventually_periodic((), (0,))
     b = eventually_periodic((0, 1), (0,))
-    assert distance(a, b, 10) == Exact(Fraction(1, 2))
+    assert disagreement_distance(first_disagreement(a, b, 10)) == Fraction(1, 2)
     c = eventually_periodic((1,), (0,))
-    assert distance(a, c, 10) == Exact(Fraction(1))
-    assert distance(a, eventually_periodic((), (0,)), 4) == BelowThreshold(Fraction(1, 4))
+    assert disagreement_distance(first_disagreement(a, c, 10)) == Fraction(1)
+    assert first_disagreement(a, eventually_periodic((), (0,)), 4) is None
 
 
 def test_below_threshold_holds_when_the_disagreement_is_at_the_budget():
     a = eventually_periodic((), (0,))
     b = eventually_periodic((0, 0, 0, 0, 1), (0,))  # first disagreement at position 4
     assert exact_distance(a, b) == Fraction(1, 5)
+    # no disagreement below the budget puts the distance below 1/budget
     for budget in range(1, 5):
-        res = distance(a, b, budget)
-        assert isinstance(res, BelowThreshold) and Fraction(1, 5) < res.threshold
+        assert first_disagreement(a, b, budget) is None
+        assert exact_distance(a, b) < Fraction(1, budget)
 
 
 def test_first_disagreement_bounds():
@@ -264,28 +264,13 @@ def test_a_self_scan_raises_where_the_rule_raises():
         with pytest.raises(IndexError):
             first_disagreement(point, point, 8)
         assert point._prefix == [0] * 5
-    # the same at a distance scan: growing the point is where the rule raises
-    with pytest.raises(IndexError):
-        distance(point, point, 8)
-
-
-def test_distance_thresholds_are_shared_constants():
-    a = eventually_periodic((), (0,))
-    for budget in (1, 7, 256, 512):
-        res = distance(a, a, budget)
-        assert res == BelowThreshold(Fraction(1, budget))
-        assert res.threshold is distance(a, eventually_periodic((), (0,)), budget).threshold
-
-
-def test_distance_requires_budget():
-    with pytest.raises(ValueError):
-        distance(eventually_periodic((), (0,)), eventually_periodic((), (0,)), 0)
 
 
 def test_distance_never_decides_equality():
+    # a point against itself agrees below every budget: None, never a claim of 0
     a = eventually_periodic((), (0, 1))
     for budget in (1, 3, 10):
-        assert isinstance(distance(a, a, budget), BelowThreshold)
+        assert first_disagreement(a, a, budget) is None
 
 
 def _random_point(rng):
@@ -298,11 +283,11 @@ def test_distance_symmetry_and_ultrametric():
     rng = random.Random(7)
     for _ in range(1000):
         a, b, c = (_random_point(rng) for _ in range(3))
-        dab, dba = distance(a, b, 64), distance(b, a, 64)
-        assert dab == dba
-        dac, dbc = distance(a, c, 64), distance(b, c, 64)
-        if all(isinstance(d, Exact) for d in (dab, dac, dbc)):
-            vals = sorted((dab.value, dac.value, dbc.value))
+        kab, kba = first_disagreement(a, b, 64), first_disagreement(b, a, 64)
+        assert kab == kba
+        kac, kbc = first_disagreement(a, c, 64), first_disagreement(b, c, 64)
+        if None not in (kab, kac, kbc):
+            vals = sorted(map(disagreement_distance, (kab, kac, kbc)))
             # every side is at most the maximum of the other two, which
             # forces the two largest to coincide
             assert vals[2] == vals[1]

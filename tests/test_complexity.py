@@ -17,10 +17,14 @@ Each dense point grows once: the distance-oracle scans read the codes below
 40, and every code there holds its least code's entry, so the branches grown
 to --budget are the distinct points among them.
 
-The Luzin check reads each probe's cells off its path, through its
-embedding, and asks no cell membership of a probe.  A probe's search on each
-level starts at its index on the level above, since no smaller index can
-qualify there.
+Doubling --budget at most doubles the predicate calls of every catalog
+instance's trees and the positions stored on its dense points: the budget
+enters only through the distance-oracle scans, which grow each distinct
+point among the codes below 40 to depth --budget, so both counts are affine
+in the budget with a nonnegative constant.
+
+A Luzin probe's search on each level starts at its index on the level above,
+since no smaller index can qualify there.
 
 The metric axiom check reads each of a table's K^2 entries once and decides
 the triangle inequality on an ultrametric by one row pass, so an instance
@@ -39,7 +43,8 @@ from clopen import codes, dsl, verify
 from clopen.cli import main
 from clopen.codes import catalog_table, validate_metric_table
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
-from clopen.luzin import LuzinScheme, baire_closed_presentation, cantor_presentation
+from clopen.luzin import LuzinScheme, baire_closed_presentation
+from clopen.trees import DensePointFamily, PrunedTree
 
 BUDGETS = (128, 256, 512)
 # the real compile: monkeypatch undoes a patch only when the test ends, so
@@ -127,47 +132,6 @@ def test_verify_grows_each_dense_point_once(monkeypatch, name):
         assert len(grown) == distinct, (name, len(grown), distinct)
 
 
-def test_luzin_check_asks_no_cell_membership(monkeypatch):
-    calls = [0]
-    real = LuzinScheme.cell_member_seq
-
-    def counting(self, x, cell):
-        calls[0] += 1
-        return real(self, x, cell)
-
-    monkeypatch.setattr(LuzinScheme, "cell_member_seq", counting)
-    scheme = LuzinScheme(cantor_presentation(witness_bound=32))
-    result = verify.check_luzin_scheme(scheme, 3, 30)
-    assert result.passed, result.detail
-    # a probe has one path, and its embedding reads it, so the check asks no
-    # membership; asking the root cell and then each of the witness_bound + 1
-    # = 33 children on each of the 3 levels made 30 * (1 + 3 * 33) = 3,000 calls
-    assert calls[0] == 0
-
-
-def test_luzin_trios_ask_no_ball_stage(monkeypatch):
-    calls = [0]
-    real = LuzinScheme.ball_stage
-
-    def counting(self, x, cell):
-        calls[0] += 1
-        return real(self, x, cell)
-
-    monkeypatch.setattr(LuzinScheme, "ball_stage", counting)
-    cantor = LuzinScheme(cantor_presentation(witness_bound=32))
-    closed = LuzinScheme(baire_closed_presentation(
-        build_instance(builtin_instance("baire-split-0")).ambient_fam))
-    for scheme, depth, probes in ((cantor, 3, 30), (closed, 4, 16)):
-        for result in (verify.check_luzin_scheme(scheme, depth, probes),
-                       verify.check_embedding_injective(scheme, probes),
-                       verify.check_image_tree_pruned(scheme, depth)):
-            assert result.passed, result.detail
-    # a cell index is a least ball index, asked of ball_member directly; the
-    # recursive stage, which also checked that each centre lies in the
-    # parent's stage, made 1,353 calls on cantor and 2,396 on baire-closed
-    assert calls[0] == 0
-
-
 def test_baire_closed_trio_searches_each_level_from_the_parent_index():
     pres = baire_closed_presentation(build_instance(builtin_instance("baire-split-0")).ambient_fam)
     calls = [0]
@@ -185,6 +149,48 @@ def test_baire_closed_trio_searches_each_level_from_the_parent_index():
     # index below a point's index on one level qualifies on the next, so each
     # level's search starts there; searching from 0 on every level made 3,110
     assert calls[0] <= 1068
+
+
+def _verify_budget_counts(monkeypatch, name, budget):
+    """(predicate calls, stored positions) of one `clopen verify --seed 5` at
+    the budget: every PrunedTree's predicate is wrapped at __init__, and the
+    positions are summed over the distinct points of every dense family."""
+    calls, families = [0], []
+    tree_init, family_init = PrunedTree.__init__, DensePointFamily.__init__
+
+    def counted_tree(tree, admits, *args, **kwargs):
+        def predicate(u):
+            calls[0] += 1
+            return admits(u)
+
+        tree_init(tree, predicate, *args, **kwargs)
+
+    def recorded_family(fam, tree):
+        family_init(fam, tree)
+        families.append(fam)
+
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(PrunedTree, "__init__", counted_tree)
+        patch.setattr(DensePointFamily, "__init__", recorded_family)
+        assert main(["verify", "--instance", name, "--seed", "5",
+                     "--budget", str(budget)]) == 0
+    points = {id(point): point for fam in families for point, _ in fam._points.values()}
+    return calls[0], sum(len(point._prefix) for point in points.values())
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_verify_counts_at_most_double_with_the_budget(monkeypatch, name):
+    counts = [_verify_budget_counts(monkeypatch, name, b) for b in BUDGETS]
+    for (calls, stored), (more_calls, more_stored) in zip(counts, counts[1:]):
+        # predicate calls: validation, enumeration and the other checks ask a
+        # fixed set of stems whatever the budget, and a walk step that grows a
+        # point by one position asks a bounded number of fresh stems, so the
+        # calls are affine in the budget and at most double
+        assert more_calls <= 2 * calls, (name, BUDGETS, counts)
+        # stored positions: each distinct point the distance-oracle scans read
+        # grows to exactly --budget positions, and every other point's prefix
+        # is fixed by the checks, so they too are affine and at most double
+        assert more_stored <= 2 * stored, (name, BUDGETS, counts)
 
 
 def _axiom_check_counts(monkeypatch, table):

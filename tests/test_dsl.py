@@ -9,7 +9,7 @@ import pytest
 
 from clopen.cli import main
 from clopen.dsl import (Access, BinOp, EvalError, Not, Num, ParseError, Quant, Var, compile,
-                        evaluate, parse, parse_field, position_step, sort_of)
+                        parse, parse_field, position_step, sort_of)
 from clopen.instances import _node_verdicts
 
 
@@ -17,42 +17,47 @@ def seq(*values):
     return lambda i: values[i] if 0 <= i < len(values) else 0
 
 
+def value_of(e, env):
+    """The value of e with env's names bound, through the function compile builds."""
+    return compile(e, tuple(env))(*env.values())
+
+
 def test_arithmetic():
-    assert evaluate(parse("2 + 3 * 4"), {}) == 14
-    assert evaluate(parse("(2 + 3) * 4"), {}) == 20
+    assert value_of(parse("2 + 3 * 4"), {}) == 14
+    assert value_of(parse("(2 + 3) * 4"), {}) == 20
 
 
 def test_variables_and_access():
     env = {"n": 3, "s": seq(5, 6, 7)}
-    assert evaluate(parse("s(n + 1) + s(0)"), env) == 5  # s(4) = 0 past the end
-    assert evaluate(parse("s(1) * n"), env) == 18
+    assert value_of(parse("s(n + 1) + s(0)"), env) == 5  # s(4) = 0 past the end
+    assert value_of(parse("s(1) * n"), env) == 18
 
 
 def test_comparisons_and_connectives():
     env = {"x": 2, "y": 5}
-    assert evaluate(parse("x < y and not y <= x"), env) is True
-    assert evaluate(parse("x == 2 or y == 2"), env) is True
-    assert evaluate(parse("x != 2"), env) is False
+    assert value_of(parse("x < y and not y <= x"), env) is True
+    assert value_of(parse("x == 2 or y == 2"), env) is True
+    assert value_of(parse("x != 2"), env) is False
 
 
 def test_bounded_quantifiers():
     env = {"s": seq(0, 0, 0, 1), "len": 4}
-    assert evaluate(parse("all k < 3 : s(k) == 0"), env) is True
-    assert evaluate(parse("all k < len : s(k) == 0"), env) is False
-    assert evaluate(parse("some k < len : s(k) == 1"), env) is True
-    assert evaluate(parse("some k < 0 : s(k) == 9"), env) is False
+    assert value_of(parse("all k < 3 : s(k) == 0"), env) is True
+    assert value_of(parse("all k < len : s(k) == 0"), env) is False
+    assert value_of(parse("some k < len : s(k) == 1"), env) is True
+    assert value_of(parse("some k < 0 : s(k) == 9"), env) is False
 
 
 def test_quantifier_body_extends_right():
     env = {"s": seq(1, 1), "len": 2}
     e = parse("all k < len : s(k) == 1 and k < 5")
-    assert evaluate(e, env) is True
+    assert value_of(e, env) is True
 
 
 def test_nested_quantifiers():
     env = {"s": seq(0, 1, 0, 1)}
     e = parse("all i < 2 : some j < 2 : s(i + i) + j == 1")
-    assert evaluate(e, env) is True
+    assert value_of(e, env) is True
 
 
 def test_unbounded_quantifier_rejected():
@@ -100,7 +105,7 @@ def test_check_names_binds_context_and_quantifier_names():
     with pytest.raises(ParseError, match="unbound sequence 's'"):
         sort_of(parse("all s < 2 : s(0) == 0"), *tree)
     # every name that passes is bound when the expression is evaluated
-    assert evaluate(parse("all i < len : s(i) <= 1"), {"len": 2, "s": seq(1, 0)})
+    assert value_of(parse("all i < len : s(i) <= 1"), {"len": 2, "s": seq(1, 0)})
 
 
 def test_trailing_input_rejected():
@@ -110,9 +115,9 @@ def test_trailing_input_rejected():
 
 def test_unbound_names_fail_at_evaluation():
     with pytest.raises(EvalError):
-        evaluate(parse("x + 1"), {})
+        value_of(parse("x + 1"), {})
     with pytest.raises(EvalError):
-        evaluate(parse("f(1)"), {})
+        value_of(parse("f(1)"), {})
 
 
 def _short_seq(values, reads):
@@ -128,22 +133,22 @@ def _short_seq(values, reads):
 def test_connectives_short_circuit():
     reads = []
     env = {"f": _short_seq((0, 1, 0), reads), "len": 1}
-    assert evaluate(parse("len < 2 or f(9) == 0"), env) is True
-    assert evaluate(parse("1 == 2 and f(9) == 0"), env) is False
-    assert evaluate(parse("not (1 == 1 and (len == 2 and f(9) == 0))"), env) is True
+    assert value_of(parse("len < 2 or f(9) == 0"), env) is True
+    assert value_of(parse("1 == 2 and f(9) == 0"), env) is False
+    assert value_of(parse("not (1 == 1 and (len == 2 and f(9) == 0))"), env) is True
     assert reads == []
 
 
 def test_quantifiers_stop_at_the_first_hit_or_miss():
     reads = []
     env = {"f": _short_seq((0, 1, 0), reads)}
-    assert evaluate(parse("some i < 9 : f(i) == 1"), env) is True
+    assert value_of(parse("some i < 9 : f(i) == 1"), env) is True
     assert reads == [0, 1]
     reads.clear()
-    assert evaluate(parse("all i < 9 : f(i) == 0"), env) is False
+    assert value_of(parse("all i < 9 : f(i) == 0"), env) is False
     assert reads == [0, 1]
     reads.clear()
-    assert evaluate(parse("all i < 3 : some j < 9 : f(i) + j == 1"), env) is True
+    assert value_of(parse("all i < 3 : some j < 9 : f(i) + j == 1"), env) is True
     assert max(reads) == 2
 
 
@@ -152,7 +157,7 @@ def test_compiled_expression_is_reused_and_keeps_result_types():
     admits = compile(e, ("s", "len"))
     for values in ((), (0, 1), (1, 2), (2,)):
         env = {"s": seq(*values), "len": len(values)}
-        assert admits(seq(*values), len(values)) is evaluate(e, env) is all(v <= 1 for v in values)
+        assert admits(seq(*values), len(values)) is value_of(e, env) is all(v <= 1 for v in values)
     assert compile(parse("2 + n * 3"), ("n",))(4) == 14
     assert type(compile(parse("2 + n * 3"), ("n",))(4)) is int
     for text in ("1 < 2", "not 1 < 2", "1 < 2 and 2 < 3", "1 < 2 or 2 < 3",

@@ -713,7 +713,7 @@ def test_cli_verify_reports_a_side_short_of_points(tmp_path, capsys):
     assert main(["verify", "--instance", path]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "FAIL extension  InsufficientDensePoints: found 1 distinct dense points " \
-        "of 4 wanted (codes < 20000)" in out
+        "of 4 wanted (codes < 2000)" in out
     assert "ok   continuity  68 modulus samples" in out
     assert "FAIL interleave  InsufficientDensePoints: found 1 distinct dense points " \
         "of 2 wanted (codes < 2000)" in out
@@ -730,6 +730,24 @@ def test_cli_verify_reports_a_side_short_of_points(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "search exhausted: InsufficientDensePoints: found 1 distinct " \
         "dense points of 2 wanted (codes < 2000)\n"
+
+
+def test_the_certificate_list_obeys_the_enumeration_cap(tmp_path, capsys):
+    # side a of cantor-split-0 has one least code below 4, and the K=2 table
+    # wants only one point a side; the certificate lists want four and three
+    # points a side, so both stop at the declared cap, where a hidden cap of
+    # 20,000 read points past it and certified 21 and 16 balls
+    path = _write(tmp_path, _catalog_doc("cantor-split-0", table_size=2, enumeration_cap=4))
+    assert main(["verify", "--instance", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL extension  InsufficientDensePoints: found 1 distinct dense points " \
+        "of 4 wanted (codes < 4)" in out
+    assert out[-1] == 'failures ["extension"]'
+    assert main(["remetrize", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "search exhausted: InsufficientDensePoints: found 1 distinct " \
+        "dense points of 3 wanted (codes < 4)\n"
 
 
 # --- the sides of a tree-pair cover the ambient ---------------------------------

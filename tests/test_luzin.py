@@ -24,6 +24,11 @@ def small_scheme(bound=24):
     return LuzinScheme(cantor_presentation(witness_bound=bound))
 
 
+def _in_cell(sch, x, cell):
+    """x lies in the cell: its path, read off its embedding, starts with cell."""
+    return _embedded_path(sch, x, len(cell)) == tuple(cell)
+
+
 def test_rescale_values():
     d = rescale(lambda x: Fraction(x))
     assert d(0) == 0
@@ -85,13 +90,13 @@ def test_presentation_distances_are_rescaled_and_bounded():
 def test_root_cell_holds_everything():
     sch = small_scheme()
     for i in range(8):
-        assert sch.cell_member_seq(sch.presentation.dense_point(i), ())
+        assert _in_cell(sch, sch.presentation.dense_point(i), ())
 
 
 def test_depth_one_cells_partition_a_point():
     sch = small_scheme()
     zero = sch.presentation.dense_point(0)
-    hits = [k for k in range(24) if sch.cell_member_seq(zero, (k,))]
+    hits = [k for k in range(24) if _in_cell(sch, zero, (k,))]
     assert hits == [0]
 
 
@@ -102,15 +107,15 @@ def test_cells_refine_parents():
         f = sch.embed(x)
         for n in range(1, 4):
             cell = f.prefix(n)
-            assert sch.cell_member_seq(x, cell)
-            assert sch.cell_member_seq(x, cell[:-1])
+            assert _in_cell(sch, x, cell)
+            assert _in_cell(sch, x, cell[:-1])
 
 
 def test_known_empty_cell():
     # the depth-one cell of center 16 is swallowed by the earlier center 0
     sch = small_scheme()
     for i in range(24):
-        assert not sch.cell_member_seq(sch.presentation.dense_point(i), (16,))
+        assert not _in_cell(sch, sch.presentation.dense_point(i), (16,))
     assert not sch.image_tree().admits((16,))
 
 
@@ -118,7 +123,7 @@ def test_image_node_basics():
     sch = small_scheme()
     image = sch.image_tree()
     assert image.admits(()) and image.admits((0,))
-    assert sch.cell_member_seq(sch.presentation.dense_point(0), (0,))
+    assert _in_cell(sch, sch.presentation.dense_point(0), (0,))
 
 
 def test_embed_separates_points_differing_at_zero():
@@ -135,7 +140,7 @@ def test_embed_reads_off_unique_cells():
     for n in range(4):
         prefix = f.prefix(n)
         bound = sch.presentation.witness_bound
-        hits = [i for i in range(bound + 1) if sch.cell_member_seq(x, prefix + (i,))]
+        hits = [i for i in range(bound + 1) if _in_cell(sch, x, prefix + (i,))]
         assert hits == [f(n)]
 
 
@@ -184,14 +189,15 @@ def test_check_names_the_probe_search_that_ran_out():
                              "contains the point at depth 1 (bound 15)")
 
 
-def test_a_cell_past_the_witness_bound_holds_no_point():
+def test_a_cell_past_the_witness_bound_holds_no_point(ball_stage_by_definition):
     # x's least depth-1 ball index is 7, past the bound 2: x lies in the ball
     # stage B_(7,), yet neither the cell (7,) nor any other depth-1 cell holds it
-    sch = LuzinScheme(cantor_presentation(witness_bound=2))
+    pres, raw = _cantor(2)
+    sch, stage = LuzinScheme(pres), ball_stage_by_definition(raw, pres.dense_point)
     x = eventually_periodic((1, 1, 1), (0,))
-    assert sch.ball_stage(x, (7,))
-    assert not any(sch.ball_stage(x, (i,)) for i in range(7))
-    assert not any(sch.cell_member_seq(x, (i,)) for i in range(12))
+    assert stage(x, (7,))
+    assert not any(stage(x, (i,)) for i in range(7))
+    assert not any(_in_cell(sch, x, (i,)) for i in range(12))
     assert not sch.image_tree().admits((7,))
 
 
@@ -265,13 +271,14 @@ def test_members_match_the_brute_force_scan(make, ball_stage_by_definition,
     pres, raw = make()
     sch, stage = LuzinScheme(pres), ball_stage_by_definition(raw, pres.dense_point)
     bound = pres.witness_bound
+    paths = [_embedded_path(sch, pres.dense_point(i), 3) for i in range(bound + 1)]
     cells = [()]
     image = sch.image_tree()
     for cell in cells:
         want = tuple(i for i in range(bound + 1)
                      if in_cell_by_disjointification(stage, pres.dense_point(i), cell))
-        assert all(sch.cell_member_seq(pres.dense_point(i), cell) == (i in want)
-                   for i in range(bound + 1))
+        # a point lies in a cell when its path starts with the cell
+        assert all((path[:len(cell)] == cell) == (i in want) for i, path in enumerate(paths))
         assert image.admits(cell) == bool(want)
         if len(cell) < 3:
             cells.extend(cell + (k,) for k in range(bound + 1))
@@ -299,22 +306,6 @@ def test_root_children_are_listed_in_one_pass_over_the_root():
     made = calls[0]
     assert not image.admits((65,)) and calls[0] == made
     assert not image.admits((3, 200))
-
-
-@SMALL_PRESENTATIONS
-def test_ball_stage_matches_the_plain_rescaled_comparison(make, ball_stage_by_definition):
-    pres, raw = make()
-    sch = LuzinScheme(pres)
-    want = ball_stage_by_definition(raw, pres.dense_point)
-    bound = pres.witness_bound
-    points = [pres.dense_point(i) for i in range(bound + 1)]
-    cells = [()]
-    for cell in cells:
-        for x in points:
-            assert sch.ball_stage(x, cell) == want(x, cell)
-        if len(cell) < 3:
-            cells.extend(cell + (k,) for k in range(bound + 1))
-    assert len(cells) == sum((bound + 1) ** n for n in range(4))
 
 
 def test_dense_handles_are_stable():

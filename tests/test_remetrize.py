@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from clopen.baire import Exact, distance, slice_point
+from clopen.baire import disagreement_distance, first_disagreement, slice_point
 from clopen.coding import encode, pair_code
 from clopen.instances import CATALOG, build_instance, builtin_instance
 from clopen.remetrize import (CertificateFailure, ClosedRepresentation, NotInterior,
@@ -36,11 +36,11 @@ def test_pullback_matches_budget_oracle():
         for s in range(40):
             for t in range(40):
                 d = dense_pn_distance(rep.fam, s, t)
-                res = distance(rep.fam.leftmost(s), rep.fam.leftmost(t), 128)
-                if isinstance(res, Exact):
-                    assert res.value == d
+                k = first_disagreement(rep.fam.leftmost(s), rep.fam.leftmost(t), 128)
+                if k is None:
+                    assert d < Fraction(1, 128)
                 else:
-                    assert d < res.threshold
+                    assert disagreement_distance(k) == d
 
 
 def test_sum_distance_cases():
@@ -165,10 +165,11 @@ def test_witness_inverse_modulus_pins_the_entry_at_position_k():
 
 
 def test_certified_catalog_passes():
-    sp = built("baire-split-0").sum_space
-    certified = certified_ball_list(sp, per_side=4)
+    instance = built("baire-split-0")
+    sp, cap = instance.sum_space, instance.file.bounds["enumeration_cap"]
+    certified = certified_ball_list(sp, 4, cap)
     assert certified
-    assert check_extension_certificates(sp, certified).passed
+    assert check_extension_certificates(sp, cap, certified).passed
 
 
 def test_two_sided_continuity_identity_and_witness():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from clopen.baire import Exact, branch, distance
+from clopen.baire import branch, disagreement_distance, first_disagreement
 from clopen import trees
 from clopen.coding import decode, encode
 from clopen.instances import CATALOG, build_instance, build_tree, builtin_instance
@@ -188,11 +188,11 @@ def test_dense_distance_agrees_with_budget_oracle():
         for s in range(60):
             for t in range(60):
                 d = dense_pn_distance(fam, s, t)
-                res = distance(fam.leftmost(s), fam.leftmost(t), 128)
-                if isinstance(res, Exact):
-                    assert res.value == d
+                k = first_disagreement(fam.leftmost(s), fam.leftmost(t), 128)
+                if k is None:
+                    assert d < Fraction(1, 128)
                 else:
-                    assert d < res.threshold
+                    assert disagreement_distance(k) == d
 
 
 def test_leftmost_stays_inside_neighborhood_and_tree():

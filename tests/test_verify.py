@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,28 @@ def test_suite_order_is_canonical():
     results = run_instance_suite(built, axiom_count=20, seed=0)
     names = [r.name for r in results]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize("pair, planted, line", [
+    # the points of codes 0 and 0 agree below the budget 128, so the distance
+    # must lie below 1/128; both FAIL texts are pinned as reports print them
+    ((0, 0), Fraction(1, 128), "FAIL distance-oracle:a  AssertionError: (0,0): exact 1/128 "
+                               "not below threshold"),
+    ((0, 0), Fraction(1, 129), "ok   distance-oracle:a  40x40 index pairs"),
+    # the points of codes 0 and 2, stems () and (1,), first disagree at 0
+    ((0, 2), Fraction(1, 3), "FAIL distance-oracle:a  AssertionError: (0,2): scan 1 != exact 1/3"),
+], ids=["not-below-threshold", "below-threshold", "scan-differs"])
+def test_distance_oracle_reports_a_planted_wrong_distance(monkeypatch, pair, planted, line):
+    real = verify.dense_pn_distance
+
+    def planting(fam, s, t):
+        return planted if (s, t) == pair else real(fam, s, t)
+
+    monkeypatch.setattr(verify, "dense_pn_distance", planting)
+    tree = full_cantor_tree()
+    validate_pruned(tree, 4)
+    result = verify.check_distance_oracle(DensePointFamily(tree), 128, "distance-oracle:a")
+    assert result.line() == line
 
 
 def test_one_point_side_passes_continuity():
