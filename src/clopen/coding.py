@@ -48,6 +48,24 @@ def encode(u: Sequence[int]) -> SeqCode:
     return 1 + pair(n - 1, fold)
 
 
+def code_below(u: Sequence[int], cap: int) -> Optional[SeqCode]:
+    """encode(u) when it is below cap, else None.
+
+    encode's fold, stopped as soon as a value reaches cap: C(a, b) >= max(a, b)
+    and the code exceeds every fold, so a stopped fold never builds the
+    doubly exponential code of a long stem."""
+    n = len(u)
+    if n == 0:
+        return 0 if cap > 0 else None
+    fold = u[n - 1]
+    for i in range(n - 2, -1, -1):
+        if fold >= cap:
+            return None
+        fold = pair(u[i], fold)
+    code = 1 + pair(n - 1, fold)
+    return code if code < cap else None
+
+
 @lru_cache(maxsize=1 << 16)
 def decode(s: SeqCode) -> Tuple[int, ...]:
     """The sequence coded by s.  Total: every natural is a valid code."""

@@ -33,7 +33,9 @@ at most once.
 The two stores fit two kinds of traffic: a tuple query hashes one short
 stem, and such queries are most of what encode and the Luzin scheme ask,
 while a walk grows branches to depth 256 and more, where a memo keyed by
-every stem tuple along them would hold memory quadratic in the depth.
+every stem tuple along them would hold memory quadratic in the depth.  So
+enumerate_distinct's walk, whose stems run as long, keeps its verdicts in
+the trie too, reaching each stem's node from its prefix's.
 
 The stems of a point are its shortest stem and that stem's extensions along
 it, and codes grow under extension, so a code is the least code of its point
@@ -46,6 +48,18 @@ exactly when they hold one entry.  Two distinct points first differ within
 the longer of their least stems; dense_pn_distance turns that position k
 into the distance 1/(k+1), and the order relations d < q and d <= q are
 read off that exact value.
+
+enumerate_distinct lists the least codes below a cap in code order without
+decoding a code.  It walks stems, not naturals: a family's frontier is a heap
+of stems keyed by their codes, and popping a stem pushes its next sibling
+and, when the tree admits it, its 0-child.  Codes grow under extension and
+in each entry, so the walk meets the admissible stems in code order and asks
+the tree only about stems whose parent it admits; the codes it keys them by
+come from coding.code_below, which stops at the cap before a long stem's
+code grows doubly exponential.  Skipping an inadmissible stem's children
+rests on downward closure, certified to the validated depth and promised by
+the tree's author past it.  The frontier and the codes kept stay on the
+family, so a later call resumes the walk.
 """
 
 from __future__ import annotations
@@ -53,11 +67,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Iterable, Iterator, Optional
 
 from .baire import BairePoint, branch, disagreement_distance, first_disagreement
-from .coding import decode, encode
+from .coding import code_below, decode, encode
 
 
 class TreeError(Exception):
@@ -125,6 +139,12 @@ class _Stem:
         self.verdict: Optional[bool] = None
         self.least: Optional[_Stem] = None
         self.children: dict[int, _Stem] = {}
+
+
+# an entry of enumerate_distinct's frontier: (key, exact, stem, trie node of
+# the stem's prefix), whose key is the stem's code when exact, else a cap the
+# code reaches
+_Frontier = tuple[int, bool, tuple[int, ...], Optional[_Stem]]
 
 
 class PrunedTree:
@@ -272,6 +292,26 @@ class PrunedTree:
                 return child, c
         raise ChildSearchExhausted(prefix, f"(bound {bound})")
 
+    def _asked(self, parent: Optional[_Stem], u: tuple[int, ...]) -> _Stem:
+        """The trie node of the stem u, holding its verdict, where parent is
+        the node of u's admitted prefix, or None when u is the root.  The
+        verdict is read as _search reads a child's: from the trie, then from
+        _cache, and only then asked, of the step verdict where the tree has
+        one, since the prefix is admitted, and of the predicate at the root."""
+        if parent is None:
+            node = self._stem(u)
+        else:
+            node = parent.children.get(u[-1])
+            if node is None:
+                node = parent.children[u[-1]] = _Stem(u[-1])
+        if node.verdict is None:
+            v = self._cache.get(u) if len(u) <= self._deepest else None
+            if v is None:
+                ask = self._step_verdict if parent is not None else None
+                v = bool((ask or self._admits)(u))
+            node.verdict = v
+        return node
+
     def __repr__(self) -> str:
         return f"<PrunedTree {self.label} validated={self.depth_validated}>"
 
@@ -333,9 +373,10 @@ class DensePointFamily:
             raise EmptyTreeViolation(())
         self.tree = tree
         self._points: dict[int, tuple[BairePoint, int]] = {}
-        # enumerate_distinct's scan so far: the least codes below _scanned
+        # enumerate_distinct's walk so far: the least codes it has kept, and
+        # its frontier
         self._least_codes: list[int] = []
-        self._scanned = 0
+        self._frontier: list[_Frontier] = [(0, True, (), None)]
 
     def is_least_code(self, s: int) -> bool:
         """Whether s is the least code of its point: admissible, with a stem
@@ -442,21 +483,49 @@ def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> list[list[Fraction
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int) -> list[int]:
     """The first `count` least codes below cap, in code order: distinct points.
 
-    cap is the caller's, an instance's enumeration_cap.  The family keeps the
-    least codes its scan has found, so a later call extends that scan and
-    never repeats it.
+    cap is the caller's, an instance's enumeration_cap.  The family's frontier
+    is a heap of stems keyed by their codes, each with its prefix's trie node.
+    The walk pops the least stem u, pushes its next sibling, unbounded by
+    child_bound since a tree may admit entries past it, and if the tree
+    admits u, pushes u's 0-child and keeps u's code when is_least_code's rule
+    holds.  It stops when the least key reaches cap.  A stem whose code
+    reaches the cap it is pushed under is keyed by that cap, and by its code
+    once a later call with a larger cap reaches it.  The frontier and the
+    codes kept stay on the family, so a later call resumes the walk; u is
+    tested before it is popped, so a least-child search that raises leaves
+    the frontier as it was.
+
+    The walk skips the children of an inadmissible stem, so it rests on
+    downward closure: validate_pruned certifies it to the validated depth,
+    and past that it is the tree's author's promise, as prunedness is.
     """
-    found = fam._least_codes
-    if len(found) < count and fam._scanned < cap:
-        # collected apart first, so a search that raises leaves the scan as it was
-        more = list(islice(filter(fam.is_least_code, range(fam._scanned, cap)),
-                           count - len(found)))
-        found += more
-        fam._scanned = more[-1] + 1 if len(found) == count else cap
+    found, frontier, tree = fam._least_codes, fam._frontier, fam.tree
+    while len(found) < count and frontier[0][0] < cap:
+        code, exact, u, parent = frontier[0]
+        if not exact:
+            heapreplace(frontier, _keyed(u, parent, cap))
+            continue
+        node = tree._asked(parent, u)
+        # is_least_code's rule: admitted, and the root or not the least child
+        if node.verdict and (parent is None or node is not (
+                parent.least or tree._search(parent, u[:-1])[0])):
+            found.append(code)
+        if parent is None:
+            heappop(frontier)
+        else:
+            heapreplace(frontier, _keyed(u[:-1] + (u[-1] + 1,), parent, cap))
+        if node.verdict:
+            heappush(frontier, _keyed(u + (0,), node, cap))
     below = bisect_left(found, cap)
     if below < count:
         raise InsufficientDensePoints(below, count, cap)
     return found[:count]
+
+
+def _keyed(u: tuple[int, ...], parent: Optional[_Stem], cap: int) -> _Frontier:
+    """u's frontier entry: its code when that is below cap, else cap."""
+    code = code_below(u, cap)
+    return (cap, False, u, parent) if code is None else (code, True, u, parent)
 
 
 def iter_admissible(tree: PrunedTree, max_len: int) -> Iterator[tuple[int, ...]]:
@@ -504,12 +573,19 @@ def cylinder_union_tree(prefixes: Iterable[Iterable[int]], label: str,
     if not pres:
         raise ValueError("at least one prefix is required")
     max_len = max(len(p) for p in pres)
+    # u is admitted when it starts a prefix or extends one
+    starts = {p[:m] for p in pres for m in range(len(p) + 1)}
+    full = set(pres)
+    lengths = sorted({len(p) for p in pres})
 
     def admits(u: tuple[int, ...]) -> bool:
+        if u in starts:
+            return True
         n = len(u)
-        for p in pres:
-            m = min(n, len(p))
-            if u[:m] == p[:m]:
+        for m in lengths:
+            if m >= n:
+                return False
+            if u[:m] in full:
                 return True
         return False
 

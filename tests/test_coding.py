@@ -1,8 +1,8 @@
 import itertools
 import random
 
-from clopen.coding import (decode, encode, lh, pair, pair_code, pair_count, pair_position,
-                           quad_code, quad_position, unpair)
+from clopen.coding import (code_below, decode, encode, lh, pair, pair_code, pair_count,
+                           pair_position, quad_code, quad_position, unpair)
 
 
 def test_empty_sequence_codes_to_zero():
@@ -60,6 +60,45 @@ def test_codes_grow_under_extension():
     for _ in range(300):
         u = tuple(rng.randrange(rng.choice((2, 5, 1000))) for _ in range(rng.randrange(12)))
         assert encode(u + (rng.randrange(50),)) > encode(u)
+
+
+def _caps_around(c, rng):
+    return {0, 1, c - 1, c, c + 1, rng.randrange(c + 1), c + rng.randrange(1, 10 ** 6), 10 ** 40}
+
+
+def test_code_below_is_encode_below_the_cap():
+    rng = random.Random(38)
+    stems = [u for n in range(5) for u in itertools.product(range(5), repeat=n)]
+    stems += [tuple(rng.randrange(rng.choice((2, 5, 1000))) for _ in range(rng.randrange(12)))
+              for _ in range(300)]
+    for u in stems:
+        c = encode(u)
+        for cap in _caps_around(c, rng):
+            assert code_below(u, cap) == (c if c < cap else None), (u, cap)
+
+
+class _CountedReads(tuple):
+    """A stem that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_code_below_stops_a_long_stem_at_once():
+    # 2,000 nonzero entries: C(a, f) >= C(1, f) for a >= 1, so the fold is at
+    # least 1, 4, 16, 154, 12,091, 7.3e7, 2.7e15, 3.6e30, 6.4e60 after 0-8
+    # pairings, and encode's code would have doubly exponentially many
+    # digits; the stopped fold passes 10^6 within 5 pairings and 10^40 within
+    # 8, each reading one entry past the last
+    rng = random.Random(2000)
+    u = _CountedReads(rng.randrange(1, 10) for _ in range(2000))
+    for cap, most in ((10 ** 6, 5), (10 ** 40, 8)):
+        _CountedReads.reads = 0
+        assert code_below(u, cap) is None
+        assert _CountedReads.reads <= most + 1, (cap, _CountedReads.reads)
 
 
 def test_pair_and_quad_codes_match_encode():

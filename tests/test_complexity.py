@@ -29,6 +29,10 @@ since no smaller index can qualify there.
 The metric axiom check reads each of a table's K^2 entries once and decides
 the triangle inequality on an ultrametric by one row pass, so an instance
 table, which is always an ultrametric, never reaches the K^3 exact loop.
+
+enumerate_distinct walks a frontier of stems in code order and asks the
+tree only about the stems below the cap whose parent it admits, each once
+over all the calls on a family: a constant per admissible stem walked.
 """
 
 import contextlib
@@ -36,6 +40,7 @@ import copy
 import io
 import json
 from dataclasses import replace
+from math import isqrt
 
 import pytest
 
@@ -44,7 +49,9 @@ from clopen.cli import main
 from clopen.codes import catalog_table, validate_metric_table
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
 from clopen.luzin import LuzinScheme, baire_closed_presentation
-from clopen.trees import DensePointFamily, PrunedTree
+from clopen.remetrize import witness_representation
+from clopen.trees import DensePointFamily, PrunedTree, enumerate_distinct
+from clopen.witness import MATRIX_CATALOG
 
 BUDGETS = (128, 256, 512)
 # the real compile: monkeypatch undoes a patch only when the test ends, so
@@ -151,12 +158,11 @@ def test_baire_closed_trio_searches_each_level_from_the_parent_index():
     assert calls[0] <= 1068
 
 
-def _verify_budget_counts(monkeypatch, name, budget):
-    """(predicate calls, stored positions) of one `clopen verify --seed 5` at
-    the budget: every PrunedTree's predicate is wrapped at __init__, and the
-    positions are summed over the distinct points of every dense family."""
-    calls, families = [0], []
-    tree_init, family_init = PrunedTree.__init__, DensePointFamily.__init__
+def _counted_predicates(patch):
+    """Wrap the predicate of every PrunedTree made from now on, at __init__ as
+    the bench does; the returned list's one entry counts their calls."""
+    calls = [0]
+    tree_init = PrunedTree.__init__
 
     def counted_tree(tree, admits, *args, **kwargs):
         def predicate(u):
@@ -165,12 +171,23 @@ def _verify_budget_counts(monkeypatch, name, budget):
 
         tree_init(tree, predicate, *args, **kwargs)
 
+    patch.setattr(PrunedTree, "__init__", counted_tree)
+    return calls
+
+
+def _verify_budget_counts(monkeypatch, name, budget):
+    """(predicate calls, stored positions) of one `clopen verify --seed 5` at
+    the budget: every PrunedTree's predicate is wrapped at __init__, and the
+    positions are summed over the distinct points of every dense family."""
+    families = []
+    family_init = DensePointFamily.__init__
+
     def recorded_family(fam, tree):
         family_init(fam, tree)
         families.append(fam)
 
     with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-        patch.setattr(PrunedTree, "__init__", counted_tree)
+        calls = _counted_predicates(patch)
         patch.setattr(DensePointFamily, "__init__", recorded_family)
         assert main(["verify", "--instance", name, "--seed", "5",
                      "--budget", str(budget)]) == 0
@@ -231,3 +248,71 @@ def test_axiom_check_sends_a_table_that_is_no_ultrametric_to_the_exact_loop(monk
     # the harmonic distances are a metric but no ultrametric
     table = catalog_table("harmonic", 12)
     assert _axiom_check_counts(monkeypatch, lambda: validate_metric_table(table)) == (144, 1)
+
+
+def test_enumerate_distinct_asks_a_constant_per_admissible_stem():
+    # witness-first-bit side A: 8 points below 100,000, asked one more point
+    # a call, as remetrize's index lookups ask them
+    fam = witness_representation(MATRIX_CATALOG["first-value-0"](), 1).fam
+    tree = fam.tree
+    predicate, verdict = tree._admits, tree._asked
+    calls, asked = [0], []
+
+    def counted(u):
+        calls[0] += 1
+        return predicate(u)
+
+    def walked(parent, u):  # the walk's verdict on each stem it pops
+        node = verdict(parent, u)
+        asked.append((u, node.verdict))
+        return node
+
+    tree._admits, tree._asked = counted, walked
+    for count in range(1, 9):
+        codes = enumerate_distinct(fam, count, 100_000)
+    assert codes == [0, 27, 104, 527, 2484, 9869, 33152, 96579]
+    admissible = sum(v for _, v in asked)
+    assert admissible == 446  # stems to length 438
+    # each call resumes the frontier and the codes the calls before it left,
+    # so no stem is popped twice; walking from the root on each call pops
+    # 2,971 times for 1,351 stems
+    assert len({u for u, _ in asked}) == len(asked) == 1351
+    # the predicate sees each stem at most once, and the walk pops only the
+    # root and the children below the cap of admissible stems: 2 of them for
+    # most stems here, and 447 for the root (the code of (k) is
+    # 1 + k(k+1)/2), which is about one more per admissible stem, as a stem of
+    # length n has a code of at least n(n-1)/2; so at most 4 per admissible
+    # stem (1,337 calls)
+    assert calls[0] <= 4 * admissible, (calls[0], admissible)
+
+
+def _first_bit_verify(monkeypatch, tmp_path, bounds):
+    """(exit code, FAIL lines, predicate calls) of `clopen verify` on
+    witness-first-bit at the bounds."""
+    doc = copy.deepcopy(CATALOG["witness-first-bit"])
+    doc["bounds"] = bounds
+    path = tmp_path / "first-bit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(out):
+        calls = _counted_predicates(patch)
+        code = main(["verify", "--instance", str(path)])
+    return code, [line for line in out.getvalue().splitlines() if line.startswith("FAIL")], calls[0]
+
+
+def test_verify_without_an_enumeration_cap_walks_only_the_stems_below_it(monkeypatch, tmp_path):
+    # no enumeration_cap, so 100,000 applies; side c holds one point below
+    # it, so the enumerations of interleave and code-vs-sum run to the cap
+    code, fails, calls = _first_bit_verify(monkeypatch, tmp_path, {"table_size": 4, "depth": 2})
+    short = "InsufficientDensePoints: found 1 distinct dense points of 2 wanted"
+    assert (code, fails) == (1, [f"FAIL code-vs-sum  {short} (codes < 100000)",
+                                 f"FAIL interleave  {short} (codes < 100000)"])
+    _, _, calls_at_1000 = _first_bit_verify(
+        monkeypatch, tmp_path, {"table_size": 4, "depth": 2, "enumeration_cap": 1000})
+    # the cap enters only through side c's walk, which asks its admissible
+    # stems below the cap, one a length and fewer than sqrt(2 cap) of them, as
+    # a stem of length n has a code of at least n(n-1)/2, and their children
+    # below it: fewer than sqrt(2 cap) for the root, and at most one more for
+    # each other stem here.  So raising the cap to 100,000 adds fewer than
+    # 3 sqrt(2 cap) = 1,341 predicate calls (597 here)
+    assert calls - calls_at_1000 < 3 * isqrt(2 * 100_000), (calls, calls_at_1000)

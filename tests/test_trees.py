@@ -248,6 +248,53 @@ def test_enumerate_distinct_resumes_the_numeric_scan(seed):
     assert calls == []
 
 
+def _differential_trees():
+    """(id, tree factory, caps, largest count) of the trees the stem walk is
+    compared on: seeded cylinder unions, a dsl tree, and every catalog pair
+    tree at alphabet bounds 1 and 2, whose least codes are sparse, as
+    pair-position codes grow fast."""
+    cases = [(f"cylinders-{seed}",
+              lambda seed=seed: _random_cylinders(random.Random(3800 + seed)),
+              (30, 300, 3000), 40) for seed in range(8)]
+    cases.append(("dsl", lambda: build_tree(
+        {"rule": "dsl", "child_bound": 2,
+         "node": "all i < len : s(i) <= 2 and (s(i) == 0 or i < 3)"}, "tree", label="dsl"),
+        (30, 300, 3000), 40))
+    for name in sorted(MATRIX_CATALOG):
+        for bound in (1, 2):
+            cases.append((f"pairs-{name}-{bound}",
+                          lambda name=name, bound=bound: pair_tree(MATRIX_CATALOG[name](), bound),
+                          (300, 3000, 20000), 9))
+    return cases
+
+
+@pytest.mark.parametrize("seed,make,caps,most", [
+    pytest.param(seed, make, caps, most, id=label)
+    for seed, (label, make, caps, most) in enumerate(_differential_trees())])
+def test_the_stem_walk_matches_the_numeric_scan(seed, make, caps, most):
+    # the reference scans every code below the largest cap on a family of its
+    # own; the walk answers seeded (count, cap) calls on one shared family,
+    # so each call resumes the walks of the calls before it
+    scanned = DensePointFamily(validated(make()))
+    least = [s for s in range(max(caps)) if scanned.is_least_code(s)]
+    fam = DensePointFamily(validated(make()))
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(16):
+        count, cap = rng.randint(0, most), rng.choice(caps)
+        want = [s for s in least if s < cap][:count]
+        outcomes.add(len(want) == count)
+        if len(want) == count:
+            assert enumerate_distinct(fam, count, cap=cap) == want, (count, cap)
+        else:
+            with pytest.raises(InsufficientDensePoints) as exc:
+                enumerate_distinct(fam, count, cap=cap)
+            assert str(exc.value) == str(InsufficientDensePoints(len(want), count, cap))
+    assert outcomes == {True, False}
+    fresh = DensePointFamily(validated(make()))
+    assert enumerate_distinct(fresh, len(least), cap=max(caps)) == least
+
+
 def test_enumerate_distinct_keeps_its_scan_when_a_search_raises():
     # past the validated depth, the node (0, 0) has no child within its bound
     # 0, so the least-code test of its admissible child (0, 0, 1) raises
