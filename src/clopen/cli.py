@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .baire import eventually_periodic
-from .codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable, entry_line,
+from .codes import (MalformedCode, MetricAxiomViolation, RationalMetricTable, entry_lines,
                     render_code_file)
 from .dsl import ParseError
 from .instances import (DEFAULT_BOUNDS, InstanceFile, UnknownCatalogName, build_instance,
@@ -176,7 +176,7 @@ def cmd_remetrize(args) -> int:
     table = built.table()
     k = min(table.K, 24)
     lines.append(f"K {k}")
-    lines += [entry_line(i, j, table.dist(i, j)) for i in range(k) for j in range(i, k)]
+    lines += entry_lines(table, k)
     eps = epsilon_code(built.sum_space)
     bits = "".join(str(eps(t)) for t in range(args.epsilon_prefix))
     lines.append(f"epsilon {bits}")

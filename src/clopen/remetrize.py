@@ -147,29 +147,38 @@ def interleave(sp: SumSpace, count: int, cap: int, label: str) -> RationalMetric
     (interleaved_tag), as a table serialized below count; the tail rule is
     interleave:label.  The table extends past count on demand.
 
-    Below count, a same-side pair reads the table dense_pn_rows computed for
-    its side, so the axiom check, rows() and the code point read one value
-    per entry; d(u, v) comes from row u and d(v, u) from row v, so the
-    symmetry check still compares two computations.  The rows die with the
-    table.  A same-side pair at count or beyond is sum_distance of its two
-    points, computed on demand and not kept.  A cross-side pair is
+    Below count the table is one count x count label matrix over its distinct
+    values: each side's dense_pn_rows labels on that side's entries, renumbered
+    into one value list, and CROSS_DISTANCE's label on every cross-side
+    entry.  The axiom check, the code file and dist read that matrix, so each
+    entry is computed once; d(u, v) comes from row u and d(v, u) from row v,
+    so the symmetry check still compares two computations.  The matrix dies
+    with the table.  A same-side pair at count or beyond is sum_distance of
+    its two points, computed on demand and not kept.  A cross-side pair is
     CROSS_DISTANCE at any index, with no point enumerated.
     """
+    import numpy as np
+
     # one call per side, so a side short of points raises wanting all of them
     codes = [enumerate_distinct(sp.side(side).fam, len(range(side, count, 2)), cap)
              for side in (0, 1)]
-    rows = [dense_pn_rows(sp.side(side).fam, codes[side]) for side in (0, 1)]
+    index = {CROSS_DISTANCE: 0}  # each distinct value: its label
+    matrix = np.zeros((count, count), dtype=np.intp)  # cross-side until a side's labels land
+    for side in (0, 1):
+        labels, values = dense_pn_rows(sp.side(side).fam, codes[side])
+        renumber = np.array([index.setdefault(d, len(index)) for d in values], dtype=np.intp)
+        matrix[side::2, side::2] = renumber[labels]
+    values = list(index)
 
     def dist(u: int, v: int) -> Fraction:
-        side = u % 2
-        if side != v % 2:
-            return CROSS_DISTANCE
         if u < count and v < count:
-            return rows[side][u // 2][v // 2]
+            return values[matrix[u, v]]
+        if u % 2 != v % 2:
+            return CROSS_DISTANCE
         return sum_distance(sp, interleaved_tag(sp, u, cap), interleaved_tag(sp, v, cap))
 
     return RationalMetricTable(dist=dist, K=count, tail_rule=f"interleave:{label}",
-                               label=label)
+                               label=label, matrix=matrix, values=values)
 
 
 def epsilon_code(sp: SumSpace) -> BairePoint:

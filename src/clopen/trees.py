@@ -68,7 +68,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .baire import BairePoint, branch, disagreement_distance, first_disagreement
 from .coding import code_below, decode, encode
@@ -435,20 +435,24 @@ def dense_pn_distance(fam: DensePointFamily, s: int, t: int) -> Fraction:
     return disagreement_distance(_split(fam, s, t))
 
 
-def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> list[list[Fraction]]:
-    """Every distance among the dense points with the given codes: row u
-    holds dense_pn_distance(fam, codes[u], codes[v]) for each v.
+def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> tuple[Any, list[Fraction]]:
+    """Every distance among the dense points with the given codes, as labels
+    of the distinct values: (labels, values), with
+    dense_pn_distance(fam, codes[u], codes[v]) = values[labels[u, v]] for the
+    len(codes) x len(codes) int array labels.  values holds each distance
+    that occurs once, the shared disagreement_distance constants, 0 first
+    and then 1/(k+1) by increasing k.
 
     The values the points have stored are stacked in one array, relabelled
     to small ints so any natural fits, each row padded with a label no other
-    row holds.  Row u's first mismatch against every row is then one argmax,
-    and 1/(k+1) is built once for each position k that some row reads.
+    row holds.  Row u's first mismatch against every row is then one argmax.
     A mismatch inside both points' stored values is their first
     disagreement.  One at or past the end of either goes to
     first_disagreement up to the longer stem, which grows the shorter
     branch; so does the diagonal, whose all-false row argmax reads as 0.
-    Each row is computed from row u alone, so d(u, v) and d(v, u) are two
-    computations.
+    Each entry is then k + 1 for a first disagreement at k, 0 for none, and
+    these positions are renumbered to the values' indices.  Each row is
+    computed from row u alone, so d(u, v) and d(v, u) are two computations.
     """
     import numpy as np
 
@@ -467,17 +471,19 @@ def dense_pn_rows(fam: DensePointFamily, codes: list[int]) -> list[list[Fraction
         firsts[u] = (table != table[u]).argmax(axis=1)
         firsts[u, u] = width - 1  # the diagonal, sent to first_disagreement
     late = firsts >= np.minimum(lengths[:, None], lengths)
-    read = np.zeros(width, dtype=bool)
-    read[firsts[~late]] = True
-    reciprocals = [disagreement_distance(k) if r else None for k, r in enumerate(read.tolist())]
-    rows = []
+    firsts += 1
     for u, (a, m) in enumerate(entries):
-        row = [reciprocals[k] for k in firsts[u].tolist()]
         for v in np.flatnonzero(late[u]).tolist():
             b, n = entries[v]
-            row[v] = disagreement_distance(first_disagreement(a, b, m if m > n else n))
-        rows.append(row)
-    return rows
+            k = first_disagreement(a, b, m if m > n else n)
+            firsts[u, v] = 0 if k is None else k + 1
+    seen = np.zeros(int(firsts.max(initial=0)) + 1, dtype=bool)
+    seen[firsts] = True
+    positions = np.flatnonzero(seen)
+    renumber = np.zeros(len(seen), dtype=np.intp)
+    renumber[positions] = np.arange(len(positions), dtype=np.intp)
+    values = [disagreement_distance(k - 1 if k else None) for k in positions.tolist()]
+    return renumber[firsts], values
 
 
 def enumerate_distinct(fam: DensePointFamily, count: int, cap: int) -> list[int]:

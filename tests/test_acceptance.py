@@ -222,7 +222,7 @@ def test_criterion_8_codes():
     for table in tables:
         assert table.K <= 32
         code = encode_metric(table)
-        window = max(64, max(v.denominator for _, _, v in table.rows()))
+        window = max(64, max(v.denominator for v in table.rows()[1]))
         for i in range(table.K):
             for j in range(table.K):
                 assert decode_metric(code, i, j, window=window) == table.dist(i, j)

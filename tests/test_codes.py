@@ -492,6 +492,24 @@ MALFORMED_CODE_FILES = {
                               "line 6: d(1, 1) = 1 is not a metric value"),
     "zero-between-distinct": (_HEADER + "0 0 0/1\n0 1 0/1\n1 1 0/1\ntail t\n",
                               "line 5: d(0, 1) = 0 is not a metric value"),
+    # a value, an index or a space written otherwise than render_code_file writes it
+    "unreduced-value": (_HEADER + "0 0 0/1\n0 1 4/2\n1 1 0/1\ntail t\n",
+                        "line 5: expected '0 1 2/1'"),
+    "signed-value": (_HEADER + "0 0 0/1\n0 1 +2/1\n1 1 0/1\ntail t\n",
+                     "line 5: expected '0 1 2/1'"),
+    "zero-padded-denominator": (_HEADER + "0 0 0/1\n0 1 2/01\n1 1 0/1\ntail t\n",
+                                "line 5: expected '0 1 2/1'"),
+    "underscored-index": (_HEADER + "0_0 0 0/1\n0 1 2/1\n1 1 0/1\ntail t\n",
+                          "line 4: expected '0 0 0/1'"),
+    "full-width-digit": (_HEADER + "0 0 0/1\n0 1 \uff12/1\n1 1 0/1\ntail t\n",
+                         "line 5: expected '0 1 2/1'"),
+    "two-spaces": (_HEADER + "0 0 0/1\n0  1 2/1\n1 1 0/1\ntail t\n",
+                   "line 5: expected '0 1 2/1'"),
+    # a K far past the lines, which must not cost work in K
+    "K-past-the-lines": ("format space-code/1\ninstance x\nK 1000000000000\n0 0 0/1\ntail t\n",
+                         "line 5: expected the entry of pair (0, 1)"),
+    "zero-padded-K": ("format space-code/1\ninstance x\nK 02\n0 0 0/1\n0 1 2/1\n1 1 0/1\n"
+                      "tail t\n", "line 3: expected 'K 2'"),
 }
 
 
@@ -509,12 +527,91 @@ def test_rendered_catalog_file_parses_to_its_table():
     text = render_code_file(table, "cantor-split-0")
     inst_id, k, entries, tail = parse_code_file(text)
     assert (inst_id, k, tail) == ("cantor-split-0", 8, "interleave:cantor-split-0")
-    assert entries == {(i, j): value for i, j, value in table.rows()}
+    rows, values = table.rows()
+    assert entries == {(i, i + n): values[label] for i, row in enumerate(rows)
+                       for n, label in enumerate(row)}
 
 
 def test_an_empty_metric_table_passes_the_axiom_check():
     check_metric_axioms(lambda i, j: Fraction(0), 0)
     validate_metric_table(catalog_table("discrete", 0))
+
+
+def _planted_labels(rng, count, metric):
+    """A seeded K x K label matrix and its values, as remetrize.interleave
+    carries them: the harmonic metric, which is no ultrametric, when metric
+    holds, or else a first-disagreement ultrametric; and, mostly, one
+    planted break.  Some values appear under two labels, used on the two
+    sides of the diagonal, which symmetry must read as one value."""
+    if metric:
+        values = [Fraction(abs(j - i), (i + 1) * (j + 1)) for i in range(count)
+                  for j in range(count)]
+        matrix = [[i * count + j for j in range(count)] for i in range(count)]
+    else:
+        words = [tuple(rng.randrange(2) for _ in range(3)) for _ in range(count)]
+        values = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)]
+        matrix = [[next((k + 1 for k in range(3) if words[u][k] != words[v][k]), 0)
+                   for v in range(count)] for u in range(count)]
+        for u in range(count):
+            for v in range(u):
+                if matrix[u][v] == 2 and rng.random() < 0.5:
+                    matrix[u][v] = 4  # 1/2 again, under its second label
+                if matrix[u][v] == 0:
+                    matrix[u][v] = matrix[v][u] = 1  # no two distinct indices at 0
+    if count >= 2:
+        i, j = sorted(rng.sample(range(count), 2))
+        plant = rng.choice(["none", "asymmetric", "zero", "negative", "stretched",
+                            "diagonal"])
+        label = len(values)
+        if plant == "asymmetric":
+            values.append(Fraction(1, 7))
+            u, v = rng.choice([(i, j), (j, i)])
+            matrix[u][v] = label
+        elif plant == "zero":
+            matrix[i][j] = matrix[j][i] = values.index(0)
+        elif plant == "negative":
+            values.append(Fraction(-1, 3))
+            matrix[i][j] = label
+            if rng.random() < 0.5:
+                matrix[j][i] = label
+        elif plant == "stretched":
+            values.append(Fraction(rng.randint(3, 9)))
+            matrix[i][j] = matrix[j][i] = label
+        elif plant == "diagonal":
+            values.append(Fraction(1, 5))
+            matrix[i][i] = label
+    return matrix, values
+
+
+def test_labels_carried_and_labels_read_off_dist_get_the_same_verdict():
+    # the matrix-fed check (validate_metric_table on a table that carries its
+    # labels) against check_metric_axioms reading every entry off dist
+    import numpy as np
+
+    rng = random.Random(3900)
+    verdicts = {}
+    for case in range(300):
+        count, metric = rng.randint(0, 12), rng.random() < 0.25
+        matrix, values = _planted_labels(rng, count, metric)
+        table = RationalMetricTable(
+            dist=lambda i, j, m=matrix, vals=values: vals[m[i][j]], K=count,
+            tail_rule="planted", label="planted",
+            matrix=np.array(matrix, dtype=np.intp).reshape(count, count), values=values)
+        outcomes = []
+        for check in (lambda: validate_metric_table(table),
+                      lambda: check_metric_axioms(table.dist, count)):
+            try:
+                check()
+                outcomes.append(None)
+            except MetricAxiomViolation as exc:
+                outcomes.append((exc.kind, exc.where, str(exc)))
+        assert outcomes[0] == outcomes[1], (case, count)
+        kind = outcomes[0][0] if outcomes[0] else ("metric" if metric else "ultrametric")
+        verdicts[kind] = verdicts.get(kind, 0) + 1
+    # each kind of violation, and both kinds of table that pass, were drawn
+    assert set(verdicts) == {"metric", "ultrametric", "nonnegativity",
+                             "identity-of-indiscernibles", "symmetry", "triangle"}, verdicts
+    assert min(verdicts.values()) >= 15, verdicts
 
 
 # --- the code point's rule and the computed-once table ----------------------------
@@ -558,17 +655,16 @@ def test_decode_metric_leaves_the_decode_cache_alone():
 def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
     sp, fam_a, fam_c = _families()
     calls = {}
-    kernel = []  # (family, codes, rows) of each dense_pn_rows call
+    kernel = []  # (family, codes, labels, values) of each dense_pn_rows call
 
     def counted(fam, s, t):
         calls[id(fam), s, t] = calls.get((id(fam), s, t), 0) + 1
         return dense_pn_distance(fam, s, t)
 
     def rows_counted(fam, side_codes):
-        # one object per entry, so identity tells which row an entry came from
-        rows = [[Fraction(d) for d in row] for row in dense_pn_rows(fam, side_codes)]
-        kernel.append((fam, list(side_codes), rows))
-        return rows
+        labels, values = dense_pn_rows(fam, side_codes)
+        kernel.append((fam, list(side_codes), labels.copy(), values))
+        return labels, values
 
     monkeypatch.setattr(remetrize, "dense_pn_distance", counted)
     monkeypatch.setattr(remetrize, "dense_pn_rows", rows_counted)
@@ -581,14 +677,15 @@ def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
             assert decode_metric(code, 2 * i, 2 * j + i % 2, window=64) == table.dist(
                 2 * i, 2 * j + i % 2)
     # every same-side ordered pair below K, each once, by its own row: one
-    # kernel call a side, no per-pair call, and d(u, v) is the object row u
-    # holds, so d(u, v) and d(v, u) are two computations
-    assert [(fam, side_codes) for fam, side_codes, _ in kernel] == [
+    # kernel call a side, no per-pair call, and d(u, v) is the shared value
+    # that row u's label names, so d(u, v) and d(v, u) are two computations
+    assert [(fam, side_codes) for fam, side_codes, _, _ in kernel] == [
         (fam_a, fam_a._least_codes[:6]), (fam_c, fam_c._least_codes[:6])]
     assert calls == {}
     for u in range(12):
+        _, _, labels, values = kernel[u % 2]
         for v in range(u % 2, 12, 2):
-            assert table.dist(u, v) is kernel[u % 2][2][u // 2][v // 2]
+            assert table.dist(u, v) is values[labels[u // 2, v // 2]]
     # a pair past K extends the enumerations, and is computed each time it is asked
     scanned = len(fam_a._least_codes)
     far = table.dist(2, 20)
@@ -599,14 +696,22 @@ def test_interleaved_entries_below_K_are_computed_once(monkeypatch):
     assert calls[id(fam_a), codes_a[1], codes_a[10]] == 2
 
 
+def _plant(labels, values, pairs, value):
+    """dense_pn_rows' output with value planted at each of the pairs, under a
+    label of its own."""
+    for u, v in pairs:
+        labels[u, v] = len(values)
+    return labels, values + [value]
+
+
 def test_interleaved_symmetry_compares_the_two_rows(monkeypatch):
     # d(u, v) is read from row u and d(v, u) from row v: a value planted in
     # one row alone is a symmetry failure
     def planted(fam, side_codes):
-        rows = dense_pn_rows(fam, side_codes)
+        labels, values = dense_pn_rows(fam, side_codes)
         if fam is fam_a:
-            rows[1][2] = Fraction(1, 7)
-        return rows
+            return _plant(labels, values, [(1, 2)], Fraction(1, 7))
+        return labels, values
 
     sp, fam_a, fam_c = _families()
     monkeypatch.setattr(remetrize, "dense_pn_rows", planted)
@@ -639,10 +744,10 @@ def test_instance_table_checks_the_metric_axioms(monkeypatch):
     # interleave check all read the table built.table() checked, so none of
     # them reads the planted value unchecked
     def planted(fam, side_codes):
-        rows = dense_pn_rows(fam, side_codes)
+        labels, values = dense_pn_rows(fam, side_codes)
         if fam is built.sum_space.part_a.fam:
-            rows[1][2] = rows[2][1] = Fraction(3)
-        return rows
+            return _plant(labels, values, [(1, 2), (2, 1)], Fraction(3))
+        return labels, values
 
     built = build_instance(builtin_instance("cantor-split-0"))
     monkeypatch.setattr(remetrize, "dense_pn_rows", planted)
@@ -658,11 +763,11 @@ def test_a_table_the_axiom_check_rejects_ends_the_command_in_one_line(command, m
     # the entry planted above, on the first side the command's table reads:
     # one stderr line and exit 1, no traceback and no output
     def planted(fam, side_codes):
-        rows = dense_pn_rows(fam, side_codes)
+        labels, values = dense_pn_rows(fam, side_codes)
         if not sides:
-            rows[1][2] = rows[2][1] = Fraction(3)
+            labels, values = _plant(labels, values, [(1, 2), (2, 1)], Fraction(3))
         sides.append(fam)
-        return rows
+        return labels, values
 
     sides = []
     monkeypatch.setattr(remetrize, "dense_pn_rows", planted)

@@ -26,9 +26,11 @@ in the budget with a nonnegative constant.
 A Luzin probe's search on each level starts at its index on the level above,
 since no smaller index can qualify there.
 
-The metric axiom check reads each of a table's K^2 entries once and decides
-the triangle inequality on an ultrametric by one row pass, so an instance
-table, which is always an ultrametric, never reaches the K^3 exact loop.
+An instance table carries its entries as labels of one K x K matrix, and
+the metric axiom check and the code file read those, not dist.  The check
+decides the triangle inequality on an ultrametric by one row pass, so an
+instance table, which is always an ultrametric, never reaches the K^3 exact
+loop; a table given by dist alone has each of its K^2 entries read once.
 
 enumerate_distinct walks a frontier of stems in code order and asks the
 tree only about the stems below the cap whose parent it admits, each once
@@ -44,12 +46,12 @@ from math import isqrt
 
 import pytest
 
-from clopen import codes, dsl, verify
+from clopen import codes, dsl, instances, verify
 from clopen.cli import main
-from clopen.codes import catalog_table, validate_metric_table
+from clopen.codes import catalog_table, render_code_file, validate_metric_table
 from clopen.instances import CATALOG, build_instance, builtin_instance, parse_instance
 from clopen.luzin import LuzinScheme, baire_closed_presentation
-from clopen.remetrize import witness_representation
+from clopen.remetrize import interleave, witness_representation
 from clopen.trees import DensePointFamily, PrunedTree, enumerate_distinct
 from clopen.witness import MATRIX_CATALOG
 
@@ -210,25 +212,28 @@ def test_verify_counts_at_most_double_with_the_budget(monkeypatch, name):
         assert more_stored <= 2 * stored, (name, BUDGETS, counts)
 
 
-def _axiom_check_counts(monkeypatch, table):
-    """(dist reads, exact-loop calls) of the axiom check while table() runs."""
+def _axiom_check_counts(monkeypatch, run):
+    """(dist reads, exact-loop calls) while run(count) runs, where count(table)
+    counts every later read of table.dist and returns the table."""
     counts = [0, 0]
-    check, exact = codes.check_metric_axioms, codes._triangle_exact
+    exact = codes._triangle_exact
 
-    def checking(dist, count, equal=None):
+    def count(table):
+        dist = table.dist
+
         def read(i, j):
             counts[0] += 1
             return dist(i, j)
 
-        return check(read, count, equal)
+        table.dist = read
+        return table
 
     def exact_loop(*args):
         counts[1] += 1
         return exact(*args)
 
-    monkeypatch.setattr(codes, "check_metric_axioms", checking)
     monkeypatch.setattr(codes, "_triangle_exact", exact_loop)
-    table()
+    run(count)
     return tuple(counts)
 
 
@@ -238,16 +243,27 @@ def test_axiom_check_reads_each_entry_once_and_runs_no_cubic_loop(monkeypatch, n
         doc = copy.deepcopy(CATALOG[name])
         doc["bounds"] = {**doc.get("bounds", {}), "table_size": k}
         built = build_instance(parse_instance(json.dumps(doc)))
-        # d(i, j) for i <= j and d(j, i) for i < j: K^2 reads, so doubling
-        # the table size quadruples them; the table is an ultrametric, so the
-        # row pass decides its triangles and the K^3 exact loop never runs
-        assert _axiom_check_counts(monkeypatch, built.table) == (k * k, 0), (name, k)
+
+        def check_and_render(count):
+            monkeypatch.setattr(instances, "interleave", lambda *args, **kwargs: count(
+                interleave(*args, **kwargs)))
+            table = built.table()
+            render_code_file(table, name)
+            table.dist(0, 1)  # the one counted read, which shows the count sees dist
+
+        # the table carries each entry as a label of its K x K matrix, which
+        # the check and the code file read, so neither reads dist; the table
+        # is an ultrametric, so the row pass decides its triangles and the
+        # K^3 exact loop never runs
+        assert _axiom_check_counts(monkeypatch, check_and_render) == (1, 0), (name, k)
 
 
 def test_axiom_check_sends_a_table_that_is_no_ultrametric_to_the_exact_loop(monkeypatch):
-    # the harmonic distances are a metric but no ultrametric
+    # the harmonic distances are a metric but no ultrametric; a table without
+    # labels has d(i, j) for i <= j and d(j, i) for i < j read off dist: K^2
     table = catalog_table("harmonic", 12)
-    assert _axiom_check_counts(monkeypatch, lambda: validate_metric_table(table)) == (144, 1)
+    assert _axiom_check_counts(
+        monkeypatch, lambda count: validate_metric_table(count(table))) == (144, 1)
 
 
 def test_enumerate_distinct_asks_a_constant_per_admissible_stem():

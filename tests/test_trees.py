@@ -796,6 +796,17 @@ def _dsl_pair(rng):
             for op in ("==", "!=")]
 
 
+def _rows(fam, codes):
+    """dense_pn_rows' distances as lists of values, after checking its labels:
+    a square int array over distinct values, 0 first, then 1/(k+1) by
+    increasing k, each value labelling some entry."""
+    labels, values = dense_pn_rows(fam, codes)
+    assert labels.shape == (len(codes), len(codes)) and labels.dtype.kind == "i"
+    assert values == sorted(set(values), key=lambda d: (d != 0, -d))
+    assert sorted(set(labels.flatten().tolist())) == list(range(len(values)))
+    return [[values[label] for label in row] for row in labels.tolist()]
+
+
 @pytest.mark.parametrize("make", [_split_pair, _dsl_pair])
 @pytest.mark.parametrize("seed", range(8))
 def test_dense_pn_rows_match_the_pair_rule(make, seed):
@@ -805,7 +816,7 @@ def test_dense_pn_rows_match_the_pair_rule(make, seed):
     for tree in make(random.Random(seed)):
         fam = DensePointFamily(validated(tree))
         codes = enumerate_distinct(fam, count, cap=1 << 13)
-        rows = dense_pn_rows(fam, codes)
+        rows = _rows(fam, codes)
         ref = DensePointFamily(tree)
         assert rows == [[dense_pn_distance(ref, s, t) for t in codes] for s in codes]
 
@@ -820,7 +831,7 @@ def test_dense_pn_rows_grow_a_short_stem_against_a_longer_one(monkeypatch):
     real = trees.first_disagreement
     monkeypatch.setattr(trees, "first_disagreement",
                         lambda a, b, bound: asked.append(a is b) or real(a, b, bound))
-    assert dense_pn_rows(fam, [short, long]) == [[0, Fraction(1, 4)], [Fraction(1, 4), 0]]
+    assert _rows(fam, [short, long]) == [[0, Fraction(1, 4)], [Fraction(1, 4), 0]]
     assert len(fam.leftmost(short)._prefix) == 4
     assert sorted(asked) == [False, False, True, True]  # two grown pairs, two diagonals
 
@@ -831,9 +842,9 @@ def test_dense_pn_rows_diagonal_and_equal_points_are_zero():
     # disagreement at 0, and a repeated code's rows differ only in their pads
     fam = DensePointFamily(validated(full_cantor_tree()))
     codes = [encode((0,)), encode((0, 0)), encode((5,)), 0, encode((0, 0)), encode((1,))]
-    assert dense_pn_rows(fam, codes) == [[0] * 5 + [1]] * 5 + [[1] * 5 + [0]]
-    assert dense_pn_rows(fam, [encode((1, 1))]) == [[0]]
-    assert dense_pn_rows(fam, []) == []
+    assert _rows(fam, codes) == [[0] * 5 + [1]] * 5 + [[1] * 5 + [0]]
+    assert _rows(fam, [encode((1, 1))]) == [[0]]
+    assert _rows(fam, []) == []
 
 
 def test_dense_pn_rows_relabel_any_natural():
@@ -841,7 +852,7 @@ def test_dense_pn_rows_relabel_any_natural():
     stems = [(), (big,), (big, 1), (big, 0, big), (big + 1,), (0, big), (big, 0, 0, 0, 1)]
     fam = DensePointFamily(validated(full_baire_tree()))
     codes = [encode(u) for u in stems]
-    rows = dense_pn_rows(fam, codes)
+    rows = _rows(fam, codes)
     ref = DensePointFamily(validated(full_baire_tree()))
     assert rows == [[dense_pn_distance(ref, s, t) for t in codes] for s in codes]
     assert rows[1][2:5] == [Fraction(1, 2), Fraction(1, 3), 1]
